@@ -4,7 +4,8 @@ Given particles x1 approximating the target, each training step draws one
 (t, x0) pair per particle, forms the affine interpolant, and regresses the
 parametric vector field onto the closed-form conditional field.  The
 parameter gradient is reverse-accumulated through the three sub-networks
-only; the conditional field carries no parameters.
+only, from the forward caches that ``flow.field`` returns; the conditional
+field carries no parameters.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import nets
 from .errors import NonFiniteLoss
-from .flow import SCALE_FLOOR, FlowParams, flow_to_vector, softplus, vector_to_flow
+from .flow import FlowParams, field, flow_to_vector, vector_to_flow
 from .nets import AdamState
 from .targets import TargetDensity
 
@@ -60,32 +61,24 @@ def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
     xt = interpolant(cfg, t, x0, x1)
     v_cond = conditional_field(cfg, t, xt, x1)
 
-    # forward through the three nets, keeping what backprop needs
-    ffb = nets.fourier_embed(t, flow_params.fourier)
-    inp_x = np.concatenate([xt, ffb], axis=1)
-    score = target.grad_log_density(xt)
-    nx = nets.mlp_forward(flow_params.net_x, inp_x)
-    nt = nets.mlp_forward(flow_params.net_t, ffb)
-    u = nets.mlp_forward(flow_params.net_scale, ffb)
-    scale = SCALE_FLOOR + softplus(u)
-    v = (nx + nt * score) / scale
-
-    residual = v - v_cond
+    fe = field(flow_params, target, t, xt)
+    residual = fe.v - v_cond
     loss = float(np.mean(np.sum(residual ** 2, axis=1)))
     if not np.isfinite(loss):
         raise NonFiniteLoss("flow-matching residual is not finite")
 
+    # backpropagate through the cached forward pass of field()
     cot_v = (2.0 / n) * residual
-    cot_nx = cot_v / scale
-    cot_nt = cot_v * score / scale
+    cot_nx = cot_v / fe.scale
+    cot_nt = cot_v * fe.score / fe.scale
     # d loss / d u through scale = floor + softplus(u): dscale/du = sigmoid(u)
-    sig = 1.0 / (1.0 + np.exp(-u))
-    cot_u = -np.sum(cot_v * v, axis=1, keepdims=True) * sig / scale
+    sig = 1.0 / (1.0 + np.exp(-fe.u))
+    cot_u = -np.sum(cot_v * fe.v, axis=1, keepdims=True) * sig / fe.scale
 
     grad = FlowParams(
-        net_x=nets.mlp_param_gradient(flow_params.net_x, inp_x, cot_nx),
-        net_t=nets.mlp_param_gradient(flow_params.net_t, ffb, cot_nt),
-        net_scale=nets.mlp_param_gradient(flow_params.net_scale, ffb, cot_u),
+        net_x=nets.mlp_param_gradient(flow_params.net_x, fe.acts_x, cot_nx),
+        net_t=nets.mlp_param_gradient(flow_params.net_t, fe.acts_t, cot_nt),
+        net_scale=nets.mlp_param_gradient(flow_params.net_scale, fe.acts_scale, cot_u),
         fourier=flow_params.fourier,
         dim=flow_params.dim,
     )

@@ -12,6 +12,12 @@ delta_logp of a forward pass (t 0 -> 1) is -int_0^1 div v dt and of a
 backward pass (t 1 -> 0) is +int_0^1 div v dt along the traversed path.
 These are exactly the two Delta-log-p quantities the Metropolis kernels
 consume, and a backward/forward round trip sums to zero.
+
+``field`` is the only forward pass of v.  It returns the value together
+with the score, the gate, the scale and the forward caches of the three
+networks; the divergence (exact trace or Hutchinson) and the CFM parameter
+gradients in ``cfm`` reuse that cache instead of running the networks again.
+For a scalar t, as at every RK4 stage, the time networks run on one row.
 """
 
 from dataclasses import dataclass
@@ -112,74 +118,90 @@ def softplus(u):
     return np.logaddexp(0.0, u)
 
 
-def _time_features(params: FlowParams, t, n_rows: int) -> np.ndarray:
-    """Fourier features broadcast to the batch; t scalar or (N,)."""
+@dataclass
+class FieldEval:
+    """One forward pass of v(t, x) and the pieces its derivatives reuse.
+
+    For a scalar t the time networks run on one row, so gate, u and scale
+    are (1, .) and broadcast against the N rows of v and score.
+    """
+
+    v: np.ndarray          # (N, d) field value
+    score: np.ndarray      # (N, d) grad log pi(x)
+    gate: np.ndarray       # net_t output
+    u: np.ndarray          # net_scale output; scale = SCALE_FLOOR + softplus(u)
+    scale: np.ndarray
+    acts_x: list           # forward caches of net_x, net_t, net_scale
+    acts_t: list
+    acts_scale: list
+
+
+def field(params: FlowParams, target: TargetDensity, t, xb: np.ndarray) -> FieldEval:
+    """The single forward pass of the vector field over a batch xb (N, d).
+
+    t is a scalar or one time per row.  Divergence and CFM gradients read
+    the returned caches instead of running the networks again.
+    """
     t = np.asarray(t, dtype=float)
-    ff = nets.fourier_embed(t, params.fourier)
-    if ff.ndim == 1:
-        ff = np.broadcast_to(ff, (n_rows, ff.size))
-    elif ff.shape[0] != n_rows:
-        raise ShapeMismatch(f"{ff.shape[0]} time rows for {n_rows} positions")
-    return ff
-
-
-def _field_pieces(params: FlowParams, target: TargetDensity, t, xb: np.ndarray):
-    """Shared forward pass: (net_x out, net_t out, scale, score, features)."""
-    ffb = _time_features(params, t, xb.shape[0])
+    n = xb.shape[0]
+    ff = np.atleast_2d(nets.fourier_embed(t, params.fourier))
+    if t.ndim and ff.shape[0] != n:
+        raise ShapeMismatch(f"{ff.shape[0]} time rows for {n} positions")
     score = np.atleast_2d(target.grad_log_density(xb))
-    if not np.all(np.isfinite(score)):
-        raise NonFiniteScore("target gradient is not finite")
-    nx = nets.mlp_forward(params.net_x, np.concatenate([xb, ffb], axis=1))
-    nt = nets.mlp_forward(params.net_t, ffb)
-    u = nets.mlp_forward(params.net_scale, ffb)
+    ffb = np.broadcast_to(ff, (n, ff.shape[1]))
+    nx, acts_x = nets.mlp_forward_cache(params.net_x, np.concatenate([xb, ffb], axis=1))
+    gate, acts_t = nets.mlp_forward_cache(params.net_t, ff)
+    u, acts_scale = nets.mlp_forward_cache(params.net_scale, ff)
     scale = SCALE_FLOOR + softplus(u)
-    return nx, nt, scale, score, ffb
+    v = (nx + gate * score) / scale
+    return FieldEval(v, score, gate, u, scale, acts_x, acts_t, acts_scale)
+
+
+def _checked_field(params, target, t, xb) -> FieldEval:
+    fe = field(params, target, t, xb)
+    if not np.all(np.isfinite(fe.score)):
+        raise NonFiniteScore("target gradient is not finite")
+    return fe
 
 
 def vector_field(params: FlowParams, target: TargetDensity, t, x) -> np.ndarray:
     """Evaluate v(t, x); x is (d,) or (N, d), t scalar or per-row."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = np.atleast_2d(x)
-    nx, nt, scale, score, _ = _field_pieces(params, target, t, xb)
-    v = (nx + nt * score) / scale
-    return v[0] if single else v
+    v = _checked_field(params, target, t, np.atleast_2d(x)).v
+    return v[0] if x.ndim == 1 else v
 
 
-def _divergence_rows(params, target, t, xb, cfg: OdeConfig, rng,
-                     nt, scale):
-    """Row-wise divergence given the already computed gate and scale."""
+def _divergence_rows(params, target, xb, fe: FieldEval, cfg: OdeConfig, rng):
+    """Row-wise divergence of the evaluated field fe at positions xb."""
     d = xb.shape[1]
-    ffb = _time_features(params, t, xb.shape[0])
-    inp = np.concatenate([xb, ffb], axis=1)
     if cfg.divergence == "exact":
-        div = nets.mlp_input_jacobian_trace(params.net_x, inp, d)
+        div = nets.mlp_input_jacobian_trace(params.net_x, fe.acts_x, d)
         for i in range(d):
             e = np.zeros(d)
             e[i] = 1.0
-            div = div + nt[:, i] * target.hvp_log_density(xb, e)[:, i]
-        return div / scale[:, 0]
+            div = div + fe.gate[:, i] * target.hvp_log_density(xb, e)[:, i]
+        return div / fe.scale[:, 0]
     if rng is None:
         raise ValueError("hutchinson divergence needs an rng")
     acc = np.zeros(xb.shape[0])
+    tangent = np.zeros_like(fe.acts_x[0])
     for _ in range(cfg.n_probes):
         eps = rng.integers(0, 2, size=xb.shape) * 2.0 - 1.0
-        tangent = np.concatenate([eps, np.zeros_like(ffb)], axis=1)
-        jvp = nets.mlp_input_jvp(params.net_x, inp, tangent)
+        tangent[:, :d] = eps
+        jvp = nets.mlp_input_jvp(params.net_x, fe.acts_x, tangent)
         hvp = target.hvp_log_density(xb, eps)
-        acc += np.sum(eps * (jvp + nt * hvp), axis=1)
-    return acc / (cfg.n_probes * scale[:, 0])
+        acc += np.sum(eps * (jvp + fe.gate * hvp), axis=1)
+    return acc / (cfg.n_probes * fe.scale[:, 0])
 
 
 def divergence(params: FlowParams, target: TargetDensity, t, x,
                cfg: OdeConfig, rng: np.random.Generator = None):
     """Divergence of the vector field at (t, x): exact trace or Hutchinson."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
     xb = np.atleast_2d(x)
-    _, nt, scale, _, _ = _field_pieces(params, target, t, xb)
-    div = _divergence_rows(params, target, t, xb, cfg, rng, nt, scale)
-    return div[0] if single else div
+    fe = _checked_field(params, target, t, xb)
+    div = _divergence_rows(params, target, xb, fe, cfg, rng)
+    return div[0] if x.ndim == 1 else div
 
 
 def rk4_integrate(field, x0: np.ndarray, t0: float, t1: float, n_steps: int):
@@ -216,24 +238,19 @@ def rk4_integrate(field, x0: np.ndarray, t0: float, t1: float, n_steps: int):
 
 def _flow_field(params, target, cfg, rng):
     """Row-tolerant field closure: broken rows carry NaN, healthy rows run on."""
-    def field(t, xb):
+    def rk4_field(t, xb):
         ok = np.all(np.isfinite(xb), axis=1)
         safe = xb if ok.all() else np.where(ok[:, None], xb, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            ffb = _time_features(params, t, safe.shape[0])
-            score = np.atleast_2d(target.grad_log_density(safe))
-            nx = nets.mlp_forward(params.net_x, np.concatenate([safe, ffb], axis=1))
-            nt = nets.mlp_forward(params.net_t, ffb)
-            u = nets.mlp_forward(params.net_scale, ffb)
-            scale = SCALE_FLOOR + softplus(u)
-            v = (nx + nt * score) / scale
-            div = _divergence_rows(params, target, t, safe, cfg, rng, nt, scale)
+            fe = field(params, target, t, safe)
+            v = fe.v
+            div = _divergence_rows(params, target, safe, fe, cfg, rng)
         ok &= np.all(np.isfinite(v), axis=1) & np.isfinite(div)
         if not ok.all():
             v = np.where(ok[:, None], v, np.nan)
             div = np.where(ok, div, np.nan)
         return v, div
-    return field
+    return rk4_field
 
 
 def integrate_rows(params: FlowParams, target: TargetDensity, xb: np.ndarray,

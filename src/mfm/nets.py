@@ -4,7 +4,9 @@ Everything is plain float64 numpy.  The MLPs are fixed-shape
 input -> hidden -> hidden -> output stacks with tanh hidden activations and
 a linear output layer; reverse-mode parameter gradients and forward-mode
 input derivatives are written out by hand, which is all this artifact
-needs (no general autodiff).
+needs (no general autodiff).  ``mlp_forward_cache`` is the one forward
+pass: the derivative helpers take its cache of layer activations and never
+run the network again.
 """
 
 import json
@@ -97,11 +99,6 @@ def mlp_zeros(sizes: Sequence[int]) -> MlpParams:
     return MlpParams(weights, biases)
 
 
-def mlp_zeros_like(params: MlpParams) -> MlpParams:
-    return MlpParams([np.zeros_like(w) for w in params.weights],
-                     [np.zeros_like(b) for b in params.biases])
-
-
 def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != params.n_in:
@@ -110,10 +107,15 @@ def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return np.atleast_2d(x)
 
 
-def _forward_cache(params: MlpParams, xb: np.ndarray):
-    """Forward pass keeping post-activation values of every layer."""
-    acts = [xb]
-    h = xb
+def mlp_forward_cache(params: MlpParams, x):
+    """Forward pass keeping the post-activation values of every layer.
+
+    Returns (out, acts): out is (N, n_out) and acts[i] is the input of layer
+    i (acts[0] the batched input, acts[-1] is out).  The derivative helpers
+    below take acts, so one forward pass serves all of them.
+    """
+    h = _check_input(params, x)
+    acts = [h]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = h @ w + b
@@ -126,23 +128,22 @@ def _forward_cache(params: MlpParams, xb: np.ndarray):
 def mlp_forward(params: MlpParams, x) -> np.ndarray:
     """Deterministic forward pass; accepts (n_in,) or (N, n_in)."""
     single = np.asarray(x).ndim == 1
-    out, _ = _forward_cache(params, _check_input(params, x))
+    out, _ = mlp_forward_cache(params, x)
     return out[0] if single else out
 
 
-def mlp_param_gradient(params: MlpParams, x, cotangent) -> MlpParams:
+def mlp_param_gradient(params: MlpParams, acts, cotangent) -> MlpParams:
     """Gradient of sum_rows cotangent_i . output_i with respect to parameters.
 
-    For a single row this is the reverse-mode gradient of the scalar
-    cotangent . output; for a batch the per-row gradients are accumulated by
-    the matrix products themselves, giving a deterministic ordered reduction.
+    acts is the forward cache of mlp_forward_cache.  For a single row this
+    is the reverse-mode gradient of the scalar cotangent . output; for a
+    batch the per-row gradients are accumulated by the matrix products
+    themselves, giving a deterministic ordered reduction.
     """
-    xb = _check_input(params, x)
     cot = np.atleast_2d(np.asarray(cotangent, dtype=float))
-    if cot.shape != (xb.shape[0], params.n_out):
+    if cot.shape != (acts[0].shape[0], params.n_out):
         raise ShapeMismatch(
-            f"cotangent shape {cot.shape} != {(xb.shape[0], params.n_out)}")
-    _, acts = _forward_cache(params, xb)
+            f"cotangent shape {cot.shape} != {(acts[0].shape[0], params.n_out)}")
     grads_w = [None] * len(params.weights)
     grads_b = [None] * len(params.biases)
     delta = cot
@@ -154,65 +155,35 @@ def mlp_param_gradient(params: MlpParams, x, cotangent) -> MlpParams:
     return MlpParams(grads_w, grads_b)
 
 
-def mlp_input_jvp(params: MlpParams, x, tangent) -> np.ndarray:
-    """Directional derivative of the output wrt the input (forward mode)."""
-    single = np.asarray(x).ndim == 1
-    xb = _check_input(params, x)
-    tb = np.broadcast_to(np.asarray(tangent, dtype=float), xb.shape)
-    _, acts = _forward_cache(params, xb)
-    d = tb
+def mlp_input_jvp(params: MlpParams, acts, tangent) -> np.ndarray:
+    """Directional derivative of the output wrt the input (forward mode).
+
+    acts is the forward cache; tangent is one input-width row or one per row.
+    """
+    d = np.broadcast_to(np.asarray(tangent, dtype=float), acts[0].shape)
     last = len(params.weights) - 1
     for i, w in enumerate(params.weights):
         d = d @ w
         if i < last:
             d = d * (1.0 - acts[i + 1] ** 2)
-    return d[0] if single else d
+    return d
 
 
-def mlp_input_jacobian_trace(params: MlpParams, x, k: int) -> np.ndarray:
+def mlp_input_jacobian_trace(params: MlpParams, acts, k: int) -> np.ndarray:
     """sum_i d output_i / d input_i over the first k coordinates, per row.
 
     For the fixed two-hidden-layer stack the trace collapses to a bilinear
-    form in the two tanh' vectors with the constant matrix
-    W2 * (W3 @ W1[:k])^T, which avoids materializing any Jacobian.  Other
-    depths fall back to the Jacobian diagonal.
+    form in the two tanh' vectors (read from the forward cache acts) with
+    the constant matrix W2 * (W3 @ W1[:k])^T, which avoids materializing
+    any Jacobian.
     """
-    xb = _check_input(params, x)
-    if len(params.weights) != 3:
-        jac = mlp_input_jacobian_head(params, xb, k)
-        return np.einsum("nii->n", jac[:, :, :k])
     w1, w2, w3 = params.weights
     if w3.shape[1] < k:
         raise ShapeMismatch(f"trace needs >= {k} outputs, net has {w3.shape[1]}")
-    _, acts = _forward_cache(params, xb)
     d1 = 1.0 - acts[1] ** 2
     d2 = 1.0 - acts[2] ** 2
     mix = w2 * (w3[:, :k] @ w1[:k, :]).T
     return np.sum(d1 * (d2 @ mix.T), axis=1)
-
-
-def mlp_input_jacobian_head(params: MlpParams, x, k: int) -> np.ndarray:
-    """Jacobian columns for the first k input coordinates, all rows at once.
-
-    Returns (N, k, n_out): entry [n, i, j] = d output_j / d input_i at row n.
-    Equivalent to stacking mlp_input_jvp over the k basis tangents, but the
-    tangents propagate through one batched matmul per layer.
-    """
-    xb = _check_input(params, x)
-    _, acts = _forward_cache(params, xb)
-    n = xb.shape[0]
-    # basis tangents hit only the first k input coordinates
-    d = np.broadcast_to(params.weights[0][:k, :], (n, k, params.weights[0].shape[1])).copy()
-    last = len(params.weights) - 1
-    if last > 0:
-        d = d * (1.0 - acts[1][:, None, :] ** 2)
-    for i in range(1, len(params.weights)):
-        # one (n*k, h) gemm instead of n small batched products
-        w = params.weights[i]
-        d = (d.reshape(n * k, w.shape[0]) @ w).reshape(n, k, w.shape[1])
-        if i < last:
-            d = d * (1.0 - acts[i + 1][:, None, :] ** 2)
-    return d
 
 
 # -- Flat-vector packing (checkpoints, Adam, finite differences) --------------

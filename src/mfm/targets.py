@@ -157,10 +157,6 @@ def _mixture_target(spec: GaussianMixtureSpec, name: str) -> TargetDensity:
                          sampler=sampler, name=name)
 
 
-def make_gaussian_mixture(spec: GaussianMixtureSpec, name: str = "gmm") -> TargetDensity:
-    return _mixture_target(spec, name)
-
-
 def make_gmm4() -> TargetDensity:
     """Four unit-variance modes at (+-8, +-8), equally weighted."""
     means = np.array([[8.0, 8.0], [-8.0, 8.0], [8.0, -8.0], [-8.0, -8.0]])

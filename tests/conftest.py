@@ -1,10 +1,26 @@
 import numpy as np
 import pytest
 
+from mfm import nets
+
 
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(20240517))
+
+
+@pytest.fixture
+def forward_passes(monkeypatch):
+    """Records (network, rows) for every nets.mlp_forward_cache call."""
+    calls = []
+    inner = nets.mlp_forward_cache
+
+    def counted(params, x):
+        calls.append((params, np.atleast_2d(x).shape[0]))
+        return inner(params, x)
+
+    monkeypatch.setattr(nets, "mlp_forward_cache", counted)
+    return calls
 
 
 def finite_diff_grad(f, x, step=1e-5):

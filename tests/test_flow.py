@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from mfm import flow, nets, targets
-from mfm.errors import NonFiniteState
+from mfm.errors import NonFiniteScore, NonFiniteState, ShapeMismatch
 from mfm.flow import AugmentedState, OdeConfig
 
 
@@ -114,6 +114,64 @@ def test_hutchinson_unbiased(rng):
                       for _ in range(10_000)])
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - exact) <= 3.0 * max(se, 1e-12)
+
+
+# -- the shared forward pass ----------------------------------------------------------
+
+def test_nonfinite_score_rejected(rng):
+    std = targets.standard_normal(2)
+    bad = targets.TargetDensity(2, std.log_density,
+                                lambda x: np.full(np.shape(x), np.nan),
+                                std.hvp_log_density, name="nan_score")
+    fp = flow.flow_init(rng, 2, hidden=4)
+    x = rng.standard_normal((3, 2))
+    with pytest.raises(NonFiniteScore):
+        flow.vector_field(fp, bad, 0.3, x)
+    with pytest.raises(NonFiniteScore):
+        flow.divergence(fp, bad, 0.3, x, OdeConfig())
+
+
+def test_time_rows_must_match_positions(rng):
+    fp = flow.flow_init(rng, 2, hidden=4)
+    std = targets.standard_normal(2)
+    x = rng.standard_normal((3, 2))
+    with pytest.raises(ShapeMismatch):
+        flow.vector_field(fp, std, np.full(2, 0.3), x)
+    with pytest.raises(ShapeMismatch):
+        flow.divergence(fp, std, np.full(4, 0.3), x, OdeConfig())
+
+
+def test_scalar_time_matches_per_row_time(rng):
+    d, n, t = 3, 5, 0.37
+    target = gaussian_with_precision(random_spd(rng, d))
+    fp = flow.flow_init(rng, d, hidden=8)
+    fp.net_x.weights[-1] = rng.uniform(-0.5, 0.5, size=fp.net_x.weights[-1].shape)
+    x = rng.standard_normal((n, d))
+    rows = np.full(n, t)
+    assert np.allclose(flow.vector_field(fp, target, t, x),
+                       flow.vector_field(fp, target, rows, x), rtol=0, atol=1e-12)
+    exact = OdeConfig()
+    assert np.allclose(flow.divergence(fp, target, t, x, exact),
+                       flow.divergence(fp, target, rows, x, exact), rtol=0, atol=1e-12)
+    hut = OdeConfig(divergence="hutchinson", n_probes=2)
+    assert np.allclose(
+        flow.divergence(fp, target, t, x, hut, np.random.Generator(np.random.Philox(9))),
+        flow.divergence(fp, target, rows, x, hut, np.random.Generator(np.random.Philox(9))),
+        rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["exact", "hutchinson"])
+def test_one_forward_pass_per_field_evaluation(rng, forward_passes, mode):
+    d, n = 2, 7
+    fp = flow.flow_init(rng, d, hidden=8)
+    std = targets.standard_normal(d)
+    x = rng.standard_normal((n, d))
+    flow.integrate_rows(fp, std, x, OdeConfig(n_steps=1, divergence=mode), rng, True)
+    # one RK4 step is 4 field evaluations, each net_x, net_t, net_scale once
+    assert len(forward_passes) == 4 * 3
+    assert [rows for net, rows in forward_passes if net is fp.net_x] == [n] * 4
+    assert [rows for net, rows in forward_passes if net is fp.net_t] == [1] * 4
+    assert [rows for net, rows in forward_passes if net is fp.net_scale] == [1] * 4
 
 
 # -- integrator against the matrix-exponential oracle -------------------------------

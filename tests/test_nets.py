@@ -11,6 +11,10 @@ def small_net(rng, sizes=(3, 4, 4, 2)):
     return nets.mlp_init(rng, sizes)
 
 
+def acts(p, x):
+    return nets.mlp_forward_cache(p, x)[1]
+
+
 def test_zero_net_outputs_zero():
     p = nets.mlp_zeros((3, 4, 4, 2))
     assert np.all(nets.mlp_forward(p, np.ones(3)) == 0.0)
@@ -36,7 +40,7 @@ def test_forward_shape_mismatch(rng):
 
 def test_param_gradient_zero_cotangent(rng):
     p = small_net(rng)
-    g = nets.mlp_param_gradient(p, rng.standard_normal(3), np.zeros(2))
+    g = nets.mlp_param_gradient(p, acts(p, rng.standard_normal(3)), np.zeros(2))
     assert all(np.all(a == 0.0) for a in g.arrays())
 
 
@@ -45,7 +49,7 @@ def test_param_gradient_linear_closed_form(rng):
     p = nets.MlpParams([w], [np.zeros(1)])
     x = np.array([2.5])
     cot = np.array([3.0])
-    g = nets.mlp_param_gradient(p, x, cot)
+    g = nets.mlp_param_gradient(p, acts(p, x), cot)
     assert g.weights[0][0, 0] == pytest.approx(cot[0] * x[0])
     assert g.biases[0][0] == pytest.approx(cot[0])
 
@@ -55,7 +59,7 @@ def test_param_gradient_matches_finite_differences(rng):
         p = small_net(rng)
         x = rng.standard_normal(3)
         cot = rng.standard_normal(2)
-        g = nets.mlp_param_gradient(p, x, cot)
+        g = nets.mlp_param_gradient(p, acts(p, x), cot)
         gvec = nets.mlp_to_vector(g)
         vec0 = nets.mlp_to_vector(p)
 
@@ -68,15 +72,15 @@ def test_param_gradient_matches_finite_differences(rng):
 
 def test_input_jvp_zero_tangent(rng):
     p = small_net(rng)
-    assert np.all(nets.mlp_input_jvp(p, rng.standard_normal(3), np.zeros(3)) == 0.0)
+    assert np.all(nets.mlp_input_jvp(p, acts(p, rng.standard_normal(3)), np.zeros(3)) == 0.0)
 
 
 def test_input_jvp_linear_network(rng):
     w = rng.standard_normal((3, 2))
     p = nets.MlpParams([w], [np.zeros(2)])
     tangent = rng.standard_normal(3)
-    out1 = nets.mlp_input_jvp(p, rng.standard_normal(3), tangent)
-    out2 = nets.mlp_input_jvp(p, rng.standard_normal(3), tangent)
+    out1 = nets.mlp_input_jvp(p, acts(p, rng.standard_normal(3)), tangent)
+    out2 = nets.mlp_input_jvp(p, acts(p, rng.standard_normal(3)), tangent)
     assert np.allclose(out1, tangent @ w)
     assert np.allclose(out1, out2)
 
@@ -87,38 +91,30 @@ def test_input_jvp_matches_finite_differences(rng):
     v = rng.standard_normal(3)
     h = 1e-6
     fd = (nets.mlp_forward(p, x + h * v) - nets.mlp_forward(p, x - h * v)) / (2 * h)
-    jvp = nets.mlp_input_jvp(p, x, v)
+    jvp = nets.mlp_input_jvp(p, acts(p, x), v)
     assert np.abs(jvp - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
 
 
-def test_forward_reverse_agreement(rng):
-    # cotangent . jvp(tangent) equals tangent . grad_x (cotangent . output)
-    p = small_net(rng)
-    x = rng.standard_normal(3)
-    tangent = rng.standard_normal(3)
-    cot = rng.standard_normal(2)
-    lhs = float(cot @ nets.mlp_input_jvp(p, x, tangent))
-    jac = nets.mlp_input_jacobian_head(p, x[None, :], 3)[0]   # (3, 2)
-    rhs = float(tangent @ (jac @ cot))
-    assert abs(lhs - rhs) <= 1e-10
-
-
-def test_jacobian_head_matches_jvp_columns(rng):
-    p = small_net(rng)
-    xb = rng.standard_normal((5, 3))
-    jac = nets.mlp_input_jacobian_head(p, xb, 3)
+def test_jacobian_trace_matches_jvp_columns(rng):
+    # net_x shape: d = 3 positions plus 2 extra inputs, trace over the first 3
+    p = small_net(rng, (5, 6, 6, 3))
+    xb = rng.standard_normal((4, 5))
+    cache = acts(p, xb)
+    columns = 0.0
     for i in range(3):
-        e = np.zeros(3)
+        e = np.zeros(5)
         e[i] = 1.0
-        assert np.allclose(jac[:, i, :], nets.mlp_input_jvp(p, xb, e), atol=1e-12)
+        columns = columns + nets.mlp_input_jvp(p, cache, e)[:, i]
+    assert np.allclose(nets.mlp_input_jacobian_trace(p, cache, 3), columns,
+                       rtol=0, atol=1e-12)
 
 
 def test_batch_gradient_sums_rows(rng):
     p = small_net(rng)
     xb = rng.standard_normal((4, 3))
     cb = rng.standard_normal((4, 2))
-    total = nets.mlp_to_vector(nets.mlp_param_gradient(p, xb, cb))
-    parts = sum(nets.mlp_to_vector(nets.mlp_param_gradient(p, xb[i], cb[i]))
+    total = nets.mlp_to_vector(nets.mlp_param_gradient(p, acts(p, xb), cb))
+    parts = sum(nets.mlp_to_vector(nets.mlp_param_gradient(p, acts(p, xb[i]), cb[i]))
                 for i in range(4))
     assert np.allclose(total, parts, atol=1e-12)
 
