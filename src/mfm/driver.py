@@ -129,7 +129,7 @@ def run_mfm(base: TargetDensity, target: TargetDensity,
     ens = ChainEnsemble(positions, temper_state)
 
     flow_params = flow.flow_init(rng, target.dim, cfg.hidden)
-    adam = nets.adam_init(flow.flow_to_vector(flow_params).size,
+    adam = nets.adam_init(flow.flow_size(flow_params),
                           cfg.step_size, cfg.iters)
     current = target if ens.temper.beta >= 1.0 else tempered(base, target, ens.temper.beta)
 
@@ -291,7 +291,7 @@ def run_fm_oracle(target: TargetDensity, cfg: MfmConfig) -> RunArtifacts:
     t_start = time.perf_counter()
     rng = _root_rng(cfg.seed)
     flow_params = flow.flow_init(rng, target.dim, cfg.hidden)
-    adam = nets.adam_init(flow.flow_to_vector(flow_params).size,
+    adam = nets.adam_init(flow.flow_size(flow_params),
                           cfg.step_size, cfg.iters)
     log_rows = []
     for k in range(1, cfg.iters + 1):

@@ -25,10 +25,6 @@ class NonFiniteLoss(FloatingPointError):
     """The training objective is not finite."""
 
 
-class NonFiniteProposal(FloatingPointError):
-    """A Markov-kernel proposal left the representable range."""
-
-
 class FactorizationFailure(ValueError):
     """A covariance matrix is numerically indefinite."""
 

@@ -102,9 +102,14 @@ def flow_to_vector(params: FlowParams) -> np.ndarray:
                             + params.net_scale.arrays())
 
 
+def flow_size(params: FlowParams) -> int:
+    """Length of flow_to_vector(params), read from the array sizes."""
+    return params.net_x.size + params.net_t.size + params.net_scale.size
+
+
 def vector_to_flow(vector: np.ndarray, template: FlowParams) -> FlowParams:
-    nx = nets.mlp_to_vector(template.net_x).size
-    nt = nets.mlp_to_vector(template.net_t).size
+    """Inverse of flow_to_vector; the returned arrays are views into vector."""
+    nx, nt = template.net_x.size, template.net_t.size
     return FlowParams(
         net_x=nets.vector_to_mlp(vector[:nx], template.net_x),
         net_t=nets.vector_to_mlp(vector[nx:nx + nt], template.net_t),

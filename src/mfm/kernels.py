@@ -3,15 +3,15 @@
 All kernels are vectorized over a batch of chains: x may be (d,) or (N, d)
 and the outcome fields match.  Acceptance arithmetic stays in log space
 throughout, so adding a constant to any unnormalized log-density leaves
-every kernel unchanged.  A flow proposal whose ODE state blows up is an
-automatic rejection (counted in the outcome), never a fatal error.
+every kernel unchanged.  A Langevin proposal that overflows, or a flow
+proposal whose ODE state blows up, is an automatic rejection of that row
+(counted in the outcome), never a fatal error.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteProposal
 from .flow import FlowParams, OdeConfig, integrate_rows
 from .targets import TargetDensity
 
@@ -22,7 +22,7 @@ class KernelOutcome:
 
     For the importance-sampling kernel, new_x is the selected candidate and
     accepted means the state changed.  n_nonfinite counts proposals discarded
-    because the flow integration left the representable range.
+    because they (or the flow integration) left the representable range.
     """
 
     new_x: np.ndarray
@@ -66,24 +66,29 @@ def mala_step(target: TargetDensity, cfg: MalaConfig, x,
     """Langevin proposal y = x + tau grad log pi(x) + sqrt(2 tau) xi.
 
     The Hastings correction uses the Gaussian proposal density with
-    variance 2 tau in each coordinate.
+    variance 2 tau in each coordinate.  A row whose proposal is not finite
+    (its gradient overflowed) is rejected with log_alpha = -inf and counted
+    in n_nonfinite; the target is evaluated at its current point instead.
     """
     xb, single = _as_batch(x)
     tau = cfg.tau
     grad_x = np.atleast_2d(target.grad_log_density(xb))
     noise = rng.standard_normal(xb.shape)
-    y = xb + tau * grad_x + np.sqrt(2.0 * tau) * noise
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteProposal("MALA proposal is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = xb + tau * grad_x + np.sqrt(2.0 * tau) * noise
+    ok = np.all(np.isfinite(y), axis=1)
+    y = np.where(ok[:, None], y, xb)
     grad_y = np.atleast_2d(target.grad_log_density(y))
-    log_q_fwd = -np.sum((y - xb - tau * grad_x) ** 2, axis=1) / (4.0 * tau)
-    log_q_rev = -np.sum((xb - y - tau * grad_y) ** 2, axis=1) / (4.0 * tau)
     logp_x = np.atleast_1d(target.log_density(xb))
     logp_y = np.atleast_1d(target.log_density(y))
-    log_alpha = np.minimum(0.0, logp_y + log_q_rev - logp_x - log_q_fwd)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_q_fwd = -np.sum((y - xb - tau * grad_x) ** 2, axis=1) / (4.0 * tau)
+        log_q_rev = -np.sum((xb - y - tau * grad_y) ** 2, axis=1) / (4.0 * tau)
+        log_alpha = np.minimum(0.0, logp_y + log_q_rev - logp_x - log_q_fwd)
+    log_alpha = np.where(ok, log_alpha, -np.inf)
     acc = _accept(rng, log_alpha)
     new_x = np.where(acc[:, None], y, xb)
-    return _outcome(new_x, acc, log_alpha, single)
+    return _outcome(new_x, acc, log_alpha, single, int(np.sum(~ok)))
 
 
 def rwmh_log_alpha(target: TargetDensity, x, y) -> np.ndarray:

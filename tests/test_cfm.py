@@ -132,10 +132,12 @@ def test_loss_and_grad_runs_each_network_once(rng, forward_passes):
 def test_train_step_final_schedule_step_freezes(rng):
     target = targets.standard_normal(2)
     fp = flow.flow_init(rng, 2, hidden=4)
-    adam = nets.adam_init(flow.flow_to_vector(fp).size, 1e-3, total_steps=1)
+    before = flow.flow_to_vector(fp)
+    adam = nets.adam_init(before.size, 1e-3, total_steps=1)
     particles = rng.standard_normal((4, 2))
     new_fp, adam, _ = cfm.train_step(fp, adam, target, OtPathConfig(), particles, rng)
-    assert np.array_equal(flow.flow_to_vector(new_fp), flow.flow_to_vector(fp))
+    assert np.array_equal(flow.flow_to_vector(fp), before)
+    assert np.array_equal(flow.flow_to_vector(new_fp), before)
 
 
 def test_train_step_deterministic(rng):

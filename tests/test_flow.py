@@ -329,6 +329,24 @@ def test_scale_positivity_arbitrary_params(rng):
         assert flow.SCALE_FLOOR + flow.softplus(u) > 0.0
 
 
+def test_vector_to_flow_returns_views_without_packing(rng, monkeypatch):
+    fp = flow.flow_init(rng, 3, hidden=8)
+    vec = flow.flow_to_vector(fp)
+    assert flow.flow_size(fp) == vec.size
+
+    def refuse(*_args):
+        raise AssertionError("vector_to_flow packed a vector")
+
+    monkeypatch.setattr(nets, "mlp_to_vector", refuse)
+    monkeypatch.setattr(nets, "pack_arrays", refuse)
+    back = flow.vector_to_flow(vec, fp)
+    for net_name in ("net_x", "net_t", "net_scale"):
+        for a, b in zip(getattr(back, net_name).arrays(),
+                        getattr(fp, net_name).arrays()):
+            assert np.shares_memory(a, vec)
+            assert np.array_equal(a, b)
+
+
 def test_checkpoint_roundtrip(tmp_path, rng):
     fp = flow.flow_init(rng, 3, hidden=8)
     path = tmp_path / "flow.ckpt"

@@ -76,6 +76,41 @@ def test_mala_invariant_under_lognormalization_shift(rng):
     assert np.allclose(o1.log_alpha, o2.log_alpha, atol=1e-12)
 
 
+def gaussian_with_overflow(threshold):
+    """Standard normal in 2-d whose gradient overflows to inf where x_0 > threshold."""
+    def grad(x):
+        x = np.atleast_2d(x)
+        with np.errstate(over="ignore"):
+            return -x * np.exp(np.where(x[:, :1] > threshold, 1e3, 0.0))
+    return targets.TargetDensity(
+        2, lambda x: -0.5 * np.sum(np.atleast_2d(x) ** 2, axis=-1), grad,
+        lambda x, v: -np.broadcast_to(v, np.shape(x)))
+
+
+def test_mala_rejects_nonfinite_proposals_row_by_row(rng):
+    x = rng.standard_normal((8, 2))
+    bad = np.array([1, 4, 5])
+    x[bad, 0] = 10.0
+    clean = gaussian_with_overflow(np.inf)
+    overflowing = gaussian_with_overflow(5.0)
+    o_clean = kernels.mala_step(clean, MalaConfig(0.5), x,
+                                np.random.Generator(np.random.Philox(3)))
+    out = kernels.mala_step(overflowing, MalaConfig(0.5), x,
+                            np.random.Generator(np.random.Philox(3)))
+    assert out.n_nonfinite == 3 and o_clean.n_nonfinite == 0
+    assert not out.accepted[bad].any()
+    assert np.all(out.log_alpha[bad] == -np.inf)
+    assert np.array_equal(out.new_x[bad], x[bad])
+    good = np.setdiff1d(np.arange(8), bad)
+    # the same noise and uniforms: the finite rows move exactly as before
+    assert o_clean.accepted[good].any()
+    assert np.array_equal(out.new_x[good], o_clean.new_x[good])
+    assert np.array_equal(out.log_alpha[good], o_clean.log_alpha[good])
+    single = kernels.mala_step(overflowing, MalaConfig(0.5), x[1], rng)
+    assert single.n_nonfinite == 1 and not single.accepted
+    assert np.array_equal(single.new_x, x[1])
+
+
 # -- flow-informed random walk -------------------------------------------------------
 
 def test_flow_rwmh_zero_flow_equals_plain_rwmh(rng):

@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,6 +197,80 @@ def test_adam_rejects_nonfinite():
         nets.adam_step(state, np.zeros(2), np.array([1.0, np.nan]))
 
 
+def textbook_adam(m, v, k, state, params, gradient):
+    """The full-size-temporary Adam update the blocked adam_step reproduces."""
+    lr = state.step_size * max(0.0, 1.0 - k / state.total_steps)
+    m = state.beta1 * m + (1.0 - state.beta1) * gradient
+    v = state.beta2 * v + (1.0 - state.beta2) * gradient ** 2
+    m_hat = m / (1.0 - state.beta1 ** k)
+    v_hat = v / (1.0 - state.beta2 ** k)
+    return params - lr * m_hat / (np.sqrt(v_hat) + state.eps), m, v
+
+
+def spread_magnitudes(rng, n):
+    """Random signs times magnitudes from 1e-6 to 10."""
+    return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 1.0, n)
+
+
+def test_adam_bit_identical_to_textbook_update(rng):
+    n = 2 * nets.ADAM_BLOCK + 123   # two full blocks and a ragged tail
+    state = nets.adam_init(n, 1e-2, total_steps=4)
+    params = spread_magnitudes(rng, n)
+    ref, m, v = params.copy(), np.zeros(n), np.zeros(n)
+    for k in range(1, 7):           # steps 5 and 6 run past total_steps
+        g = spread_magnitudes(rng, n)
+        ref, m, v = textbook_adam(m, v, k, state, ref, g)
+        params, state = nets.adam_step(state, params, g)
+        assert state.step == k
+        assert np.array_equal(params, ref)
+        assert np.array_equal(state.m, m)
+        assert np.array_equal(state.v, v)
+
+
+def test_adam_leaves_params_and_gradient_unmodified(rng):
+    n = nets.ADAM_BLOCK + 5
+    state = nets.adam_init(n, 1e-2, 10)
+    params, g = rng.standard_normal(n), rng.standard_normal(n)
+    params0, g0 = params.copy(), g.copy()
+    for _ in range(2):
+        _, state = nets.adam_step(state, params, g)
+    assert np.array_equal(params, params0)
+    assert np.array_equal(g, g0)
+
+
+def test_adam_nonfinite_gradient_leaves_moments(rng):
+    n = nets.ADAM_BLOCK + 5
+    params, state = nets.adam_step(nets.adam_init(n, 1e-2, 10), np.zeros(n),
+                                   rng.standard_normal(n))
+    m0, v0 = state.m.copy(), state.v.copy()
+    bad = rng.standard_normal(n)
+    bad[-1] = np.inf
+    with pytest.raises(NonFiniteGradient):
+        nets.adam_step(state, params, bad)
+    assert np.array_equal(state.m, m0)
+    assert np.array_equal(state.v, v0)
+    assert state.step == 1
+
+
+def test_adam_rejects_mismatched_moments():
+    state = nets.adam_init(3, 1e-3, 10)
+    with pytest.raises(ShapeMismatch):
+        nets.adam_step(state, np.zeros(4), np.zeros(4))
+
+
+def test_adam_allocates_one_vector():
+    n = 1_000_003
+    state = nets.adam_init(n, 1e-3, 10)
+    params, g = np.ones(n), np.full(n, 0.5)
+    tracemalloc.start()
+    try:
+        new, state = nets.adam_step(state, params, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * params.nbytes
+
+
 # -- serialization -----------------------------------------------------------------
 
 def test_save_load_arrays_roundtrip(tmp_path, rng):
@@ -204,6 +281,23 @@ def test_save_load_arrays_roundtrip(tmp_path, rng):
     assert meta == {"kind": "test", "note": 7}
     for name, arr in arrays:
         assert np.array_equal(loaded[name], arr)
+
+
+def test_save_arrays_writes_the_concatenated_float64_blob(tmp_path, rng):
+    base = rng.standard_normal((5, 6))
+    arrays = [("c", np.asfortranarray(base)), ("strided", base[:, ::2]),
+              ("f32", rng.standard_normal(7).astype(np.float32)),
+              ("big", rng.standard_normal((2, 3)).astype(">f8")),
+              ("ints", np.arange(4)), ("empty", np.zeros((0, 3))),
+              ("scalar", np.array(2.5))]
+    meta = {"kind": "test"}
+    path = tmp_path / "blob.ckpt"
+    nets.save_arrays(path, meta, arrays)
+    header = dict(meta, arrays={"names": [name for name, _ in arrays],
+                                "shapes": [list(a.shape) for _, a in arrays]})
+    expected = (json.dumps(header).encode("utf-8") + b"\n"
+                + np.concatenate([np.ravel(a) for _, a in arrays]).astype("<f8").tobytes())
+    assert path.read_bytes() == expected
 
 
 def test_determinism_same_seed():
