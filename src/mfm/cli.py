@@ -198,35 +198,46 @@ def _stamp(cfg: ExperimentConfig) -> str:
 
 
 def write_samples_csv(path, cfg: ExperimentConfig, positions: np.ndarray) -> None:
+    """One row per particle, every value as %.17g, csv-module line endings.
+
+    No formatted value contains a delimiter or a quote, so one format
+    string per row gives exactly the bytes csv.writer would.
+    """
     d = positions.shape[1]
+    row_format = ",".join(["%.17g"] * d) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(_stamp(cfg) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"x_{i + 1}" for i in range(d)])
-        for row in positions:
-            writer.writerow([f"{v:.17g}" for v in row])
+        fh.write(",".join(f"x_{i + 1}" for i in range(d)) + "\r\n")
+        for row in positions.tolist():
+            fh.write(row_format % tuple(row))
 
 
 def load_samples_csv(path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
 
 
+RUNLOG_COLUMNS = ["iteration", "beta", "loss", "acceptance_local",
+                  "acceptance_flow", "nonfinite_local", "nonfinite_flow"]
+# integer columns; the non-finite counts are cumulative proposals rejected
+# because they (or their flow integration) left the representable range
+_RUNLOG_COUNTS = {"iteration", "nonfinite_local", "nonfinite_flow"}
+
+
 def write_runlog_csv(path, cfg: ExperimentConfig, rows) -> None:
-    cols = ["iteration", "beta", "loss", "acceptance_local", "acceptance_flow"]
     with open(path, "w", newline="") as fh:
         fh.write(_stamp(cfg) + "\n")
-        writer = csv.DictWriter(fh, fieldnames=cols)
+        writer = csv.DictWriter(fh, fieldnames=RUNLOG_COLUMNS)
         writer.writeheader()
         for row in rows:
-            writer.writerow({c: f"{row[c]:.17g}" if c != "iteration" else row[c]
-                             for c in cols})
+            writer.writerow({c: row[c] if c in _RUNLOG_COUNTS else f"{row[c]:.17g}"
+                             for c in RUNLOG_COLUMNS})
 
 
 def load_runlog_csv(path):
     with open(path) as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
     reader = csv.DictReader(lines)
-    return [{k: (int(v) if k == "iteration" else float(v))
+    return [{k: (int(v) if k in _RUNLOG_COUNTS else float(v))
              for k, v in row.items()} for row in reader]
 
 

@@ -7,6 +7,11 @@ Each iteration of the main loop (run_mfm):
      k_q-th iteration, which uses the flow-informed kernel instead;
   3. take one flow-matching training step on the freshly mutated particles.
 
+The ensemble keeps each particle's target and base oracle values with its
+position (kernels.ChainState), so the ESS solve and the Langevin kernel
+read them instead of evaluating the densities again; only the flow
+kernels and training use the annealed TargetDensity.
+
 All randomness comes from a single counter-based (Philox) generator with a
 fixed draw order, plus a dedicated child stream for diagnostics sampling;
 worker counts never touch either stream, so runs are bit-reproducible.
@@ -22,8 +27,8 @@ from . import cfm, diagnostics, flow, kernels, nets, tempering
 from .diagnostics import DiagnosticsReport
 from .errors import DegenerateWeights, DimensionMismatch, NonFiniteLoss
 from .flow import FlowParams, OdeConfig
-from .kernels import MalaConfig
-from .targets import TargetDensity, tempered
+from .kernels import ChainState, MalaConfig
+from .targets import TargetDensity, standard_normal, tempered
 from .tempering import TemperState
 
 MAX_NONFINITE_LOSSES = 100
@@ -60,16 +65,34 @@ class MfmConfig:
 
 @dataclass
 class ChainEnsemble:
-    """Particle positions plus the annealing and acceptance bookkeeping."""
+    """Particles (positions with cached oracle values) plus the annealing,
+    acceptance and non-finite-proposal bookkeeping."""
 
-    positions: np.ndarray
+    chains: ChainState
     temper: TemperState
     iteration: int = 0
     local_proposed: int = 0
     local_accepted: int = 0
     flow_proposed: int = 0
     flow_accepted: int = 0
-    flow_failures: int = 0
+    nonfinite_local: int = 0
+    nonfinite_flow: int = 0
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self.chains.x
+
+    def log_row(self, loss: float) -> dict:
+        """One run-log row: the state after this iteration, counts cumulative."""
+        return {
+            "iteration": self.iteration,
+            "beta": self.temper.beta,
+            "loss": loss,
+            "acceptance_local": self.acceptance_local,
+            "acceptance_flow": self.acceptance_flow,
+            "nonfinite_local": self.nonfinite_local,
+            "nonfinite_flow": self.nonfinite_flow,
+        }
 
     @property
     def acceptance_local(self) -> float:
@@ -126,22 +149,20 @@ def run_mfm(base: TargetDensity, target: TargetDensity,
 
     positions = _initial_positions(cfg, base, rng)
     temper_state = TemperState(0.0 if cfg.temper else 1.0, cfg.alpha_target)
-    ens = ChainEnsemble(positions, temper_state)
+    ens = ChainEnsemble(kernels.evaluate(base, target, positions), temper_state)
 
     flow_params = flow.flow_init(rng, target.dim, cfg.hidden)
     adam = nets.adam_init(flow.flow_size(flow_params),
                           cfg.step_size, cfg.iters)
-    current = target if ens.temper.beta >= 1.0 else tempered(base, target, ens.temper.beta)
+    # the annealed density, for the flow kernels and training only
+    current = tempered(base, target, ens.temper.beta)
 
     log_rows = []
     nonfinite_streak = 0
     for k in range(1, cfg.iters + 1):
         if ens.temper.beta < 1.0:
-            log_ratios = (np.atleast_1d(target.log_density(ens.positions))
-                          - np.atleast_1d(base.log_density(ens.positions)))
-            ens.temper = tempering.next_beta(log_ratios, ens.temper)
-            current = (target if ens.temper.beta >= 1.0
-                       else tempered(base, target, ens.temper.beta))
+            ens.temper = tempering.next_beta(ens.chains.log_ratios(), ens.temper)
+            current = tempered(base, target, ens.temper.beta)
 
         if is_flow_iteration(k, cfg.k_q):
             if cfg.nonlocal_kernel == "rwmh":
@@ -156,12 +177,15 @@ def run_mfm(base: TargetDensity, target: TargetDensity,
                                             cfg.n_candidates, rng)
             ens.flow_proposed += cfg.particles
             ens.flow_accepted += int(np.sum(out.accepted))
-            ens.flow_failures += out.n_nonfinite
+            ens.nonfinite_flow += out.n_nonfinite
+            ens.chains = kernels.evaluate(base, target, out.new_x)
         else:
-            out = kernels.mala_step(current, cfg.mala, ens.positions, rng)
+            out = kernels.mala_step(base, target, cfg.mala, ens.chains,
+                                    ens.temper.beta, rng)
             ens.local_proposed += cfg.particles
             ens.local_accepted += int(np.sum(out.accepted))
-        ens.positions = out.new_x
+            ens.nonfinite_local += out.n_nonfinite
+            ens.chains = out.chains
         ens.iteration = k
 
         try:
@@ -176,13 +200,7 @@ def run_mfm(base: TargetDensity, target: TargetDensity,
                     f"training loss non-finite for {nonfinite_streak} "
                     f"consecutive iterations (k={k})")
 
-        log_rows.append({
-            "iteration": k,
-            "beta": ens.temper.beta,
-            "loss": loss,
-            "acceptance_local": ens.acceptance_local,
-            "acceptance_flow": ens.acceptance_flow,
-        })
+        log_rows.append(ens.log_row(loss))
 
     report = diagnose_flow(flow_params, target, cfg,
                            wall_seconds=time.perf_counter() - t_start)
@@ -232,21 +250,22 @@ def run_atsmc(base: TargetDensity, target: TargetDensity, cfg: MfmConfig):
     if base.sampler is None:
         raise ValueError("base density must provide a sampler")
     positions = base.sampler(rng, cfg.particles)
-    ens = ChainEnsemble(positions, TemperState(0.0, cfg.alpha_target))
+    ens = ChainEnsemble(kernels.evaluate(base, target, positions),
+                        TemperState(0.0, cfg.alpha_target))
     log_rows = []
 
-    def mala_sweep(density):
-        nonlocal ens
+    def mala_sweep():
         for _ in range(cfg.k_q):
-            out = kernels.mala_step(density, cfg.mala, ens.positions, rng)
-            ens.positions = out.new_x
+            out = kernels.mala_step(base, target, cfg.mala, ens.chains,
+                                    ens.temper.beta, rng)
+            ens.chains = out.chains
             ens.local_proposed += cfg.particles
             ens.local_accepted += int(np.sum(out.accepted))
+            ens.nonfinite_local += out.n_nonfinite
 
     while ens.temper.beta < 1.0:
         beta_prev = ens.temper.beta
-        log_ratios = (np.atleast_1d(target.log_density(ens.positions))
-                      - np.atleast_1d(base.log_density(ens.positions)))
+        log_ratios = ens.chains.log_ratios()
         ens.temper = tempering.next_beta(log_ratios, ens.temper)
         # same incremental weights the ESS solve uses
         log_w = (ens.temper.beta - beta_prev) * log_ratios
@@ -255,28 +274,14 @@ def run_atsmc(base: TargetDensity, target: TargetDensity, cfg: MfmConfig):
         w = np.exp(log_w - np.max(log_w))
         idx = rng.choice(cfg.particles, size=cfg.particles, replace=True,
                          p=w / w.sum())
-        ens.positions = ens.positions[idx]
-        current = (target if ens.temper.beta >= 1.0
-                   else tempered(base, target, ens.temper.beta))
-        mala_sweep(current)
+        ens.chains = ens.chains.take(idx)
+        mala_sweep()
         ens.iteration += 1
-        log_rows.append({
-            "iteration": ens.iteration,
-            "beta": ens.temper.beta,
-            "loss": float("nan"),
-            "acceptance_local": ens.acceptance_local,
-            "acceptance_flow": 0.0,
-        })
+        log_rows.append(ens.log_row(float("nan")))
 
-    mala_sweep(target)   # final sweep at the target itself
+    mala_sweep()   # final sweep at the target itself (beta = 1)
     ens.iteration += 1
-    log_rows.append({
-        "iteration": ens.iteration,
-        "beta": 1.0,
-        "loss": float("nan"),
-        "acceptance_local": ens.acceptance_local,
-        "acceptance_flow": 0.0,
-    })
+    log_rows.append(ens.log_row(float("nan")))
     return ens, log_rows
 
 
@@ -301,8 +306,12 @@ def run_fm_oracle(target: TargetDensity, cfg: MfmConfig) -> RunArtifacts:
         log_rows.append({
             "iteration": k, "beta": 1.0, "loss": loss,
             "acceptance_local": 0.0, "acceptance_flow": 0.0,
+            "nonfinite_local": 0, "nonfinite_flow": 0,
         })
-    ens = ChainEnsemble(target.sampler(rng, cfg.particles),
+    # the final ensemble is fresh exact draws; the flow's standard normal
+    # reference stands in as the base density of its cache
+    final = target.sampler(rng, cfg.particles)
+    ens = ChainEnsemble(kernels.evaluate(standard_normal(target.dim), target, final),
                         TemperState(1.0, cfg.alpha_target), cfg.iters)
     report = diagnose_flow(flow_params, target, cfg,
                            wall_seconds=time.perf_counter() - t_start)

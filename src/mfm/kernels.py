@@ -6,14 +6,69 @@ throughout, so adding a constant to any unnormalized log-density leaves
 every kernel unchanged.  A Langevin proposal that overflows, or a flow
 proposal whose ODE state blows up, is an automatic rejection of that row
 (counted in the outcome), never a fatal error.
+
+The Langevin kernel works on a :class:`ChainState`: the positions together
+with log pi_K, log pi_0 and both gradients there, so a chain never
+re-evaluates the densities at a point it already proposed.  The annealed
+value and gradient at any beta are mixed from that cache, which is also
+where the ESS solve reads its log-ratios.  The flow kernels take a
+tempered :class:`TargetDensity` and positions, and evaluate it themselves.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .flow import FlowParams, OdeConfig, integrate_rows
-from .targets import TargetDensity
+from .targets import TargetDensity, geometric_mix
+
+
+@dataclass
+class ChainState:
+    """Chain positions and both endpoint densities' oracle values there.
+
+    x is (N, d) or (d,); log_target/log_base hold log pi_K and log pi_0 at
+    x, grad_target/grad_base their gradients, in the shapes the oracles
+    return for that x.  Build it with :func:`evaluate`; reindex it with
+    :meth:`take` and :meth:`where`, never by editing x alone.
+    """
+
+    x: np.ndarray
+    log_target: np.ndarray
+    log_base: np.ndarray
+    grad_target: np.ndarray
+    grad_base: np.ndarray
+
+    def log_ratios(self) -> np.ndarray:
+        """log pi_K - log pi_0 per row: the ESS solve's log-ratios."""
+        return np.atleast_1d(self.log_target) - np.atleast_1d(self.log_base)
+
+    def tempered(self, beta: float):
+        """(log pi_beta, grad log pi_beta) per row, as targets.tempered mixes them."""
+        return (np.atleast_1d(geometric_mix(beta, self.log_target, self.log_base)),
+                np.atleast_2d(geometric_mix(beta, self.grad_target, self.grad_base)))
+
+    def take(self, idx) -> "ChainState":
+        """Rows idx (an index array): resampling."""
+        return ChainState(self.x[idx], self.log_target[idx], self.log_base[idx],
+                          self.grad_target[idx], self.grad_base[idx])
+
+    def where(self, mask, other: "ChainState") -> "ChainState":
+        """Row i of other where mask[i], else row i of self."""
+        col = np.asarray(mask)[..., None]
+        return ChainState(np.where(col, other.x, self.x),
+                          np.where(mask, other.log_target, self.log_target),
+                          np.where(mask, other.log_base, self.log_base),
+                          np.where(col, other.grad_target, self.grad_target),
+                          np.where(col, other.grad_base, self.grad_base))
+
+
+def evaluate(base: TargetDensity, target: TargetDensity, x) -> ChainState:
+    """Evaluate both endpoint densities and their gradients at x."""
+    x = np.asarray(x, dtype=float)
+    return ChainState(x, target.log_density(x), base.log_density(x),
+                      target.grad_log_density(x), base.grad_log_density(x))
 
 
 @dataclass
@@ -23,12 +78,14 @@ class KernelOutcome:
     For the importance-sampling kernel, new_x is the selected candidate and
     accepted means the state changed.  n_nonfinite counts proposals discarded
     because they (or the flow integration) left the representable range.
+    chains is the new ChainState (Langevin kernel only).
     """
 
     new_x: np.ndarray
     accepted: np.ndarray
     log_alpha: np.ndarray
     n_nonfinite: int = 0
+    chains: Optional[ChainState] = None
 
 
 @dataclass
@@ -61,34 +118,41 @@ def _accept(rng, log_alpha):
         return np.log(u) < log_alpha
 
 
-def mala_step(target: TargetDensity, cfg: MalaConfig, x,
+def mala_step(base: TargetDensity, target: TargetDensity, cfg: MalaConfig,
+              chains: ChainState, beta: float,
               rng: np.random.Generator) -> KernelOutcome:
-    """Langevin proposal y = x + tau grad log pi(x) + sqrt(2 tau) xi.
+    """Langevin proposal y = x + tau grad log pi_beta(x) + sqrt(2 tau) xi.
 
+    pi_beta is the geometric interpolant of base (beta = 0) and target
+    (beta = 1).  Its value and gradient at x are mixed from the cached
+    chains; base and target are evaluated once each, at y only, and the
+    outcome's chains carry y's values for accepted rows and x's otherwise.
     The Hastings correction uses the Gaussian proposal density with
     variance 2 tau in each coordinate.  A row whose proposal is not finite
     (its gradient overflowed) is rejected with log_alpha = -inf and counted
-    in n_nonfinite; the target is evaluated at its current point instead.
+    in n_nonfinite; the densities are evaluated at its current point
+    instead.  chains.x may be a single (d,) point.
     """
-    xb, single = _as_batch(x)
+    xb, single = _as_batch(chains.x)
     tau = cfg.tau
-    grad_x = np.atleast_2d(target.grad_log_density(xb))
+    logp_x, grad_x = chains.tempered(beta)
     noise = rng.standard_normal(xb.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         y = xb + tau * grad_x + np.sqrt(2.0 * tau) * noise
     ok = np.all(np.isfinite(y), axis=1)
     y = np.where(ok[:, None], y, xb)
-    grad_y = np.atleast_2d(target.grad_log_density(y))
-    logp_x = np.atleast_1d(target.log_density(xb))
-    logp_y = np.atleast_1d(target.log_density(y))
+    proposed = evaluate(base, target, y[0] if single else y)
+    logp_y, grad_y = proposed.tempered(beta)
     with np.errstate(over="ignore", invalid="ignore"):
         log_q_fwd = -np.sum((y - xb - tau * grad_x) ** 2, axis=1) / (4.0 * tau)
         log_q_rev = -np.sum((xb - y - tau * grad_y) ** 2, axis=1) / (4.0 * tau)
         log_alpha = np.minimum(0.0, logp_y + log_q_rev - logp_x - log_q_fwd)
     log_alpha = np.where(ok, log_alpha, -np.inf)
     acc = _accept(rng, log_alpha)
-    new_x = np.where(acc[:, None], y, xb)
-    return _outcome(new_x, acc, log_alpha, single, int(np.sum(~ok)))
+    new = chains.where(acc[0] if single else acc, proposed)
+    out = _outcome(np.atleast_2d(new.x), acc, log_alpha, single, int(np.sum(~ok)))
+    out.chains = new
+    return out
 
 
 def rwmh_log_alpha(target: TargetDensity, x, y) -> np.ndarray:

@@ -316,9 +316,19 @@ def lgcp_covariance(spec: LgcpSpec) -> np.ndarray:
     side = spec.m_side
     coords = (np.arange(side) + 0.5) / side
     px, py = np.meshgrid(coords, coords, indexing="ij")
-    pts = np.column_stack([px.ravel(), py.ravel()])
-    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
-    return spec.sigma2 * np.exp(-dist / spec.beta_len)
+    px, py = px.ravel(), py.ravel()
+    # dx*dx + dy*dy rounds exactly like summing the squared (N, N, 2)
+    # difference tensor over its last axis, without building that tensor
+    dx = px[:, None] - px[None, :]
+    dy = py[:, None] - py[None, :]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    cov = np.sqrt(dx, out=dx)
+    cov /= -spec.beta_len
+    np.exp(cov, out=cov)
+    cov *= spec.sigma2
+    return cov
 
 
 def make_lgcp(spec: LgcpSpec, counts: np.ndarray) -> TargetDensity:
@@ -387,6 +397,21 @@ def load_counts_csv(path, m_side: int) -> np.ndarray:
 
 # -- Geometric tempering -----------------------------------------------------
 
+def geometric_mix(beta: float, target_value, base_value):
+    """beta * target_value + (1 - beta) * base_value, exact at beta = 0 and 1.
+
+    The one expression for every tempered quantity (log-density, gradient,
+    HVP), whether freshly evaluated by :func:`tempered` or read from a
+    cache of both endpoints' oracle values.
+    """
+    if beta == 0.0:
+        return base_value
+    if beta == 1.0:
+        return target_value
+    w = float(beta)
+    return w * target_value + (1.0 - w) * base_value
+
+
 def tempered(base: TargetDensity, target: TargetDensity, beta: float) -> TargetDensity:
     """Geometric interpolant: log pi_beta = beta log pi_K + (1-beta) log pi_0."""
     if base.dim != target.dim:
@@ -397,13 +422,13 @@ def tempered(base: TargetDensity, target: TargetDensity, beta: float) -> TargetD
         return base
     if beta == 1.0:
         return target
-    w = float(beta)
 
     return TargetDensity(
         base.dim,
-        lambda x: w * target.log_density(x) + (1.0 - w) * base.log_density(x),
-        lambda x: w * target.grad_log_density(x) + (1.0 - w) * base.grad_log_density(x),
-        lambda x, v: (w * target.hvp_log_density(x, v)
-                      + (1.0 - w) * base.hvp_log_density(x, v)),
+        lambda x: geometric_mix(beta, target.log_density(x), base.log_density(x)),
+        lambda x: geometric_mix(beta, target.grad_log_density(x),
+                                base.grad_log_density(x)),
+        lambda x, v: geometric_mix(beta, target.hvp_log_density(x, v),
+                                   base.hvp_log_density(x, v)),
         name=f"tempered({target.name},beta={beta:.6g})",
     )

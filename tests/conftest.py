@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfm import nets
+from mfm import nets, targets
 
 
 @pytest.fixture
@@ -51,3 +51,14 @@ def richardson_grad(f, x, step=1e-4):
 
         g[i] = (4.0 * d(h / 2.0) - d(h)) / 3.0
     return g
+
+
+def gaussian_with_overflow(threshold):
+    """Standard normal in 2-d whose gradient overflows to inf where x_0 > threshold."""
+    def grad(x):
+        x = np.atleast_2d(x)
+        with np.errstate(over="ignore"):
+            return -x * np.exp(np.where(x[:, :1] > threshold, 1e3, 0.0))
+    return targets.TargetDensity(
+        2, lambda x: -0.5 * np.sum(np.atleast_2d(x) ** 2, axis=-1), grad,
+        lambda x, v: -np.broadcast_to(v, np.shape(x)))

@@ -1,12 +1,16 @@
+import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfm import cli
+from mfm import cli, driver
 from mfm.errors import ConfigError
+
+from conftest import gaussian_with_overflow
 
 
 def smoke_overrides(out, **kw):
@@ -166,3 +170,52 @@ def test_lgcp_property_run(tmp_path):
     assert np.isfinite(payload["ksd_v"])
     assert payload["acceptance_local"] > 0.1
     assert payload["mmd2"] is None
+
+
+@pytest.mark.parametrize("mode, threshold, start", [
+    ("mfm", 3.0, dict(init_mean=[3.0, 0.0], init_scale=0.5)),
+    ("atsmc", 1.0, {}),
+], ids=["mfm", "atsmc"])
+def test_nonfinite_proposals_reach_runlog(tmp_path, monkeypatch, mode, threshold,
+                                          start):
+    # chains that start where the gradient overflows cannot leave: each of
+    # their Langevin proposals (and, in mfm, each flow pullback) is rejected
+    # and counted, and the cumulative counts land in runlog.csv
+    monkeypatch.setattr(cli, "build_target",
+                        lambda _cfg: gaussian_with_overflow(threshold))
+    out = tmp_path / mode
+    cfg = cli.parse_config(overrides=smoke_overrides(
+        out, mode=mode, iters=6, particles=16, kq=3, hidden=8, ode_steps=4,
+        **start))
+    assert cli.run(cfg) == 0
+    header = (out / "runlog.csv").read_text().splitlines()[1].split(",")
+    assert header == cli.RUNLOG_COLUMNS
+    rows = cli.load_runlog_csv(out / "runlog.csv")
+    local = [0] + [row["nonfinite_local"] for row in rows]
+    flow_ = [0] + [row["nonfinite_flow"] for row in rows]
+    assert local[-1] > 0
+    for k, row in enumerate(rows, 1):
+        assert isinstance(row["nonfinite_local"], int)
+        flow_step = mode == "mfm" and driver.is_flow_iteration(k, cfg.kq)
+        # each count grows only on the iterations of its own kernel
+        assert local[k] >= local[k - 1] and flow_[k] >= flow_[k - 1]
+        assert (local[k] == local[k - 1]) or not flow_step
+        assert (flow_[k] == flow_[k - 1]) or flow_step
+    assert (flow_[-1] > 0) == (mode == "mfm")
+
+
+def test_samples_csv_matches_csv_writer(tmp_path):
+    cfg = cli.parse_config(overrides=smoke_overrides(tmp_path / "o"))
+    positions = np.array([[-0.0, 1e-300, 1e20],
+                          [np.nan, np.inf, -np.inf],
+                          [0.1, -2.5e-7, 123456789.123456789]])
+    path = tmp_path / "samples.csv"
+    cli.write_samples_csv(path, cfg, positions)
+    expected = io.StringIO(newline="")
+    expected.write(cli._stamp(cfg) + "\n")
+    writer = csv.writer(expected)
+    writer.writerow(["x_1", "x_2", "x_3"])
+    for row in positions:
+        writer.writerow([f"{v:.17g}" for v in row])
+    assert path.read_bytes() == expected.getvalue().encode()
+    assert np.array_equal(cli.load_samples_csv(path), positions, equal_nan=True)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfm import driver, flow, targets
+from mfm import driver, flow, kernels, targets
 from mfm.driver import MfmConfig
 from mfm.errors import DimensionMismatch
 from mfm.kernels import MalaConfig
@@ -107,6 +107,46 @@ def test_atsmc_identical_base_and_target_single_jump(rng):
     # one resampling level plus the final sweep
     assert len(rows) == 2
     assert np.all(np.isfinite(ens.positions))
+
+
+def test_atsmc_evaluates_target_once_per_mala_pass(monkeypatch):
+    spec = targets.LgcpSpec(m_side=4)
+    target = targets.make_lgcp(spec, targets.synthetic_lgcp_counts(spec, seed=0))
+    calls = {"log_density": 0, "grad_log_density": 0, "mala_step": 0}
+
+    def counting(name, inner):
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    target.log_density = counting("log_density", target.log_density)
+    target.grad_log_density = counting("grad_log_density", target.grad_log_density)
+    monkeypatch.setattr(kernels, "mala_step", counting("mala_step", kernels.mala_step))
+    cfg = MfmConfig(particles=16, k_q=2, alpha_target=0.9, mala=MalaConfig(0.01),
+                    seed=1, hidden=8, diag_samples=16)
+    ens, rows = driver.run_atsmc(targets.standard_normal(spec.dim), target, cfg)
+    passes = cfg.k_q * len(rows)    # k_q passes per level and in the final sweep
+    assert len(rows) > 3 and calls["mala_step"] == passes
+    # the initial evaluation, then the proposals of each pass
+    assert calls["log_density"] == calls["grad_log_density"] == passes + 1
+
+
+@pytest.mark.parametrize("run", ["mfm", "atsmc"])
+def test_ensemble_cache_matches_fresh_evaluation(run):
+    # after MALA passes, resampling and (mfm, k_q=3) flow steps, the cached
+    # oracle values are those of the final positions
+    base = targets.standard_normal(2)
+    target = targets.make_gmm4()
+    cfg = smoke_config(iters=8, particles=16)
+    if run == "mfm":
+        ens = driver.run_mfm(base, target, cfg).ensemble
+        assert ens.flow_proposed > 0
+    else:
+        ens, _ = driver.run_atsmc(base, target, cfg)
+    fresh = kernels.evaluate(base, target, ens.positions)
+    for name in ("x", "log_target", "log_base", "grad_target", "grad_base"):
+        assert np.array_equal(getattr(ens.chains, name), getattr(fresh, name)), name
 
 
 def test_atsmc_moments_1d():

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mfm import flow, kernels, targets
 from mfm.flow import OdeConfig
 from mfm.kernels import MalaConfig
+
+from conftest import gaussian_with_overflow
 
 FAST_ODE = OdeConfig(n_steps=8)
 
@@ -31,10 +35,16 @@ def moment_check(pooled, per_step):
 
 # -- MALA --------------------------------------------------------------------------
 
+def mala_at_target(target, cfg, x, rng):
+    """One Langevin step on target itself (beta = 1, target as both endpoints)."""
+    return kernels.mala_step(target, target, cfg, kernels.evaluate(target, target, x),
+                             1.0, rng)
+
+
 def test_mala_acceptance_to_one_as_tau_shrinks(rng):
     std = targets.standard_normal(2)
     x = np.zeros((64, 2))
-    out = kernels.mala_step(std, MalaConfig(1e-6), x, rng)
+    out = mala_at_target(std, MalaConfig(1e-6), x, rng)
     assert np.exp(out.log_alpha).min() > 1.0 - 1e-4
 
 
@@ -58,7 +68,7 @@ def test_mala_hastings_self_consistency(rng):
 def test_mala_moments():
     std = targets.standard_normal(1)
     pooled, per_step = run_chains(
-        lambda x, rng: kernels.mala_step(std, MalaConfig(0.5), x, rng))
+        lambda x, rng: mala_at_target(std, MalaConfig(0.5), x, rng))
     moment_check(pooled, per_step)
 
 
@@ -70,21 +80,10 @@ def test_mala_invariant_under_lognormalization_shift(rng):
     x = rng.standard_normal((8, 2))
     r1 = np.random.Generator(np.random.Philox(3))
     r2 = np.random.Generator(np.random.Philox(3))
-    o1 = kernels.mala_step(base, MalaConfig(0.2), x, r1)
-    o2 = kernels.mala_step(shifted, MalaConfig(0.2), x, r2)
+    o1 = mala_at_target(base, MalaConfig(0.2), x, r1)
+    o2 = mala_at_target(shifted, MalaConfig(0.2), x, r2)
     assert np.array_equal(o1.new_x, o2.new_x)
     assert np.allclose(o1.log_alpha, o2.log_alpha, atol=1e-12)
-
-
-def gaussian_with_overflow(threshold):
-    """Standard normal in 2-d whose gradient overflows to inf where x_0 > threshold."""
-    def grad(x):
-        x = np.atleast_2d(x)
-        with np.errstate(over="ignore"):
-            return -x * np.exp(np.where(x[:, :1] > threshold, 1e3, 0.0))
-    return targets.TargetDensity(
-        2, lambda x: -0.5 * np.sum(np.atleast_2d(x) ** 2, axis=-1), grad,
-        lambda x, v: -np.broadcast_to(v, np.shape(x)))
 
 
 def test_mala_rejects_nonfinite_proposals_row_by_row(rng):
@@ -93,10 +92,10 @@ def test_mala_rejects_nonfinite_proposals_row_by_row(rng):
     x[bad, 0] = 10.0
     clean = gaussian_with_overflow(np.inf)
     overflowing = gaussian_with_overflow(5.0)
-    o_clean = kernels.mala_step(clean, MalaConfig(0.5), x,
-                                np.random.Generator(np.random.Philox(3)))
-    out = kernels.mala_step(overflowing, MalaConfig(0.5), x,
-                            np.random.Generator(np.random.Philox(3)))
+    o_clean = mala_at_target(clean, MalaConfig(0.5), x,
+                             np.random.Generator(np.random.Philox(3)))
+    out = mala_at_target(overflowing, MalaConfig(0.5), x,
+                         np.random.Generator(np.random.Philox(3)))
     assert out.n_nonfinite == 3 and o_clean.n_nonfinite == 0
     assert not out.accepted[bad].any()
     assert np.all(out.log_alpha[bad] == -np.inf)
@@ -106,9 +105,96 @@ def test_mala_rejects_nonfinite_proposals_row_by_row(rng):
     assert o_clean.accepted[good].any()
     assert np.array_equal(out.new_x[good], o_clean.new_x[good])
     assert np.array_equal(out.log_alpha[good], o_clean.log_alpha[good])
-    single = kernels.mala_step(overflowing, MalaConfig(0.5), x[1], rng)
+    single = mala_at_target(overflowing, MalaConfig(0.5), x[1], rng)
     assert single.n_nonfinite == 1 and not single.accepted
     assert np.array_equal(single.new_x, x[1])
+
+
+def fresh_mala_step(density, cfg, x, rng):
+    """The Langevin kernel with every oracle evaluated afresh on one density.
+
+    Kept as the oracle for the cached kernel: the same draws in the same
+    order, log pi and its gradient recomputed at x and at y.
+    """
+    tau = cfg.tau
+    grad_x = np.atleast_2d(density.grad_log_density(x))
+    noise = rng.standard_normal(x.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x + tau * grad_x + np.sqrt(2.0 * tau) * noise
+    ok = np.all(np.isfinite(y), axis=1)
+    y = np.where(ok[:, None], y, x)
+    grad_y = np.atleast_2d(density.grad_log_density(y))
+    logp_x = np.atleast_1d(density.log_density(x))
+    logp_y = np.atleast_1d(density.log_density(y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_q_fwd = -np.sum((y - x - tau * grad_x) ** 2, axis=1) / (4.0 * tau)
+        log_q_rev = -np.sum((x - y - tau * grad_y) ** 2, axis=1) / (4.0 * tau)
+        log_alpha = np.minimum(0.0, logp_y + log_q_rev - logp_x - log_q_fwd)
+    log_alpha = np.where(ok, log_alpha, -np.inf)
+    u = rng.uniform(size=log_alpha.shape)
+    with np.errstate(invalid="ignore"):
+        acc = np.log(u) < log_alpha
+    return np.where(acc[:, None], y, x), acc, log_alpha, int(np.sum(~ok))
+
+
+CHAIN_FIELDS = ("x", "log_target", "log_base", "grad_target", "grad_base")
+
+
+def assert_same_chains(a, b):
+    for name in CHAIN_FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def small_lgcp():
+    spec = targets.LgcpSpec(m_side=4)
+    return targets.make_lgcp(spec, targets.synthetic_lgcp_counts(spec, seed=0))
+
+
+@pytest.mark.parametrize("make_target, tau, scale",
+                         [(targets.make_gmm4, 1.5, 4.0), (small_lgcp, 0.6, 1.0)],
+                         ids=["gmm4", "lgcp"])
+def test_mala_matches_fresh_evaluation_oracle(make_target, tau, scale):
+    target = make_target()
+    base = targets.standard_normal(target.dim)
+    beta = 0.3
+    x = scale * np.random.Generator(np.random.Philox(5)).standard_normal((64, target.dim))
+    out = kernels.mala_step(base, target, MalaConfig(tau),
+                            kernels.evaluate(base, target, x), beta,
+                            np.random.Generator(np.random.Philox(7)))
+    new_x, acc, log_alpha, n_nonfinite = fresh_mala_step(
+        targets.tempered(base, target, beta), MalaConfig(tau), x,
+        np.random.Generator(np.random.Philox(7)))
+    assert acc.any() and not acc.all()
+    assert np.array_equal(out.new_x, new_x)
+    assert np.array_equal(out.accepted, acc)
+    assert np.array_equal(out.log_alpha, log_alpha)
+    assert out.n_nonfinite == n_nonfinite == 0
+    assert_same_chains(out.chains, kernels.evaluate(base, target, out.new_x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(beta=st.floats(0.0, 1.0), data=st.data())
+def test_chain_state_mixes_like_tempered_and_commutes_with_rows(beta, data):
+    base, target = targets.standard_normal(2), targets.make_gmm4()
+    n = data.draw(st.integers(1, 9), label="n")
+    coords = st.floats(-12.0, 12.0)
+    x = data.draw(arrays(float, (n, 2), elements=coords), label="x")
+    chains = kernels.evaluate(base, target, x)
+
+    logp, grad = chains.tempered(beta)
+    oracle = targets.tempered(base, target, beta)
+    assert np.array_equal(logp, np.atleast_1d(oracle.log_density(x)))
+    assert np.array_equal(grad, np.atleast_2d(oracle.grad_log_density(x)))
+
+    idx = data.draw(arrays(np.intp, data.draw(st.integers(1, 9)),
+                           elements=st.integers(0, n - 1)), label="idx")
+    assert_same_chains(chains.take(idx), kernels.evaluate(base, target, x[idx]))
+
+    y = data.draw(arrays(float, (n, 2), elements=coords), label="y")
+    mask = data.draw(arrays(bool, n), label="mask")
+    assert_same_chains(chains.where(mask, kernels.evaluate(base, target, y)),
+                       kernels.evaluate(base, target,
+                                        np.where(mask[:, None], y, x)))
 
 
 # -- flow-informed random walk -------------------------------------------------------
@@ -270,7 +356,7 @@ def test_flow_cis_moments():
 
 def test_single_point_outcome_shapes(rng):
     std = targets.standard_normal(2)
-    out = kernels.mala_step(std, MalaConfig(0.2), np.zeros(2), rng)
+    out = mala_at_target(std, MalaConfig(0.2), np.zeros(2), rng)
     assert out.new_x.shape == (2,)
     assert isinstance(out.accepted, bool)
     assert out.log_alpha <= 0.0
@@ -280,7 +366,7 @@ def test_log_alpha_always_nonpositive(rng):
     std = targets.standard_normal(2)
     zf = flow.flow_zero(2)
     x = rng.standard_normal((32, 2))
-    for out in [kernels.mala_step(std, MalaConfig(0.7), x, rng),
+    for out in [mala_at_target(std, MalaConfig(0.7), x, rng),
                 kernels.flow_rwmh_step(std, zf, FAST_ODE, x, rng),
                 kernels.flow_imh_step(std, zf, FAST_ODE, std, x, rng)]:
         assert np.all(out.log_alpha <= 0.0)

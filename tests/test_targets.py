@@ -114,6 +114,18 @@ def test_lgcp_covariance_factorization():
     assert rel <= 1e-8
 
 
+@pytest.mark.parametrize("m_side", [8, 13])
+def test_lgcp_covariance_matches_pairwise_difference_tensor(m_side):
+    # oracle: distances from the (N, N, 2) tensor of pairwise differences
+    spec = targets.LgcpSpec(m_side=m_side)
+    coords = (np.arange(m_side) + 0.5) / m_side
+    px, py = np.meshgrid(coords, coords, indexing="ij")
+    pts = np.column_stack([px.ravel(), py.ravel()])
+    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+    oracle = spec.sigma2 * np.exp(-dist / spec.beta_len)
+    assert np.array_equal(targets.lgcp_covariance(spec), oracle)
+
+
 def test_lgcp_counts_shape_mismatch():
     spec = targets.LgcpSpec(m_side=4)
     with pytest.raises(DimensionMismatch):
