@@ -9,14 +9,14 @@ temperature ladder bridges from a simple base density to the target.
 
 from .diagnostics import DiagnosticsReport, ImqKernel
 from .driver import ChainEnsemble, MfmConfig, RunArtifacts, run_atsmc, run_fm_oracle, run_mfm
-from .flow import AugmentedState, FlowParams, OdeConfig
+from .flow import FlowParams, OdeConfig
 from .kernels import KernelOutcome, MalaConfig
 from .targets import TargetDensity
 from .tempering import TemperState
 
 __all__ = [
-    "AugmentedState", "ChainEnsemble", "DiagnosticsReport", "FlowParams",
-    "ImqKernel", "KernelOutcome", "MalaConfig", "MfmConfig", "OdeConfig",
-    "RunArtifacts", "TargetDensity", "TemperState",
+    "ChainEnsemble", "DiagnosticsReport", "FlowParams", "ImqKernel",
+    "KernelOutcome", "MalaConfig", "MfmConfig", "OdeConfig", "RunArtifacts",
+    "TargetDensity", "TemperState",
     "run_atsmc", "run_fm_oracle", "run_mfm",
 ]

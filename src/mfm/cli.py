@@ -246,7 +246,9 @@ def _beta_trace_len(rows) -> int:
 
 
 def write_diagnostics_json(path, report, rows) -> dict:
-    payload = {
+    """Strict JSON: a non-finite metric is written as null and named in
+    nonfinite_metrics (mmd2 is also null when there are no exact draws)."""
+    metrics = {
         "mmd2": report.mmd2_unbiased,
         "ksd_u": report.ksd_u,
         "ksd_v": report.ksd_v,
@@ -254,9 +256,14 @@ def write_diagnostics_json(path, report, rows) -> dict:
         "wall_seconds": report.wall_seconds,
         "acceptance_local": rows[-1]["acceptance_local"] if rows else 0.0,
         "acceptance_flow": rows[-1]["acceptance_flow"] if rows else 0.0,
-        "beta_trace_len": _beta_trace_len(rows),
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    nonfinite = sorted(k for k, v in metrics.items()
+                       if v is not None and not np.isfinite(v))
+    payload = {k: None if k in nonfinite else v for k, v in metrics.items()}
+    payload["beta_trace_len"] = _beta_trace_len(rows)
+    payload["nonfinite_metrics"] = nonfinite
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True,
+                                     allow_nan=False) + "\n")
     return payload
 
 

@@ -152,22 +152,28 @@ def _ksd_sums(target, kernel, ys, workers=1):
     return off, diag, n
 
 
-def ksd_u(target: TargetDensity, kernel: ImqKernel, ys,
-          workers: int = 1) -> float:
-    """Unbiased U-statistic: mean of off-diagonal Stein-kernel entries."""
-    off, _, n = _ksd_sums(target, kernel or ImqKernel(), ys, workers)
+def _u_statistic(off, _diag, n):
     if n < 2:
         raise TooFewSamples("KSD U-statistic needs n >= 2")
     return off / (n * (n - 1))
 
 
-def ksd_v(target: TargetDensity, kernel: ImqKernel, ys,
-          workers: int = 1) -> float:
-    """Biased, non-negative V-statistic: mean over all pairs."""
-    off, diag, n = _ksd_sums(target, kernel or ImqKernel(), ys, workers)
+def _v_statistic(off, diag, n):
     if n < 1:
         raise TooFewSamples("KSD V-statistic needs n >= 1")
     return (off + diag) / (n * n)
+
+
+def ksd_u(target: TargetDensity, kernel: ImqKernel, ys,
+          workers: int = 1) -> float:
+    """Unbiased U-statistic: mean of off-diagonal Stein-kernel entries."""
+    return _u_statistic(*_ksd_sums(target, kernel or ImqKernel(), ys, workers))
+
+
+def ksd_v(target: TargetDensity, kernel: ImqKernel, ys,
+          workers: int = 1) -> float:
+    """Biased, non-negative V-statistic: mean over all pairs."""
+    return _v_statistic(*_ksd_sums(target, kernel or ImqKernel(), ys, workers))
 
 
 def mean_log_target(target: TargetDensity, samples) -> float:
@@ -186,10 +192,12 @@ def compute_report(target: TargetDensity, flow_samples: np.ndarray,
     mmd2 = None
     if exact_samples is not None:
         mmd2 = mmd2_unbiased(flow_samples, exact_samples, kernel, workers)
+    # one Stein Gram pass serves both KSD statistics
+    sums = _ksd_sums(target, kernel, flow_samples, workers)
     return DiagnosticsReport(
         mmd2_unbiased=mmd2,
-        ksd_u=ksd_u(target, kernel, flow_samples, workers),
-        ksd_v=ksd_v(target, kernel, flow_samples, workers),
+        ksd_u=_u_statistic(*sums),
+        ksd_v=_v_statistic(*sums),
         mean_logpi=mean_log_target(target, flow_samples),
         wall_seconds=wall_seconds,
     )

@@ -8,9 +8,10 @@ Each iteration of the main loop (run_mfm):
   3. take one flow-matching training step on the freshly mutated particles.
 
 The ensemble keeps each particle's target and base oracle values with its
-position (kernels.ChainState), so the ESS solve and the Langevin kernel
-read them instead of evaluating the densities again; only the flow
-kernels and training use the annealed TargetDensity.
+position (kernels.ChainState).  The ESS solve reads its log-ratios from
+that cache, and every kernel, local or flow-informed, reads the current
+points' values from it and returns the updated cache; only the flow's ODE
+field and its training use the annealed density as a TargetDensity.
 
 All randomness comes from a single counter-based (Philox) generator with a
 fixed draw order, plus a dedicated child stream for diagnostics sampling;
@@ -154,7 +155,7 @@ def run_mfm(base: TargetDensity, target: TargetDensity,
     flow_params = flow.flow_init(rng, target.dim, cfg.hidden)
     adam = nets.adam_init(flow.flow_size(flow_params),
                           cfg.step_size, cfg.iters)
-    # the annealed density, for the flow kernels and training only
+    # the annealed density, for training only
     current = tempered(base, target, ens.temper.beta)
 
     log_rows = []
@@ -165,27 +166,24 @@ def run_mfm(base: TargetDensity, target: TargetDensity,
             current = tempered(base, target, ens.temper.beta)
 
         if is_flow_iteration(k, cfg.k_q):
+            args = (base, target, flow_params, cfg.ode, ens.chains,
+                    ens.temper.beta, rng)
             if cfg.nonlocal_kernel == "rwmh":
-                out = kernels.flow_rwmh_step(current, flow_params, cfg.ode,
-                                             ens.positions, rng)
+                out = kernels.flow_rwmh_step(*args)
             elif cfg.nonlocal_kernel == "imh":
-                out = kernels.flow_imh_step(current, flow_params, cfg.ode,
-                                            base, ens.positions, rng)
+                out = kernels.flow_imh_step(*args)
             else:
-                out = kernels.flow_cis_step(current, flow_params, cfg.ode,
-                                            base, ens.positions,
-                                            cfg.n_candidates, rng)
+                out = kernels.flow_cis_step(*args, cfg.n_candidates)
             ens.flow_proposed += cfg.particles
             ens.flow_accepted += int(np.sum(out.accepted))
             ens.nonfinite_flow += out.n_nonfinite
-            ens.chains = kernels.evaluate(base, target, out.new_x)
         else:
             out = kernels.mala_step(base, target, cfg.mala, ens.chains,
                                     ens.temper.beta, rng)
             ens.local_proposed += cfg.particles
             ens.local_accepted += int(np.sum(out.accepted))
             ens.nonfinite_local += out.n_nonfinite
-            ens.chains = out.chains
+        ens.chains = out.chains
         ens.iteration = k
 
         try:
@@ -224,16 +222,6 @@ def diagnose_flow(flow_params: FlowParams, target: TargetDensity,
     elapsed = wall_seconds if wall_seconds is not None else time.perf_counter() - t0
     return diagnostics.compute_report(target, samples, exact,
                                       wall_seconds=elapsed, workers=cfg.workers)
-
-
-def flow_sample(flow_params: FlowParams, target: TargetDensity,
-                cfg: MfmConfig, n: int) -> np.ndarray:
-    """n flow-pushed samples from the diagnostics stream (deterministic)."""
-    rng = diag_rng(cfg.seed)
-    x0 = rng.standard_normal((n, target.dim))
-    samples, _ = flow.push_samples(flow_params, target, x0, cfg.ode,
-                                   rng=rng, workers=cfg.workers)
-    return samples
 
 
 def run_atsmc(base: TargetDensity, target: TargetDensity, cfg: MfmConfig):

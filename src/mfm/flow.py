@@ -62,14 +62,6 @@ class OdeConfig:
             raise ValueError("hutchinson needs n_probes >= 1")
 
 
-@dataclass
-class AugmentedState:
-    """Position plus accumulated log-density change along the flow ODE."""
-
-    x: np.ndarray
-    delta_logp: np.ndarray
-
-
 def flow_init(rng: np.random.Generator, dim: int, hidden: int = 128,
               fourier: FourierFeatures = None) -> FlowParams:
     """Fresh flow; net_x's last layer is zeroed so the field starts small."""
@@ -260,44 +252,18 @@ def _flow_field(params, target, cfg, rng):
 
 def integrate_rows(params: FlowParams, target: TargetDensity, xb: np.ndarray,
                    cfg: OdeConfig, rng: np.random.Generator, forward: bool):
-    """Batch integration that never raises: returns (x, dlp, finite_mask).
+    """The integrator: xb (N, d) from t = 0 to 1 (forward) or 1 to 0.
 
-    Used by the Metropolis kernels, which treat a blown-up row as an
-    automatic rejection rather than a fatal error.
+    Returns (x, dlp, finite_mask) and never raises: the Metropolis kernels
+    treat a blown-up row as an automatic rejection, while push_samples and
+    pullback_log_density raise NonFiniteState for it.  dlp is
+    -int_0^1 div dt forward and +int_0^1 div dt backward.
     """
     t0, t1 = (0.0, 1.0) if forward else (1.0, 0.0)
     x, dlp = rk4_integrate(_flow_field(params, target, cfg, rng),
-                           np.atleast_2d(xb), t0, t1, cfg.n_steps)
+                           xb, t0, t1, cfg.n_steps)
     ok = np.all(np.isfinite(x), axis=1) & np.isfinite(dlp)
     return x, dlp, ok
-
-
-def _run(params, target, state, cfg, rng, forward: bool) -> AugmentedState:
-    x = np.asarray(state.x, dtype=float)
-    single = x.ndim == 1
-    if np.any(np.asarray(state.delta_logp) != 0.0):
-        raise ValueError("delta_logp must be zero at the start of an integration")
-    out, dlp, ok = integrate_rows(params, target, np.atleast_2d(x), cfg, rng, forward)
-    if not ok.all():
-        bad = int(np.where(~ok)[0][0])
-        raise NonFiniteState(f"flow integration blew up (row {bad})")
-    if single:
-        return AugmentedState(out[0], dlp[0])
-    return AugmentedState(out, dlp)
-
-
-def integrate_forward(params: FlowParams, target: TargetDensity,
-                      state: AugmentedState, cfg: OdeConfig,
-                      rng: np.random.Generator = None) -> AugmentedState:
-    """Reference -> target direction (t: 0 -> 1); dlp = -int_0^1 div dt."""
-    return _run(params, target, state, cfg, rng, True)
-
-
-def integrate_backward(params: FlowParams, target: TargetDensity,
-                       state: AugmentedState, cfg: OdeConfig,
-                       rng: np.random.Generator = None) -> AugmentedState:
-    """Target -> reference direction (t: 1 -> 0); dlp = +int_0^1 div dt."""
-    return _run(params, target, state, cfg, rng, False)
 
 
 def pullback_log_density(params: FlowParams, target: TargetDensity, x,
@@ -308,11 +274,10 @@ def pullback_log_density(params: FlowParams, target: TargetDensity, x,
     log pi(phi_1(x)) + int_0^1 div v dt along the trajectory through x.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    state = integrate_forward(params, target, AugmentedState(np.atleast_2d(x), 0.0),
-                              cfg, rng)
-    out = np.atleast_1d(target.log_density(state.x)) - state.delta_logp
-    return out[0] if single else out
+    x1, dlp, ok = integrate_rows(params, target, np.atleast_2d(x), cfg, rng, True)
+    _require_finite(ok)
+    out = np.atleast_1d(target.log_density(x1)) - dlp
+    return out[0] if x.ndim == 1 else out
 
 
 def push_samples(params: FlowParams, target: TargetDensity, x0_batch,
@@ -353,11 +318,14 @@ def push_samples(params: FlowParams, target: TargetDensity, x0_batch,
 
     samples = np.concatenate([r[0] for r in results], axis=0)
     dlp = np.concatenate([r[1] for r in results])
-    ok = np.concatenate([r[2] for r in results])
-    if not ok.all():
-        bad = int(np.where(~ok)[0][0])
-        raise NonFiniteState(f"flow integration blew up (row {bad})")
+    _require_finite(np.concatenate([r[2] for r in results]))
     return samples, dlp
+
+
+def _require_finite(ok):
+    """Raise NonFiniteState naming the first row integrate_rows flagged."""
+    if not ok.all():
+        raise NonFiniteState(f"flow integration blew up (row {int(np.argmin(ok))})")
 
 
 def _split_rows(n: int, chunk: int = 256):

@@ -1,37 +1,39 @@
 """Markov transition kernels: local Langevin and flow-informed moves.
 
-All kernels are vectorized over a batch of chains: x may be (d,) or (N, d)
-and the outcome fields match.  Acceptance arithmetic stays in log space
-throughout, so adding a constant to any unnormalized log-density leaves
-every kernel unchanged.  A Langevin proposal that overflows, or a flow
-proposal whose ODE state blows up, is an automatic rejection of that row
-(counted in the outcome), never a fatal error.
+Every kernel works on a batch of chains held as a :class:`ChainState`:
+the (N, d) positions together with log pi_K, log pi_0 and both gradients
+there.  A kernel reads the annealed value (and gradient) at the current
+points from that cache, evaluates the target and base densities once, at
+its proposals, and returns the next ChainState in its outcome, so a chain
+never re-evaluates the densities at a point it already proposed.  pi_beta
+is the geometric interpolant of base (beta = 0) and target (beta = 1);
+base is also the reference density of the flow kernels.  Only the ODE
+vector field inside the flow kernels needs the annealed density as a
+TargetDensity, built with ``targets.tempered``.
 
-The Langevin kernel works on a :class:`ChainState`: the positions together
-with log pi_K, log pi_0 and both gradients there, so a chain never
-re-evaluates the densities at a point it already proposed.  The annealed
-value and gradient at any beta are mixed from that cache, which is also
-where the ESS solve reads its log-ratios.  The flow kernels take a
-tempered :class:`TargetDensity` and positions, and evaluate it themselves.
+Acceptance arithmetic stays in log space throughout, so adding a constant
+to any unnormalized log-density leaves every kernel unchanged.  A Langevin
+proposal that overflows, or a flow proposal whose ODE state blows up, is
+an automatic rejection of that row (counted in the outcome), never a fatal
+error.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .flow import FlowParams, OdeConfig, integrate_rows
-from .targets import TargetDensity, geometric_mix
+from .targets import TargetDensity, geometric_mix, tempered
 
 
 @dataclass
 class ChainState:
     """Chain positions and both endpoint densities' oracle values there.
 
-    x is (N, d) or (d,); log_target/log_base hold log pi_K and log pi_0 at
-    x, grad_target/grad_base their gradients, in the shapes the oracles
-    return for that x.  Build it with :func:`evaluate`; reindex it with
-    :meth:`take` and :meth:`where`, never by editing x alone.
+    x is (N, d); log_target/log_base (N,) hold log pi_K and log pi_0 at x,
+    grad_target/grad_base (N, d) their gradients.  Build it with
+    :func:`evaluate`; reindex it with :meth:`take` and :meth:`where`, never
+    by editing x alone.
     """
 
     x: np.ndarray
@@ -42,12 +44,12 @@ class ChainState:
 
     def log_ratios(self) -> np.ndarray:
         """log pi_K - log pi_0 per row: the ESS solve's log-ratios."""
-        return np.atleast_1d(self.log_target) - np.atleast_1d(self.log_base)
+        return self.log_target - self.log_base
 
     def tempered(self, beta: float):
         """(log pi_beta, grad log pi_beta) per row, as targets.tempered mixes them."""
-        return (np.atleast_1d(geometric_mix(beta, self.log_target, self.log_base)),
-                np.atleast_2d(geometric_mix(beta, self.grad_target, self.grad_base)))
+        return (geometric_mix(beta, self.log_target, self.log_base),
+                geometric_mix(beta, self.grad_target, self.grad_base))
 
     def take(self, idx) -> "ChainState":
         """Rows idx (an index array): resampling."""
@@ -56,7 +58,7 @@ class ChainState:
 
     def where(self, mask, other: "ChainState") -> "ChainState":
         """Row i of other where mask[i], else row i of self."""
-        col = np.asarray(mask)[..., None]
+        col = np.asarray(mask)[:, None]
         return ChainState(np.where(col, other.x, self.x),
                           np.where(mask, other.log_target, self.log_target),
                           np.where(mask, other.log_base, self.log_base),
@@ -65,7 +67,7 @@ class ChainState:
 
 
 def evaluate(base: TargetDensity, target: TargetDensity, x) -> ChainState:
-    """Evaluate both endpoint densities and their gradients at x."""
+    """Evaluate both endpoint densities and their gradients at x (N, d)."""
     x = np.asarray(x, dtype=float)
     return ChainState(x, target.log_density(x), base.log_density(x),
                       target.grad_log_density(x), base.grad_log_density(x))
@@ -73,19 +75,19 @@ def evaluate(base: TargetDensity, target: TargetDensity, x) -> ChainState:
 
 @dataclass
 class KernelOutcome:
-    """Result of one transition: next state, acceptance flag, log MH ratio.
+    """Result of one transition over all chains.
 
-    For the importance-sampling kernel, new_x is the selected candidate and
-    accepted means the state changed.  n_nonfinite counts proposals discarded
-    because they (or the flow integration) left the representable range.
-    chains is the new ChainState (Langevin kernel only).
+    chains is the next ChainState.  accepted marks the rows that moved (for
+    the importance-sampling kernel: that a fresh candidate was selected),
+    log_alpha is the log acceptance ratio per row, and n_nonfinite counts
+    proposals discarded because they, or the flow integration, left the
+    representable range.
     """
 
-    new_x: np.ndarray
+    chains: ChainState
     accepted: np.ndarray
     log_alpha: np.ndarray
     n_nonfinite: int = 0
-    chains: Optional[ChainState] = None
 
 
 @dataclass
@@ -97,20 +99,6 @@ class MalaConfig:
             raise ValueError("tau must be positive")
 
 
-def _as_batch(x):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
-
-
-def _outcome(new_x, accepted, log_alpha, single, n_nonfinite=0):
-    if single:
-        return KernelOutcome(new_x[0], bool(accepted[0]), float(log_alpha[0]),
-                             n_nonfinite)
-    return KernelOutcome(new_x, accepted, log_alpha, n_nonfinite)
-
-
 def _accept(rng, log_alpha):
     """Bernoulli(min{1, e^log_alpha}); -inf and NaN both reject."""
     u = rng.uniform(size=log_alpha.shape)
@@ -118,51 +106,45 @@ def _accept(rng, log_alpha):
         return np.log(u) < log_alpha
 
 
+def _metropolis(chains, proposed, ok, log_alpha, rng) -> KernelOutcome:
+    """Accept row i of proposed with probability e^log_alpha[i]; rows not ok reject."""
+    log_alpha = np.where(ok, log_alpha, -np.inf)
+    acc = _accept(rng, log_alpha)
+    return KernelOutcome(chains.where(acc, proposed), acc, log_alpha,
+                         int(np.sum(~ok)))
+
+
 def mala_step(base: TargetDensity, target: TargetDensity, cfg: MalaConfig,
               chains: ChainState, beta: float,
               rng: np.random.Generator) -> KernelOutcome:
     """Langevin proposal y = x + tau grad log pi_beta(x) + sqrt(2 tau) xi.
 
-    pi_beta is the geometric interpolant of base (beta = 0) and target
-    (beta = 1).  Its value and gradient at x are mixed from the cached
-    chains; base and target are evaluated once each, at y only, and the
-    outcome's chains carry y's values for accepted rows and x's otherwise.
     The Hastings correction uses the Gaussian proposal density with
     variance 2 tau in each coordinate.  A row whose proposal is not finite
     (its gradient overflowed) is rejected with log_alpha = -inf and counted
     in n_nonfinite; the densities are evaluated at its current point
-    instead.  chains.x may be a single (d,) point.
+    instead.
     """
-    xb, single = _as_batch(chains.x)
+    x = chains.x
     tau = cfg.tau
     logp_x, grad_x = chains.tempered(beta)
-    noise = rng.standard_normal(xb.shape)
+    noise = rng.standard_normal(x.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = xb + tau * grad_x + np.sqrt(2.0 * tau) * noise
+        y = x + tau * grad_x + np.sqrt(2.0 * tau) * noise
     ok = np.all(np.isfinite(y), axis=1)
-    y = np.where(ok[:, None], y, xb)
-    proposed = evaluate(base, target, y[0] if single else y)
+    y = np.where(ok[:, None], y, x)
+    proposed = evaluate(base, target, y)
     logp_y, grad_y = proposed.tempered(beta)
     with np.errstate(over="ignore", invalid="ignore"):
-        log_q_fwd = -np.sum((y - xb - tau * grad_x) ** 2, axis=1) / (4.0 * tau)
-        log_q_rev = -np.sum((xb - y - tau * grad_y) ** 2, axis=1) / (4.0 * tau)
+        log_q_fwd = -np.sum((y - x - tau * grad_x) ** 2, axis=1) / (4.0 * tau)
+        log_q_rev = -np.sum((x - y - tau * grad_y) ** 2, axis=1) / (4.0 * tau)
         log_alpha = np.minimum(0.0, logp_y + log_q_rev - logp_x - log_q_fwd)
-    log_alpha = np.where(ok, log_alpha, -np.inf)
-    acc = _accept(rng, log_alpha)
-    new = chains.where(acc[0] if single else acc, proposed)
-    out = _outcome(np.atleast_2d(new.x), acc, log_alpha, single, int(np.sum(~ok)))
-    out.chains = new
-    return out
+    return _metropolis(chains, proposed, ok, log_alpha, rng)
 
 
-def rwmh_log_alpha(target: TargetDensity, x, y) -> np.ndarray:
-    """Plain random-walk MH log ratio log pi(y) - log pi(x) (clamped at 0)."""
-    return np.minimum(0.0, np.atleast_1d(target.log_density(y))
-                      - np.atleast_1d(target.log_density(x)))
-
-
-def flow_rwmh_step(target: TargetDensity, flow_params: FlowParams,
-                   cfg: OdeConfig, x, rng: np.random.Generator,
+def flow_rwmh_step(base: TargetDensity, target: TargetDensity,
+                   flow_params: FlowParams, cfg: OdeConfig, chains: ChainState,
+                   beta: float, rng: np.random.Generator,
                    noise_scale: float = None) -> KernelOutcome:
     """Random walk in reference space, conjugated by the flow.
 
@@ -175,29 +157,26 @@ def flow_rwmh_step(target: TargetDensity, flow_params: FlowParams,
     The reference-space Gaussian is symmetric, so no proposal-density ratio
     appears; with the zero flow this reduces to plain random-walk MH.
     """
-    xb, single = _as_batch(x)
-    n, d = xb.shape
-    sigma = (2.38 / np.sqrt(d)) if noise_scale is None else noise_scale
+    x = chains.x
+    sigma = (2.38 / np.sqrt(x.shape[1])) if noise_scale is None else noise_scale
+    density = tempered(base, target, beta)
 
-    x0, dlp_back, ok_b = integrate_rows(flow_params, target, xb, cfg, rng, False)
-    noise = rng.standard_normal(xb.shape)
+    x0, dlp_back, ok_b = integrate_rows(flow_params, density, x, cfg, rng, False)
+    noise = rng.standard_normal(x.shape)
     y0 = np.where(ok_b[:, None], x0, 0.0) + sigma * noise
-    y1, dlp_fwd, ok_f = integrate_rows(flow_params, target, y0, cfg, rng, True)
+    y1, dlp_fwd, ok_f = integrate_rows(flow_params, density, y0, cfg, rng, True)
     ok = ok_b & ok_f
 
-    logp_x = np.atleast_1d(target.log_density(xb))
+    proposed = evaluate(base, target, np.where(ok[:, None], y1, 0.0))
     with np.errstate(invalid="ignore"):
-        logp_y = np.atleast_1d(target.log_density(np.where(ok[:, None], y1, 0.0)))
-        log_alpha = np.minimum(0.0, logp_y - dlp_fwd - logp_x - dlp_back)
-    log_alpha = np.where(ok, log_alpha, -np.inf)
-    acc = _accept(rng, log_alpha)
-    new_x = np.where(acc[:, None], np.where(ok[:, None], y1, xb), xb)
-    return _outcome(new_x, acc, log_alpha, single, int(np.sum(~ok)))
+        log_alpha = np.minimum(0.0, proposed.tempered(beta)[0] - dlp_fwd
+                               - chains.tempered(beta)[0] - dlp_back)
+    return _metropolis(chains, proposed, ok, log_alpha, rng)
 
 
-def flow_imh_step(target: TargetDensity, flow_params: FlowParams,
-                  cfg: OdeConfig, p0: TargetDensity, x,
-                  rng: np.random.Generator) -> KernelOutcome:
+def flow_imh_step(base: TargetDensity, target: TargetDensity,
+                  flow_params: FlowParams, cfg: OdeConfig, chains: ChainState,
+                  beta: float, rng: np.random.Generator) -> KernelOutcome:
     """Independent proposal: push a fresh reference draw through the flow.
 
     The current point is pulled back to get its proposal density
@@ -205,89 +184,76 @@ def flow_imh_step(target: TargetDensity, flow_params: FlowParams,
     the forward pass, log q(x1) = log p0(x0) + dlp_fwd.  Acceptance is the
     standard independence ratio [pi(x1)/q(x1)] / [pi(x)/q(x)].
     """
-    if p0.sampler is None:
+    if base.sampler is None:
         raise ValueError("reference density must provide a sampler")
-    xb, single = _as_batch(x)
-    n, _ = xb.shape
+    x = chains.x
+    density = tempered(base, target, beta)
 
-    u0, dlp_back, ok_b = integrate_rows(flow_params, target, xb, cfg, rng, False)
-    x0 = p0.sampler(rng, n)
-    x1, dlp_fwd, ok_f = integrate_rows(flow_params, target, x0, cfg, rng, True)
+    u0, dlp_back, ok_b = integrate_rows(flow_params, density, x, cfg, rng, False)
+    x0 = base.sampler(rng, x.shape[0])
+    x1, dlp_fwd, ok_f = integrate_rows(flow_params, density, x0, cfg, rng, True)
     ok = ok_b & ok_f
 
-    logp_x = np.atleast_1d(target.log_density(xb))
+    proposed = evaluate(base, target, np.where(ok[:, None], x1, 0.0))
     with np.errstate(invalid="ignore"):
-        log_q_x = (np.atleast_1d(p0.log_density(np.where(ok_b[:, None], u0, 0.0)))
-                   - dlp_back)
-        log_q_x1 = np.atleast_1d(p0.log_density(x0)) + dlp_fwd
-        logp_x1 = np.atleast_1d(target.log_density(np.where(ok[:, None], x1, 0.0)))
-        log_alpha = np.minimum(0.0, logp_x1 + log_q_x - log_q_x1 - logp_x)
-    log_alpha = np.where(ok, log_alpha, -np.inf)
-    acc = _accept(rng, log_alpha)
-    new_x = np.where(acc[:, None], np.where(ok[:, None], x1, xb), xb)
-    return _outcome(new_x, acc, log_alpha, single, int(np.sum(~ok)))
+        log_q_x = base.log_density(np.where(ok_b[:, None], u0, 0.0)) - dlp_back
+        log_q_x1 = base.log_density(x0) + dlp_fwd
+        log_alpha = np.minimum(0.0, proposed.tempered(beta)[0] + log_q_x
+                               - log_q_x1 - chains.tempered(beta)[0])
+    return _metropolis(chains, proposed, ok, log_alpha, rng)
 
 
-def flow_cis_step(target: TargetDensity, flow_params: FlowParams,
-                  cfg: OdeConfig, q0: TargetDensity, x, n_candidates: int,
-                  rng: np.random.Generator) -> KernelOutcome:
+def flow_cis_step(base: TargetDensity, target: TargetDensity,
+                  flow_params: FlowParams, cfg: OdeConfig, chains: ChainState,
+                  beta: float, rng: np.random.Generator,
+                  n_candidates: int) -> KernelOutcome:
     """Conditional importance sampling through the flow.
 
     The current state enters with weight w0 = pi(x) / q(x) computed via the
-    backward pass; each of the n_candidates fresh reference draws is pushed
-    forward and weighted by pi(x1) / q(x1).  One index is selected with
-    probability proportional to its weight (self-normalized, so constants
-    on pi cancel).  If every weight underflows, the current state is kept.
+    backward pass; each of the n_candidates fresh reference draws per chain
+    is pushed forward and weighted by pi(x1) / q(x1).  One index is selected
+    with probability proportional to its weight (self-normalized, so
+    constants on pi cancel).  If every weight underflows, the current state
+    is kept.  The candidates of all chains are integrated and evaluated as
+    one stacked batch.
     """
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
-    if q0.sampler is None:
+    if base.sampler is None:
         raise ValueError("reference density must provide a sampler")
-    xb, single = _as_batch(x)
-    n, d = xb.shape
+    x = chains.x
+    n = x.shape[0]
+    density = tempered(base, target, beta)
 
-    u0, dlp_back, ok_b = integrate_rows(flow_params, target, xb, cfg, rng, False)
-    n_nonfinite = int(np.sum(~ok_b))
-    # w0 = pi(x)/q(x) with q(x) = q0(u0) exp(-dlp_back)
+    u0, dlp_back, ok_b = integrate_rows(flow_params, density, x, cfg, rng, False)
+    # candidate-major: row k * n + i is candidate k of chain i
+    x0 = np.concatenate([base.sampler(rng, n) for _ in range(n_candidates)])
+    x1, dlp_fwd, ok = integrate_rows(flow_params, density, x0, cfg, rng, True)
+    candidates = evaluate(base, target, np.where(ok[:, None], x1, 0.0))
     with np.errstate(invalid="ignore"):
-        log_w0 = (np.atleast_1d(target.log_density(xb))
-                  - np.atleast_1d(q0.log_density(np.where(ok_b[:, None], u0, 0.0)))
-                  + dlp_back)
-    log_w0 = np.where(ok_b, log_w0, -np.inf)
+        # w0 = pi(x)/q(x) with q(x) = base(u0) exp(-dlp_back)
+        log_w0 = (chains.tempered(beta)[0]
+                  - base.log_density(np.where(ok_b[:, None], u0, 0.0)) + dlp_back)
+        log_w1 = candidates.tempered(beta)[0] - base.log_density(x0) - dlp_fwd
+    log_w1 = np.where(ok, log_w1, -np.inf).reshape(n_candidates, n).T
+    log_w = np.column_stack([np.where(ok_b, log_w0, -np.inf), log_w1])
 
-    log_w = np.full((n, n_candidates + 1), -np.inf)
-    log_w[:, 0] = log_w0
-    candidates = np.empty((n, n_candidates, d))
-    for k in range(n_candidates):
-        x0 = q0.sampler(rng, n)
-        x1, dlp_fwd, ok = integrate_rows(flow_params, target, x0, cfg, rng, True)
-        n_nonfinite += int(np.sum(~ok))
-        with np.errstate(invalid="ignore"):
-            lw = (np.atleast_1d(target.log_density(np.where(ok[:, None], x1, 0.0)))
-                  - np.atleast_1d(q0.log_density(x0)) - dlp_fwd)
-        log_w[:, k + 1] = np.where(ok, lw, -np.inf)
-        candidates[:, k] = np.where(ok[:, None], x1, 0.0)
-
-    finite_any = np.any(np.isfinite(log_w), axis=1)
     shifted = log_w - np.max(np.where(np.isfinite(log_w), log_w, -np.inf),
                              axis=1, initial=-np.inf, keepdims=True)
     with np.errstate(invalid="ignore"):
         w = np.where(np.isfinite(shifted), np.exp(shifted), 0.0)
     totals = w.sum(axis=1)
     u = rng.uniform(size=n)
-    new_x = xb.copy()
-    accepted = np.zeros(n, dtype=bool)
-    log_alpha = np.zeros(n)
-    for i in range(n):
-        if not finite_any[i] or totals[i] <= 0.0:
-            # every weight underflowed: retain the current state
-            log_alpha[i] = -np.inf
-            continue
-        probs = w[i] / totals[i]
-        idx = int(np.searchsorted(np.cumsum(probs), u[i]))
-        idx = min(idx, n_candidates)
-        log_alpha[i] = min(0.0, np.log1p(-probs[0]) if probs[0] < 1.0 else -np.inf)
-        if idx > 0:
-            new_x[i] = candidates[i, idx - 1]
-            accepted[i] = True
-    return _outcome(new_x, accepted, log_alpha, single, n_nonfinite)
+    # a row whose weights all underflowed keeps its state, log_alpha = -inf
+    kept = totals <= 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        probs = w / totals[:, None]
+        log_alpha = np.where(kept | (probs[:, 0] >= 1.0), -np.inf,
+                             np.minimum(0.0, np.log1p(-probs[:, 0])))
+    # searchsorted(cumsum(probs[i]), u[i], side="left"), for all rows at once
+    idx = np.minimum(np.sum(np.cumsum(probs, axis=1) < u[:, None], axis=1),
+                     n_candidates)
+    accepted = ~kept & (idx > 0)
+    picked = candidates.take((np.maximum(idx, 1) - 1) * n + np.arange(n))
+    return KernelOutcome(chains.where(accepted, picked), accepted, log_alpha,
+                         int(np.sum(~ok_b)) + int(np.sum(~ok)))

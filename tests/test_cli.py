@@ -83,6 +83,7 @@ def test_smoke_run_writes_artifacts(tmp_path):
     for key in ["mmd2", "ksd_u", "ksd_v", "mean_logpi", "wall_seconds",
                 "acceptance_local", "acceptance_flow", "beta_trace_len"]:
         assert key in payload
+    assert payload["nonfinite_metrics"] == []
 
 
 def test_rerun_same_seed_identical_artifacts(tmp_path):
@@ -202,6 +203,17 @@ def test_nonfinite_proposals_reach_runlog(tmp_path, monkeypatch, mode, threshold
         assert (local[k] == local[k - 1]) or not flow_step
         assert (flow_[k] == flow_[k - 1]) or flow_step
     assert (flow_[-1] > 0) == (mode == "mfm")
+    # strict JSON: a non-finite metric is null and named, never a bare NaN
+    payload = json.loads((out / "diagnostics.json").read_text(),
+                         parse_constant=reject_constant)
+    assert all(payload[k] is None for k in payload["nonfinite_metrics"])
+    if mode == "atsmc":
+        # chains stuck where the score is infinite: the KSDs are NaN
+        assert {"ksd_u", "ksd_v"} <= set(payload["nonfinite_metrics"])
+
+
+def reject_constant(name):
+    raise ValueError(f"diagnostics.json holds the non-JSON constant {name}")
 
 
 def test_samples_csv_matches_csv_writer(tmp_path):

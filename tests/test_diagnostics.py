@@ -193,6 +193,24 @@ def test_worker_count_invariance(rng):
         diagnostics.mmd2_unbiased(xs, ys, KERNEL, workers=4)
 
 
+def test_report_builds_one_stein_gram(rng):
+    # both KSD statistics come from one pass: one score evaluation
+    target = targets.make_gmm4()
+    ys = rng.normal(0, 5, size=(600, 2))
+    calls = []
+    inner = target.grad_log_density
+
+    def counted(x):
+        calls.append(len(x))
+        return inner(x)
+
+    target.grad_log_density = counted
+    report = diagnostics.compute_report(target, ys, None)
+    assert calls == [600]
+    assert report.ksd_u == diagnostics.ksd_u(target, KERNEL, ys)
+    assert report.ksd_v == diagnostics.ksd_v(target, KERNEL, ys)
+
+
 # -- mean log target ------------------------------------------------------------------
 
 def test_mean_log_target_single_row():

@@ -132,6 +132,28 @@ def test_atsmc_evaluates_target_once_per_mala_pass(monkeypatch):
     assert calls["log_density"] == calls["grad_log_density"] == passes + 1
 
 
+@pytest.mark.parametrize("kernel", ["rwmh", "imh", "cis"])
+def test_flow_step_evaluates_target_once(kernel):
+    # k_q = 1: every iteration is a flow step.  One log-density call for the
+    # initial cache, one per flow step (at the proposals, all candidates of
+    # the CIS kernel stacked) and one in the diagnostics report
+    target = targets.make_gmm4()
+    calls = []
+    inner = target.log_density
+
+    def counted(x):
+        calls.append(len(x))
+        return inner(x)
+
+    target.log_density = counted
+    cfg = smoke_config(iters=4, particles=16, k_q=1, nonlocal_kernel=kernel)
+    art = driver.run_mfm(targets.standard_normal(2), target, cfg)
+    assert art.ensemble.flow_proposed == 4 * 16
+    assert len(calls) == 6
+    per_step = 16 * (cfg.n_candidates if kernel == "cis" else 1)
+    assert calls == [16] + [per_step] * 4 + [cfg.diag_samples]
+
+
 @pytest.mark.parametrize("run", ["mfm", "atsmc"])
 def test_ensemble_cache_matches_fresh_evaluation(run):
     # after MALA passes, resampling and (mfm, k_q=3) flow steps, the cached

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from mfm import flow, nets, targets
 from mfm.errors import NonFiniteScore, NonFiniteState, ShapeMismatch
-from mfm.flow import AugmentedState, OdeConfig
+from mfm.flow import OdeConfig
 
 
 def gaussian_with_precision(prec):
@@ -182,12 +182,12 @@ def linear_errors(rng, n_steps, d=3):
     fp = score_flow(d)
     target = gaussian_with_precision(prec)
     x0 = rng.standard_normal((4, d))
-    state = flow.integrate_forward(fp, target, AugmentedState(x0, np.zeros(4)),
-                                   OdeConfig(n_steps=n_steps))
+    x1, dlp, _ = flow.integrate_rows(fp, target, x0, OdeConfig(n_steps=n_steps),
+                                     None, True)
     oracle_x = x0 @ expm(a_mat).T
     oracle_dlp = -np.trace(a_mat)
-    ex = np.abs(state.x - oracle_x).max()
-    ed = np.abs(state.delta_logp - oracle_dlp).max()
+    ex = np.abs(x1 - oracle_x).max()
+    ed = np.abs(dlp - oracle_dlp).max()
     return ex, ed
 
 
@@ -210,9 +210,9 @@ def test_zero_field_integration_is_identity(rng):
     fp = flow.flow_zero(2)
     std = targets.standard_normal(2)
     x = rng.standard_normal((3, 2))
-    st = flow.integrate_forward(fp, std, AugmentedState(x, np.zeros(3)), OdeConfig())
-    assert np.array_equal(st.x, x)
-    assert np.all(st.delta_logp == 0.0)
+    x1, dlp, _ = flow.integrate_rows(fp, std, x, OdeConfig(), None, True)
+    assert np.array_equal(x1, x)
+    assert np.all(dlp == 0.0)
 
 
 def test_round_trip(rng):
@@ -222,18 +222,10 @@ def test_round_trip(rng):
     std = targets.standard_normal(d)
     cfg = OdeConfig(n_steps=64)
     x = rng.standard_normal((5, d))
-    fwd = flow.integrate_forward(fp, std, AugmentedState(x, np.zeros(5)), cfg)
-    back = flow.integrate_backward(fp, std, AugmentedState(fwd.x, np.zeros(5)), cfg)
-    assert np.abs(back.x - x).max() <= 1e-6 * (1.0 + np.abs(x).max())
-    assert np.abs(fwd.delta_logp + back.delta_logp).max() <= 1e-6
-
-
-def test_nonzero_initial_dlp_rejected(rng):
-    fp = flow.flow_zero(2)
-    std = targets.standard_normal(2)
-    with pytest.raises(ValueError):
-        flow.integrate_forward(fp, std, AugmentedState(np.zeros((1, 2)), np.ones(1)),
-                               OdeConfig())
+    fwd_x, fwd_dlp, _ = flow.integrate_rows(fp, std, x, cfg, None, True)
+    back_x, back_dlp, _ = flow.integrate_rows(fp, std, fwd_x, cfg, None, False)
+    assert np.abs(back_x - x).max() <= 1e-6 * (1.0 + np.abs(x).max())
+    assert np.abs(fwd_dlp + back_dlp).max() <= 1e-6
 
 
 # -- pullback -------------------------------------------------------------------------
@@ -269,6 +261,17 @@ def test_pullback_step_refinement(rng):
     assert abs(v64 - v128) <= 1e-6 * max(1.0, abs(v128))
 
 
+def test_pullback_nonfinite_row_raises():
+    # a gate of 1e300 on the score blows up every row it touches; row 0
+    # starts at the origin, where the standard normal score is zero
+    fp = flow.flow_zero(2)
+    fp.net_t.biases[-1][:] = 1e300
+    std = targets.standard_normal(2)
+    x = np.array([[0.0, 0.0], [1.0, 2.0]])
+    with pytest.raises(NonFiniteState, match="row 1"):
+        flow.pullback_log_density(fp, std, x, OdeConfig(n_steps=4))
+
+
 # -- batch push ------------------------------------------------------------------------
 
 def test_push_samples_zero_field_identity(rng):
@@ -286,9 +289,9 @@ def test_push_samples_single_row_matches_state_call(rng):
     std = targets.standard_normal(d)
     x = rng.standard_normal((1, d))
     out, dlp = flow.push_samples(fp, std, x, OdeConfig())
-    st = flow.integrate_forward(fp, std, AugmentedState(x, np.zeros(1)), OdeConfig())
-    assert np.array_equal(out, st.x)
-    assert np.array_equal(dlp, st.delta_logp)
+    x1, dlp1, _ = flow.integrate_rows(fp, std, x, OdeConfig(), None, True)
+    assert np.array_equal(out, x1)
+    assert np.array_equal(dlp, dlp1)
 
 
 def test_push_samples_empty_batch():
