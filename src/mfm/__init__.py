@@ -7,7 +7,7 @@ samples with a simulation-free flow-matching objective.  An ESS-driven
 temperature ladder bridges from a simple base density to the target.
 """
 
-from .diagnostics import DiagnosticsReport, ImqKernel
+from .diagnostics import DiagnosticsReport
 from .driver import ChainEnsemble, MfmConfig, RunArtifacts, run_atsmc, run_fm_oracle, run_mfm
 from .flow import FlowParams, OdeConfig
 from .kernels import KernelOutcome, MalaConfig
@@ -15,8 +15,8 @@ from .targets import TargetDensity
 from .tempering import TemperState
 
 __all__ = [
-    "ChainEnsemble", "DiagnosticsReport", "FlowParams", "ImqKernel",
-    "KernelOutcome", "MalaConfig", "MfmConfig", "OdeConfig", "RunArtifacts",
-    "TargetDensity", "TemperState",
+    "ChainEnsemble", "DiagnosticsReport", "FlowParams", "KernelOutcome",
+    "MalaConfig", "MfmConfig", "OdeConfig", "RunArtifacts", "TargetDensity",
+    "TemperState",
     "run_atsmc", "run_fm_oracle", "run_mfm",
 ]

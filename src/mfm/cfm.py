@@ -31,16 +31,20 @@ class OtPathConfig:
 
 
 def interpolant(cfg: OtPathConfig, t, x0, x1):
-    """phi_t(x0 | x1) = (1 - (1 - sigma_min) t) x0 + t x1."""
-    t = np.asarray(t, dtype=float)[..., None] if np.ndim(t) == 1 else t
-    return (1.0 - (1.0 - cfg.sigma_min) * t) * np.asarray(x0) + t * np.asarray(x1)
+    """phi_t(x0 | x1) = (1 - (1 - sigma_min) t) x0 + t x1.
+
+    t is a scalar or an (N, 1) column against (N, d) positions.
+    """
+    return (1.0 - (1.0 - cfg.sigma_min) * t) * x0 + t * x1
 
 
 def conditional_field(cfg: OtPathConfig, t, x, x1):
-    """v_t(x | x1) = (x1 - (1 - sigma_min) x) / (1 - (1 - sigma_min) t)."""
-    t = np.asarray(t, dtype=float)[..., None] if np.ndim(t) == 1 else t
+    """v_t(x | x1) = (x1 - (1 - sigma_min) x) / (1 - (1 - sigma_min) t).
+
+    t is a scalar or an (N, 1) column against (N, d) positions.
+    """
     shrink = 1.0 - cfg.sigma_min
-    return (np.asarray(x1) - shrink * np.asarray(x)) / (1.0 - shrink * t)
+    return (x1 - shrink * x) / (1.0 - shrink * t)
 
 
 def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
@@ -52,14 +56,13 @@ def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
     (loss, gradient) with the gradient packaged in a FlowParams of the same
     shapes.
     """
-    x1 = np.atleast_2d(np.asarray(particles, dtype=float))
-    n, d = x1.shape
+    n, d = particles.shape
     if n < 1:
         raise ValueError("need at least one particle")
     t = rng.uniform(size=n)
     x0 = rng.standard_normal((n, d))
-    xt = interpolant(cfg, t, x0, x1)
-    v_cond = conditional_field(cfg, t, xt, x1)
+    xt = interpolant(cfg, t[:, None], x0, particles)
+    v_cond = conditional_field(cfg, t[:, None], xt, particles)
 
     fe = field(flow_params, target, t, xt)
     residual = fe.v - v_cond

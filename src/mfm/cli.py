@@ -321,10 +321,20 @@ def _run_diagnose(cfg, out, target, dcfg) -> int:
     return 0
 
 
+HELP_EPILOG = (
+    "Threads: the closing push of the diagnostics draws through the flow "
+    "runs in row chunks on --workers threads.  OPENBLAS_NUM_THREADS=1 with "
+    "--workers 2 speeds it up, because the chunks then do not compete with "
+    "BLAS threads for the cores.  numpy reads OPENBLAS_NUM_THREADS when it "
+    "is imported, so set it in the environment that starts mfm; the library "
+    "never sets it.  Results are identical for any worker count.")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mfm",
-        description="Sample unnormalized targets with flow-assisted adaptive MCMC.")
+        description="Sample unnormalized targets with flow-assisted adaptive MCMC.",
+        epilog=HELP_EPILOG)
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--preset", choices=sorted(PRESETS))
     parser.add_argument("--seed", type=int)

@@ -1,8 +1,10 @@
 """Sample-quality metrics: unbiased MMD^2 and kernel Stein discrepancies.
 
-Pairwise terms are assembled from Gram matrices in row blocks, so memory
-stays O(block * n) even for large sample sets, and the block partition is
-fixed, keeping reductions deterministic for any worker count.
+Both use the inverse multiquadric kernel k(x, y) = (1 + ||x - y||^2)^b
+with b = IMQ_EXPONENT.  Pairwise terms are assembled from Gram matrices in
+row blocks, so memory stays O(block * n) even for large sample sets, and
+the block partition is fixed, keeping reductions deterministic for any
+worker count.  Sample sets are (n, d) batches.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -15,6 +17,7 @@ from .errors import TooFewSamples
 from .targets import TargetDensity
 
 _BLOCK = 512
+IMQ_EXPONENT = -0.5
 
 
 def _map_blocks(fn, n, workers):
@@ -33,13 +36,6 @@ def _map_blocks(fn, n, workers):
 
 
 @dataclass
-class ImqKernel:
-    """Inverse multiquadric kernel k(x, y) = (1 + ||x - y||^2)^beta."""
-
-    beta_exponent: float = -0.5
-
-
-@dataclass
 class DiagnosticsReport:
     """One run's sample-quality summary.
 
@@ -55,10 +51,10 @@ class DiagnosticsReport:
     wall_seconds: float
 
 
-def imq(kernel: ImqKernel, x, y) -> float:
+def imq(x, y) -> float:
     """Pointwise kernel value for two single points."""
     r2 = float(np.sum((np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) ** 2))
-    return (1.0 + r2) ** kernel.beta_exponent
+    return (1.0 + r2) ** IMQ_EXPONENT
 
 
 def _sq_dists(xs, ys):
@@ -69,20 +65,16 @@ def _sq_dists(xs, ys):
     return np.maximum(r2, 0.0)
 
 
-def mmd2_unbiased(xs: np.ndarray, ys: np.ndarray,
-                  kernel: ImqKernel = None, workers: int = 1) -> float:
+def mmd2_unbiased(xs: np.ndarray, ys: np.ndarray, workers: int = 1) -> float:
     """Unbiased estimate of the squared maximum mean discrepancy.
 
     Both sample sets must have the same size m >= 2; the two within-set
     terms exclude the diagonal.
     """
-    kernel = kernel or ImqKernel()
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
     m = xs.shape[0]
     if m < 2 or ys.shape[0] != m:
         raise TooFewSamples("MMD needs two equally sized sets with m >= 2")
-    beta = kernel.beta_exponent
+    beta = IMQ_EXPONENT
 
     def within(zs):
         def block(lo, hi):
@@ -100,7 +92,7 @@ def mmd2_unbiased(xs: np.ndarray, ys: np.ndarray,
             + within(ys) / (m * (m - 1)))
 
 
-def stein_kernel(target: TargetDensity, kernel: ImqKernel, x, y) -> float:
+def stein_kernel(target: TargetDensity, x, y) -> float:
     """Pointwise Stein kernel k_pi(x, y) built on the IMQ base kernel.
 
     k_pi = div_x div_y k + grad_x k . s(y) + grad_y k . s(x)
@@ -109,12 +101,12 @@ def stein_kernel(target: TargetDensity, kernel: ImqKernel, x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = x.size
-    beta = kernel.beta_exponent
+    beta = IMQ_EXPONENT
     u = x - y
     r2 = float(np.sum(u ** 2))
     base = 1.0 + r2
-    sx = target.grad_log_density(x)
-    sy = target.grad_log_density(y)
+    sx = target.grad_log_density(x[None])[0]
+    sy = target.grad_log_density(y[None])[0]
     # grad_x k = 2 beta u base^(beta-1); grad_y k = -grad_x k
     trace_term = -2.0 * beta * d * base ** (beta - 1.0) \
         - 4.0 * beta * (beta - 1.0) * r2 * base ** (beta - 2.0)
@@ -122,9 +114,9 @@ def stein_kernel(target: TargetDensity, kernel: ImqKernel, x, y) -> float:
     return trace_term + cross + base ** beta * float(np.dot(sx, sy))
 
 
-def _stein_block(target, kernel, xs, sxs, ys, sys_):
+def _stein_block(xs, sxs, ys, sys_):
     """Stein-kernel Gram block k_pi(xs_i, ys_j) from inner products only."""
-    beta = kernel.beta_exponent
+    beta = IMQ_EXPONENT
     d = xs.shape[1]
     base = 1.0 + _sq_dists(xs, ys)
     pow1 = base ** (beta - 1.0)
@@ -137,14 +129,13 @@ def _stein_block(target, kernel, xs, sxs, ys, sys_):
     return trace_term + cross + base ** beta * (sxs @ sys_.T)
 
 
-def _ksd_sums(target, kernel, ys, workers=1):
+def _ksd_sums(target, ys, workers=1):
     """(off-diagonal sum, diagonal sum, n) of the Stein Gram matrix."""
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
     n = ys.shape[0]
-    scores = np.atleast_2d(target.grad_log_density(ys))
+    scores = target.grad_log_density(ys)
 
     def block(lo, hi):
-        b = _stein_block(target, kernel, ys[lo:hi], scores[lo:hi], ys, scores)
+        b = _stein_block(ys[lo:hi], scores[lo:hi], ys, scores)
         bdiag = np.trace(b[:, lo:hi])
         return b.sum() - bdiag, bdiag
 
@@ -164,20 +155,17 @@ def _v_statistic(off, diag, n):
     return (off + diag) / (n * n)
 
 
-def ksd_u(target: TargetDensity, kernel: ImqKernel, ys,
-          workers: int = 1) -> float:
+def ksd_u(target: TargetDensity, ys, workers: int = 1) -> float:
     """Unbiased U-statistic: mean of off-diagonal Stein-kernel entries."""
-    return _u_statistic(*_ksd_sums(target, kernel or ImqKernel(), ys, workers))
+    return _u_statistic(*_ksd_sums(target, ys, workers))
 
 
-def ksd_v(target: TargetDensity, kernel: ImqKernel, ys,
-          workers: int = 1) -> float:
+def ksd_v(target: TargetDensity, ys, workers: int = 1) -> float:
     """Biased, non-negative V-statistic: mean over all pairs."""
-    return _v_statistic(*_ksd_sums(target, kernel or ImqKernel(), ys, workers))
+    return _v_statistic(*_ksd_sums(target, ys, workers))
 
 
 def mean_log_target(target: TargetDensity, samples) -> float:
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[0] == 0:
         raise TooFewSamples("need at least one sample")
     return float(np.mean(target.log_density(samples)))
@@ -185,15 +173,14 @@ def mean_log_target(target: TargetDensity, samples) -> float:
 
 def compute_report(target: TargetDensity, flow_samples: np.ndarray,
                    exact_samples: Optional[np.ndarray],
-                   kernel: ImqKernel = None, wall_seconds: float = 0.0,
+                   wall_seconds: float = 0.0,
                    workers: int = 1) -> DiagnosticsReport:
     """Assemble the standard report for a set of flow-generated samples."""
-    kernel = kernel or ImqKernel()
     mmd2 = None
     if exact_samples is not None:
-        mmd2 = mmd2_unbiased(flow_samples, exact_samples, kernel, workers)
+        mmd2 = mmd2_unbiased(flow_samples, exact_samples, workers)
     # one Stein Gram pass serves both KSD statistics
-    sums = _ksd_sums(target, kernel, flow_samples, workers)
+    sums = _ksd_sums(target, flow_samples, workers)
     return DiagnosticsReport(
         mmd2_unbiased=mmd2,
         ksd_u=_u_statistic(*sums),

@@ -144,7 +144,7 @@ def field(params: FlowParams, target: TargetDensity, t, xb: np.ndarray) -> Field
     ff = np.atleast_2d(nets.fourier_embed(t, params.fourier))
     if t.ndim and ff.shape[0] != n:
         raise ShapeMismatch(f"{ff.shape[0]} time rows for {n} positions")
-    score = np.atleast_2d(target.grad_log_density(xb))
+    score = target.grad_log_density(xb)
     ffb = np.broadcast_to(ff, (n, ff.shape[1]))
     nx, acts_x = nets.mlp_forward_cache(params.net_x, np.concatenate([xb, ffb], axis=1))
     gate, acts_t = nets.mlp_forward_cache(params.net_t, ff)
@@ -161,11 +161,9 @@ def _checked_field(params, target, t, xb) -> FieldEval:
     return fe
 
 
-def vector_field(params: FlowParams, target: TargetDensity, t, x) -> np.ndarray:
-    """Evaluate v(t, x); x is (d,) or (N, d), t scalar or per-row."""
-    x = np.asarray(x, dtype=float)
-    v = _checked_field(params, target, t, np.atleast_2d(x)).v
-    return v[0] if x.ndim == 1 else v
+def vector_field(params: FlowParams, target: TargetDensity, t, xb) -> np.ndarray:
+    """v(t, x) over an (N, d) batch xb; t is a scalar or one time per row."""
+    return _checked_field(params, target, t, xb).v
 
 
 def _divergence_rows(params, target, xb, fe: FieldEval, cfg: OdeConfig, rng):
@@ -191,14 +189,11 @@ def _divergence_rows(params, target, xb, fe: FieldEval, cfg: OdeConfig, rng):
     return acc / (cfg.n_probes * fe.scale[:, 0])
 
 
-def divergence(params: FlowParams, target: TargetDensity, t, x,
+def divergence(params: FlowParams, target: TargetDensity, t, xb,
                cfg: OdeConfig, rng: np.random.Generator = None):
-    """Divergence of the vector field at (t, x): exact trace or Hutchinson."""
-    x = np.asarray(x, dtype=float)
-    xb = np.atleast_2d(x)
+    """Divergence of v(t, .) per row of an (N, d) batch: exact or Hutchinson."""
     fe = _checked_field(params, target, t, xb)
-    div = _divergence_rows(params, target, xb, fe, cfg, rng)
-    return div[0] if x.ndim == 1 else div
+    return _divergence_rows(params, target, xb, fe, cfg, rng)
 
 
 def rk4_integrate(field, x0: np.ndarray, t0: float, t1: float, n_steps: int):
@@ -266,18 +261,16 @@ def integrate_rows(params: FlowParams, target: TargetDensity, xb: np.ndarray,
     return x, dlp, ok
 
 
-def pullback_log_density(params: FlowParams, target: TargetDensity, x,
+def pullback_log_density(params: FlowParams, target: TargetDensity, xb,
                          cfg: OdeConfig, rng: np.random.Generator = None):
-    """Log-density of the target pulled back to reference space.
+    """Log-density of the target pulled back to reference space, per row.
 
-    x lives in reference space; the value is
+    xb (N, d) lives in reference space; the value is
     log pi(phi_1(x)) + int_0^1 div v dt along the trajectory through x.
     """
-    x = np.asarray(x, dtype=float)
-    x1, dlp, ok = integrate_rows(params, target, np.atleast_2d(x), cfg, rng, True)
+    x1, dlp, ok = integrate_rows(params, target, xb, cfg, rng, True)
     _require_finite(ok)
-    out = np.atleast_1d(target.log_density(x1)) - dlp
-    return out[0] if x.ndim == 1 else out
+    return target.log_density(x1) - dlp
 
 
 def push_samples(params: FlowParams, target: TargetDensity, x0_batch,
@@ -290,7 +283,7 @@ def push_samples(params: FlowParams, target: TargetDensity, x0_batch,
     count.  Hutchinson probes, when used, are drawn up front from the
     caller's rng in a fixed order for the same reason.
     """
-    x0 = np.atleast_2d(np.asarray(x0_batch, dtype=float))
+    x0 = np.asarray(x0_batch, dtype=float)
     if x0.shape[0] == 0:
         return x0.copy(), np.zeros(0)
     if not np.all(np.isfinite(x0)):

@@ -214,8 +214,9 @@ def flow_cis_step(base: TargetDensity, target: TargetDensity,
     is pushed forward and weighted by pi(x1) / q(x1).  One index is selected
     with probability proportional to its weight (self-normalized, so
     constants on pi cancel).  If every weight underflows, the current state
-    is kept.  The candidates of all chains are integrated and evaluated as
-    one stacked batch.
+    is kept.  The candidates of all chains are integrated and their
+    log-densities evaluated as one stacked batch; the gradients, which only
+    the chain cache needs, are evaluated at the N selected rows alone.
     """
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
@@ -229,12 +230,14 @@ def flow_cis_step(base: TargetDensity, target: TargetDensity,
     # candidate-major: row k * n + i is candidate k of chain i
     x0 = np.concatenate([base.sampler(rng, n) for _ in range(n_candidates)])
     x1, dlp_fwd, ok = integrate_rows(flow_params, density, x0, cfg, rng, True)
-    candidates = evaluate(base, target, np.where(ok[:, None], x1, 0.0))
+    x1 = np.where(ok[:, None], x1, 0.0)
+    log_target, log_base = target.log_density(x1), base.log_density(x1)
     with np.errstate(invalid="ignore"):
         # w0 = pi(x)/q(x) with q(x) = base(u0) exp(-dlp_back)
         log_w0 = (chains.tempered(beta)[0]
                   - base.log_density(np.where(ok_b[:, None], u0, 0.0)) + dlp_back)
-        log_w1 = candidates.tempered(beta)[0] - base.log_density(x0) - dlp_fwd
+        log_w1 = (geometric_mix(beta, log_target, log_base)
+                  - base.log_density(x0) - dlp_fwd)
     log_w1 = np.where(ok, log_w1, -np.inf).reshape(n_candidates, n).T
     log_w = np.column_stack([np.where(ok_b, log_w0, -np.inf), log_w1])
 
@@ -254,6 +257,9 @@ def flow_cis_step(base: TargetDensity, target: TargetDensity,
     idx = np.minimum(np.sum(np.cumsum(probs, axis=1) < u[:, None], axis=1),
                      n_candidates)
     accepted = ~kept & (idx > 0)
-    picked = candidates.take((np.maximum(idx, 1) - 1) * n + np.arange(n))
+    rows = (np.maximum(idx, 1) - 1) * n + np.arange(n)
+    xp = x1[rows]
+    picked = ChainState(xp, log_target[rows], log_base[rows],
+                        target.grad_log_density(xp), base.grad_log_density(xp))
     return KernelOutcome(chains.where(accepted, picked), accepted, log_alpha,
                          int(np.sum(~ok_b)) + int(np.sum(~ok)))

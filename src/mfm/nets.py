@@ -104,22 +104,21 @@ def mlp_zeros(sizes: Sequence[int]) -> MlpParams:
     return MlpParams(weights, biases)
 
 
-def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+def _check_input(params: MlpParams, x: np.ndarray) -> None:
     if x.shape[-1] != params.n_in:
         raise ShapeMismatch(
             f"input width {x.shape[-1]} != first layer width {params.n_in}")
-    return np.atleast_2d(x)
 
 
 def mlp_forward_cache(params: MlpParams, x):
-    """Forward pass keeping the post-activation values of every layer.
+    """Forward pass over an (N, n_in) batch, keeping every layer's values.
 
     Returns (out, acts): out is (N, n_out) and acts[i] is the input of layer
-    i (acts[0] the batched input, acts[-1] is out).  The derivative helpers
+    i (acts[0] the input batch, acts[-1] is out).  The derivative helpers
     below take acts, so one forward pass serves all of them.
     """
-    h = _check_input(params, x)
+    _check_input(params, x)
+    h = x
     acts = [h]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -131,27 +130,23 @@ def mlp_forward_cache(params: MlpParams, x):
 
 
 def mlp_forward(params: MlpParams, x) -> np.ndarray:
-    """Deterministic forward pass; accepts (n_in,) or (N, n_in)."""
-    single = np.asarray(x).ndim == 1
-    out, _ = mlp_forward_cache(params, x)
-    return out[0] if single else out
+    """Deterministic forward pass of an (N, n_in) batch to (N, n_out)."""
+    return mlp_forward_cache(params, x)[0]
 
 
 def mlp_param_gradient(params: MlpParams, acts, cotangent) -> MlpParams:
     """Gradient of sum_rows cotangent_i . output_i with respect to parameters.
 
-    acts is the forward cache of mlp_forward_cache.  For a single row this
-    is the reverse-mode gradient of the scalar cotangent . output; for a
-    batch the per-row gradients are accumulated by the matrix products
-    themselves, giving a deterministic ordered reduction.
+    acts is the forward cache of mlp_forward_cache and cotangent is
+    (N, n_out).  The per-row gradients are accumulated by the matrix
+    products themselves, giving a deterministic ordered reduction.
     """
-    cot = np.atleast_2d(np.asarray(cotangent, dtype=float))
-    if cot.shape != (acts[0].shape[0], params.n_out):
+    if cotangent.shape != (acts[0].shape[0], params.n_out):
         raise ShapeMismatch(
-            f"cotangent shape {cot.shape} != {(acts[0].shape[0], params.n_out)}")
+            f"cotangent shape {cotangent.shape} != {(acts[0].shape[0], params.n_out)}")
     grads_w = [None] * len(params.weights)
     grads_b = [None] * len(params.biases)
-    delta = cot
+    delta = cotangent
     for i in reversed(range(len(params.weights))):
         grads_w[i] = acts[i].T @ delta
         grads_b[i] = delta.sum(axis=0)

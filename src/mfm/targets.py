@@ -2,12 +2,13 @@
 
 Every target is packaged as a :class:`TargetDensity`: an unnormalized
 log-density together with its gradient and a Hessian-vector product, all
-vectorized over a batch of positions.  Normalizing constants are never
-computed anywhere; Metropolis ratios and tempering only ever see
-log-density differences.
+taking (N, d) batches of positions; a single point is a one-row batch.
+Normalizing constants are never computed anywhere; Metropolis ratios and
+tempering only ever see log-density differences.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,11 +24,12 @@ class TargetDensity:
 
     Attributes:
         dim: Dimension of the state space.
-        log_density: Maps (d,) or (N, d) positions to a scalar or (N,)
-            unnormalized log-densities.
-        grad_log_density: Gradient of ``log_density``, same batching.
-        hvp_log_density: ``(x, v) -> H(x) v`` where H is the Hessian of
-            ``log_density``; ``v`` broadcasts against the batch of ``x``.
+        log_density: Maps (N, d) batches of positions to (N,) unnormalized
+            log-densities.
+        grad_log_density: Gradient of ``log_density``, (N, d) -> (N, d).
+        hvp_log_density: ``(x, v) -> H(x) v`` per row, where H is the
+            Hessian of ``log_density``; ``v`` is one (d,) direction for
+            every row or an (N, d) batch of directions.
         sampler: Optional exact sampler ``(rng, n) -> (n, d)``; present only
             for targets that admit one (mixtures, product targets).
         name: Short identifier used in logs and artifacts.
@@ -94,13 +96,20 @@ class LgcpSpec:
     def cell_area(self) -> float:
         return 1.0 / self.m_side ** 2
 
+    @cached_property
+    def covariance_cholesky(self) -> np.ndarray:
+        """Lower Cholesky factor of lgcp_covariance(self), factored once.
 
-def _as_batch(x):
-    """Return (x as (N, d), was_single_row)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
+        synthetic_lgcp_counts and make_lgcp both read it, so building a
+        target from synthetic counts factors the covariance only once.  The
+        factor is shared: never write to it, nor to the spec's fields once
+        it has been read.
+        """
+        try:
+            return np.linalg.cholesky(lgcp_covariance(self))
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationFailure(
+                f"LGCP covariance for m_side={self.m_side} is not positive definite") from exc
 
 
 def _mixture_target(spec: GaussianMixtureSpec, name: str) -> TargetDensity:
@@ -115,12 +124,10 @@ def _mixture_target(spec: GaussianMixtureSpec, name: str) -> TargetDensity:
         sq = np.sum((xb[:, None, :] - means[None, :, :]) ** 2, axis=-1)
         return log_weight + log_norm[None, :] - 0.5 * sq / variances[None, :]
 
-    def log_density(x):
-        xb, single = _as_batch(x)
+    def log_density(xb):
         logs = component_logs(xb)
         m = logs.max(axis=1)
-        out = m + np.log(np.sum(np.exp(logs - m[:, None]), axis=1))
-        return out[0] if single else out
+        return m + np.log(np.sum(np.exp(logs - m[:, None]), axis=1))
 
     def responsibilities(xb):
         logs = component_logs(xb)
@@ -128,17 +135,14 @@ def _mixture_target(spec: GaussianMixtureSpec, name: str) -> TargetDensity:
         w = np.exp(logs - m)
         return w / w.sum(axis=1, keepdims=True)
 
-    def grad_log_density(x):
-        xb, single = _as_batch(x)
+    def grad_log_density(xb):
         r = responsibilities(xb)                       # (N, C)
         pulls = (means[None, :, :] - xb[:, None, :]) / variances[None, :, None]
-        g = np.sum(r[:, :, None] * pulls, axis=1)
-        return g[0] if single else g
+        return np.sum(r[:, :, None] * pulls, axis=1)
 
-    def hvp_log_density(x, v):
+    def hvp_log_density(xb, v):
         # H = sum_c r_c (H_c + u_c u_c^T) - g g^T with u_c = (mu_c - x)/var_c
-        xb, single = _as_batch(x)
-        vb = np.broadcast_to(np.asarray(v, dtype=float), xb.shape)
+        vb = np.broadcast_to(v, xb.shape)
         r = responsibilities(xb)
         pulls = (means[None, :, :] - xb[:, None, :]) / variances[None, :, None]
         g = np.sum(r[:, :, None] * pulls, axis=1)
@@ -147,7 +151,7 @@ def _mixture_target(spec: GaussianMixtureSpec, name: str) -> TargetDensity:
                                      - vb[:, None, :] / variances[None, :, None]),
                     axis=1)
         hv -= g * np.sum(g * vb, axis=-1, keepdims=True)
-        return hv[0] if single else hv
+        return hv
 
     def sampler(rng, n):
         idx = rng.integers(0, n_comp, size=n)
@@ -186,21 +190,14 @@ def gaussian(mean, scale: float, name: str = "gaussian") -> TargetDensity:
     var = float(scale) ** 2
     log_norm = -0.5 * dim * (LOG_2PI + np.log(var))
 
-    def log_density(x):
-        xb, single = _as_batch(x)
-        out = log_norm - 0.5 * np.sum((xb - mean) ** 2, axis=-1) / var
-        return out[0] if single else out
+    def log_density(xb):
+        return log_norm - 0.5 * np.sum((xb - mean) ** 2, axis=-1) / var
 
-    def grad_log_density(x):
-        xb, single = _as_batch(x)
-        g = -(xb - mean) / var
-        return g[0] if single else g
+    def grad_log_density(xb):
+        return -(xb - mean) / var
 
-    def hvp_log_density(x, v):
-        xb, single = _as_batch(x)
-        vb = np.broadcast_to(np.asarray(v, dtype=float), xb.shape)
-        hv = -vb / var
-        return hv[0] if single else hv
+    def hvp_log_density(xb, v):
+        return -np.broadcast_to(v, xb.shape) / var
 
     def sampler(rng, n):
         return mean + scale * rng.standard_normal((n, dim))
@@ -226,29 +223,25 @@ def make_many_well(n_copies: int = 16) -> TargetDensity:
     """Product of 2-d double wells; dim = 2 * n_copies."""
     dim = 2 * n_copies
 
-    def log_density(x):
-        xb, single = _as_batch(x)
+    def log_density(xb):
         a = xb[:, 0::2]
         b = xb[:, 1::2]
-        out = np.sum(-a ** 4 + 6.0 * a ** 2 + 0.5 * a - 0.5 * b ** 2, axis=-1)
-        return out[0] if single else out
+        return np.sum(-a ** 4 + 6.0 * a ** 2 + 0.5 * a - 0.5 * b ** 2, axis=-1)
 
-    def grad_log_density(x):
-        xb, single = _as_batch(x)
+    def grad_log_density(xb):
         g = np.empty_like(xb)
         a = xb[:, 0::2]
         g[:, 0::2] = -4.0 * a ** 3 + 12.0 * a + 0.5
         g[:, 1::2] = -xb[:, 1::2]
-        return g[0] if single else g
+        return g
 
-    def hvp_log_density(x, v):
-        xb, single = _as_batch(x)
-        vb = np.broadcast_to(np.asarray(v, dtype=float), xb.shape)
+    def hvp_log_density(xb, v):
+        vb = np.broadcast_to(v, xb.shape)
         hv = np.empty_like(xb)
         a = xb[:, 0::2]
         hv[:, 0::2] = (-12.0 * a ** 2 + 12.0) * vb[:, 0::2]
         hv[:, 1::2] = -vb[:, 1::2]
-        return hv[0] if single else hv
+        return hv
 
     def sampler(rng, n):
         out = np.empty((n, dim))
@@ -281,29 +274,23 @@ def make_field_system(spec: FieldSystemSpec = None) -> TargetDensity:
         z = np.zeros((xb.shape[0], 1))
         return np.concatenate([z, xb, z], axis=1)
 
-    def log_density(x):
-        xb, single = _as_batch(x)
+    def log_density(xb):
         xp = padded(xb)
         jumps = np.sum(np.diff(xp, axis=1) ** 2, axis=1)
         wells = np.sum((1.0 - xb ** 2) ** 2, axis=1)
-        out = -beta * (coupling * jumps + onsite * wells)
-        return out[0] if single else out
+        return -beta * (coupling * jumps + onsite * wells)
 
-    def grad_log_density(x):
-        xb, single = _as_batch(x)
+    def grad_log_density(xb):
         xp = padded(xb)
         lap = 2.0 * xb - xp[:, :-2] - xp[:, 2:]
-        g = -beta * (2.0 * coupling * lap - 4.0 * onsite * xb * (1.0 - xb ** 2))
-        return g[0] if single else g
+        return -beta * (2.0 * coupling * lap - 4.0 * onsite * xb * (1.0 - xb ** 2))
 
-    def hvp_log_density(x, v):
-        xb, single = _as_batch(x)
-        vb = np.broadcast_to(np.asarray(v, dtype=float), xb.shape)
+    def hvp_log_density(xb, v):
+        vb = np.broadcast_to(v, xb.shape)
         vp = padded(vb)
         lap_v = 2.0 * vb - vp[:, :-2] - vp[:, 2:]
         diag = -4.0 * onsite * (1.0 - 3.0 * xb ** 2)
-        hv = -beta * (2.0 * coupling * lap_v + diag * vb)
-        return hv[0] if single else hv
+        return -beta * (2.0 * coupling * lap_v + diag * vb)
 
     return TargetDensity(d, log_density, grad_log_density, hvp_log_density,
                          name="field_system")
@@ -342,46 +329,30 @@ def make_lgcp(spec: LgcpSpec, counts: np.ndarray) -> TargetDensity:
     area = spec.cell_area
     mu0 = spec.mu0
 
-    cov = lgcp_covariance(spec)
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationFailure(
-            f"LGCP covariance for m_side={spec.m_side} is not positive definite") from exc
-    ident = np.eye(d)
-    chol_inv = np.linalg.solve(chol, ident)
+    chol_inv = np.linalg.solve(spec.covariance_cholesky, np.eye(d))
     precision = chol_inv.T @ chol_inv    # cov^{-1}, built once then read-only
 
-    def log_density(x):
-        xb, single = _as_batch(x)
+    def log_density(xb):
         centered = xb - mu0
         quad = np.sum(centered * (centered @ precision), axis=-1)
         lik = xb @ y - area * np.sum(np.exp(xb), axis=-1)
-        out = -0.5 * quad + lik
-        return out[0] if single else out
+        return -0.5 * quad + lik
 
-    def grad_log_density(x):
-        xb, single = _as_batch(x)
-        g = -(xb - mu0) @ precision + y - area * np.exp(xb)
-        return g[0] if single else g
+    def grad_log_density(xb):
+        return -(xb - mu0) @ precision + y - area * np.exp(xb)
 
-    def hvp_log_density(x, v):
-        xb, single = _as_batch(x)
-        vb = np.broadcast_to(np.asarray(v, dtype=float), xb.shape)
-        hv = -vb @ precision - area * np.exp(xb) * vb
-        return hv[0] if single else hv
+    def hvp_log_density(xb, v):
+        vb = np.broadcast_to(v, xb.shape)
+        return -vb @ precision - area * np.exp(xb) * vb
 
-    target = TargetDensity(d, log_density, grad_log_density, hvp_log_density,
-                           name=f"lgcp{spec.m_side}")
-    target.covariance_cholesky = chol
-    return target
+    return TargetDensity(d, log_density, grad_log_density, hvp_log_density,
+                         name=f"lgcp{spec.m_side}")
 
 
 def synthetic_lgcp_counts(spec: LgcpSpec, seed: int = 0) -> np.ndarray:
     """Counts grid drawn from the generative model at a fixed seed."""
     rng = np.random.Generator(np.random.Philox(seed))
-    chol = np.linalg.cholesky(lgcp_covariance(spec))
-    latent = spec.mu0 + chol @ rng.standard_normal(spec.dim)
+    latent = spec.mu0 + spec.covariance_cholesky @ rng.standard_normal(spec.dim)
     rates = spec.cell_area * np.exp(latent)
     return rng.poisson(rates).reshape(spec.m_side, spec.m_side)
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mfm import nets, targets
+
+# Derandomized examples and no example database: every run checks the
+# same cases, and no failing example is saved for replay.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture
@@ -16,7 +22,7 @@ def forward_passes(monkeypatch):
     inner = nets.mlp_forward_cache
 
     def counted(params, x):
-        calls.append((params, np.atleast_2d(x).shape[0]))
+        calls.append((params, x.shape[0]))
         return inner(params, x)
 
     monkeypatch.setattr(nets, "mlp_forward_cache", counted)
@@ -56,9 +62,8 @@ def richardson_grad(f, x, step=1e-4):
 def gaussian_with_overflow(threshold):
     """Standard normal in 2-d whose gradient overflows to inf where x_0 > threshold."""
     def grad(x):
-        x = np.atleast_2d(x)
         with np.errstate(over="ignore"):
             return -x * np.exp(np.where(x[:, :1] > threshold, 1e3, 0.0))
     return targets.TargetDensity(
-        2, lambda x: -0.5 * np.sum(np.atleast_2d(x) ** 2, axis=-1), grad,
-        lambda x, v: -np.broadcast_to(v, np.shape(x)))
+        2, lambda x: -0.5 * np.sum(x ** 2, axis=-1), grad,
+        lambda x, v: -np.broadcast_to(v, x.shape))

@@ -16,8 +16,8 @@ def test_sigma_min_precondition():
 
 def test_interpolant_endpoints(rng):
     cfg = OtPathConfig()
-    x0 = rng.standard_normal(3)
-    x1 = rng.standard_normal(3)
+    x0 = rng.standard_normal((1, 3))
+    x1 = rng.standard_normal((1, 3))
     assert np.allclose(cfm.interpolant(cfg, 0.0, x0, x1), x0)
     assert np.allclose(cfm.interpolant(cfg, 1.0, x0, x1),
                        cfg.sigma_min * x0 + x1)
@@ -25,8 +25,8 @@ def test_interpolant_endpoints(rng):
 
 def test_interpolant_affine_in_t(rng):
     cfg = OtPathConfig()
-    x0 = rng.standard_normal(2)
-    x1 = rng.standard_normal(2)
+    x0 = rng.standard_normal((1, 2))
+    x1 = rng.standard_normal((1, 2))
     lo = cfm.interpolant(cfg, 0.2, x0, x1)
     hi = cfm.interpolant(cfg, 0.8, x0, x1)
     mid = cfm.interpolant(cfg, 0.5, x0, x1)
@@ -35,13 +35,13 @@ def test_interpolant_affine_in_t(rng):
 
 def test_conditional_field_values(rng):
     cfg = OtPathConfig(sigma_min=0.05)
-    x0 = rng.standard_normal(2)
-    x1 = rng.standard_normal(2)
+    x0 = rng.standard_normal((1, 2))
+    x1 = rng.standard_normal((1, 2))
     assert np.allclose(cfm.conditional_field(cfg, 0.0, x0, x1),
                        x1 - 0.95 * x0)
     zero_point = x1 / 0.95
     assert np.allclose(cfm.conditional_field(cfg, 0.3, zero_point, x1),
-                       np.zeros(2), atol=1e-12)
+                       np.zeros((1, 2)), atol=1e-12)
 
 
 def test_conditional_field_constant_along_path(rng):
@@ -49,8 +49,8 @@ def test_conditional_field_constant_along_path(rng):
     shrink = 1.0 - cfg.sigma_min
     for _ in range(1000):
         t = rng.uniform()
-        x0 = rng.standard_normal(3)
-        x1 = rng.standard_normal(3)
+        x0 = rng.standard_normal((1, 3))
+        x1 = rng.standard_normal((1, 3))
         xt = cfm.interpolant(cfg, t, x0, x1)
         v = cfm.conditional_field(cfg, t, xt, x1)
         assert np.abs(v - (x1 - shrink * x0)).max() <= 1e-12 * (1 + np.abs(x1).max())
@@ -66,7 +66,7 @@ def test_zero_field_loss_equals_conditional_norm(rng):
     ref_rng = np.random.Generator(np.random.Philox(3))
     t = ref_rng.uniform(size=8)
     x0 = ref_rng.standard_normal((8, 2))
-    xt = cfm.interpolant(cfg, t, x0, particles)
+    xt = cfm.interpolant(cfg, t[:, None], x0, particles)
     vc = cfm.conditional_field(cfg, t[:, None], xt, particles)
     assert loss == pytest.approx(np.mean(np.sum(vc ** 2, axis=1)), rel=1e-12)
 
@@ -87,7 +87,7 @@ def test_loss_nonnegative_and_permutation_invariant(rng):
     t = ref.uniform(size=6)
     x0 = ref.standard_normal((6, 2))
     perm = np.arange(5, -1, -1)
-    xt = cfm.interpolant(cfg, t, x0, particles)
+    xt = cfm.interpolant(cfg, t[:, None], x0, particles)
     v = flow.vector_field(fp, target, t, xt)
     resid = v - cfm.conditional_field(cfg, t[:, None], xt, particles)
     direct = np.mean(np.sum(resid ** 2, axis=1))

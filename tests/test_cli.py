@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfm import cli, driver
+from mfm import cli, driver, targets
 from mfm.errors import ConfigError
 
 from conftest import gaussian_with_overflow
@@ -150,6 +150,45 @@ def test_error_exit_status(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert json.loads(err.strip())["error"] == "ConfigError"
+
+
+def test_help_documents_blas_threads(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert "OPENBLAS_NUM_THREADS" in capsys.readouterr().out
+
+
+def test_lgcp_build_factors_covariance_once(monkeypatch):
+    cfg = cli.parse_config(overrides=dict(preset="lgcp", seed=0, m_side=8))
+    calls = []
+    inner = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return inner(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    target = cli.build_target(cfg)
+    monkeypatch.undo()
+    assert calls == [(64, 64)]
+
+    # oracle: synthetic counts and precision each from a factor of their own
+    spec = targets.LgcpSpec(m_side=8)
+    rng = np.random.Generator(np.random.Philox(0))
+    chol = np.linalg.cholesky(targets.lgcp_covariance(spec))
+    latent = spec.mu0 + chol @ rng.standard_normal(spec.dim)
+    counts = rng.poisson(spec.cell_area * np.exp(latent)).reshape(8, 8)
+    chol_inv = np.linalg.solve(np.linalg.cholesky(targets.lgcp_covariance(spec)),
+                               np.eye(spec.dim))
+    precision = chol_inv.T @ chol_inv
+    assert np.array_equal(targets.synthetic_lgcp_counts(spec, seed=0), counts)
+    # at x = mu0 the gradient is y - area e^mu0, which exposes the counts
+    x = np.full((1, spec.dim), spec.mu0)
+    assert np.array_equal(target.grad_log_density(x)[0],
+                          counts.ravel() - spec.cell_area * np.exp(x[0]))
+    # where e^x = 0 the Hessian is -precision, and H I = H exactly
+    xb = np.full((spec.dim, spec.dim), -np.inf)
+    assert np.array_equal(-target.hvp_log_density(xb, np.eye(spec.dim)), precision)
 
 
 def test_samples_csv_header_stamp(tmp_path):

@@ -2,41 +2,38 @@ import numpy as np
 import pytest
 
 from mfm import diagnostics, targets
-from mfm.diagnostics import ImqKernel
 from mfm.errors import TooFewSamples
 
-KERNEL = ImqKernel()
 
-
-def naive_mmd2(xs, ys, k):
+def naive_mmd2(xs, ys):
     m = len(xs)
-    a = sum(diagnostics.imq(k, xs[i], xs[j]) for i in range(m) for j in range(m) if i != j)
-    b = sum(diagnostics.imq(k, xs[i], ys[j]) for i in range(m) for j in range(m))
-    c = sum(diagnostics.imq(k, ys[i], ys[j]) for i in range(m) for j in range(m) if i != j)
+    a = sum(diagnostics.imq(xs[i], xs[j]) for i in range(m) for j in range(m) if i != j)
+    b = sum(diagnostics.imq(xs[i], ys[j]) for i in range(m) for j in range(m))
+    c = sum(diagnostics.imq(ys[i], ys[j]) for i in range(m) for j in range(m) if i != j)
     return a / (m * (m - 1)) - 2.0 * b / (m * m) + c / (m * (m - 1))
 
 
 def test_imq_kernel_range(rng):
     x = rng.standard_normal(3)
     y = rng.standard_normal(3)
-    v = diagnostics.imq(KERNEL, x, y)
+    v = diagnostics.imq(x, y)
     assert 0.0 < v <= 1.0
-    assert diagnostics.imq(KERNEL, x, x) == 1.0
+    assert diagnostics.imq(x, x) == 1.0
 
 
 def test_mmd_permutation_identity(rng):
     xs = rng.standard_normal((24, 2))
     ys = xs[rng.permutation(24)]
-    val = diagnostics.mmd2_unbiased(xs, ys, KERNEL)
+    val = diagnostics.mmd2_unbiased(xs, ys)
     # direct double-sum oracle
-    assert val == pytest.approx(naive_mmd2(xs, ys, KERNEL), abs=1e-12)
+    assert val == pytest.approx(naive_mmd2(xs, ys), abs=1e-12)
 
 
 def test_mmd_matches_double_loop_oracle(rng):
     xs = rng.standard_normal((16, 3))
     ys = rng.standard_normal((16, 3)) + 0.5
-    assert diagnostics.mmd2_unbiased(xs, ys, KERNEL) == pytest.approx(
-        naive_mmd2(xs, ys, KERNEL), rel=1e-10, abs=1e-12)
+    assert diagnostics.mmd2_unbiased(xs, ys) == pytest.approx(
+        naive_mmd2(xs, ys), rel=1e-10, abs=1e-12)
 
 
 def test_mmd_unbiasedness_same_distribution():
@@ -45,7 +42,7 @@ def test_mmd_unbiasedness_same_distribution():
     for _ in range(30):
         xs = rng.standard_normal((1000, 2))
         ys = rng.standard_normal((1000, 2))
-        reps.append(diagnostics.mmd2_unbiased(xs, ys, KERNEL))
+        reps.append(diagnostics.mmd2_unbiased(xs, ys))
     reps = np.array(reps)
     se = reps.std(ddof=1) / np.sqrt(reps.size)
     assert abs(reps.mean()) <= 3.0 * se
@@ -53,12 +50,12 @@ def test_mmd_unbiasedness_same_distribution():
 
 def test_mmd_too_few_samples():
     with pytest.raises(TooFewSamples):
-        diagnostics.mmd2_unbiased(np.zeros((1, 2)), np.zeros((1, 2)), KERNEL)
+        diagnostics.mmd2_unbiased(np.zeros((1, 2)), np.zeros((1, 2)))
 
 
 def test_mmd_unequal_counts_rejected():
     with pytest.raises(TooFewSamples):
-        diagnostics.mmd2_unbiased(np.zeros((4, 2)), np.zeros((5, 2)), KERNEL)
+        diagnostics.mmd2_unbiased(np.zeros((4, 2)), np.zeros((5, 2)))
 
 
 # -- Stein kernel -----------------------------------------------------------------
@@ -66,7 +63,7 @@ def test_mmd_unequal_counts_rejected():
 @pytest.mark.parametrize("d,expected", [(1, 1.0), (3, 3.0)])
 def test_stein_kernel_coincidence_value(d, expected):
     std = targets.standard_normal(d)
-    val = diagnostics.stein_kernel(std, KERNEL, np.zeros(d), np.zeros(d))
+    val = diagnostics.stein_kernel(std, np.zeros(d), np.zeros(d))
     assert val == pytest.approx(expected, abs=1e-12)
 
 
@@ -75,8 +72,8 @@ def test_stein_kernel_symmetry(rng):
     for _ in range(20):
         x = rng.normal(0, 4, size=2)
         y = rng.normal(0, 4, size=2)
-        assert diagnostics.stein_kernel(t, KERNEL, x, y) == pytest.approx(
-            diagnostics.stein_kernel(t, KERNEL, y, x), abs=1e-12)
+        assert diagnostics.stein_kernel(t, x, y) == pytest.approx(
+            diagnostics.stein_kernel(t, y, x), abs=1e-12)
 
 
 def test_stein_kernel_matches_finite_differences(rng):
@@ -85,7 +82,7 @@ def test_stein_kernel_matches_finite_differences(rng):
     x = rng.standard_normal(2)
     y = rng.standard_normal(2)
     h = 1e-5
-    beta = KERNEL.beta_exponent
+    beta = diagnostics.IMQ_EXPONENT
 
     def k(a, b):
         return (1.0 + np.sum((a - b) ** 2)) ** beta
@@ -103,11 +100,11 @@ def test_stein_kernel_matches_finite_differences(rng):
         e = np.zeros(2)
         e[i] = h
         div_xy += (grad_x(x, y + e)[i] - grad_x(x, y - e)[i]) / (2 * h)
-    sx = t.grad_log_density(x)
-    sy = t.grad_log_density(y)
+    sx = t.grad_log_density(x[None])[0]
+    sy = t.grad_log_density(y[None])[0]
     grad_y_k = -grad_x(x, y)  # k depends on x - y
     oracle = (div_xy + grad_x(x, y) @ sy + grad_y_k @ sx + k(x, y) * (sx @ sy))
-    val = diagnostics.stein_kernel(t, KERNEL, x, y)
+    val = diagnostics.stein_kernel(t, x, y)
     assert val == pytest.approx(oracle, rel=1e-4, abs=1e-6)
 
 
@@ -115,45 +112,45 @@ def test_stein_kernel_matches_finite_differences(rng):
 
 def test_ksd_v_single_point_at_origin():
     std = targets.standard_normal(1)
-    assert diagnostics.ksd_v(std, KERNEL, np.zeros((1, 1))) == pytest.approx(1.0)
+    assert diagnostics.ksd_v(std, np.zeros((1, 1))) == pytest.approx(1.0)
 
 
 def test_ksd_matches_double_loop_oracle(rng):
     t = targets.make_gmm4()
     ys = rng.normal(0, 5, size=(64, 2))
-    naive = np.array([[diagnostics.stein_kernel(t, KERNEL, a, b) for b in ys]
+    naive = np.array([[diagnostics.stein_kernel(t, a, b) for b in ys]
                       for a in ys])
     n = 64
     u_naive = (naive.sum() - np.trace(naive)) / (n * (n - 1))
     v_naive = naive.sum() / (n * n)
-    assert diagnostics.ksd_u(t, KERNEL, ys) == pytest.approx(u_naive, rel=1e-10)
-    assert diagnostics.ksd_v(t, KERNEL, ys) == pytest.approx(v_naive, rel=1e-10)
+    assert diagnostics.ksd_u(t, ys) == pytest.approx(u_naive, rel=1e-10)
+    assert diagnostics.ksd_v(t, ys) == pytest.approx(v_naive, rel=1e-10)
 
 
 def test_ksd_v_nonnegative(rng):
     t = targets.standard_normal(3)
     for _ in range(10):
         ys = rng.normal(rng.uniform(-2, 2), rng.uniform(0.5, 2), size=(20, 3))
-        assert diagnostics.ksd_v(t, KERNEL, ys) >= 0.0
+        assert diagnostics.ksd_v(t, ys) >= 0.0
 
 
 def test_ksd_v_duplication_consistency(rng):
     t = targets.standard_normal(2)
     ys = rng.standard_normal((10, 2))
     doubled = np.concatenate([ys, ys], axis=0)
-    naive = np.mean([[diagnostics.stein_kernel(t, KERNEL, a, b) for b in doubled]
+    naive = np.mean([[diagnostics.stein_kernel(t, a, b) for b in doubled]
                      for a in doubled])
-    assert diagnostics.ksd_v(t, KERNEL, doubled) == pytest.approx(naive, rel=1e-10)
+    assert diagnostics.ksd_v(t, doubled) == pytest.approx(naive, rel=1e-10)
 
 
 def test_ksd_permutation_invariance(rng):
     t = targets.standard_normal(2)
     ys = rng.standard_normal((30, 2))
     perm = ys[rng.permutation(30)]
-    assert diagnostics.ksd_u(t, KERNEL, ys) == pytest.approx(
-        diagnostics.ksd_u(t, KERNEL, perm), rel=1e-12)
-    assert diagnostics.ksd_v(t, KERNEL, ys) == pytest.approx(
-        diagnostics.ksd_v(t, KERNEL, perm), rel=1e-12)
+    assert diagnostics.ksd_u(t, ys) == pytest.approx(
+        diagnostics.ksd_u(t, perm), rel=1e-12)
+    assert diagnostics.ksd_v(t, ys) == pytest.approx(
+        diagnostics.ksd_v(t, perm), rel=1e-12)
 
 
 def test_ksd_u_stein_identity():
@@ -162,14 +159,14 @@ def test_ksd_u_stein_identity():
     rng = np.random.Generator(np.random.Philox(7))
     ys = rng.standard_normal((10_000, 1))
     scores = std.grad_log_density(ys)
-    u = diagnostics.ksd_u(std, KERNEL, ys)
+    u = diagnostics.ksd_u(std, ys)
     n = ys.shape[0]
     # row means of the off-diagonal Stein matrix give the Hajek projection
     row_sums = np.zeros(n)
     block = 1000
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        b = diagnostics._stein_block(std, KERNEL, ys[lo:hi], scores[lo:hi], ys, scores)
+        b = diagnostics._stein_block(ys[lo:hi], scores[lo:hi], ys, scores)
         b[np.arange(lo, hi) - lo, np.arange(lo, hi)] = 0.0
         row_sums[lo:hi] = b.sum(axis=1)
     g = row_sums / (n - 1)
@@ -180,17 +177,17 @@ def test_ksd_u_stein_identity():
 def test_ksd_u_too_few():
     std = targets.standard_normal(1)
     with pytest.raises(TooFewSamples):
-        diagnostics.ksd_u(std, KERNEL, np.zeros((1, 1)))
+        diagnostics.ksd_u(std, np.zeros((1, 1)))
 
 
 def test_worker_count_invariance(rng):
     t = targets.standard_normal(2)
     ys = rng.standard_normal((1100, 2))
     xs = rng.standard_normal((1100, 2))
-    assert diagnostics.ksd_v(t, KERNEL, ys, workers=1) == \
-        diagnostics.ksd_v(t, KERNEL, ys, workers=4)
-    assert diagnostics.mmd2_unbiased(xs, ys, KERNEL, workers=1) == \
-        diagnostics.mmd2_unbiased(xs, ys, KERNEL, workers=4)
+    assert diagnostics.ksd_v(t, ys, workers=1) == \
+        diagnostics.ksd_v(t, ys, workers=4)
+    assert diagnostics.mmd2_unbiased(xs, ys, workers=1) == \
+        diagnostics.mmd2_unbiased(xs, ys, workers=4)
 
 
 def test_report_builds_one_stein_gram(rng):
@@ -207,8 +204,8 @@ def test_report_builds_one_stein_gram(rng):
     target.grad_log_density = counted
     report = diagnostics.compute_report(target, ys, None)
     assert calls == [600]
-    assert report.ksd_u == diagnostics.ksd_u(target, KERNEL, ys)
-    assert report.ksd_v == diagnostics.ksd_v(target, KERNEL, ys)
+    assert report.ksd_u == diagnostics.ksd_u(target, ys)
+    assert report.ksd_v == diagnostics.ksd_v(target, ys)
 
 
 # -- mean log target ------------------------------------------------------------------
@@ -217,7 +214,7 @@ def test_mean_log_target_single_row():
     t = targets.standard_normal(2)
     x = np.array([0.5, -1.0])
     assert diagnostics.mean_log_target(t, x[None, :]) == pytest.approx(
-        float(t.log_density(x)))
+        t.log_density(x[None])[0])
 
 
 def test_mean_log_target_permutation_invariant(rng):

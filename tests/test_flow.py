@@ -13,10 +13,9 @@ def gaussian_with_precision(prec):
     d = prec.shape[0]
     return targets.TargetDensity(
         d,
-        lambda x: -0.5 * np.sum(np.atleast_2d(x) * (np.atleast_2d(x) @ prec), axis=-1),
-        lambda x: -np.atleast_2d(x) @ prec if np.ndim(x) > 1 else -prec @ np.asarray(x),
-        lambda x, v: (-np.broadcast_to(v, np.shape(x)) @ prec
-                      if np.ndim(x) > 1 else -prec @ np.asarray(v)),
+        lambda x: -0.5 * np.sum(x * (x @ prec), axis=-1),
+        lambda x: -x @ prec,
+        lambda x, v: -np.broadcast_to(v, x.shape) @ prec,
         name="gauss_prec",
     )
 
@@ -53,10 +52,10 @@ def test_field_scales_inversely_with_time_reweighting(rng):
     d = 2
     std = targets.standard_normal(d)
     fp = score_flow(d)
-    v1 = flow.vector_field(fp, std, 0.2, np.ones(d))
+    v1 = flow.vector_field(fp, std, 0.2, np.ones((1, d)))
     # double the divisor: 0.1 + softplus(u) = 2
     fp.net_scale.biases[-1][:] = np.log(np.expm1(2.0 - flow.SCALE_FLOOR))
-    v2 = flow.vector_field(fp, std, 0.2, np.ones(d))
+    v2 = flow.vector_field(fp, std, 0.2, np.ones((1, d)))
     assert np.allclose(v2, v1 / 2.0, atol=1e-12)
 
 
@@ -65,10 +64,10 @@ def test_field_scales_inversely_with_time_reweighting(rng):
 def test_divergence_zero_field(rng):
     fp = flow.flow_zero(3)
     std = targets.standard_normal(3)
-    x = rng.standard_normal(3)
-    assert flow.divergence(fp, std, 0.5, x, OdeConfig()) == 0.0
+    x = rng.standard_normal((1, 3))
+    assert flow.divergence(fp, std, 0.5, x, OdeConfig())[0] == 0.0
     hut = OdeConfig(divergence="hutchinson", n_probes=2)
-    assert flow.divergence(fp, std, 0.5, x, hut, rng) == 0.0
+    assert flow.divergence(fp, std, 0.5, x, hut, rng)[0] == 0.0
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -91,14 +90,14 @@ def test_exact_divergence_matches_finite_differences(rng):
     fp.net_x.weights[-1] = rng.uniform(-0.5, 0.5, size=fp.net_x.weights[-1].shape)
     x = rng.standard_normal(d)
     t = 0.37
-    div = flow.divergence(fp, target, t, x, OdeConfig())
+    div = flow.divergence(fp, target, t, x[None], OdeConfig())[0]
     h = 1e-6
     fd = 0.0
     for i in range(d):
         e = np.zeros(d)
         e[i] = 1.0
-        fd += (flow.vector_field(fp, target, t, x + h * e)[i]
-               - flow.vector_field(fp, target, t, x - h * e)[i]) / (2 * h)
+        fd += (flow.vector_field(fp, target, t, (x + h * e)[None])[0, i]
+               - flow.vector_field(fp, target, t, (x - h * e)[None])[0, i]) / (2 * h)
     assert abs(div - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
@@ -108,9 +107,9 @@ def test_hutchinson_unbiased(rng):
     fp = flow.flow_init(rng, d, hidden=8)
     fp.net_x.weights[-1] = rng.uniform(-0.5, 0.5, size=fp.net_x.weights[-1].shape)
     x = rng.standard_normal(d)
-    exact = flow.divergence(fp, target, 0.5, x, OdeConfig())
+    exact = flow.divergence(fp, target, 0.5, x[None], OdeConfig())[0]
     cfg = OdeConfig(divergence="hutchinson", n_probes=1)
-    draws = np.array([flow.divergence(fp, target, 0.5, x, cfg, rng)
+    draws = np.array([flow.divergence(fp, target, 0.5, x[None], cfg, rng)[0]
                       for _ in range(10_000)])
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - exact) <= 3.0 * max(se, 1e-12)
@@ -121,7 +120,7 @@ def test_hutchinson_unbiased(rng):
 def test_nonfinite_score_rejected(rng):
     std = targets.standard_normal(2)
     bad = targets.TargetDensity(2, std.log_density,
-                                lambda x: np.full(np.shape(x), np.nan),
+                                lambda x: np.full(x.shape, np.nan),
                                 std.hvp_log_density, name="nan_score")
     fp = flow.flow_init(rng, 2, hidden=4)
     x = rng.standard_normal((3, 2))
@@ -244,9 +243,9 @@ def test_pullback_linear_oracle(rng):
     fp = score_flow(d)
     target = gaussian_with_precision(prec)
     x = rng.standard_normal(d)
-    val = flow.pullback_log_density(fp, target, x, OdeConfig(n_steps=64))
+    val = flow.pullback_log_density(fp, target, x[None], OdeConfig(n_steps=64))[0]
     a_mat = -prec
-    oracle = target.log_density(expm(a_mat) @ x) + np.trace(a_mat)
+    oracle = target.log_density((expm(a_mat) @ x)[None])[0] + np.trace(a_mat)
     assert abs(val - oracle) <= 1e-6 * max(1.0, abs(oracle))
 
 
@@ -256,8 +255,8 @@ def test_pullback_step_refinement(rng):
     fp.net_x.weights[-1] = rng.uniform(-0.2, 0.2, size=fp.net_x.weights[-1].shape)
     std = targets.standard_normal(d)
     x = rng.standard_normal(d)
-    v64 = flow.pullback_log_density(fp, std, x, OdeConfig(n_steps=64))
-    v128 = flow.pullback_log_density(fp, std, x, OdeConfig(n_steps=128))
+    v64 = flow.pullback_log_density(fp, std, x[None], OdeConfig(n_steps=64))[0]
+    v128 = flow.pullback_log_density(fp, std, x[None], OdeConfig(n_steps=128))[0]
     assert abs(v64 - v128) <= 1e-6 * max(1.0, abs(v128))
 
 
@@ -327,7 +326,7 @@ def test_scale_positivity_arbitrary_params(rng):
     fp.net_scale.weights[-1] = rng.normal(0, 10, size=fp.net_scale.weights[-1].shape)
     fp.net_scale.biases[-1] = rng.normal(-50, 10, size=fp.net_scale.biases[-1].shape)
     for t in np.linspace(0, 1, 101):
-        ffb = nets.fourier_embed(t, fp.fourier)
+        ffb = nets.fourier_embed(t, fp.fourier)[None]
         u = nets.mlp_forward(fp.net_scale, ffb)
         assert flow.SCALE_FLOOR + flow.softplus(u) > 0.0
 

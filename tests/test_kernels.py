@@ -55,9 +55,9 @@ def test_mala_hastings_self_consistency(rng):
     # recompute both transition densities directly from the formula
     std = targets.make_gmm4()
     tau = 0.3
-    x = rng.standard_normal(2)
+    x = rng.standard_normal((1, 2))
     grad_x = std.grad_log_density(x)
-    y = x + tau * grad_x + np.sqrt(2 * tau) * rng.standard_normal(2)
+    y = x + tau * grad_x + np.sqrt(2 * tau) * rng.standard_normal((1, 2))
     grad_y = std.grad_log_density(y)
 
     def log_q(b, a, grad_a):
@@ -118,15 +118,15 @@ def fresh_mala_step(density, cfg, x, rng):
     order, log pi and its gradient recomputed at x and at y.
     """
     tau = cfg.tau
-    grad_x = np.atleast_2d(density.grad_log_density(x))
+    grad_x = density.grad_log_density(x)
     noise = rng.standard_normal(x.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         y = x + tau * grad_x + np.sqrt(2.0 * tau) * noise
     ok = np.all(np.isfinite(y), axis=1)
     y = np.where(ok[:, None], y, x)
-    grad_y = np.atleast_2d(density.grad_log_density(y))
-    logp_x = np.atleast_1d(density.log_density(x))
-    logp_y = np.atleast_1d(density.log_density(y))
+    grad_y = density.grad_log_density(y)
+    logp_x = density.log_density(x)
+    logp_y = density.log_density(y)
     with np.errstate(over="ignore", invalid="ignore"):
         log_q_fwd = -np.sum((y - x - tau * grad_x) ** 2, axis=1) / (4.0 * tau)
         log_q_rev = -np.sum((x - y - tau * grad_y) ** 2, axis=1) / (4.0 * tau)
@@ -173,7 +173,7 @@ def test_mala_matches_fresh_evaluation_oracle(make_target, tau, scale):
     assert_same_chains(out.chains, kernels.evaluate(base, target, out.chains.x))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(beta=st.floats(0.0, 1.0), data=st.data())
 def test_chain_state_mixes_like_tempered_and_commutes_with_rows(beta, data):
     base, target = targets.standard_normal(2), targets.make_gmm4()
@@ -184,8 +184,8 @@ def test_chain_state_mixes_like_tempered_and_commutes_with_rows(beta, data):
 
     logp, grad = chains.tempered(beta)
     oracle = targets.tempered(base, target, beta)
-    assert np.array_equal(logp, np.atleast_1d(oracle.log_density(x)))
-    assert np.array_equal(grad, np.atleast_2d(oracle.grad_log_density(x)))
+    assert np.array_equal(logp, oracle.log_density(x))
+    assert np.array_equal(grad, oracle.grad_log_density(x))
 
     idx = data.draw(arrays(np.intp, data.draw(st.integers(1, 9)),
                            elements=st.integers(0, n - 1)), label="idx")
@@ -209,8 +209,7 @@ def flow_at_target(step, target, fp, cfg, x, rng, *extra, base=None, **kw):
 
 def rwmh_log_alpha(target, x, y):
     """Plain random-walk MH log ratio log pi(y) - log pi(x) (clamped at 0)."""
-    return np.minimum(0.0, np.atleast_1d(target.log_density(y))
-                      - np.atleast_1d(target.log_density(x)))
+    return np.minimum(0.0, target.log_density(y) - target.log_density(x))
 
 
 def fresh_flow_rwmh_step(density, fp, cfg, _p0, x, rng):
@@ -378,9 +377,9 @@ def test_flow_rwmh_nonfinite_counts_as_rejection(rng):
     fp = flow.flow_zero(d)
     fp.net_t.biases[-1][:] = 1e300
     heavy = targets.TargetDensity(
-        1, lambda x: -0.5 * np.sum(np.atleast_2d(x) ** 4, axis=-1),
-        lambda x: -2.0 * np.atleast_2d(x) ** 3 if np.ndim(x) > 1 else -2.0 * np.asarray(x) ** 3,
-        lambda x, v: -6.0 * np.atleast_2d(x) ** 2 * v)
+        1, lambda x: -0.5 * np.sum(x ** 4, axis=-1),
+        lambda x: -2.0 * x ** 3,
+        lambda x, v: -6.0 * x ** 2 * v)
     x = np.full((3, 1), 5.0)
     out = flow_at_target(kernels.flow_rwmh_step, heavy, fp, FAST_ODE, x, rng)
     assert out.n_nonfinite == 3
@@ -431,9 +430,9 @@ def test_flow_imh_matches_pullback_oracle(rng):
     # pullback-space IMH ratio: r(z) = pullback(z) - log p0(z) evaluated at the
     # two reference points; alpha = min(1, r(x0) - r(u0))
     ratio = (flow.pullback_log_density(fp, target, x0, cfg)
-             - np.atleast_1d(p0.log_density(x0))
+             - p0.log_density(x0)
              - flow.pullback_log_density(fp, target, u0, cfg)
-             + np.atleast_1d(p0.log_density(u0)))
+             + p0.log_density(u0))
     assert np.allclose(out.log_alpha, np.minimum(0.0, ratio), atol=1e-6)
 
 
@@ -472,6 +471,37 @@ def test_flow_cis_unnormalized_invariance(rng):
                         np.random.Generator(np.random.Philox(8)), 3, base=std)
     assert np.array_equal(o1.chains.x, o2.chains.x)
     assert np.array_equal(o1.accepted, o2.accepted)
+
+
+def test_flow_cis_evaluates_gradients_at_selected_rows_only(rng, monkeypatch):
+    # log pi at all N * n_candidates candidates, which the weights need;
+    # gradients, outside the ODE integration, only at the N selected rows
+    base, target = targets.standard_normal(2), targets.make_gmm4()
+    fp = bent_flow(np.random.Generator(np.random.Philox(11)), 2, 8, 0.5)
+    chains = kernels.evaluate(base, target, 4.0 * rng.standard_normal((16, 2)))
+    rows = {"log_density": [], "grad_log_density": []}
+    integrating = []
+    integrate = kernels.integrate_rows
+
+    def flagged(*args):
+        integrating.append(True)
+        try:
+            return integrate(*args)
+        finally:
+            integrating.pop()
+
+    def counted(name, inner):
+        def wrapper(x):
+            if not integrating:
+                rows[name].append(len(x))
+            return inner(x)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "integrate_rows", flagged)
+    for name in rows:
+        setattr(target, name, counted(name, getattr(target, name)))
+    kernels.flow_cis_step(base, target, fp, FAST_ODE, chains, 0.3, rng, 4)
+    assert rows == {"log_density": [64], "grad_log_density": [16]}
 
 
 def test_flow_cis_zero_candidates_rejected(rng):

@@ -20,54 +20,54 @@ def acts(p, x):
 
 def test_zero_net_outputs_zero():
     p = nets.mlp_zeros((3, 4, 4, 2))
-    assert np.all(nets.mlp_forward(p, np.ones(3)) == 0.0)
+    assert np.all(nets.mlp_forward(p, np.ones((1, 3))) == 0.0)
 
 
 def test_single_linear_layer_identity():
     p = nets.MlpParams([np.eye(3)], [np.zeros(3)])
-    x = np.array([0.3, -1.2, 2.0])
+    x = np.array([[0.3, -1.2, 2.0]])
     assert np.allclose(nets.mlp_forward(p, x), x)
 
 
 def test_forward_not_homogeneous(rng):
     p = small_net(rng)
-    x = rng.standard_normal(3)
+    x = rng.standard_normal((1, 3))
     assert not np.allclose(nets.mlp_forward(p, 2.0 * x), 2.0 * nets.mlp_forward(p, x))
 
 
 def test_forward_shape_mismatch(rng):
     p = small_net(rng)
     with pytest.raises(ShapeMismatch):
-        nets.mlp_forward(p, np.ones(5))
+        nets.mlp_forward(p, np.ones((1, 5)))
 
 
 def test_param_gradient_zero_cotangent(rng):
     p = small_net(rng)
-    g = nets.mlp_param_gradient(p, acts(p, rng.standard_normal(3)), np.zeros(2))
+    g = nets.mlp_param_gradient(p, acts(p, rng.standard_normal((1, 3))), np.zeros((1, 2)))
     assert all(np.all(a == 0.0) for a in g.arrays())
 
 
 def test_param_gradient_linear_closed_form(rng):
     w = np.array([[1.7]])
     p = nets.MlpParams([w], [np.zeros(1)])
-    x = np.array([2.5])
-    cot = np.array([3.0])
+    x = np.array([[2.5]])
+    cot = np.array([[3.0]])
     g = nets.mlp_param_gradient(p, acts(p, x), cot)
-    assert g.weights[0][0, 0] == pytest.approx(cot[0] * x[0])
-    assert g.biases[0][0] == pytest.approx(cot[0])
+    assert g.weights[0][0, 0] == pytest.approx(cot[0, 0] * x[0, 0])
+    assert g.biases[0][0] == pytest.approx(cot[0, 0])
 
 
 def test_param_gradient_matches_finite_differences(rng):
     for _ in range(20):
         p = small_net(rng)
-        x = rng.standard_normal(3)
-        cot = rng.standard_normal(2)
+        x = rng.standard_normal((1, 3))
+        cot = rng.standard_normal((1, 2))
         g = nets.mlp_param_gradient(p, acts(p, x), cot)
         gvec = nets.mlp_to_vector(g)
         vec0 = nets.mlp_to_vector(p)
 
         def f(vec):
-            return float(cot @ nets.mlp_forward(nets.vector_to_mlp(vec, p), x))
+            return float(cot[0] @ nets.mlp_forward(nets.vector_to_mlp(vec, p), x)[0])
 
         fd = richardson_grad(f, vec0)
         assert np.abs(gvec - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
@@ -75,22 +75,22 @@ def test_param_gradient_matches_finite_differences(rng):
 
 def test_input_jvp_zero_tangent(rng):
     p = small_net(rng)
-    assert np.all(nets.mlp_input_jvp(p, acts(p, rng.standard_normal(3)), np.zeros(3)) == 0.0)
+    assert np.all(nets.mlp_input_jvp(p, acts(p, rng.standard_normal((1, 3))), np.zeros(3)) == 0.0)
 
 
 def test_input_jvp_linear_network(rng):
     w = rng.standard_normal((3, 2))
     p = nets.MlpParams([w], [np.zeros(2)])
     tangent = rng.standard_normal(3)
-    out1 = nets.mlp_input_jvp(p, acts(p, rng.standard_normal(3)), tangent)
-    out2 = nets.mlp_input_jvp(p, acts(p, rng.standard_normal(3)), tangent)
+    out1 = nets.mlp_input_jvp(p, acts(p, rng.standard_normal((1, 3))), tangent)
+    out2 = nets.mlp_input_jvp(p, acts(p, rng.standard_normal((1, 3))), tangent)
     assert np.allclose(out1, tangent @ w)
     assert np.allclose(out1, out2)
 
 
 def test_input_jvp_matches_finite_differences(rng):
     p = small_net(rng)
-    x = rng.standard_normal(3)
+    x = rng.standard_normal((1, 3))
     v = rng.standard_normal(3)
     h = 1e-6
     fd = (nets.mlp_forward(p, x + h * v) - nets.mlp_forward(p, x - h * v)) / (2 * h)
@@ -117,7 +117,8 @@ def test_batch_gradient_sums_rows(rng):
     xb = rng.standard_normal((4, 3))
     cb = rng.standard_normal((4, 2))
     total = nets.mlp_to_vector(nets.mlp_param_gradient(p, acts(p, xb), cb))
-    parts = sum(nets.mlp_to_vector(nets.mlp_param_gradient(p, acts(p, xb[i]), cb[i]))
+    parts = sum(nets.mlp_to_vector(nets.mlp_param_gradient(p, acts(p, xb[i:i + 1]),
+                                                        cb[i:i + 1]))
                 for i in range(4))
     assert np.allclose(total, parts, atol=1e-12)
 
@@ -303,5 +304,5 @@ def test_save_arrays_writes_the_concatenated_float64_blob(tmp_path, rng):
 def test_determinism_same_seed():
     a = nets.mlp_init(np.random.Generator(np.random.Philox(4)), (3, 8, 8, 2))
     b = nets.mlp_init(np.random.Generator(np.random.Philox(4)), (3, 8, 8, 2))
-    x = np.linspace(-1, 1, 3)
+    x = np.linspace(-1, 1, 3)[None]
     assert np.array_equal(nets.mlp_forward(a, x), nets.mlp_forward(b, x))

@@ -23,93 +23,93 @@ def all_targets():
 
 def test_gmm4_mode_value():
     t = targets.make_gmm4()
-    assert t.log_density(np.array([8.0, 8.0])) == pytest.approx(np.log(1.0 / (8.0 * np.pi)), abs=1e-12)
+    assert t.log_density(np.array([[8.0, 8.0]]))[0] == pytest.approx(np.log(1.0 / (8.0 * np.pi)), abs=1e-12)
 
 
 def test_gmm4_center_value():
     t = targets.make_gmm4()
-    assert t.log_density(np.zeros(2)) == pytest.approx(-np.log(2.0 * np.pi) - 64.0, abs=1e-10)
+    assert t.log_density(np.zeros((1, 2)))[0] == pytest.approx(-np.log(2.0 * np.pi) - 64.0, abs=1e-10)
 
 
 def test_gmm4_gradient_vanishes_at_mode():
     t = targets.make_gmm4()
-    assert np.all(np.abs(t.grad_log_density(np.array([8.0, 8.0]))) < 1e-50)
+    assert np.all(np.abs(t.grad_log_density(np.array([[8.0, 8.0]]))) < 1e-50)
 
 
 def test_gmm4_dihedral_symmetry(rng):
     t = targets.make_gmm4()
     x = rng.normal(0, 6, size=2)
-    vals = [t.log_density(np.array(p)) for p in
-            [(x[0], x[1]), (-x[0], x[1]), (x[0], -x[1]), (x[1], x[0]),
-             (-x[1], -x[0]), (-x[0], -x[1])]]
+    vals = t.log_density(np.array(
+        [(x[0], x[1]), (-x[0], x[1]), (x[0], -x[1]), (x[1], x[0]),
+         (-x[1], -x[0]), (-x[0], -x[1])]))
     assert np.ptp(vals) < 1e-10
 
 
 def test_gmm16_deterministic_and_positive():
     a = targets.make_gmm16(seed=5)
     b = targets.make_gmm16(seed=5)
-    x = np.array([1.0, -2.0])
-    assert a.log_density(x) == b.log_density(x)
+    x = np.array([[1.0, -2.0]])
+    assert a.log_density(x)[0] == b.log_density(x)[0]
 
 
 def test_gmm16_modes_beat_midpoints():
     t = targets.make_gmm16(seed=0)
     lattice = targets.GMM16_LATTICE
     for mx in lattice:
-        mean = np.array([mx, lattice[0]])
-        mid = np.array([mx, 0.5 * (lattice[0] + lattice[1])])
-        assert t.log_density(mean) >= t.log_density(mid)
+        mean = np.array([[mx, lattice[0]]])
+        mid = np.array([[mx, 0.5 * (lattice[0] + lattice[1])]])
+        assert t.log_density(mean)[0] >= t.log_density(mid)[0]
 
 
 def test_many_well_values():
     t = targets.make_many_well()
-    assert t.log_density(np.zeros(32)) == 0.0
-    x = np.zeros(32)
-    x[0] = 1.0
-    assert t.log_density(x) == pytest.approx(5.5, abs=1e-12)
-    x2 = np.zeros(32)
-    x2[1] = 2.0
-    assert t.grad_log_density(x2)[1] == pytest.approx(-2.0, abs=1e-12)
+    assert t.log_density(np.zeros((1, 32)))[0] == 0.0
+    x = np.zeros((1, 32))
+    x[0, 0] = 1.0
+    assert t.log_density(x)[0] == pytest.approx(5.5, abs=1e-12)
+    x2 = np.zeros((1, 32))
+    x2[0, 1] = 2.0
+    assert t.grad_log_density(x2)[0, 1] == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_field_system_values():
     t = targets.make_field_system()
-    assert t.log_density(np.zeros(64)) == pytest.approx(-50.0, abs=1e-10)
-    assert t.log_density(np.ones(64)) == pytest.approx(-128.0, abs=1e-10)
+    assert t.log_density(np.zeros((1, 64)))[0] == pytest.approx(-50.0, abs=1e-10)
+    assert t.log_density(np.ones((1, 64)))[0] == pytest.approx(-128.0, abs=1e-10)
 
 
 def test_field_system_gradient_odd(rng):
     t = targets.make_field_system(targets.FieldSystemSpec(d=12))
-    x = rng.standard_normal(12)
+    x = rng.standard_normal((1, 12))
     assert np.allclose(t.grad_log_density(-x), -t.grad_log_density(x), atol=1e-12)
 
 
 def test_field_system_reversal_invariance(rng):
     t = targets.make_field_system(targets.FieldSystemSpec(d=10))
-    x = rng.standard_normal(10)
-    assert t.log_density(x[::-1]) == pytest.approx(t.log_density(x), abs=1e-12)
+    x = rng.standard_normal((1, 10))
+    assert t.log_density(x[:, ::-1])[0] == pytest.approx(t.log_density(x)[0], abs=1e-12)
 
 
 def test_lgcp_prior_mean_value():
     spec = targets.LgcpSpec(m_side=6)
     t = targets.make_lgcp(spec, np.zeros((6, 6), dtype=int))
-    x = np.full(spec.dim, spec.mu0)
+    x = np.full((1, spec.dim), spec.mu0)
     expected = -spec.cell_area * spec.dim * np.exp(spec.mu0)
-    assert t.log_density(x) == pytest.approx(expected, rel=1e-12)
+    assert t.log_density(x)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_lgcp_hvp_zero_direction():
     spec = targets.LgcpSpec(m_side=4)
     t = targets.make_lgcp(spec, targets.synthetic_lgcp_counts(spec, seed=2))
-    x = np.linspace(-1, 1, spec.dim)
+    x = np.linspace(-1, 1, spec.dim)[None]
     assert np.all(t.hvp_log_density(x, np.zeros(spec.dim)) == 0.0)
 
 
 def test_lgcp_covariance_factorization():
     spec = targets.LgcpSpec(m_side=8)
     cov = targets.lgcp_covariance(spec)
-    t = targets.make_lgcp(spec, targets.synthetic_lgcp_counts(spec, seed=0))
-    chol = t.covariance_cholesky
+    targets.make_lgcp(spec, targets.synthetic_lgcp_counts(spec, seed=0))
+    chol = spec.covariance_cholesky
     rel = np.abs(chol @ chol.T - cov).max() / np.abs(cov).max()
     assert rel <= 1e-8
 
@@ -138,8 +138,8 @@ def test_lgcp_counts_shape_mismatch():
 def test_gradient_matches_finite_differences(target, rng):
     for _ in range(10):
         x = rng.normal(0, 2, size=target.dim)
-        g = target.grad_log_density(x)
-        fd = finite_diff_grad(target.log_density, x)
+        g = target.grad_log_density(x[None])[0]
+        fd = finite_diff_grad(lambda z: target.log_density(z[None])[0], x)
         denom = max(1.0, np.abs(fd).max())
         assert np.abs(g - fd).max() / denom <= 1e-5
 
@@ -148,19 +148,32 @@ def test_gradient_matches_finite_differences(target, rng):
 def test_hvp_matches_finite_difference_hessian(target, rng):
     if target.dim > 16:
         pytest.skip("column-wise check runs on dims <= 16")
-    x = rng.normal(0, 1.5, size=target.dim)
+    x = rng.normal(0, 1.5, size=(1, target.dim))
     h = 1e-5
     cols = []
     for i in range(target.dim):
         e = np.zeros(target.dim)
         e[i] = 1.0
-        cols.append((target.grad_log_density(x + h * e)
-                     - target.grad_log_density(x - h * e)) / (2.0 * h))
+        cols.append((target.grad_log_density(x + h * e)[0]
+                     - target.grad_log_density(x - h * e)[0]) / (2.0 * h))
     hess_fd = np.column_stack(cols)
-    hvp = np.column_stack([target.hvp_log_density(x, np.eye(target.dim)[i])
+    hvp = np.column_stack([target.hvp_log_density(x, np.eye(target.dim)[i])[0]
                            for i in range(target.dim)])
     denom = max(1.0, np.abs(hess_fd).max())
     assert np.abs(hvp - hess_fd).max() / denom <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "target", all_targets() + [targets.tempered(targets.standard_normal(2),
+                                                targets.make_gmm4(), 0.3)],
+    ids=lambda t: t.name)
+def test_hvp_one_direction_broadcasts_over_rows(target, rng):
+    # the exact divergence passes one (d,) basis direction for all rows,
+    # Hutchinson one (N, d) probe per row; both must give the same rows
+    xb = rng.normal(0, 2, size=(5, target.dim))
+    for e in (np.eye(target.dim)[target.dim - 1], rng.standard_normal(target.dim)):
+        assert np.array_equal(target.hvp_log_density(xb, e),
+                              target.hvp_log_density(xb, np.tile(e, (5, 1))))
 
 
 def test_batched_matches_single(rng):
@@ -169,8 +182,8 @@ def test_batched_matches_single(rng):
         lb = target.log_density(xb)
         gb = target.grad_log_density(xb)
         for i in range(4):
-            assert lb[i] == pytest.approx(target.log_density(xb[i]), rel=1e-14)
-            assert np.allclose(gb[i], target.grad_log_density(xb[i]), rtol=1e-14)
+            assert lb[i] == pytest.approx(target.log_density(xb[i:i + 1])[0], rel=1e-14)
+            assert np.allclose(gb[i], target.grad_log_density(xb[i:i + 1])[0], rtol=1e-14)
 
 
 # -- tempering ------------------------------------------------------------------
@@ -178,27 +191,27 @@ def test_batched_matches_single(rng):
 def test_tempered_endpoints(rng):
     base = targets.standard_normal(3)
     target = targets.gaussian(np.ones(3), 2.0)
-    x = rng.standard_normal(3)
-    assert targets.tempered(base, target, 0.0).log_density(x) == base.log_density(x)
-    assert targets.tempered(base, target, 1.0).log_density(x) == target.log_density(x)
+    x = rng.standard_normal((1, 3))
+    assert targets.tempered(base, target, 0.0).log_density(x)[0] == base.log_density(x)[0]
+    assert targets.tempered(base, target, 1.0).log_density(x)[0] == target.log_density(x)[0]
 
 
 def test_tempered_identical_endpoints(rng):
     std = targets.standard_normal(2)
     half = targets.tempered(std, targets.standard_normal(2), 0.5)
-    x = rng.standard_normal(2)
-    assert half.log_density(x) == pytest.approx(std.log_density(x), abs=1e-12)
+    x = rng.standard_normal((1, 2))
+    assert half.log_density(x)[0] == pytest.approx(std.log_density(x)[0], abs=1e-12)
 
 
 def test_tempered_affine_in_beta(rng):
     base = targets.standard_normal(2)
     target = targets.make_gmm4()
-    x = np.array([5.0, 5.0])
-    vals = [targets.tempered(base, target, b).log_density(x)
+    x = np.array([[5.0, 5.0]])
+    vals = [targets.tempered(base, target, b).log_density(x)[0]
             for b in (0.2, 0.5, 0.8)]
     # affine: midpoint equals average of endpoints
     assert vals[1] == pytest.approx(0.5 * (vals[0] + vals[2]), abs=1e-10)
-    if target.log_density(x) > base.log_density(x):
+    if target.log_density(x)[0] > base.log_density(x)[0]:
         assert vals[0] < vals[1] < vals[2]
 
 
@@ -211,7 +224,7 @@ def test_tempered_gradient_and_hvp_combine(rng):
     base = targets.standard_normal(2)
     target = targets.make_gmm4()
     mid = targets.tempered(base, target, 0.3)
-    x = rng.standard_normal(2)
+    x = rng.standard_normal((1, 2))
     v = rng.standard_normal(2)
     assert np.allclose(mid.grad_log_density(x),
                        0.3 * target.grad_log_density(x) + 0.7 * base.grad_log_density(x))
