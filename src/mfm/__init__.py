@@ -8,15 +8,15 @@ temperature ladder bridges from a simple base density to the target.
 """
 
 from .diagnostics import DiagnosticsReport
-from .driver import ChainEnsemble, MfmConfig, RunArtifacts, run_atsmc, run_fm_oracle, run_mfm
+from .driver import (ChainEnsemble, ExperimentConfig, RunArtifacts, run_atsmc,
+                     run_fm_oracle, run_mfm)
 from .flow import FlowParams, OdeConfig
-from .kernels import KernelOutcome, MalaConfig
+from .kernels import KernelOutcome
 from .targets import TargetDensity
 from .tempering import TemperState
 
 __all__ = [
-    "ChainEnsemble", "DiagnosticsReport", "FlowParams", "KernelOutcome",
-    "MalaConfig", "MfmConfig", "OdeConfig", "RunArtifacts", "TargetDensity",
-    "TemperState",
+    "ChainEnsemble", "DiagnosticsReport", "ExperimentConfig", "FlowParams",
+    "KernelOutcome", "OdeConfig", "RunArtifacts", "TargetDensity", "TemperState",
     "run_atsmc", "run_fm_oracle", "run_mfm",
 ]

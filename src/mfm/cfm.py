@@ -8,8 +8,6 @@ only, from the forward caches that ``flow.field`` returns; the conditional
 field carries no parameters.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import nets
@@ -19,36 +17,26 @@ from .nets import AdamState
 from .targets import TargetDensity
 
 
-@dataclass
-class OtPathConfig:
-    """Optimal-transport conditional path; sigma_min is the terminal scale."""
-
-    sigma_min: float = 1e-2
-
-    def __post_init__(self):
-        if not 0.0 < self.sigma_min < 1.0:
-            raise ValueError(f"sigma_min must lie strictly in (0, 1), got {self.sigma_min}")
-
-
-def interpolant(cfg: OtPathConfig, t, x0, x1):
+def interpolant(sigma_min: float, t, x0, x1):
     """phi_t(x0 | x1) = (1 - (1 - sigma_min) t) x0 + t x1.
 
-    t is a scalar or an (N, 1) column against (N, d) positions.
+    sigma_min in (0, 1) is the terminal scale of the path; t is a scalar
+    or an (N, 1) column against (N, d) positions.
     """
-    return (1.0 - (1.0 - cfg.sigma_min) * t) * x0 + t * x1
+    return (1.0 - (1.0 - sigma_min) * t) * x0 + t * x1
 
 
-def conditional_field(cfg: OtPathConfig, t, x, x1):
+def conditional_field(sigma_min: float, t, x, x1):
     """v_t(x | x1) = (x1 - (1 - sigma_min) x) / (1 - (1 - sigma_min) t).
 
     t is a scalar or an (N, 1) column against (N, d) positions.
     """
-    shrink = 1.0 - cfg.sigma_min
+    shrink = 1.0 - sigma_min
     return (x1 - shrink * x) / (1.0 - shrink * t)
 
 
 def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
-                      cfg: OtPathConfig, particles: np.ndarray,
+                      sigma_min: float, particles: np.ndarray,
                       rng: np.random.Generator):
     """Monte Carlo loss (1/N) sum ||v_theta - v_cond||^2 and its gradient.
 
@@ -61,8 +49,8 @@ def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
         raise ValueError("need at least one particle")
     t = rng.uniform(size=n)
     x0 = rng.standard_normal((n, d))
-    xt = interpolant(cfg, t[:, None], x0, particles)
-    v_cond = conditional_field(cfg, t[:, None], xt, particles)
+    xt = interpolant(sigma_min, t[:, None], x0, particles)
+    v_cond = conditional_field(sigma_min, t[:, None], xt, particles)
 
     fe = field(flow_params, target, t, xt)
     residual = fe.v - v_cond
@@ -89,10 +77,10 @@ def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
 
 
 def train_step(flow_params: FlowParams, adam: AdamState, target: TargetDensity,
-               cfg: OtPathConfig, particles: np.ndarray,
+               sigma_min: float, particles: np.ndarray,
                rng: np.random.Generator):
     """One Adam update on the CFM gradient; returns (params, adam, loss)."""
-    loss, grad = cfm_loss_and_grad(flow_params, target, cfg, particles, rng)
+    loss, grad = cfm_loss_and_grad(flow_params, target, sigma_min, particles, rng)
     vec, new_adam = nets.adam_step(adam, flow_to_vector(flow_params),
                                    flow_to_vector(grad))
     return vector_to_flow(vec, flow_params), new_adam, loss

@@ -1,11 +1,18 @@
-"""Command-line entry point and experiment configuration.
+"""Command-line entry point: config parsing, target construction, artifacts.
 
 Configs are flat ``key = value`` files (JSON-typed values, ``#`` comments)
 overridable by flags; presets bundle the per-experiment hyperparameters.
-Every run writes four artifacts into the output directory: the final
-particle ensemble (samples.csv), the trained flow (flow.ckpt), the
-per-iteration run log (runlog.csv) and the diagnostics summary
-(diagnostics.json), plus the resolved config itself for reruns.
+The run configuration itself is ``driver.ExperimentConfig``, which
+validates every field when it is built, so a bad value is refused before
+anything is written.  What each mode writes into the output directory:
+
+- mfm and fm-oracle: the resolved config (config.resolved), the final
+  particle ensemble (samples.csv), the per-iteration run log
+  (runlog.csv), the diagnostics summary (diagnostics.json) and the
+  trained flow (flow.ckpt);
+- atsmc: the same without flow.ckpt, since it trains no flow;
+- diagnose: reads flow.ckpt and runlog.csv of an earlier run and
+  rewrites diagnostics.json only; config.resolved is left as it is.
 """
 
 import argparse
@@ -13,18 +20,14 @@ import csv
 import hashlib
 import json
 import sys
-import time
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
-from . import diagnostics, driver, flow, targets
-from .cfm import OtPathConfig
+from . import driver, flow, targets
+from .driver import ExperimentConfig
 from .errors import ConfigError
-from .flow import OdeConfig
-from .kernels import MalaConfig
 
 PRESETS = {
     "gmm4": dict(target="gmm4", particles=128, hidden=128, mala_tau=0.2,
@@ -40,38 +43,6 @@ PRESETS = {
 }
 
 _BUNDLED_COUNTS = Path(__file__).parent / "data" / "lgcp_counts_40.csv"
-
-
-@dataclass
-class ExperimentConfig:
-    """Flat, fully resolved description of one run."""
-
-    mode: str = "mfm"              # mfm | atsmc | fm-oracle | diagnose
-    preset: Optional[str] = None
-    target: str = "gmm4"
-    seed: Optional[int] = None     # mandatory; no default on purpose
-    out: str = "runs/out"
-    workers: int = 1
-    iters: int = 1000
-    particles: int = 128
-    kq: int = 100
-    alpha: float = 0.5
-    mala_tau: float = 0.2
-    ode_steps: int = 32
-    divergence: str = "exact"      # exact | hutchinson:N
-    sigma_min: float = 1e-2
-    hidden: int = 128
-    step_size: float = 1e-3
-    nonlocal_kernel: str = "rwmh"
-    n_candidates: int = 4
-    temper: bool = True
-    diag_samples: int = 2048
-    init_mean: Optional[list] = None
-    init_scale: float = 1.0
-    m_side: int = 40
-    counts_csv: Optional[str] = None
-    gmm16_seed: int = 0
-
 
 _FIELD_TYPES = {f.name: f for f in fields(ExperimentConfig)}
 
@@ -110,7 +81,8 @@ def read_config_file(path) -> dict:
 
 
 def parse_config(path=None, overrides: dict = None) -> ExperimentConfig:
-    """Merge preset defaults, config file and flag overrides, then validate."""
+    """Merge preset defaults, config file and flag overrides; building the
+    ExperimentConfig validates the result."""
     file_values = read_config_file(path) if path else {}
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     merged = dict(file_values)
@@ -128,21 +100,7 @@ def parse_config(path=None, overrides: dict = None) -> ExperimentConfig:
     unknown = set(merged) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown config field")
-    cfg = ExperimentConfig(**merged)
-
-    if cfg.seed is None:
-        raise ConfigError("seed", "a seed is mandatory")
-    if cfg.mode not in ("mfm", "atsmc", "fm-oracle", "diagnose"):
-        raise ConfigError("mode", f"unknown mode {cfg.mode!r}")
-    if cfg.target not in ("gmm4", "gmm16", "manywell", "field", "lgcp"):
-        raise ConfigError("target", f"unknown target {cfg.target!r}")
-    if ":" in cfg.divergence:
-        name, n = cfg.divergence.split(":", 1)
-        if name != "hutchinson" or not n.isdigit() or int(n) < 1:
-            raise ConfigError("divergence", f"bad value {cfg.divergence!r}")
-    elif cfg.divergence not in ("exact", "hutchinson"):
-        raise ConfigError("divergence", f"bad value {cfg.divergence!r}")
-    return cfg
+    return ExperimentConfig(**merged)
 
 
 def build_target(cfg: ExperimentConfig) -> targets.TargetDensity:
@@ -162,33 +120,6 @@ def build_target(cfg: ExperimentConfig) -> targets.TargetDensity:
     else:
         counts = targets.synthetic_lgcp_counts(spec, seed=0)
     return targets.make_lgcp(spec, counts)
-
-
-def to_driver_config(cfg: ExperimentConfig) -> driver.MfmConfig:
-    if ":" in cfg.divergence:
-        mode, n_probes = cfg.divergence.split(":")
-        ode = OdeConfig(cfg.ode_steps, mode, int(n_probes))
-    else:
-        ode = OdeConfig(cfg.ode_steps, cfg.divergence, 1)
-    return driver.MfmConfig(
-        iters=cfg.iters,
-        particles=cfg.particles,
-        k_q=cfg.kq,
-        alpha_target=cfg.alpha,
-        mala=MalaConfig(cfg.mala_tau),
-        ode=ode,
-        ot=OtPathConfig(cfg.sigma_min),
-        nonlocal_kernel=cfg.nonlocal_kernel,
-        n_candidates=cfg.n_candidates,
-        hidden=cfg.hidden,
-        step_size=cfg.step_size,
-        seed=cfg.seed,
-        temper=cfg.temper,
-        init_mean=None if cfg.init_mean is None else np.asarray(cfg.init_mean),
-        init_scale=cfg.init_scale,
-        diag_samples=cfg.diag_samples,
-        workers=cfg.workers,
-    )
 
 
 # -- Artifact I/O --------------------------------------------------------------
@@ -272,51 +203,34 @@ def write_diagnostics_json(path, report, rows) -> dict:
 def run(cfg: ExperimentConfig) -> int:
     """Execute one configured run and write its artifacts; returns exit status."""
     out = Path(cfg.out)
+    if cfg.mode == "diagnose":
+        return _run_diagnose(cfg, out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved").write_text(config_lines(cfg))
 
     target = build_target(cfg)
     base = targets.standard_normal(target.dim)
-    dcfg = to_driver_config(cfg)
-
-    if cfg.mode == "diagnose":
-        return _run_diagnose(cfg, out, target, dcfg)
-
-    if cfg.mode == "mfm":
-        artifacts = driver.run_mfm(base, target, dcfg)
+    runner = {"mfm": driver.run_mfm, "atsmc": driver.run_atsmc,
+              "fm-oracle": driver.run_fm_oracle}[cfg.mode]
+    artifacts = runner(base, target, cfg)
+    if artifacts.flow_params is not None:
         flow.save_flow(out / "flow.ckpt", artifacts.flow_params)
-        positions, rows, report = (artifacts.ensemble.positions,
-                                   artifacts.log_rows, artifacts.report)
-    elif cfg.mode == "fm-oracle":
-        artifacts = driver.run_fm_oracle(target, dcfg)
-        flow.save_flow(out / "flow.ckpt", artifacts.flow_params)
-        positions, rows, report = (artifacts.ensemble.positions,
-                                   artifacts.log_rows, artifacts.report)
-    else:  # atsmc: no flow is trained, diagnostics score the ensemble itself
-        # MMD needs equal-size sets, so the ensemble is scored against as
-        # many exact draws as it has particles; diag_samples does not apply.
-        t0 = time.perf_counter()
-        ens, rows = driver.run_atsmc(base, target, dcfg)
-        positions = ens.positions
-        exact = target.sampler(driver.diag_rng(cfg.seed), len(positions)) \
-            if target.sampler else None
-        report = diagnostics.compute_report(target, positions, exact,
-                                wall_seconds=time.perf_counter() - t0,
-                                workers=cfg.workers)
-
-    write_samples_csv(out / "samples.csv", cfg, positions)
-    write_runlog_csv(out / "runlog.csv", cfg, rows)
-    write_diagnostics_json(out / "diagnostics.json", report, rows)
+    write_samples_csv(out / "samples.csv", cfg, artifacts.ensemble.positions)
+    write_runlog_csv(out / "runlog.csv", cfg, artifacts.log_rows)
+    write_diagnostics_json(out / "diagnostics.json", artifacts.report,
+                           artifacts.log_rows)
     return 0
 
 
-def _run_diagnose(cfg, out, target, dcfg) -> int:
+def _run_diagnose(cfg: ExperimentConfig, out: Path) -> int:
+    """Re-score a stored flow; rewrites diagnostics.json and nothing else."""
     ckpt = out / "flow.ckpt"
     if not ckpt.exists():
         raise ConfigError("out", f"no flow checkpoint at {ckpt}")
+    target = build_target(cfg)
     flow_params = flow.load_flow(ckpt)
     rows = load_runlog_csv(out / "runlog.csv")
-    report = driver.diagnose_flow(flow_params, target, dcfg)
+    report = driver.diagnose_flow(flow_params, target, cfg)
     write_diagnostics_json(out / "diagnostics.json", report, rows)
     return 0
 
@@ -340,7 +254,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out")
     parser.add_argument("--workers", type=int)
-    parser.add_argument("--mode", choices=["mfm", "atsmc", "fm-oracle", "diagnose"])
+    parser.add_argument("--mode", choices=driver.MODES)
     parser.add_argument("--kq", type=int)
     parser.add_argument("--iters", type=int)
     parser.add_argument("--particles", type=int)

@@ -1,5 +1,16 @@
 """Run orchestration: the adaptive flow-training sampler and baselines.
 
+One :class:`ExperimentConfig` describes a run.  Constructing it validates
+every field, raising ``ConfigError(field, ...)``, and derives the one
+``OdeConfig`` the flow kernels and the closing push integrate with, so a
+config that exists is a config that can run.
+
+The three runners share one contract: ``run_mfm``, ``run_atsmc`` and
+``run_fm_oracle`` take ``(base, target, cfg)`` and return
+:class:`RunArtifacts`, the trained flow (``None`` for atsmc, which trains
+none), the final ensemble, one log row per iteration or level, and the
+diagnostics report of the run.
+
 Each iteration of the main loop (run_mfm):
   1. while the inverse temperature is below 1, solve the ESS equation for
      the next beta and rebuild the annealed density;
@@ -19,49 +30,96 @@ worker counts never touch either stream, so runs are bit-reproducible.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import List, Optional
 
 import numpy as np
 
 from . import cfm, diagnostics, flow, kernels, nets, tempering
 from .diagnostics import DiagnosticsReport
-from .errors import DegenerateWeights, DimensionMismatch, NonFiniteLoss
+from .errors import ConfigError, DegenerateWeights, DimensionMismatch, NonFiniteLoss
 from .flow import FlowParams, OdeConfig
-from .kernels import ChainState, MalaConfig
-from .targets import TargetDensity, standard_normal, tempered
+from .kernels import ChainState, KernelOutcome
+from .targets import TargetDensity, tempered
 from .tempering import TemperState
 
 MAX_NONFINITE_LOSSES = 100
 
 
-@dataclass
-class MfmConfig:
-    """Knobs of the adaptive run; defaults match the desk-scale presets."""
+MODES = ("mfm", "atsmc", "fm-oracle", "diagnose")
+TARGETS = ("gmm4", "gmm16", "manywell", "field", "lgcp")
+NONLOCAL_KERNELS = ("rwmh", "imh", "cis")
+# accepted value types per annotation; JSON writes a whole float as an int
+_VALUE_TYPES = {int: int, float: (int, float), str: str, bool: bool}
 
-    iters: int = 1000                 # K
-    particles: int = 128              # N
-    k_q: int = 100                    # local steps per flow step
-    alpha_target: float = 0.5
-    mala: MalaConfig = field(default_factory=lambda: MalaConfig(0.2))
-    ode: OdeConfig = field(default_factory=OdeConfig)
-    ot: cfm.OtPathConfig = field(default_factory=cfm.OtPathConfig)
-    nonlocal_kernel: str = "rwmh"     # rwmh | imh | cis
-    n_candidates: int = 4
-    hidden: int = 128
-    step_size: float = 1e-3           # initial Adam step, decays linearly to 0
-    seed: int = 0
-    temper: bool = True
-    init_mean: Optional[np.ndarray] = None
-    init_scale: float = 1.0
-    diag_samples: int = 2048
+
+def _require(ok: bool, name: str, message: str) -> None:
+    if not ok:
+        raise ConfigError(name, message)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Flat, fully resolved description of one run; validated on construction.
+
+    ``ode`` (not a field) is the OdeConfig parsed from ode_steps and
+    divergence ("exact", "hutchinson" or "hutchinson:N" with N probes).
+    """
+
+    mode: str = "mfm"              # mfm | atsmc | fm-oracle | diagnose
+    preset: Optional[str] = None
+    target: str = "gmm4"
+    seed: Optional[int] = None     # mandatory; no default on purpose
+    out: str = "runs/out"
     workers: int = 1
+    iters: int = 1000              # K
+    particles: int = 128           # N
+    kq: int = 100                  # local steps per flow step
+    alpha: float = 0.5             # ESS target of the temperature ladder
+    mala_tau: float = 0.2
+    ode_steps: int = 32
+    divergence: str = "exact"      # exact | hutchinson | hutchinson:N
+    sigma_min: float = 1e-2        # terminal scale of the OT path
+    hidden: int = 128
+    step_size: float = 1e-3        # initial Adam step, decays linearly to 0
+    nonlocal_kernel: str = "rwmh"  # rwmh | imh | cis
+    n_candidates: int = 4
+    temper: bool = True
+    diag_samples: int = 2048
+    init_mean: Optional[list] = None
+    init_scale: float = 1.0
+    m_side: int = 40
+    counts_csv: Optional[str] = None
+    gmm16_seed: int = 0
 
     def __post_init__(self):
-        if self.iters < 1 or self.particles < 1 or self.k_q < 1:
-            raise ValueError("iters, particles and k_q must all be >= 1")
-        if self.nonlocal_kernel not in ("rwmh", "imh", "cis"):
-            raise ValueError(f"unknown non-local kernel {self.nonlocal_kernel!r}")
+        _require(self.seed is not None, "seed", "a seed is mandatory")
+        for f in fields(self):
+            value, kind = getattr(self, f.name), _VALUE_TYPES.get(f.type)
+            _require(kind is None or isinstance(value, kind), f.name,
+                     f"expected {f.type.__name__}, got {value!r}")
+        _require(isinstance(self.seed, int), "seed", f"expected int, got {self.seed!r}")
+        _require(self.mode in MODES, "mode", f"unknown mode {self.mode!r}")
+        _require(self.target in TARGETS, "target", f"unknown target {self.target!r}")
+        for name in ("iters", "particles", "kq", "ode_steps", "n_candidates"):
+            _require(getattr(self, name) >= 1, name, "must be >= 1")
+        # the unbiased MMD and KSD of the closing report need two samples
+        _require(self.diag_samples >= 2, "diag_samples", "must be >= 2")
+        _require(self.nonlocal_kernel in NONLOCAL_KERNELS, "nonlocal_kernel",
+                 f"unknown non-local kernel {self.nonlocal_kernel!r}")
+        _require(self.mala_tau > 0, "mala_tau", "must be > 0")
+        # alpha >= 1 has no ESS crossing: the ladder would creep towards 1
+        _require(0.0 < self.alpha < 1.0, "alpha", "must lie strictly in (0, 1)")
+        _require(0.0 < self.sigma_min < 1.0, "sigma_min",
+                 "must lie strictly in (0, 1)")
+        estimator, colon, probes = self.divergence.partition(":")
+        if colon:
+            ok = estimator == "hutchinson" and probes.isdigit() and int(probes) >= 1
+        else:
+            ok = estimator in ("exact", "hutchinson")
+        _require(ok, "divergence", f"bad value {self.divergence!r}")
+        n_probes = int(probes) if colon else 1
+        object.__setattr__(self, "ode", OdeConfig(self.ode_steps, estimator, n_probes))
 
 
 @dataclass
@@ -82,6 +140,20 @@ class ChainEnsemble:
     @property
     def positions(self) -> np.ndarray:
         return self.chains.x
+
+    def advance(self, out: KernelOutcome, flow_step: bool) -> None:
+        """Take a kernel's next chains and count its proposals, acceptances
+        and non-finite rejections under the local or the flow kernel."""
+        accepted = int(np.sum(out.accepted))
+        if flow_step:
+            self.flow_proposed += len(out.accepted)
+            self.flow_accepted += accepted
+            self.nonfinite_flow += out.n_nonfinite
+        else:
+            self.local_proposed += len(out.accepted)
+            self.local_accepted += accepted
+            self.nonfinite_local += out.n_nonfinite
+        self.chains = out.chains
 
     def log_row(self, loss: float) -> dict:
         """One run-log row: the state after this iteration, counts cumulative."""
@@ -106,10 +178,12 @@ class ChainEnsemble:
 
 @dataclass
 class RunArtifacts:
-    flow_params: FlowParams
+    """What every runner returns; flow_params is None when no flow is trained."""
+
+    flow_params: Optional[FlowParams]
     ensemble: ChainEnsemble
     log_rows: List[dict]
-    report: Optional[DiagnosticsReport]
+    report: DiagnosticsReport
 
 
 def _root_rng(seed: int) -> np.random.Generator:
@@ -126,7 +200,7 @@ def is_flow_iteration(k: int, k_q: int) -> bool:
     return k % k_q == (k_q - 1) % k_q
 
 
-def _initial_positions(cfg: MfmConfig, base: TargetDensity,
+def _initial_positions(cfg: ExperimentConfig, base: TargetDensity,
                        rng: np.random.Generator) -> np.ndarray:
     if cfg.init_mean is not None:
         mean = np.asarray(cfg.init_mean, dtype=float)
@@ -136,20 +210,24 @@ def _initial_positions(cfg: MfmConfig, base: TargetDensity,
     return base.sampler(rng, cfg.particles)
 
 
+def _check_dims(base: TargetDensity, target: TargetDensity) -> None:
+    if base.dim != target.dim:
+        raise DimensionMismatch(f"base dim {base.dim} != target dim {target.dim}")
+
+
 def run_mfm(base: TargetDensity, target: TargetDensity,
-            cfg: MfmConfig) -> RunArtifacts:
+            cfg: ExperimentConfig) -> RunArtifacts:
     """Adaptive run: tempered MCMC mutations interleaved with flow training.
 
     Returns the trained flow, the final ensemble, one log row per iteration
     and a diagnostics report computed from flow-pushed samples.
     """
-    if base.dim != target.dim:
-        raise DimensionMismatch(f"base dim {base.dim} != target dim {target.dim}")
+    _check_dims(base, target)
     t_start = time.perf_counter()
     rng = _root_rng(cfg.seed)
 
     positions = _initial_positions(cfg, base, rng)
-    temper_state = TemperState(0.0 if cfg.temper else 1.0, cfg.alpha_target)
+    temper_state = TemperState(0.0 if cfg.temper else 1.0, cfg.alpha)
     ens = ChainEnsemble(kernels.evaluate(base, target, positions), temper_state)
 
     flow_params = flow.flow_init(rng, target.dim, cfg.hidden)
@@ -165,7 +243,8 @@ def run_mfm(base: TargetDensity, target: TargetDensity,
             ens.temper = tempering.next_beta(ens.chains.log_ratios(), ens.temper)
             current = tempered(base, target, ens.temper.beta)
 
-        if is_flow_iteration(k, cfg.k_q):
+        flow_step = is_flow_iteration(k, cfg.kq)
+        if flow_step:
             args = (base, target, flow_params, cfg.ode, ens.chains,
                     ens.temper.beta, rng)
             if cfg.nonlocal_kernel == "rwmh":
@@ -174,21 +253,15 @@ def run_mfm(base: TargetDensity, target: TargetDensity,
                 out = kernels.flow_imh_step(*args)
             else:
                 out = kernels.flow_cis_step(*args, cfg.n_candidates)
-            ens.flow_proposed += cfg.particles
-            ens.flow_accepted += int(np.sum(out.accepted))
-            ens.nonfinite_flow += out.n_nonfinite
         else:
-            out = kernels.mala_step(base, target, cfg.mala, ens.chains,
+            out = kernels.mala_step(base, target, cfg.mala_tau, ens.chains,
                                     ens.temper.beta, rng)
-            ens.local_proposed += cfg.particles
-            ens.local_accepted += int(np.sum(out.accepted))
-            ens.nonfinite_local += out.n_nonfinite
-        ens.chains = out.chains
+        ens.advance(out, flow_step)
         ens.iteration = k
 
         try:
             flow_params, adam, loss = cfm.train_step(
-                flow_params, adam, current, cfg.ot, ens.positions, rng)
+                flow_params, adam, current, cfg.sigma_min, ens.positions, rng)
             nonfinite_streak = 0
         except NonFiniteLoss:
             nonfinite_streak += 1
@@ -206,7 +279,7 @@ def run_mfm(base: TargetDensity, target: TargetDensity,
 
 
 def diagnose_flow(flow_params: FlowParams, target: TargetDensity,
-                  cfg: MfmConfig, wall_seconds: float = None) -> DiagnosticsReport:
+                  cfg: ExperimentConfig, wall_seconds: float = None) -> DiagnosticsReport:
     """Push reference draws through the flow and score them.
 
     Uses a dedicated child stream of the seed, so the same (seed, flow)
@@ -224,32 +297,29 @@ def diagnose_flow(flow_params: FlowParams, target: TargetDensity,
                                       wall_seconds=elapsed, workers=cfg.workers)
 
 
-def run_atsmc(base: TargetDensity, target: TargetDensity, cfg: MfmConfig):
+def run_atsmc(base: TargetDensity, target: TargetDensity,
+              cfg: ExperimentConfig) -> RunArtifacts:
     """Adaptive tempered SMC baseline with Langevin mutations.
 
     At each level: solve for the next beta, importance-weight the particles
     with the incremental weights, resample multinomially, then run k_q
     Langevin passes at the new temperature.  A final sweep runs at beta = 1.
-    Returns (ensemble, log_rows).
+    No flow is trained, so the report scores the final ensemble itself.
     """
-    if base.dim != target.dim:
-        raise DimensionMismatch(f"base dim {base.dim} != target dim {target.dim}")
+    _check_dims(base, target)
+    t_start = time.perf_counter()
     rng = _root_rng(cfg.seed)
     if base.sampler is None:
         raise ValueError("base density must provide a sampler")
     positions = base.sampler(rng, cfg.particles)
     ens = ChainEnsemble(kernels.evaluate(base, target, positions),
-                        TemperState(0.0, cfg.alpha_target))
+                        TemperState(0.0, cfg.alpha))
     log_rows = []
 
     def mala_sweep():
-        for _ in range(cfg.k_q):
-            out = kernels.mala_step(base, target, cfg.mala, ens.chains,
-                                    ens.temper.beta, rng)
-            ens.chains = out.chains
-            ens.local_proposed += cfg.particles
-            ens.local_accepted += int(np.sum(out.accepted))
-            ens.nonfinite_local += out.n_nonfinite
+        for _ in range(cfg.kq):
+            ens.advance(kernels.mala_step(base, target, cfg.mala_tau, ens.chains,
+                                          ens.temper.beta, rng), False)
 
     while ens.temper.beta < 1.0:
         beta_prev = ens.temper.beta
@@ -270,15 +340,26 @@ def run_atsmc(base: TargetDensity, target: TargetDensity, cfg: MfmConfig):
     mala_sweep()   # final sweep at the target itself (beta = 1)
     ens.iteration += 1
     log_rows.append(ens.log_row(float("nan")))
-    return ens, log_rows
+
+    # MMD needs equal-size sets, so the ensemble is scored against as many
+    # exact draws as it has particles; diag_samples does not apply.
+    exact = target.sampler(diag_rng(cfg.seed), cfg.particles) \
+        if target.sampler else None
+    report = diagnostics.compute_report(
+        target, ens.positions, exact,
+        wall_seconds=time.perf_counter() - t_start, workers=cfg.workers)
+    return RunArtifacts(None, ens, log_rows, report)
 
 
-def run_fm_oracle(target: TargetDensity, cfg: MfmConfig) -> RunArtifacts:
+def run_fm_oracle(base: TargetDensity, target: TargetDensity,
+                  cfg: ExperimentConfig) -> RunArtifacts:
     """Train the flow on exact target draws: the quality ceiling.
 
     Only available for targets with an exact sampler (mixtures, product
     targets); each step regresses on a fresh batch of cfg.particles draws.
+    The final ensemble is fresh exact draws, cached against base.
     """
+    _check_dims(base, target)
     if target.sampler is None:
         raise ValueError(f"target {target.name!r} admits no exact sampling")
     t_start = time.perf_counter()
@@ -290,17 +371,15 @@ def run_fm_oracle(target: TargetDensity, cfg: MfmConfig) -> RunArtifacts:
     for k in range(1, cfg.iters + 1):
         batch = target.sampler(rng, cfg.particles)
         flow_params, adam, loss = cfm.train_step(
-            flow_params, adam, target, cfg.ot, batch, rng)
+            flow_params, adam, target, cfg.sigma_min, batch, rng)
         log_rows.append({
             "iteration": k, "beta": 1.0, "loss": loss,
             "acceptance_local": 0.0, "acceptance_flow": 0.0,
             "nonfinite_local": 0, "nonfinite_flow": 0,
         })
-    # the final ensemble is fresh exact draws; the flow's standard normal
-    # reference stands in as the base density of its cache
     final = target.sampler(rng, cfg.particles)
-    ens = ChainEnsemble(kernels.evaluate(standard_normal(target.dim), target, final),
-                        TemperState(1.0, cfg.alpha_target), cfg.iters)
+    ens = ChainEnsemble(kernels.evaluate(base, target, final),
+                        TemperState(1.0, cfg.alpha), cfg.iters)
     report = diagnose_flow(flow_params, target, cfg,
                            wall_seconds=time.perf_counter() - t_start)
     return RunArtifacts(flow_params, ens, log_rows, report)

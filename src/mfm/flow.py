@@ -62,10 +62,9 @@ class OdeConfig:
             raise ValueError("hutchinson needs n_probes >= 1")
 
 
-def flow_init(rng: np.random.Generator, dim: int, hidden: int = 128,
-              fourier: FourierFeatures = None) -> FlowParams:
+def flow_init(rng: np.random.Generator, dim: int, hidden: int = 128) -> FlowParams:
     """Fresh flow; net_x's last layer is zeroed so the field starts small."""
-    ff = fourier or FourierFeatures()
+    ff = FourierFeatures()
     nf = ff.n_features
     return FlowParams(
         net_x=nets.mlp_init(rng, (dim + nf, hidden, hidden, dim), zero_last=True),
@@ -76,9 +75,9 @@ def flow_init(rng: np.random.Generator, dim: int, hidden: int = 128,
     )
 
 
-def flow_zero(dim: int, hidden: int = 8, fourier: FourierFeatures = None) -> FlowParams:
+def flow_zero(dim: int, hidden: int = 8) -> FlowParams:
     """All-zero networks: the vector field is identically zero."""
-    ff = fourier or FourierFeatures()
+    ff = FourierFeatures()
     nf = ff.n_features
     return FlowParams(
         net_x=nets.mlp_zeros((dim + nf, hidden, hidden, dim)),

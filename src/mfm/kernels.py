@@ -90,15 +90,6 @@ class KernelOutcome:
     n_nonfinite: int = 0
 
 
-@dataclass
-class MalaConfig:
-    tau: float
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-
-
 def _accept(rng, log_alpha):
     """Bernoulli(min{1, e^log_alpha}); -inf and NaN both reject."""
     u = rng.uniform(size=log_alpha.shape)
@@ -114,19 +105,18 @@ def _metropolis(chains, proposed, ok, log_alpha, rng) -> KernelOutcome:
                          int(np.sum(~ok)))
 
 
-def mala_step(base: TargetDensity, target: TargetDensity, cfg: MalaConfig,
+def mala_step(base: TargetDensity, target: TargetDensity, tau: float,
               chains: ChainState, beta: float,
               rng: np.random.Generator) -> KernelOutcome:
     """Langevin proposal y = x + tau grad log pi_beta(x) + sqrt(2 tau) xi.
 
     The Hastings correction uses the Gaussian proposal density with
-    variance 2 tau in each coordinate.  A row whose proposal is not finite
+    variance 2 tau (tau > 0) in each coordinate.  A row whose proposal is not finite
     (its gradient overflowed) is rejected with log_alpha = -inf and counted
     in n_nonfinite; the densities are evaluated at its current point
     instead.
     """
     x = chains.x
-    tau = cfg.tau
     logp_x, grad_x = chains.tempered(beta)
     noise = rng.standard_normal(x.shape)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -2,81 +2,75 @@ import numpy as np
 import pytest
 
 from mfm import cfm, flow, nets, targets
-from mfm.cfm import OtPathConfig
 
 from conftest import richardson_grad
 
-
-def test_sigma_min_precondition():
-    with pytest.raises(ValueError):
-        OtPathConfig(sigma_min=0.0)
-    with pytest.raises(ValueError):
-        OtPathConfig(sigma_min=1.0)
+SIGMA_MIN = 1e-2   # ExperimentConfig's default terminal scale
 
 
 def test_interpolant_endpoints(rng):
-    cfg = OtPathConfig()
+    sigma_min = SIGMA_MIN
     x0 = rng.standard_normal((1, 3))
     x1 = rng.standard_normal((1, 3))
-    assert np.allclose(cfm.interpolant(cfg, 0.0, x0, x1), x0)
-    assert np.allclose(cfm.interpolant(cfg, 1.0, x0, x1),
-                       cfg.sigma_min * x0 + x1)
+    assert np.allclose(cfm.interpolant(sigma_min, 0.0, x0, x1), x0)
+    assert np.allclose(cfm.interpolant(sigma_min, 1.0, x0, x1),
+                       sigma_min * x0 + x1)
 
 
 def test_interpolant_affine_in_t(rng):
-    cfg = OtPathConfig()
+    sigma_min = SIGMA_MIN
     x0 = rng.standard_normal((1, 2))
     x1 = rng.standard_normal((1, 2))
-    lo = cfm.interpolant(cfg, 0.2, x0, x1)
-    hi = cfm.interpolant(cfg, 0.8, x0, x1)
-    mid = cfm.interpolant(cfg, 0.5, x0, x1)
+    lo = cfm.interpolant(sigma_min, 0.2, x0, x1)
+    hi = cfm.interpolant(sigma_min, 0.8, x0, x1)
+    mid = cfm.interpolant(sigma_min, 0.5, x0, x1)
     assert np.allclose(mid, 0.5 * (lo + hi), atol=1e-12)
 
 
 def test_conditional_field_values(rng):
-    cfg = OtPathConfig(sigma_min=0.05)
+    sigma_min = 0.05
     x0 = rng.standard_normal((1, 2))
     x1 = rng.standard_normal((1, 2))
-    assert np.allclose(cfm.conditional_field(cfg, 0.0, x0, x1),
+    assert np.allclose(cfm.conditional_field(sigma_min, 0.0, x0, x1),
                        x1 - 0.95 * x0)
     zero_point = x1 / 0.95
-    assert np.allclose(cfm.conditional_field(cfg, 0.3, zero_point, x1),
+    assert np.allclose(cfm.conditional_field(sigma_min, 0.3, zero_point, x1),
                        np.zeros((1, 2)), atol=1e-12)
 
 
 def test_conditional_field_constant_along_path(rng):
-    cfg = OtPathConfig()
-    shrink = 1.0 - cfg.sigma_min
+    sigma_min = SIGMA_MIN
+    shrink = 1.0 - sigma_min
     for _ in range(1000):
         t = rng.uniform()
         x0 = rng.standard_normal((1, 3))
         x1 = rng.standard_normal((1, 3))
-        xt = cfm.interpolant(cfg, t, x0, x1)
-        v = cfm.conditional_field(cfg, t, xt, x1)
+        xt = cfm.interpolant(sigma_min, t, x0, x1)
+        v = cfm.conditional_field(sigma_min, t, xt, x1)
         assert np.abs(v - (x1 - shrink * x0)).max() <= 1e-12 * (1 + np.abs(x1).max())
 
 
 def test_zero_field_loss_equals_conditional_norm(rng):
     target = targets.standard_normal(2)
     fp = flow.flow_zero(2)
-    cfg = OtPathConfig()
+    sigma_min = SIGMA_MIN
     particles = rng.standard_normal((8, 2))
     seed_rng = np.random.Generator(np.random.Philox(3))
-    loss, _ = cfm.cfm_loss_and_grad(fp, target, cfg, particles, seed_rng)
+    loss, _ = cfm.cfm_loss_and_grad(fp, target, sigma_min, particles, seed_rng)
     ref_rng = np.random.Generator(np.random.Philox(3))
     t = ref_rng.uniform(size=8)
     x0 = ref_rng.standard_normal((8, 2))
-    xt = cfm.interpolant(cfg, t[:, None], x0, particles)
-    vc = cfm.conditional_field(cfg, t[:, None], xt, particles)
+    xt = cfm.interpolant(sigma_min, t[:, None], x0, particles)
+    vc = cfm.conditional_field(sigma_min, t[:, None], xt, particles)
     assert loss == pytest.approx(np.mean(np.sum(vc ** 2, axis=1)), rel=1e-12)
 
 
 def test_loss_nonnegative_and_permutation_invariant(rng):
     target = targets.standard_normal(2)
     fp = flow.flow_init(rng, 2, hidden=4)
-    cfg = OtPathConfig()
+    sigma_min = SIGMA_MIN
     particles = rng.standard_normal((6, 2))
-    l1, _ = cfm.cfm_loss_and_grad(fp, target, cfg, particles,
+    l1, _ = cfm.cfm_loss_and_grad(fp, target, sigma_min, particles,
                                   np.random.Generator(np.random.Philox(5)))
     assert l1 >= 0.0
     # permuting particles AND the matching per-particle draws leaves loss unchanged;
@@ -87,9 +81,9 @@ def test_loss_nonnegative_and_permutation_invariant(rng):
     t = ref.uniform(size=6)
     x0 = ref.standard_normal((6, 2))
     perm = np.arange(5, -1, -1)
-    xt = cfm.interpolant(cfg, t[:, None], x0, particles)
+    xt = cfm.interpolant(sigma_min, t[:, None], x0, particles)
     v = flow.vector_field(fp, target, t, xt)
-    resid = v - cfm.conditional_field(cfg, t[:, None], xt, particles)
+    resid = v - cfm.conditional_field(sigma_min, t[:, None], xt, particles)
     direct = np.mean(np.sum(resid ** 2, axis=1))
     permuted = np.mean(np.sum(resid[perm] ** 2, axis=1))
     assert l1 == pytest.approx(direct, rel=1e-12)
@@ -101,17 +95,17 @@ def test_full_gradient_matches_finite_differences(rng):
     target = targets.standard_normal(1)
     fp = flow.flow_init(rng, 1, hidden=4)
     fp.net_x.weights[-1] = rng.uniform(-0.5, 0.5, size=fp.net_x.weights[-1].shape)
-    cfg = OtPathConfig()
+    sigma_min = SIGMA_MIN
     particles = np.array([[1.3]])
 
-    loss, grad = cfm.cfm_loss_and_grad(fp, target, cfg, particles,
+    loss, grad = cfm.cfm_loss_and_grad(fp, target, sigma_min, particles,
                                        np.random.Generator(np.random.Philox(17)))
     gvec = flow.flow_to_vector(grad)
     vec0 = flow.flow_to_vector(fp)
 
     def f(vec):
         p = flow.vector_to_flow(vec, fp)
-        l, _ = cfm.cfm_loss_and_grad(p, target, cfg, particles,
+        l, _ = cfm.cfm_loss_and_grad(p, target, sigma_min, particles,
                                      np.random.Generator(np.random.Philox(17)))
         return l
 
@@ -123,7 +117,7 @@ def test_loss_and_grad_runs_each_network_once(rng, forward_passes):
     target = targets.standard_normal(2)
     fp = flow.flow_init(rng, 2, hidden=4)
     particles = rng.standard_normal((6, 2))
-    cfm.cfm_loss_and_grad(fp, target, OtPathConfig(), particles, rng)
+    cfm.cfm_loss_and_grad(fp, target, SIGMA_MIN, particles, rng)
     assert len(forward_passes) == 3
     assert {id(net) for net, _ in forward_passes} == {id(fp.net_x), id(fp.net_t),
                                                      id(fp.net_scale)}
@@ -135,7 +129,7 @@ def test_train_step_final_schedule_step_freezes(rng):
     before = flow.flow_to_vector(fp)
     adam = nets.adam_init(before.size, 1e-3, total_steps=1)
     particles = rng.standard_normal((4, 2))
-    new_fp, adam, _ = cfm.train_step(fp, adam, target, OtPathConfig(), particles, rng)
+    new_fp, adam, _ = cfm.train_step(fp, adam, target, SIGMA_MIN, particles, rng)
     assert np.array_equal(flow.flow_to_vector(fp), before)
     assert np.array_equal(flow.flow_to_vector(new_fp), before)
 
@@ -149,7 +143,7 @@ def test_train_step_deterministic(rng):
         adam = nets.adam_init(flow.flow_to_vector(fp).size, 1e-3, 50)
         particles = r.standard_normal((16, 2)) * 4
         for _ in range(5):
-            fp, adam, loss = cfm.train_step(fp, adam, target, OtPathConfig(),
+            fp, adam, loss = cfm.train_step(fp, adam, target, SIGMA_MIN,
                                             particles, r)
         results.append(flow.flow_to_vector(fp))
     assert np.array_equal(results[0], results[1])
@@ -166,7 +160,7 @@ def test_training_on_exact_samples_reduces_loss(rng):
     zero_losses = []
     fp0 = flow.flow_zero(2, hidden=64)
     for _ in range(50):
-        l, _ = cfm.cfm_loss_and_grad(fp0, target, OtPathConfig(), particles, zero_rng)
+        l, _ = cfm.cfm_loss_and_grad(fp0, target, SIGMA_MIN, particles, zero_rng)
         zero_losses.append(l)
     baseline = np.mean(zero_losses)
 
@@ -175,7 +169,7 @@ def test_training_on_exact_samples_reduces_loss(rng):
     adam = nets.adam_init(flow.flow_to_vector(fp).size, 1e-3, 5000)
     losses = []
     for _ in range(5000):
-        fp, adam, loss = cfm.train_step(fp, adam, target, OtPathConfig(),
+        fp, adam, loss = cfm.train_step(fp, adam, target, SIGMA_MIN,
                                         particles, r)
         losses.append(loss)
     tail = np.mean(losses[-100:])

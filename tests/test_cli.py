@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfm import cli, driver, targets
+from mfm import cfm, cli, diagnostics, driver, flow, kernels, nets, targets, tempering
 from mfm.errors import ConfigError
 
 from conftest import gaussian_with_overflow
@@ -62,9 +63,33 @@ def test_flag_overrides_beat_file(tmp_path):
     assert cfg.iters == 7 and cfg.seed == 5
 
 
-def test_bad_divergence_rejected():
-    with pytest.raises(ConfigError, match="divergence"):
-        cli.parse_config(overrides=dict(preset="gmm4", seed=1, divergence="hutchinson:0"))
+INVALID_VALUES = [
+    ("kq", 0), ("iters", 0), ("particles", 0), ("ode_steps", 0),
+    ("n_candidates", 0), ("nonlocal_kernel", "foo"), ("mala_tau", 0),
+    ("mala_tau", -0.1), ("sigma_min", 0.0), ("sigma_min", 1.0),
+    ("sigma_min", 1.5), ("alpha", 0.0), ("alpha", 1.0), ("alpha", 1.5),
+    ("divergence", "hutchinson:0"), ("divergence", "exact:2"),
+    ("divergence", "hutchinson:x"), ("divergence", "trace"),
+    ("mode", "sample"), ("target", "gmm8"), ("diag_samples", 1),
+    ("iters", "many"), ("divergence", 3), ("seed", "one"), ("temper", "yes"),
+]
+
+
+@pytest.mark.parametrize("name, value", INVALID_VALUES,
+                         ids=[f"{n}={v}" for n, v in INVALID_VALUES])
+def test_invalid_value_refused_before_any_file(tmp_path, capsys, name, value):
+    # parse_config names the field, and the command fails before it
+    # creates the output directory
+    out = tmp_path / "run"
+    path = tmp_path / "c.cfg"
+    values = dict(smoke_overrides(out), **{name: value})
+    path.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in values.items()))
+    with pytest.raises(ConfigError) as excinfo:
+        cli.parse_config(path)
+    assert excinfo.value.field == name
+    assert cli.main(["--config", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
 
 
 def test_smoke_run_writes_artifacts(tmp_path):
@@ -114,8 +139,11 @@ def test_diagnose_reproduces_stored_diagnostics(tmp_path):
     cfg = cli.parse_config(overrides=smoke_overrides(out))
     assert cli.run(cfg) == 0
     stored = json.loads((out / "diagnostics.json").read_text())
+    resolved = (out / "config.resolved").read_bytes()
     rc = cli.main(["--config", str(out / "config.resolved"), "--mode", "diagnose"])
     assert rc == 0
+    # the run's config, whose hash stamps samples.csv and runlog.csv, stays
+    assert (out / "config.resolved").read_bytes() == resolved
     recomputed = json.loads((out / "diagnostics.json").read_text())
     for key in stored:
         if key == "wall_seconds":
@@ -270,3 +298,57 @@ def test_samples_csv_matches_csv_writer(tmp_path):
         writer.writerow([f"{v:.17g}" for v in row])
     assert path.read_bytes() == expected.getvalue().encode()
     assert np.array_equal(cli.load_samples_csv(path), positions, equal_nan=True)
+
+
+# -- The benchmark's tracer sees every layer it gates -------------------------
+
+TRACED_LAYERS = {
+    "mfm": {"cli.build_target", "driver", "driver.diagnose_flow",
+            "tempering.next_beta", "kernels.mala_step", "kernels.flow_step",
+            "flow.integrate_rows", "cfm.train_step", "nets.pack",
+            "nets.adam_step", "diagnostics.compute_report", "cli.artifacts",
+            "targets.grad_log_density", "targets.hvp_log_density"},
+    "atsmc": {"cli.build_target", "driver", "tempering.next_beta",
+              "kernels.mala_step", "diagnostics.compute_report",
+              "cli.artifacts", "targets.grad_log_density"},
+}
+
+
+def load_bench_tracing():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("mode", sorted(TRACED_LAYERS))
+def test_bench_tracing_records_every_gated_layer(tmp_path, mode):
+    # bench/tracing.py patches module attributes by name; a refactor that
+    # calls around one of them leaves its layer without spans
+    tracing = load_bench_tracing()
+    modules = (cfm, cli, diagnostics, driver, flow, kernels, nets, tempering)
+    saved = [(m, dict(vars(m))) for m in modules]
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        build = cli.build_target
+
+        def build_traced(cfg):
+            target = build(cfg)
+            tracing.trace_target(tracer, target)
+            return target
+
+        cli.build_target = build_traced
+        # gmm4, k_q = 2: flow steps at k = 1 and 3
+        cfg = cli.parse_config(overrides=smoke_overrides(
+            tmp_path / mode, mode=mode, hidden=8, ode_steps=4))
+        assert cli.run(cfg) == 0
+    finally:
+        for module, attrs in saved:
+            for name, value in attrs.items():
+                setattr(module, name, value)
+    assert TRACED_LAYERS[mode] <= {span[0] for span in tracer.spans}
+    for module, attrs in saved:
+        assert vars(module).keys() == attrs.keys(), module.__name__
+        assert all(vars(module)[k] is v for k, v in attrs.items()), module.__name__

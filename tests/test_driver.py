@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from mfm import driver, flow, kernels, targets
-from mfm.driver import MfmConfig
+from mfm import diagnostics, driver, flow, kernels, targets
+from mfm.driver import ExperimentConfig
 from mfm.errors import DimensionMismatch
-from mfm.kernels import MalaConfig
 
 
 def smoke_config(**kw):
-    defaults = dict(iters=6, particles=8, k_q=3, hidden=8, seed=0,
-                    diag_samples=32, ode=flow.OdeConfig(n_steps=4))
+    defaults = dict(iters=6, particles=8, kq=3, hidden=8, seed=0,
+                    diag_samples=32, ode_steps=4)
     defaults.update(kw)
-    return MfmConfig(**defaults)
+    return ExperimentConfig(**defaults)
 
 
 def test_flow_iteration_branch_arithmetic():
@@ -64,7 +63,7 @@ def test_beta_monotone_and_fresh_each_iteration():
 def test_mixed_kernels_accounting():
     base = targets.standard_normal(2)
     target = targets.make_gmm4()
-    cfg = smoke_config(iters=9, k_q=3, particles=4)
+    cfg = smoke_config(iters=9, kq=3, particles=4)
     art = driver.run_mfm(base, target, cfg)
     # flow fires at k = 2, 5, 8 -> 3 of 9 iterations
     assert art.ensemble.flow_proposed == 3 * 4
@@ -77,7 +76,7 @@ def test_alternative_nonlocal_kernels_run(kernel):
     base = targets.standard_normal(2)
     target = targets.make_gmm4()
     art = driver.run_mfm(base, target,
-                         smoke_config(nonlocal_kernel=kernel, iters=6, k_q=2))
+                         smoke_config(nonlocal_kernel=kernel, iters=6, kq=2))
     assert np.all(np.isfinite(art.ensemble.positions))
 
 
@@ -90,8 +89,8 @@ def test_dim_mismatch_rejected():
 def test_init_override_controls_start():
     base = targets.standard_normal(2)
     target = targets.make_gmm16(0)
-    cfg = smoke_config(iters=1, particles=16, init_mean=np.array([-14.0, -14.0]),
-                       init_scale=0.5, k_q=100)
+    cfg = smoke_config(iters=1, particles=16, init_mean=[-14.0, -14.0],
+                       init_scale=0.5, kq=100)
     art = driver.run_mfm(base, target, cfg)
     # after one MALA step at beta_1 the particles are still near the init blob
     assert np.all(np.abs(art.ensemble.positions - (-14.0)) < 5.0)
@@ -101,8 +100,9 @@ def test_init_override_controls_start():
 
 def test_atsmc_identical_base_and_target_single_jump(rng):
     std = targets.standard_normal(2)
-    cfg = smoke_config(iters=1, particles=32, k_q=2, mala=MalaConfig(0.5))
-    ens, rows = driver.run_atsmc(std, std, cfg)
+    cfg = smoke_config(iters=1, particles=32, kq=2, mala_tau=0.5)
+    art = driver.run_atsmc(std, std, cfg)
+    ens, rows = art.ensemble, art.log_rows
     assert ens.temper.history == [1.0]
     # one resampling level plus the final sweep
     assert len(rows) == 2
@@ -113,6 +113,7 @@ def test_atsmc_evaluates_target_once_per_mala_pass(monkeypatch):
     spec = targets.LgcpSpec(m_side=4)
     target = targets.make_lgcp(spec, targets.synthetic_lgcp_counts(spec, seed=0))
     calls = {"log_density": 0, "grad_log_density": 0, "mala_step": 0}
+    before_report = {}
 
     def counting(name, inner):
         def wrapper(*args):
@@ -123,10 +124,19 @@ def test_atsmc_evaluates_target_once_per_mala_pass(monkeypatch):
     target.log_density = counting("log_density", target.log_density)
     target.grad_log_density = counting("grad_log_density", target.grad_log_density)
     monkeypatch.setattr(kernels, "mala_step", counting("mala_step", kernels.mala_step))
-    cfg = MfmConfig(particles=16, k_q=2, alpha_target=0.9, mala=MalaConfig(0.01),
-                    seed=1, hidden=8, diag_samples=16)
-    ens, rows = driver.run_atsmc(targets.standard_normal(spec.dim), target, cfg)
-    passes = cfg.k_q * len(rows)    # k_q passes per level and in the final sweep
+    report = diagnostics.compute_report
+
+    def snapshot_then_report(*args, **kwargs):
+        # the run's own evaluations end where scoring the ensemble begins
+        before_report.update(calls)
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "compute_report", snapshot_then_report)
+    cfg = ExperimentConfig(particles=16, kq=2, alpha=0.9, mala_tau=0.01,
+                           seed=1, hidden=8, diag_samples=16)
+    rows = driver.run_atsmc(targets.standard_normal(spec.dim), target, cfg).log_rows
+    calls = before_report
+    passes = cfg.kq * len(rows)    # k_q passes per level and in the final sweep
     assert len(rows) > 3 and calls["mala_step"] == passes
     # the initial evaluation, then the proposals of each pass
     assert calls["log_density"] == calls["grad_log_density"] == passes + 1
@@ -146,7 +156,7 @@ def test_flow_step_evaluates_target_once(kernel):
         return inner(x)
 
     target.log_density = counted
-    cfg = smoke_config(iters=4, particles=16, k_q=1, nonlocal_kernel=kernel)
+    cfg = smoke_config(iters=4, particles=16, kq=1, nonlocal_kernel=kernel)
     art = driver.run_mfm(targets.standard_normal(2), target, cfg)
     assert art.ensemble.flow_proposed == 4 * 16
     assert len(calls) == 6
@@ -165,7 +175,7 @@ def test_ensemble_cache_matches_fresh_evaluation(run):
         ens = driver.run_mfm(base, target, cfg).ensemble
         assert ens.flow_proposed > 0
     else:
-        ens, _ = driver.run_atsmc(base, target, cfg)
+        ens = driver.run_atsmc(base, target, cfg).ensemble
     fresh = kernels.evaluate(base, target, ens.positions)
     for name in ("x", "log_target", "log_base", "grad_target", "grad_base"):
         assert np.array_equal(getattr(ens.chains, name), getattr(fresh, name)), name
@@ -174,9 +184,10 @@ def test_ensemble_cache_matches_fresh_evaluation(run):
 def test_atsmc_moments_1d():
     target = targets.standard_normal(1)
     base = targets.gaussian(np.zeros(1), 3.0)
-    cfg = MfmConfig(iters=1, particles=4096, k_q=20, mala=MalaConfig(0.5),
-                    seed=3, hidden=8, diag_samples=16)
-    ens, rows = driver.run_atsmc(base, target, cfg)
+    cfg = ExperimentConfig(iters=1, particles=4096, kq=20, mala_tau=0.5,
+                           seed=3, hidden=8, diag_samples=16)
+    art = driver.run_atsmc(base, target, cfg)
+    ens, rows = art.ensemble, art.log_rows
     assert abs(ens.positions.var() - 1.0) <= 0.1
     betas = [r["beta"] for r in rows]
     increasing = [b for b in betas if b < 1.0] + [1.0]
@@ -205,11 +216,12 @@ def test_fm_oracle_requires_sampler():
     spec = targets.LgcpSpec(m_side=4)
     lgcp = targets.make_lgcp(spec, targets.synthetic_lgcp_counts(spec, seed=0))
     with pytest.raises(ValueError):
-        driver.run_fm_oracle(lgcp, smoke_config())
+        driver.run_fm_oracle(targets.standard_normal(spec.dim), lgcp, smoke_config())
 
 
 def test_fm_oracle_smoke_gmm4():
-    art = driver.run_fm_oracle(targets.make_gmm4(), smoke_config(iters=5))
+    art = driver.run_fm_oracle(targets.standard_normal(2), targets.make_gmm4(),
+                               smoke_config(iters=5))
     assert len(art.log_rows) == 5
     assert np.all(np.isfinite(flow.flow_to_vector(art.flow_params)))
 

@@ -5,7 +5,6 @@ from hypothesis.extra.numpy import arrays
 
 from mfm import flow, kernels, targets
 from mfm.flow import OdeConfig
-from mfm.kernels import MalaConfig
 
 from conftest import gaussian_with_overflow
 
@@ -38,16 +37,16 @@ def moment_check(pooled, per_step):
 
 # -- MALA --------------------------------------------------------------------------
 
-def mala_at_target(target, cfg, x, rng):
+def mala_at_target(target, tau, x, rng):
     """One Langevin step on target itself (beta = 1, target as both endpoints)."""
-    return kernels.mala_step(target, target, cfg, kernels.evaluate(target, target, x),
+    return kernels.mala_step(target, target, tau, kernels.evaluate(target, target, x),
                              1.0, rng)
 
 
 def test_mala_acceptance_to_one_as_tau_shrinks(rng):
     std = targets.standard_normal(2)
     x = np.zeros((64, 2))
-    out = mala_at_target(std, MalaConfig(1e-6), x, rng)
+    out = mala_at_target(std, 1e-6, x, rng)
     assert np.exp(out.log_alpha).min() > 1.0 - 1e-4
 
 
@@ -71,7 +70,7 @@ def test_mala_hastings_self_consistency(rng):
 def test_mala_moments():
     std = targets.standard_normal(1)
     pooled, per_step = run_chains(
-        lambda chains, rng: kernels.mala_step(std, std, MalaConfig(0.5), chains, 1.0, rng),
+        lambda chains, rng: kernels.mala_step(std, std, 0.5, chains, 1.0, rng),
         std, std)
     moment_check(pooled, per_step)
 
@@ -84,8 +83,8 @@ def test_mala_invariant_under_lognormalization_shift(rng):
     x = rng.standard_normal((8, 2))
     r1 = np.random.Generator(np.random.Philox(3))
     r2 = np.random.Generator(np.random.Philox(3))
-    o1 = mala_at_target(base, MalaConfig(0.2), x, r1)
-    o2 = mala_at_target(shifted, MalaConfig(0.2), x, r2)
+    o1 = mala_at_target(base, 0.2, x, r1)
+    o2 = mala_at_target(shifted, 0.2, x, r2)
     assert np.array_equal(o1.chains.x, o2.chains.x)
     assert np.allclose(o1.log_alpha, o2.log_alpha, atol=1e-12)
 
@@ -96,9 +95,9 @@ def test_mala_rejects_nonfinite_proposals_row_by_row(rng):
     x[bad, 0] = 10.0
     clean = gaussian_with_overflow(np.inf)
     overflowing = gaussian_with_overflow(5.0)
-    o_clean = mala_at_target(clean, MalaConfig(0.5), x,
+    o_clean = mala_at_target(clean, 0.5, x,
                              np.random.Generator(np.random.Philox(3)))
-    out = mala_at_target(overflowing, MalaConfig(0.5), x,
+    out = mala_at_target(overflowing, 0.5, x,
                          np.random.Generator(np.random.Philox(3)))
     assert out.n_nonfinite == 3 and o_clean.n_nonfinite == 0
     assert not out.accepted[bad].any()
@@ -111,13 +110,12 @@ def test_mala_rejects_nonfinite_proposals_row_by_row(rng):
     assert np.array_equal(out.log_alpha[good], o_clean.log_alpha[good])
 
 
-def fresh_mala_step(density, cfg, x, rng):
+def fresh_mala_step(density, tau, x, rng):
     """The Langevin kernel with every oracle evaluated afresh on one density.
 
     Kept as the oracle for the cached kernel: the same draws in the same
     order, log pi and its gradient recomputed at x and at y.
     """
-    tau = cfg.tau
     grad_x = density.grad_log_density(x)
     noise = rng.standard_normal(x.shape)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -159,11 +157,11 @@ def test_mala_matches_fresh_evaluation_oracle(make_target, tau, scale):
     base = targets.standard_normal(target.dim)
     beta = 0.3
     x = scale * np.random.Generator(np.random.Philox(5)).standard_normal((64, target.dim))
-    out = kernels.mala_step(base, target, MalaConfig(tau),
+    out = kernels.mala_step(base, target, tau,
                             kernels.evaluate(base, target, x), beta,
                             np.random.Generator(np.random.Philox(7)))
     new_x, acc, log_alpha, n_nonfinite = fresh_mala_step(
-        targets.tempered(base, target, beta), MalaConfig(tau), x,
+        targets.tempered(base, target, beta), tau, x,
         np.random.Generator(np.random.Philox(7)))
     assert acc.any() and not acc.all()
     assert np.array_equal(out.chains.x, new_x)
@@ -526,7 +524,7 @@ def test_log_alpha_always_nonpositive(rng):
     std = targets.standard_normal(2)
     zf = flow.flow_zero(2)
     x = rng.standard_normal((32, 2))
-    for out in [mala_at_target(std, MalaConfig(0.7), x, rng),
+    for out in [mala_at_target(std, 0.7, x, rng),
                 flow_at_target(kernels.flow_rwmh_step, std, zf, FAST_ODE, x, rng),
                 flow_at_target(kernels.flow_imh_step, std, zf, FAST_ODE, x, rng)]:
         assert np.all(out.log_alpha <= 0.0)
