@@ -105,6 +105,9 @@ class ExperimentConfig:
             _require(getattr(self, name) >= 1, name, "must be >= 1")
         # the unbiased MMD and KSD of the closing report need two samples
         _require(self.diag_samples >= 2, "diag_samples", "must be >= 2")
+        # atsmc's report scores the ensemble itself, so it needs two particles
+        _require(self.mode != "atsmc" or self.particles >= 2, "particles",
+                 "must be >= 2 in atsmc mode")
         _require(self.nonlocal_kernel in NONLOCAL_KERNELS, "nonlocal_kernel",
                  f"unknown non-local kernel {self.nonlocal_kernel!r}")
         _require(self.mala_tau > 0, "mala_tau", "must be > 0")
@@ -282,15 +285,17 @@ def diagnose_flow(flow_params: FlowParams, target: TargetDensity,
                   cfg: ExperimentConfig, wall_seconds: float = None) -> DiagnosticsReport:
     """Push reference draws through the flow and score them.
 
-    Uses a dedicated child stream of the seed, so the same (seed, flow)
-    pair always yields the same report regardless of what the main stream
-    consumed.
+    The push carries positions only: MMD and KSD score where the draws
+    land, so no divergence (exact or Hutchinson) is evaluated.  Uses a
+    dedicated child stream of the seed for the reference draws and then
+    the exact draws, so the same (seed, flow) pair always yields the same
+    report regardless of what the main stream consumed.
     """
     t0 = time.perf_counter()
     rng = diag_rng(cfg.seed)
     x0 = rng.standard_normal((cfg.diag_samples, target.dim))
-    samples, _ = flow.push_samples(flow_params, target, x0, cfg.ode,
-                                   rng=rng, workers=cfg.workers)
+    samples = flow.push_samples(flow_params, target, x0, cfg.ode,
+                                workers=cfg.workers)
     exact = target.sampler(rng, cfg.diag_samples) if target.sampler else None
     elapsed = wall_seconds if wall_seconds is not None else time.perf_counter() - t0
     return diagnostics.compute_report(target, samples, exact,

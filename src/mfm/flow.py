@@ -11,7 +11,10 @@ Integration is classical fixed-step RK4 on the augmented state
 delta_logp of a forward pass (t 0 -> 1) is -int_0^1 div v dt and of a
 backward pass (t 1 -> 0) is +int_0^1 div v dt along the traversed path.
 These are exactly the two Delta-log-p quantities the Metropolis kernels
-consume, and a backward/forward round trip sums to zero.
+consume, and a backward/forward round trip sums to zero.  Only the
+Metropolis kernels and ``pullback_log_density`` need delta_logp; the
+closing push of the diagnostics (``push_samples``) integrates positions
+alone and never evaluates the divergence.
 
 ``field`` is the only forward pass of v.  It returns the value together
 with the score, the gate, the scale and the forward caches of the three
@@ -227,15 +230,20 @@ def rk4_integrate(field, x0: np.ndarray, t0: float, t1: float, n_steps: int):
     return x, dlp
 
 
-def _flow_field(params, target, cfg, rng):
-    """Row-tolerant field closure: broken rows carry NaN, healthy rows run on."""
+def _flow_field(params, target, cfg, rng, with_dlp):
+    """Row-tolerant field closure: broken rows carry NaN, healthy rows run on.
+
+    Without with_dlp the divergence is not evaluated and reads as zero, so
+    a row breaks only when its position or velocity is not finite.
+    """
     def rk4_field(t, xb):
         ok = np.all(np.isfinite(xb), axis=1)
         safe = xb if ok.all() else np.where(ok[:, None], xb, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             fe = field(params, target, t, safe)
             v = fe.v
-            div = _divergence_rows(params, target, safe, fe, cfg, rng)
+            div = (_divergence_rows(params, target, safe, fe, cfg, rng)
+                   if with_dlp else np.zeros(xb.shape[0]))
         ok &= np.all(np.isfinite(v), axis=1) & np.isfinite(div)
         if not ok.all():
             v = np.where(ok[:, None], v, np.nan)
@@ -245,19 +253,25 @@ def _flow_field(params, target, cfg, rng):
 
 
 def integrate_rows(params: FlowParams, target: TargetDensity, xb: np.ndarray,
-                   cfg: OdeConfig, rng: np.random.Generator, forward: bool):
+                   cfg: OdeConfig, rng: np.random.Generator, forward: bool,
+                   with_dlp: bool = True):
     """The integrator: xb (N, d) from t = 0 to 1 (forward) or 1 to 0.
 
     Returns (x, dlp, finite_mask) and never raises: the Metropolis kernels
     treat a blown-up row as an automatic rejection, while push_samples and
     pullback_log_density raise NonFiniteState for it.  dlp is
     -int_0^1 div dt forward and +int_0^1 div dt backward.
+
+    With with_dlp=False no divergence (exact trace or Hutchinson probe) is
+    evaluated and rng is not read: the result is (x, finite_mask), the
+    mask covering positions only.  The positions equal those of a with_dlp
+    call bit for bit wherever that call's mask is set.
     """
     t0, t1 = (0.0, 1.0) if forward else (1.0, 0.0)
-    x, dlp = rk4_integrate(_flow_field(params, target, cfg, rng),
+    x, dlp = rk4_integrate(_flow_field(params, target, cfg, rng, with_dlp),
                            xb, t0, t1, cfg.n_steps)
     ok = np.all(np.isfinite(x), axis=1) & np.isfinite(dlp)
-    return x, dlp, ok
+    return (x, dlp, ok) if with_dlp else (x, ok)
 
 
 def pullback_log_density(params: FlowParams, target: TargetDensity, xb,
@@ -273,45 +287,40 @@ def pullback_log_density(params: FlowParams, target: TargetDensity, xb,
 
 
 def push_samples(params: FlowParams, target: TargetDensity, x0_batch,
-                 cfg: OdeConfig, rng: np.random.Generator = None,
-                 workers: int = 1):
-    """Integrate a batch of reference draws forward; returns (samples, dlp).
+                 cfg: OdeConfig, workers: int = 1):
+    """Integrate a batch of reference draws forward; returns the samples (N, d).
 
+    Positions only: the closing diagnostics score where the draws land, so
+    no divergence is evaluated (integrate_rows with with_dlp=False).  A row
+    whose position or velocity blows up raises NonFiniteState naming it.
     Chunks fan out across a thread pool when workers > 1; results are
     reassembled by chunk index, so the output is identical for any worker
-    count.  Hutchinson probes, when used, are drawn up front from the
-    caller's rng in a fixed order for the same reason.
+    count.
     """
     x0 = np.asarray(x0_batch, dtype=float)
     if x0.shape[0] == 0:
-        return x0.copy(), np.zeros(0)
+        return x0.copy()
     if not np.all(np.isfinite(x0)):
         bad = int(np.where(~np.all(np.isfinite(x0), axis=1))[0][0])
         raise NonFiniteState(f"input row {bad} is not finite")
 
+    def run_chunk(bounds):
+        lo, hi = bounds
+        # looked up at call time, so a wrapper on flow.integrate_rows sees it
+        return integrate_rows(params, target, x0[lo:hi], cfg, None, True,
+                              with_dlp=False)
+
     chunks = _split_rows(x0.shape[0])
-    probe_rngs = [None] * len(chunks)
-    if cfg.divergence == "hutchinson":
-        if rng is None:
-            raise ValueError("hutchinson divergence needs an rng")
-        seeds = rng.integers(0, 2 ** 63 - 1, size=len(chunks))
-        probe_rngs = [np.random.Generator(np.random.Philox(int(s))) for s in seeds]
-
-    def run_chunk(i):
-        lo, hi = chunks[i]
-        return integrate_rows(params, target, x0[lo:hi], cfg, probe_rngs[i], True)
-
     if workers > 1 and len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, range(len(chunks))))
+            results = list(pool.map(run_chunk, chunks))
     else:
-        results = [run_chunk(i) for i in range(len(chunks))]
+        results = [run_chunk(c) for c in chunks]
 
     samples = np.concatenate([r[0] for r in results], axis=0)
-    dlp = np.concatenate([r[1] for r in results])
-    _require_finite(np.concatenate([r[2] for r in results]))
-    return samples, dlp
+    _require_finite(np.concatenate([r[1] for r in results]))
+    return samples
 
 
 def _require_finite(ok):

@@ -72,17 +72,24 @@ INVALID_VALUES = [
     ("divergence", "hutchinson:x"), ("divergence", "trace"),
     ("mode", "sample"), ("target", "gmm8"), ("diag_samples", 1),
     ("iters", "many"), ("divergence", 3), ("seed", "one"), ("temper", "yes"),
+    # the atsmc report scores the ensemble itself; mfm runs one particle
+    ("particles", 1, {"mode": "atsmc"}),
 ]
 
 
-@pytest.mark.parametrize("name, value", INVALID_VALUES,
-                         ids=[f"{n}={v}" for n, v in INVALID_VALUES])
-def test_invalid_value_refused_before_any_file(tmp_path, capsys, name, value):
+# (field, value, other overrides it needs); ids read "field=value,key=value"
+INVALID_CASES = [(n, v, dict(*context)) for n, v, *context in INVALID_VALUES]
+
+
+@pytest.mark.parametrize(
+    "name, value, context", INVALID_CASES,
+    ids=[",".join(f"{k}={x}" for k, x in {n: v, **c}.items()) for n, v, c in INVALID_CASES])
+def test_invalid_value_refused_before_any_file(tmp_path, capsys, name, value, context):
     # parse_config names the field, and the command fails before it
     # creates the output directory
     out = tmp_path / "run"
     path = tmp_path / "c.cfg"
-    values = dict(smoke_overrides(out), **{name: value})
+    values = dict(smoke_overrides(out), **{name: value}, **context)
     path.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in values.items()))
     with pytest.raises(ConfigError) as excinfo:
         cli.parse_config(path)
@@ -349,6 +356,25 @@ def test_bench_tracing_records_every_gated_layer(tmp_path, mode):
             for name, value in attrs.items():
                 setattr(module, name, value)
     assert TRACED_LAYERS[mode] <= {span[0] for span in tracer.spans}
+    if mode == "mfm":
+        # every hvp comes from a flow step's divergence, none from the
+        # positions-only closing push, which still integrates through
+        # flow.integrate_rows
+        def ancestors(i):
+            names = []
+            while tracer.spans[i][3] >= 0:
+                i = tracer.spans[i][3]
+                names.append(tracer.spans[i][0])
+            return names
+
+        for i, span in enumerate(tracer.spans):
+            if span[0] == "targets.hvp_log_density":
+                assert "kernels.flow_step" in ancestors(i)
+                assert "flow.push_samples" not in ancestors(i)
+        push = [i for i, s in enumerate(tracer.spans) if s[0] == "flow.push_samples"]
+        assert len(push) == 1
+        assert any(s[0] == "flow.integrate_rows" and s[3] == push[0]
+                   for s in tracer.spans)
     for module, attrs in saved:
         assert vars(module).keys() == attrs.keys(), module.__name__
         assert all(vars(module)[k] is v for k, v in attrs.items()), module.__name__

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -277,8 +279,9 @@ def test_push_samples_zero_field_identity(rng):
     fp = flow.flow_zero(2)
     std = targets.standard_normal(2)
     x = rng.standard_normal((6, 2))
-    out, dlp = flow.push_samples(fp, std, x, OdeConfig())
+    out = flow.push_samples(fp, std, x, OdeConfig())
     assert np.array_equal(out, x)
+    _, dlp, _ = flow.integrate_rows(fp, std, x, OdeConfig(), None, True)
     assert np.all(dlp == 0.0)
 
 
@@ -287,17 +290,21 @@ def test_push_samples_single_row_matches_state_call(rng):
     fp = score_flow(d)
     std = targets.standard_normal(d)
     x = rng.standard_normal((1, d))
-    out, dlp = flow.push_samples(fp, std, x, OdeConfig())
+    out = flow.push_samples(fp, std, x, OdeConfig())
     x1, dlp1, _ = flow.integrate_rows(fp, std, x, OdeConfig(), None, True)
     assert np.array_equal(out, x1)
-    assert np.array_equal(dlp, dlp1)
+    assert np.array_equal(flow.pullback_log_density(fp, std, x, OdeConfig()),
+                          std.log_density(x1) - dlp1)
 
 
 def test_push_samples_empty_batch():
     fp = flow.flow_zero(2)
     std = targets.standard_normal(2)
-    out, dlp = flow.push_samples(fp, std, np.zeros((0, 2)), OdeConfig())
-    assert out.shape == (0, 2) and dlp.shape == (0,)
+    out = flow.push_samples(fp, std, np.zeros((0, 2)), OdeConfig())
+    assert out.shape == (0, 2)
+    _, dlp, ok = flow.integrate_rows(fp, std, np.zeros((0, 2)), OdeConfig(),
+                                     None, True)
+    assert dlp.shape == (0,) and ok.shape == (0,)
 
 
 def test_push_samples_worker_count_invariance(rng):
@@ -306,10 +313,81 @@ def test_push_samples_worker_count_invariance(rng):
     fp.net_x.weights[-1] = rng.uniform(-0.2, 0.2, size=fp.net_x.weights[-1].shape)
     std = targets.standard_normal(d)
     x = rng.standard_normal((700, d))
-    out1, dlp1 = flow.push_samples(fp, std, x, OdeConfig(n_steps=8), workers=1)
-    out4, dlp4 = flow.push_samples(fp, std, x, OdeConfig(n_steps=8), workers=4)
+    cfg = OdeConfig(n_steps=8)
+    out1 = flow.push_samples(fp, std, x, cfg, workers=1)
+    out4 = flow.push_samples(fp, std, x, cfg, workers=4)
     assert np.array_equal(out1, out4)
+
+    # the same row chunks with the divergence, in order and on 4 threads
+    def chunk(bounds):
+        return flow.integrate_rows(fp, std, x[bounds[0]:bounds[1]], cfg, None, True)
+
+    chunks = flow._split_rows(x.shape[0])
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(chunk, chunks))
+    serial = [chunk(c) for c in chunks]
+    dlp1 = np.concatenate([r[1] for r in serial])
+    dlp4 = np.concatenate([r[1] for r in threaded])
     assert np.array_equal(dlp1, dlp4)
+    assert np.array_equal(np.concatenate([r[0] for r in serial]), out1)
+
+
+def counting_hvp(target):
+    """target with hvp_log_density wrapped; returns (target, call list)."""
+    calls = []
+    inner = target.hvp_log_density
+
+    def hvp(x, v):
+        calls.append(x.shape[0])
+        return inner(x, v)
+
+    target.hvp_log_density = hvp
+    return target, calls
+
+
+DIVERGENCES = {"exact": OdeConfig(n_steps=4),
+               "hutchinson:2": OdeConfig(n_steps=4, divergence="hutchinson",
+                                         n_probes=2)}
+
+
+@pytest.mark.parametrize("mode", sorted(DIVERGENCES))
+def test_push_samples_evaluates_no_divergence(rng, mode):
+    cfg = DIVERGENCES[mode]
+    fp = flow.flow_init(rng, 2, hidden=8)
+    fp.net_x.weights[-1] = rng.uniform(-0.2, 0.2, size=fp.net_x.weights[-1].shape)
+    std, calls = counting_hvp(targets.standard_normal(2))
+    x = rng.standard_normal((200, 2))
+    out = flow.push_samples(fp, std, x, cfg)
+    assert calls == []
+    # the kernels' integration still runs the divergence, and the push
+    # lands every row exactly where it does
+    x1, _, ok = flow.integrate_rows(fp, std, x, cfg, rng, True)
+    assert len(calls) > 0 and ok.all()
+    assert np.array_equal(out, x1)
+
+
+def test_push_samples_ignores_nonfinite_hvp(rng):
+    std = targets.standard_normal(2)
+    bad = targets.TargetDensity(2, std.log_density, std.grad_log_density,
+                                lambda x, v: np.full(x.shape, np.nan),
+                                name="nan_hvp")
+    fp = flow.flow_init(rng, 2, hidden=8)
+    x = rng.standard_normal((5, 2))
+    out = flow.push_samples(fp, bad, x, OdeConfig(n_steps=4))
+    assert np.all(np.isfinite(out))
+    _, _, ok = flow.integrate_rows(fp, bad, x, OdeConfig(n_steps=4), None, True)
+    assert not ok.any()
+
+
+def test_push_samples_blown_up_row_reports_index():
+    # same blow-up as test_pullback_nonfinite_row_raises: the gate of 1e300
+    # sends row 1's velocity to infinity, row 0 sits where the score is zero
+    fp = flow.flow_zero(2)
+    fp.net_t.biases[-1][:] = 1e300
+    std = targets.standard_normal(2)
+    x = np.array([[0.0, 0.0], [1.0, 2.0]])
+    with pytest.raises(NonFiniteState, match="row 1"):
+        flow.push_samples(fp, std, x, OdeConfig(n_steps=4))
 
 
 def test_push_samples_nonfinite_row_reports_index():
