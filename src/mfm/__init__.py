@@ -9,7 +9,7 @@ temperature ladder bridges from a simple base density to the target.
 
 from .diagnostics import DiagnosticsReport
 from .driver import (ChainEnsemble, ExperimentConfig, RunArtifacts, run_atsmc,
-                     run_fm_oracle, run_mfm)
+                     run_fm_oracle, run_mfm, run_report)
 from .flow import FlowParams, OdeConfig
 from .kernels import KernelOutcome
 from .targets import TargetDensity
@@ -18,5 +18,5 @@ from .tempering import TemperState
 __all__ = [
     "ChainEnsemble", "DiagnosticsReport", "ExperimentConfig", "FlowParams",
     "KernelOutcome", "OdeConfig", "RunArtifacts", "TargetDensity", "TemperState",
-    "run_atsmc", "run_fm_oracle", "run_mfm",
+    "run_atsmc", "run_fm_oracle", "run_mfm", "run_report",
 ]

@@ -9,7 +9,8 @@ anything is written.  What each mode writes into the output directory:
 - mfm and fm-oracle: the resolved config (config.resolved), the final
   particle ensemble (samples.csv), the per-iteration run log
   (runlog.csv), the diagnostics summary (diagnostics.json) and the
-  trained flow (flow.ckpt);
+  trained flow (flow.ckpt).  diagnostics.json is written last, after the
+  run is scored, so a failing report leaves the other artifacts;
 - atsmc: the same without flow.ckpt, since it trains no flow;
 - diagnose: reads flow.ckpt and runlog.csv of an earlier run and
   rewrites diagnostics.json only; config.resolved is left as it is.
@@ -213,12 +214,14 @@ def run(cfg: ExperimentConfig) -> int:
     runner = {"mfm": driver.run_mfm, "atsmc": driver.run_atsmc,
               "fm-oracle": driver.run_fm_oracle}[cfg.mode]
     artifacts = runner(base, target, cfg)
+    # the samples are stored before they are scored: a report that raises
+    # still leaves the run behind
     if artifacts.flow_params is not None:
         flow.save_flow(out / "flow.ckpt", artifacts.flow_params)
     write_samples_csv(out / "samples.csv", cfg, artifacts.ensemble.positions)
     write_runlog_csv(out / "runlog.csv", cfg, artifacts.log_rows)
-    write_diagnostics_json(out / "diagnostics.json", artifacts.report,
-                           artifacts.log_rows)
+    report = driver.run_report(target, cfg, artifacts)
+    write_diagnostics_json(out / "diagnostics.json", report, artifacts.log_rows)
     return 0
 
 

@@ -9,7 +9,9 @@ The three runners share one contract: ``run_mfm``, ``run_atsmc`` and
 ``run_fm_oracle`` take ``(base, target, cfg)`` and return
 :class:`RunArtifacts`, the trained flow (``None`` for atsmc, which trains
 none), the final ensemble, one log row per iteration or level, and the
-diagnostics report of the run.
+run's wall time.  :func:`run_report` scores a finished run, so a caller
+can store the samples before scoring them, and a report that fails
+leaves the run's samples behind.
 
 Each iteration of the main loop (run_mfm):
   1. while the inverse temperature is below 1, solve the ESS equation for
@@ -181,12 +183,15 @@ class ChainEnsemble:
 
 @dataclass
 class RunArtifacts:
-    """What every runner returns; flow_params is None when no flow is trained."""
+    """What every runner returns; flow_params is None when no flow is trained.
+
+    wall_seconds is the runner's own time, without the report.
+    """
 
     flow_params: Optional[FlowParams]
     ensemble: ChainEnsemble
     log_rows: List[dict]
-    report: DiagnosticsReport
+    wall_seconds: float
 
 
 def _root_rng(seed: int) -> np.random.Generator:
@@ -222,8 +227,8 @@ def run_mfm(base: TargetDensity, target: TargetDensity,
             cfg: ExperimentConfig) -> RunArtifacts:
     """Adaptive run: tempered MCMC mutations interleaved with flow training.
 
-    Returns the trained flow, the final ensemble, one log row per iteration
-    and a diagnostics report computed from flow-pushed samples.
+    Returns the trained flow, the final ensemble and one log row per
+    iteration; :func:`run_report` scores flow-pushed samples.
     """
     _check_dims(base, target)
     t_start = time.perf_counter()
@@ -276,9 +281,27 @@ def run_mfm(base: TargetDensity, target: TargetDensity,
 
         log_rows.append(ens.log_row(loss))
 
-    report = diagnose_flow(flow_params, target, cfg,
-                           wall_seconds=time.perf_counter() - t_start)
-    return RunArtifacts(flow_params, ens, log_rows, report)
+    return RunArtifacts(flow_params, ens, log_rows, time.perf_counter() - t_start)
+
+
+def run_report(target: TargetDensity, cfg: ExperimentConfig,
+               artifacts: RunArtifacts) -> DiagnosticsReport:
+    """Score a finished run, stamped with the runner's wall time.
+
+    A run that trained a flow is scored on reference draws pushed through
+    it (:func:`diagnose_flow`).  atsmc trains none, so its final ensemble
+    is scored itself; MMD needs equal-size sets, so against as many exact
+    draws from the diagnostics stream as there are particles (diag_samples
+    does not apply).
+    """
+    if artifacts.flow_params is not None:
+        return diagnose_flow(artifacts.flow_params, target, cfg,
+                             wall_seconds=artifacts.wall_seconds)
+    exact = target.sampler(diag_rng(cfg.seed), cfg.particles) \
+        if target.sampler else None
+    return diagnostics.compute_report(
+        target, artifacts.ensemble.positions, exact,
+        wall_seconds=artifacts.wall_seconds, workers=cfg.workers)
 
 
 def diagnose_flow(flow_params: FlowParams, target: TargetDensity,
@@ -309,7 +332,8 @@ def run_atsmc(base: TargetDensity, target: TargetDensity,
     At each level: solve for the next beta, importance-weight the particles
     with the incremental weights, resample multinomially, then run k_q
     Langevin passes at the new temperature.  A final sweep runs at beta = 1.
-    No flow is trained, so the report scores the final ensemble itself.
+    No flow is trained, so :func:`run_report` scores the final ensemble
+    itself.
     """
     _check_dims(base, target)
     t_start = time.perf_counter()
@@ -345,15 +369,7 @@ def run_atsmc(base: TargetDensity, target: TargetDensity,
     mala_sweep()   # final sweep at the target itself (beta = 1)
     ens.iteration += 1
     log_rows.append(ens.log_row(float("nan")))
-
-    # MMD needs equal-size sets, so the ensemble is scored against as many
-    # exact draws as it has particles; diag_samples does not apply.
-    exact = target.sampler(diag_rng(cfg.seed), cfg.particles) \
-        if target.sampler else None
-    report = diagnostics.compute_report(
-        target, ens.positions, exact,
-        wall_seconds=time.perf_counter() - t_start, workers=cfg.workers)
-    return RunArtifacts(None, ens, log_rows, report)
+    return RunArtifacts(None, ens, log_rows, time.perf_counter() - t_start)
 
 
 def run_fm_oracle(base: TargetDensity, target: TargetDensity,
@@ -385,6 +401,4 @@ def run_fm_oracle(base: TargetDensity, target: TargetDensity,
     final = target.sampler(rng, cfg.particles)
     ens = ChainEnsemble(kernels.evaluate(base, target, final),
                         TemperState(1.0, cfg.alpha), cfg.iters)
-    report = diagnose_flow(flow_params, target, cfg,
-                           wall_seconds=time.perf_counter() - t_start)
-    return RunArtifacts(flow_params, ens, log_rows, report)
+    return RunArtifacts(flow_params, ens, log_rows, time.perf_counter() - t_start)

@@ -5,7 +5,10 @@ the (N, d) positions together with log pi_K, log pi_0 and both gradients
 there.  A kernel reads the annealed value (and gradient) at the current
 points from that cache, evaluates the target and base densities once, at
 its proposals, and returns the next ChainState in its outcome, so a chain
-never re-evaluates the densities at a point it already proposed.  pi_beta
+never re-evaluates the densities at a point it already proposed.  That
+evaluation (:func:`evaluate`) is one fused oracle call per density,
+``log_density(y, with_grad=True)``, which returns the value and the
+gradient from one pass: a Langevin proposal costs one target call.  pi_beta
 is the geometric interpolant of base (beta = 0) and target (beta = 1);
 base is also the reference density of the flow kernels.  Only the ODE
 vector field inside the flow kernels needs the annealed density as a
@@ -67,10 +70,16 @@ class ChainState:
 
 
 def evaluate(base: TargetDensity, target: TargetDensity, x) -> ChainState:
-    """Evaluate both endpoint densities and their gradients at x (N, d)."""
+    """Evaluate both endpoint densities and their gradients at x (N, d).
+
+    One fused ``log_density(x, with_grad=True)`` call per density returns
+    the value and the gradient together, so work they share (the LGCP
+    target's product with its precision) is done once per proposal.
+    """
     x = np.asarray(x, dtype=float)
-    return ChainState(x, target.log_density(x), base.log_density(x),
-                      target.grad_log_density(x), base.grad_log_density(x))
+    log_target, grad_target = target.log_density(x, with_grad=True)
+    log_base, grad_base = base.log_density(x, with_grad=True)
+    return ChainState(x, log_target, log_base, grad_target, grad_base)
 
 
 @dataclass
@@ -111,7 +120,10 @@ def mala_step(base: TargetDensity, target: TargetDensity, tau: float,
     """Langevin proposal y = x + tau grad log pi_beta(x) + sqrt(2 tau) xi.
 
     The Hastings correction uses the Gaussian proposal density with
-    variance 2 tau (tau > 0) in each coordinate.  A row whose proposal is not finite
+    variance 2 tau (tau > 0) in each coordinate.  log pi_beta and its
+    gradient at x come from the chain cache; at the proposals y they come
+    from one fused value-and-gradient call per endpoint density (see
+    :func:`evaluate`).  A row whose proposal is not finite
     (its gradient overflowed) is rejected with log_alpha = -inf and counted
     in n_nonfinite; the densities are evaluated at its current point
     instead.

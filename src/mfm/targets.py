@@ -3,6 +3,10 @@
 Every target is packaged as a :class:`TargetDensity`: an unnormalized
 log-density together with its gradient and a Hessian-vector product, all
 taking (N, d) batches of positions; a single point is a one-row batch.
+``log_density(x, with_grad=True)`` returns the value together with the
+gradient, from one pass over the work both share (on the LGCP target, one
+(N, d) by (d, d) product with the precision), so a caller that needs both,
+such as the Langevin kernel at its proposals, pays for that work once.
 Normalizing constants are never computed anywhere; Metropolis ratios and
 tempering only ever see log-density differences.
 """
@@ -25,7 +29,13 @@ class TargetDensity:
     Attributes:
         dim: Dimension of the state space.
         log_density: Maps (N, d) batches of positions to (N,) unnormalized
-            log-densities.
+            log-densities.  Called as ``log_density(x, with_grad=True)``
+            it returns ``(value, grad)``, which must equal
+            ``(log_density(x), grad_log_density(x))`` bit for bit.  A
+            target built from another target's oracles (a shifted or
+            tempered copy, a wrapper) must keep this pair consistent: the
+            fused call has to change the value and the gradient exactly as
+            the separate oracles do.
         grad_log_density: Gradient of ``log_density``, (N, d) -> (N, d).
         hvp_log_density: ``(x, v) -> H(x) v`` per row, where H is the
             Hessian of ``log_density``; ``v`` is one (d,) direction for
@@ -36,7 +46,7 @@ class TargetDensity:
     """
 
     dim: int
-    log_density: Callable[[np.ndarray], np.ndarray]
+    log_density: Callable[..., np.ndarray]
     grad_log_density: Callable[[np.ndarray], np.ndarray]
     hvp_log_density: Callable[[np.ndarray, np.ndarray], np.ndarray]
     sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
@@ -124,21 +134,30 @@ def _mixture_target(spec: GaussianMixtureSpec, name: str) -> TargetDensity:
         sq = np.sum((xb[:, None, :] - means[None, :, :]) ** 2, axis=-1)
         return log_weight + log_norm[None, :] - 0.5 * sq / variances[None, :]
 
-    def log_density(xb):
-        logs = component_logs(xb)
-        m = logs.max(axis=1)
-        return m + np.log(np.sum(np.exp(logs - m[:, None]), axis=1))
-
-    def responsibilities(xb):
+    def weights(xb):
+        """Row max m (N, 1) of the component log-terms, w = e^(terms - m)
+        (N, C) and the row sums of w (N, 1)."""
         logs = component_logs(xb)
         m = logs.max(axis=1, keepdims=True)
         w = np.exp(logs - m)
-        return w / w.sum(axis=1, keepdims=True)
+        return m, w, w.sum(axis=1, keepdims=True)
 
-    def grad_log_density(xb):
-        r = responsibilities(xb)                       # (N, C)
+    def responsibilities(xb):
+        _, w, total = weights(xb)
+        return w / total
+
+    def score(xb, r):
+        """Gradient given the (N, C) responsibilities r."""
         pulls = (means[None, :, :] - xb[:, None, :]) / variances[None, :, None]
         return np.sum(r[:, :, None] * pulls, axis=1)
+
+    def log_density(xb, with_grad=False):
+        m, w, total = weights(xb)
+        value = (m + np.log(total))[:, 0]
+        return (value, score(xb, w / total)) if with_grad else value
+
+    def grad_log_density(xb):
+        return score(xb, responsibilities(xb))
 
     def hvp_log_density(xb, v):
         # H = sum_c r_c (H_c + u_c u_c^T) - g g^T with u_c = (mu_c - x)/var_c
@@ -190,8 +209,9 @@ def gaussian(mean, scale: float, name: str = "gaussian") -> TargetDensity:
     var = float(scale) ** 2
     log_norm = -0.5 * dim * (LOG_2PI + np.log(var))
 
-    def log_density(xb):
-        return log_norm - 0.5 * np.sum((xb - mean) ** 2, axis=-1) / var
+    def log_density(xb, with_grad=False):
+        value = log_norm - 0.5 * np.sum((xb - mean) ** 2, axis=-1) / var
+        return (value, grad_log_density(xb)) if with_grad else value
 
     def grad_log_density(xb):
         return -(xb - mean) / var
@@ -223,10 +243,11 @@ def make_many_well(n_copies: int = 16) -> TargetDensity:
     """Product of 2-d double wells; dim = 2 * n_copies."""
     dim = 2 * n_copies
 
-    def log_density(xb):
+    def log_density(xb, with_grad=False):
         a = xb[:, 0::2]
         b = xb[:, 1::2]
-        return np.sum(-a ** 4 + 6.0 * a ** 2 + 0.5 * a - 0.5 * b ** 2, axis=-1)
+        value = np.sum(-a ** 4 + 6.0 * a ** 2 + 0.5 * a - 0.5 * b ** 2, axis=-1)
+        return (value, grad_log_density(xb)) if with_grad else value
 
     def grad_log_density(xb):
         g = np.empty_like(xb)
@@ -274,11 +295,12 @@ def make_field_system(spec: FieldSystemSpec = None) -> TargetDensity:
         z = np.zeros((xb.shape[0], 1))
         return np.concatenate([z, xb, z], axis=1)
 
-    def log_density(xb):
+    def log_density(xb, with_grad=False):
         xp = padded(xb)
         jumps = np.sum(np.diff(xp, axis=1) ** 2, axis=1)
         wells = np.sum((1.0 - xb ** 2) ** 2, axis=1)
-        return -beta * (coupling * jumps + onsite * wells)
+        value = -beta * (coupling * jumps + onsite * wells)
+        return (value, grad_log_density(xb)) if with_grad else value
 
     def grad_log_density(xb):
         xp = padded(xb)
@@ -332,11 +354,16 @@ def make_lgcp(spec: LgcpSpec, counts: np.ndarray) -> TargetDensity:
     chol_inv = np.linalg.solve(spec.covariance_cholesky, np.eye(d))
     precision = chol_inv.T @ chol_inv    # cov^{-1}, built once then read-only
 
-    def log_density(xb):
+    def log_density(xb, with_grad=False):
+        # one product with the precision and one exp serve both outputs;
+        # -(c @ P) equals (-c) @ P bit for bit, since rounding is symmetric
         centered = xb - mu0
-        quad = np.sum(centered * (centered @ precision), axis=-1)
-        lik = xb @ y - area * np.sum(np.exp(xb), axis=-1)
-        return -0.5 * quad + lik
+        pulled = centered @ precision
+        rates = np.exp(xb)
+        quad = np.sum(centered * pulled, axis=-1)
+        lik = xb @ y - area * np.sum(rates, axis=-1)
+        value = -0.5 * quad + lik
+        return (value, -pulled + y - area * rates) if with_grad else value
 
     def grad_log_density(xb):
         return -(xb - mu0) @ precision + y - area * np.exp(xb)
@@ -394,9 +421,19 @@ def tempered(base: TargetDensity, target: TargetDensity, beta: float) -> TargetD
     if beta == 1.0:
         return target
 
+    def log_density(x, with_grad=False):
+        # the endpoints' oracles are looked up at call time, so a wrapper
+        # installed on them later still sees every call
+        if not with_grad:
+            return geometric_mix(beta, target.log_density(x), base.log_density(x))
+        value_k, grad_k = target.log_density(x, with_grad=True)
+        value_0, grad_0 = base.log_density(x, with_grad=True)
+        return (geometric_mix(beta, value_k, value_0),
+                geometric_mix(beta, grad_k, grad_0))
+
     return TargetDensity(
         base.dim,
-        lambda x: geometric_mix(beta, target.log_density(x), base.log_density(x)),
+        log_density,
         lambda x: geometric_mix(beta, target.grad_log_density(x),
                                 base.grad_log_density(x)),
         lambda x, v: geometric_mix(beta, target.hvp_log_density(x, v),

@@ -59,11 +59,20 @@ def richardson_grad(f, x, step=1e-4):
     return g
 
 
+def fused(log_density, grad_log_density):
+    """log_density under the TargetDensity contract: with_grad=True returns
+    (log_density(x), grad_log_density(x))."""
+    def both(x, with_grad=False):
+        value = log_density(x)
+        return (value, grad_log_density(x)) if with_grad else value
+    return both
+
+
 def gaussian_with_overflow(threshold):
     """Standard normal in 2-d whose gradient overflows to inf where x_0 > threshold."""
     def grad(x):
         with np.errstate(over="ignore"):
             return -x * np.exp(np.where(x[:, :1] > threshold, 1e3, 0.0))
     return targets.TargetDensity(
-        2, lambda x: -0.5 * np.sum(x ** 2, axis=-1), grad,
+        2, fused(lambda x: -0.5 * np.sum(x ** 2, axis=-1), grad), grad,
         lambda x, v: -np.broadcast_to(v, x.shape))

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,48 @@ def test_lgcp_build_factors_covariance_once(monkeypatch):
     assert np.array_equal(-target.hvp_log_density(xb, np.eye(spec.dim)), precision)
 
 
+def test_bundled_lgcp_counts_are_the_synthetic_counts(monkeypatch):
+    # the package ships the seed-0 synthetic grid, so the m_side = 40 build
+    # reads the file and the samples are those of synthetic counts
+    spec = targets.LgcpSpec(m_side=40)
+    counts = targets.synthetic_lgcp_counts(spec, seed=0)
+    assert np.array_equal(targets.load_counts_csv(cli._BUNDLED_COUNTS, 40), counts)
+
+    def unavailable(*_args, **_kwargs):
+        raise AssertionError("build_target drew synthetic counts")
+
+    monkeypatch.setattr(targets, "synthetic_lgcp_counts", unavailable)
+    target = cli.build_target(cli.parse_config(overrides=dict(preset="lgcp", seed=0)))
+    # at x = mu0 the gradient is y - area e^mu0, which exposes the counts
+    x = np.full((1, spec.dim), spec.mu0)
+    assert np.array_equal(target.grad_log_density(x)[0],
+                          counts.ravel() - spec.cell_area * np.exp(x[0]))
+
+
+@pytest.mark.parametrize("mode", ["mfm", "atsmc"])
+def test_failing_report_leaves_the_run_artifacts(tmp_path, monkeypatch, mode):
+    # the samples, run log and flow are written before the run is scored:
+    # a report that raises re-raises, and what it leaves is what a clean run
+    # writes, byte for byte
+    out = tmp_path / mode
+    cfg = cli.parse_config(overrides=smoke_overrides(out, mode=mode, hidden=8,
+                                                     ode_steps=4))
+    names = ["samples.csv", "runlog.csv"] + ["flow.ckpt"] * (mode == "mfm")
+    assert cli.run(cfg) == 0
+    clean = {name: (out / name).read_bytes() for name in names}
+    shutil.rmtree(out)
+
+    def failing(*_args, **_kwargs):
+        raise RuntimeError("report failed")
+
+    monkeypatch.setattr(diagnostics, "compute_report", failing)
+    with pytest.raises(RuntimeError, match="report failed"):
+        cli.run(cfg)
+    assert {name: (out / name).read_bytes() for name in names} == clean
+    assert not (out / "diagnostics.json").exists()
+    assert (out / "flow.ckpt").exists() == (mode == "mfm")
+
+
 def test_samples_csv_header_stamp(tmp_path):
     out = tmp_path / "run"
     cfg = cli.parse_config(overrides=smoke_overrides(out))
@@ -314,10 +357,11 @@ TRACED_LAYERS = {
             "tempering.next_beta", "kernels.mala_step", "kernels.flow_step",
             "flow.integrate_rows", "cfm.train_step", "nets.pack",
             "nets.adam_step", "diagnostics.compute_report", "cli.artifacts",
-            "targets.grad_log_density", "targets.hvp_log_density"},
+            "targets.log_density", "targets.grad_log_density",
+            "targets.hvp_log_density"},
     "atsmc": {"cli.build_target", "driver", "tempering.next_beta",
               "kernels.mala_step", "diagnostics.compute_report",
-              "cli.artifacts", "targets.grad_log_density"},
+              "cli.artifacts", "targets.log_density", "targets.grad_log_density"},
 }
 
 
@@ -356,17 +400,29 @@ def test_bench_tracing_records_every_gated_layer(tmp_path, mode):
             for name, value in attrs.items():
                 setattr(module, name, value)
     assert TRACED_LAYERS[mode] <= {span[0] for span in tracer.spans}
+
+    def ancestors(i):
+        names = []
+        while tracer.spans[i][3] >= 0:
+            i = tracer.spans[i][3]
+            names.append(tracer.spans[i][0])
+        return names
+
+    # a Langevin step costs one fused value-and-gradient call of the target
+    # and no separate gradient call; the gradient gate is still fed, by the
+    # report's KSD
+    for i, span in enumerate(tracer.spans):
+        if span[0] == "kernels.mala_step":
+            children = [s[0] for s in tracer.spans if s[3] == i]
+            assert children.count("targets.log_density") == 1
+            assert "targets.grad_log_density" not in children
+    assert any(span[0] == "targets.grad_log_density"
+               and "diagnostics.compute_report" in ancestors(i)
+               for i, span in enumerate(tracer.spans))
     if mode == "mfm":
         # every hvp comes from a flow step's divergence, none from the
         # positions-only closing push, which still integrates through
         # flow.integrate_rows
-        def ancestors(i):
-            names = []
-            while tracer.spans[i][3] >= 0:
-                i = tracer.spans[i][3]
-                names.append(tracer.spans[i][0])
-            return names
-
         for i, span in enumerate(tracer.spans):
             if span[0] == "targets.hvp_log_density":
                 assert "kernels.flow_step" in ancestors(i)

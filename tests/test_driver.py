@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfm import diagnostics, driver, flow, kernels, targets
+from mfm import driver, flow, kernels, targets
 from mfm.driver import ExperimentConfig
 from mfm.errors import DimensionMismatch
 
@@ -110,36 +110,29 @@ def test_atsmc_identical_base_and_target_single_jump(rng):
 
 
 def test_atsmc_evaluates_target_once_per_mala_pass(monkeypatch):
+    # one fused value-and-gradient call per evaluation, none of the
+    # separate gradient oracle; the run ends before its report
     spec = targets.LgcpSpec(m_side=4)
     target = targets.make_lgcp(spec, targets.synthetic_lgcp_counts(spec, seed=0))
-    calls = {"log_density": 0, "grad_log_density": 0, "mala_step": 0}
-    before_report = {}
+    calls = {"log_density": [], "grad_log_density": [], "mala_step": []}
 
     def counting(name, inner):
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
+        def wrapper(*args, **kwargs):
+            calls[name].append(kwargs)
+            return inner(*args, **kwargs)
         return wrapper
 
     target.log_density = counting("log_density", target.log_density)
     target.grad_log_density = counting("grad_log_density", target.grad_log_density)
     monkeypatch.setattr(kernels, "mala_step", counting("mala_step", kernels.mala_step))
-    report = diagnostics.compute_report
-
-    def snapshot_then_report(*args, **kwargs):
-        # the run's own evaluations end where scoring the ensemble begins
-        before_report.update(calls)
-        return report(*args, **kwargs)
-
-    monkeypatch.setattr(diagnostics, "compute_report", snapshot_then_report)
     cfg = ExperimentConfig(particles=16, kq=2, alpha=0.9, mala_tau=0.01,
                            seed=1, hidden=8, diag_samples=16)
     rows = driver.run_atsmc(targets.standard_normal(spec.dim), target, cfg).log_rows
-    calls = before_report
     passes = cfg.kq * len(rows)    # k_q passes per level and in the final sweep
-    assert len(rows) > 3 and calls["mala_step"] == passes
+    assert len(rows) > 3 and len(calls["mala_step"]) == passes
     # the initial evaluation, then the proposals of each pass
-    assert calls["log_density"] == calls["grad_log_density"] == passes + 1
+    assert calls["log_density"] == [{"with_grad": True}] * (passes + 1)
+    assert calls["grad_log_density"] == []
 
 
 @pytest.mark.parametrize("kernel", ["rwmh", "imh", "cis"])
@@ -151,13 +144,14 @@ def test_flow_step_evaluates_target_once(kernel):
     calls = []
     inner = target.log_density
 
-    def counted(x):
+    def counted(x, **kwargs):
         calls.append(len(x))
-        return inner(x)
+        return inner(x, **kwargs)
 
     target.log_density = counted
     cfg = smoke_config(iters=4, particles=16, kq=1, nonlocal_kernel=kernel)
     art = driver.run_mfm(targets.standard_normal(2), target, cfg)
+    driver.run_report(target, cfg, art)
     assert art.ensemble.flow_proposed == 4 * 16
     assert len(calls) == 6
     per_step = 16 * (cfg.n_candidates if kernel == "cis" else 1)
@@ -230,7 +224,7 @@ def test_diagnose_flow_reproducible():
     target = targets.make_gmm4()
     cfg = smoke_config(iters=3)
     art = driver.run_mfm(targets.standard_normal(2), target, cfg)
-    r1 = driver.diagnose_flow(art.flow_params, target, cfg)
+    r1 = driver.run_report(target, cfg, art)
     r2 = driver.diagnose_flow(art.flow_params, target, cfg)
     assert r1.mmd2_unbiased == r2.mmd2_unbiased
     assert r1.ksd_u == r2.ksd_u

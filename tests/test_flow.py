@@ -8,15 +8,21 @@ from mfm import flow, nets, targets
 from mfm.errors import NonFiniteScore, NonFiniteState, ShapeMismatch
 from mfm.flow import OdeConfig
 
+from conftest import fused
+
 
 def gaussian_with_precision(prec):
     """Zero-mean Gaussian with a general SPD precision; score is -prec @ x."""
     prec = np.asarray(prec, dtype=float)
     d = prec.shape[0]
+
+    def grad(x):
+        return -x @ prec
+
     return targets.TargetDensity(
         d,
-        lambda x: -0.5 * np.sum(x * (x @ prec), axis=-1),
-        lambda x: -x @ prec,
+        fused(lambda x: -0.5 * np.sum(x * (x @ prec), axis=-1), grad),
+        grad,
         lambda x, v: -np.broadcast_to(v, x.shape) @ prec,
         name="gauss_prec",
     )
@@ -121,8 +127,11 @@ def test_hutchinson_unbiased(rng):
 
 def test_nonfinite_score_rejected(rng):
     std = targets.standard_normal(2)
-    bad = targets.TargetDensity(2, std.log_density,
-                                lambda x: np.full(x.shape, np.nan),
+
+    def nan_score(x):
+        return np.full(x.shape, np.nan)
+
+    bad = targets.TargetDensity(2, fused(std.log_density, nan_score), nan_score,
                                 std.hvp_log_density, name="nan_score")
     fp = flow.flow_init(rng, 2, hidden=4)
     x = rng.standard_normal((3, 2))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mfm import targets
 from mfm.errors import DimensionMismatch
@@ -174,6 +176,34 @@ def test_hvp_one_direction_broadcasts_over_rows(target, rng):
     for e in (np.eye(target.dim)[target.dim - 1], rng.standard_normal(target.dim)):
         assert np.array_equal(target.hvp_log_density(xb, e),
                               target.hvp_log_density(xb, np.tile(e, (5, 1))))
+
+
+def contract_targets():
+    """Every library target, and the tempered LGCP posterior at three betas."""
+    lgcp = all_targets()[4]
+    std = targets.standard_normal(lgcp.dim)
+    return all_targets() + [targets.tempered(std, lgcp, beta)
+                            for beta in (0.0, 0.37, 1.0)]
+
+
+@pytest.mark.parametrize("target", contract_targets(),
+                         ids=lambda t: f"{t.name}-{t.dim}")
+@settings(max_examples=25)
+@given(data=st.data())
+def test_fused_oracle_equals_separate_calls(target, data):
+    # log_density(x, with_grad=True) is (log_density(x), grad_log_density(x))
+    # bit for bit.  Coordinates near 800 overflow LGCP's exp(x) to inf, so
+    # its value and gradient hold -inf there; the last row always does.
+    n = data.draw(st.integers(1, 6), label="n")
+    coords = st.one_of(st.floats(-12.0, 12.0), st.floats(700.0, 900.0))
+    x = data.draw(arrays(float, (n, target.dim), elements=coords), label="x")
+    overflow = np.zeros((1, target.dim))
+    overflow[0, -1] = 800.0
+    x = np.concatenate([x, overflow])
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, grad = target.log_density(x, with_grad=True)
+        assert np.array_equal(value, target.log_density(x), equal_nan=True)
+        assert np.array_equal(grad, target.grad_log_density(x), equal_nan=True)
 
 
 def test_batched_matches_single(rng):
