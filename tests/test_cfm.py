@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,7 +96,7 @@ def test_full_gradient_matches_finite_differences(rng):
     # width-4 net, N=1, d=1, fixed draws
     target = targets.standard_normal(1)
     fp = flow.flow_init(rng, 1, hidden=4)
-    fp.net_x.weights[-1] = rng.uniform(-0.5, 0.5, size=fp.net_x.weights[-1].shape)
+    fp.net_x.weights[-1][...] = rng.uniform(-0.5, 0.5, size=fp.net_x.weights[-1].shape)
     sigma_min = SIGMA_MIN
     particles = np.array([[1.3]])
 
@@ -126,7 +128,7 @@ def test_loss_and_grad_runs_each_network_once(rng, forward_passes):
 def test_train_step_final_schedule_step_freezes(rng):
     target = targets.standard_normal(2)
     fp = flow.flow_init(rng, 2, hidden=4)
-    before = flow.flow_to_vector(fp)
+    before = flow.flow_to_vector(fp).copy()
     adam = nets.adam_init(before.size, 1e-3, total_steps=1)
     particles = rng.standard_normal((4, 2))
     new_fp, adam, _ = cfm.train_step(fp, adam, target, SIGMA_MIN, particles, rng)
@@ -147,6 +149,22 @@ def test_train_step_deterministic(rng):
                                             particles, r)
         results.append(flow.flow_to_vector(fp))
     assert np.array_equal(results[0], results[1])
+
+
+def test_train_step_peak_memory_is_two_parameter_vectors(rng):
+    # 0.8M parameters against activations of 8 rows: the gradient and Adam's
+    # new parameter vector are the only full-size allocations of the step
+    target = targets.standard_normal(2)
+    fp = flow.flow_init(rng, 2, hidden=512)
+    adam = nets.adam_init(flow.flow_size(fp), 1e-3, 10)
+    particles = rng.standard_normal((8, 2))
+    tracemalloc.start()
+    try:
+        cfm.train_step(fp, adam, target, SIGMA_MIN, particles, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * fp.flat.nbytes
 
 
 @pytest.mark.slow

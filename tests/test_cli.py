@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mfm import cfm, cli, diagnostics, driver, flow, kernels, nets, targets, tempering
-from mfm.errors import ConfigError
+from mfm.errors import ConfigError, DimensionMismatch
 
 from conftest import gaussian_with_overflow
 
@@ -157,6 +157,23 @@ def test_diagnose_reproduces_stored_diagnostics(tmp_path):
         if key == "wall_seconds":
             continue
         assert recomputed[key] == stored[key], key
+
+
+def test_diagnose_refuses_a_flow_of_another_dimension(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert cli.run(cli.parse_config(overrides=smoke_overrides(out))) == 0
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the mismatched flow was pushed")
+
+    monkeypatch.setattr(flow, "push_samples", refuse)
+    # a d = 2 gmm4 flow against the d = 32 many-well target
+    cfg = cli.parse_config(overrides=smoke_overrides(out, preset="manywell",
+                                                     mode="diagnose"))
+    with pytest.raises(DimensionMismatch, match="flow dim 2 != target dim 32"):
+        cli.run(cfg)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
 
 def test_atsmc_mode_runs(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from mfm import flow, nets, targets
+from mfm import cfm, flow, nets, targets
 from mfm.errors import NonFiniteScore, NonFiniteState, ShapeMismatch
 from mfm.flow import OdeConfig
 
@@ -95,7 +95,7 @@ def test_exact_divergence_matches_finite_differences(rng):
     d = 3
     target = targets.make_gmm4() if d == 2 else gaussian_with_precision(random_spd(rng, d))
     fp = flow.flow_init(rng, d, hidden=6)
-    fp.net_x.weights[-1] = rng.uniform(-0.5, 0.5, size=fp.net_x.weights[-1].shape)
+    fp.net_x.weights[-1][...] = rng.uniform(-0.5, 0.5, size=fp.net_x.weights[-1].shape)
     x = rng.standard_normal(d)
     t = 0.37
     div = flow.divergence(fp, target, t, x[None], OdeConfig())[0]
@@ -113,7 +113,7 @@ def test_hutchinson_unbiased(rng):
     d = 4
     target = gaussian_with_precision(random_spd(rng, d))
     fp = flow.flow_init(rng, d, hidden=8)
-    fp.net_x.weights[-1] = rng.uniform(-0.5, 0.5, size=fp.net_x.weights[-1].shape)
+    fp.net_x.weights[-1][...] = rng.uniform(-0.5, 0.5, size=fp.net_x.weights[-1].shape)
     x = rng.standard_normal(d)
     exact = flow.divergence(fp, target, 0.5, x[None], OdeConfig())[0]
     cfg = OdeConfig(divergence="hutchinson", n_probes=1)
@@ -155,7 +155,7 @@ def test_scalar_time_matches_per_row_time(rng):
     d, n, t = 3, 5, 0.37
     target = gaussian_with_precision(random_spd(rng, d))
     fp = flow.flow_init(rng, d, hidden=8)
-    fp.net_x.weights[-1] = rng.uniform(-0.5, 0.5, size=fp.net_x.weights[-1].shape)
+    fp.net_x.weights[-1][...] = rng.uniform(-0.5, 0.5, size=fp.net_x.weights[-1].shape)
     x = rng.standard_normal((n, d))
     rows = np.full(n, t)
     assert np.allclose(flow.vector_field(fp, target, t, x),
@@ -228,7 +228,7 @@ def test_zero_field_integration_is_identity(rng):
 def test_round_trip(rng):
     d = 3
     fp = flow.flow_init(rng, d, hidden=8)
-    fp.net_x.weights[-1] = rng.uniform(-0.2, 0.2, size=fp.net_x.weights[-1].shape)
+    fp.net_x.weights[-1][...] = rng.uniform(-0.2, 0.2, size=fp.net_x.weights[-1].shape)
     std = targets.standard_normal(d)
     cfg = OdeConfig(n_steps=64)
     x = rng.standard_normal((5, d))
@@ -263,7 +263,7 @@ def test_pullback_linear_oracle(rng):
 def test_pullback_step_refinement(rng):
     d = 2
     fp = flow.flow_init(rng, d, hidden=8)
-    fp.net_x.weights[-1] = rng.uniform(-0.2, 0.2, size=fp.net_x.weights[-1].shape)
+    fp.net_x.weights[-1][...] = rng.uniform(-0.2, 0.2, size=fp.net_x.weights[-1].shape)
     std = targets.standard_normal(d)
     x = rng.standard_normal(d)
     v64 = flow.pullback_log_density(fp, std, x[None], OdeConfig(n_steps=64))[0]
@@ -319,7 +319,7 @@ def test_push_samples_empty_batch():
 def test_push_samples_worker_count_invariance(rng):
     d = 2
     fp = flow.flow_init(rng, d, hidden=8)
-    fp.net_x.weights[-1] = rng.uniform(-0.2, 0.2, size=fp.net_x.weights[-1].shape)
+    fp.net_x.weights[-1][...] = rng.uniform(-0.2, 0.2, size=fp.net_x.weights[-1].shape)
     std = targets.standard_normal(d)
     x = rng.standard_normal((700, d))
     cfg = OdeConfig(n_steps=8)
@@ -363,7 +363,7 @@ DIVERGENCES = {"exact": OdeConfig(n_steps=4),
 def test_push_samples_evaluates_no_divergence(rng, mode):
     cfg = DIVERGENCES[mode]
     fp = flow.flow_init(rng, 2, hidden=8)
-    fp.net_x.weights[-1] = rng.uniform(-0.2, 0.2, size=fp.net_x.weights[-1].shape)
+    fp.net_x.weights[-1][...] = rng.uniform(-0.2, 0.2, size=fp.net_x.weights[-1].shape)
     std, calls = counting_hvp(targets.standard_normal(2))
     x = rng.standard_normal((200, 2))
     out = flow.push_samples(fp, std, x, cfg)
@@ -410,8 +410,8 @@ def test_push_samples_nonfinite_row_reports_index():
 
 def test_scale_positivity_arbitrary_params(rng):
     fp = flow.flow_init(rng, 2, hidden=8)
-    fp.net_scale.weights[-1] = rng.normal(0, 10, size=fp.net_scale.weights[-1].shape)
-    fp.net_scale.biases[-1] = rng.normal(-50, 10, size=fp.net_scale.biases[-1].shape)
+    fp.net_scale.weights[-1][...] = rng.normal(0, 10, size=fp.net_scale.weights[-1].shape)
+    fp.net_scale.biases[-1][...] = rng.normal(-50, 10, size=fp.net_scale.biases[-1].shape)
     for t in np.linspace(0, 1, 101):
         ffb = nets.fourier_embed(t, fp.fourier)[None]
         u = nets.mlp_forward(fp.net_scale, ffb)
@@ -460,3 +460,63 @@ def test_checkpoint_without_frequency_spacing_is_refused(tmp_path, rng):
                      list(arrays.items()))
     with pytest.raises(ValueError, match="spacing"):
         flow.load_flow(path)
+
+
+def test_checkpoint_with_mismatched_shapes_is_refused(tmp_path, rng):
+    path = tmp_path / "flow.ckpt"
+    flow.save_flow(path, flow.flow_init(rng, 3, hidden=8))
+    meta, arrays = nets.load_arrays(path)
+    # net_t's second layer takes 5 inputs where its first gives 8
+    broken = dict(arrays, **{"net_t.w1": np.zeros((5, 8))})
+    cases = [(meta, broken, "net_t.w1"),
+             # 3 positions + 16 time features, read as 4 + 16
+             (dict(meta, dim=4), arrays, "net_x.w0"),
+             (dict(meta, n_frequencies=6), arrays, "net_x.w0")]
+    for header, named, culprit in cases:
+        nets.save_arrays(path, header, list(named.items()))
+        with pytest.raises(ValueError, match=culprit.replace(".", r"\.")):
+            flow.load_flow(path)
+
+
+def _flat_backed_flow(constructor, rng, tmp_path):
+    """A flow from one of the constructors of a flat-backed FlowParams."""
+    fp = flow.flow_init(rng, 3, hidden=8)
+    if constructor == "flow_zero":
+        return flow.flow_zero(3)
+    if constructor == "vector_to_flow":
+        return flow.vector_to_flow(rng.standard_normal(flow.flow_size(fp)), fp)
+    if constructor == "load_flow":
+        flow.save_flow(tmp_path / "saved.ckpt", fp)
+        return flow.load_flow(tmp_path / "saved.ckpt")
+    if constructor == "cfm_gradient":
+        return cfm.cfm_loss_and_grad(fp, targets.standard_normal(3), 0.01,
+                                     rng.standard_normal((5, 3)), rng)[1]
+    return fp
+
+
+@pytest.mark.parametrize("constructor", ["flow_init", "flow_zero", "vector_to_flow",
+                                         "load_flow", "cfm_gradient"])
+def test_layers_are_views_into_flat(tmp_path, rng, constructor):
+    fp = _flat_backed_flow(constructor, rng, tmp_path)
+    flat = fp.flat
+    assert flow.flow_to_vector(fp) is flat
+    assert flat.ndim == 1 and flat.dtype == np.float64 and flat.flags.c_contiguous
+    offset = 0
+    for net in (fp.net_x, fp.net_t, fp.net_scale):
+        for layer in net.arrays():
+            assert layer.ctypes.data == flat.ctypes.data + 8 * offset
+            assert np.shares_memory(layer, flat)
+            offset += layer.size
+    assert offset == flat.size == flow.flow_size(fp)
+
+    path = tmp_path / "flow.ckpt"
+    flow.save_flow(path, fp)
+    blob = path.read_bytes()
+    assert blob[blob.index(b"\n") + 1:] == flat.tobytes()
+
+    with pytest.raises(TypeError):
+        fp.net_x.weights[-1] = np.zeros_like(fp.net_x.weights[-1])
+    with pytest.raises(AttributeError):
+        fp.net_t = fp.net_x
+    fp.net_scale.biases[-1][...] = 7.0
+    assert flat[-1] == 7.0

@@ -300,7 +300,7 @@ def fresh_flow_cis_step(density, fp, cfg, q0, x, rng, n_candidates):
 def bent_flow(rng, d, hidden, spread):
     """A random flow whose position net is switched on."""
     fp = flow.flow_init(rng, d, hidden=hidden)
-    fp.net_x.weights[-1] = rng.uniform(-spread, spread, size=fp.net_x.weights[-1].shape)
+    fp.net_x.weights[-1][...] = rng.uniform(-spread, spread, size=fp.net_x.weights[-1].shape)
     return fp
 
 

@@ -19,7 +19,8 @@ def acts(p, x):
 
 
 def test_zero_net_outputs_zero():
-    p = nets.mlp_zeros((3, 4, 4, 2))
+    sizes = (3, 4, 4, 2)
+    p = nets.vector_to_mlp(np.zeros(nets.mlp_size(sizes)), sizes)
     assert np.all(nets.mlp_forward(p, np.ones((1, 3))) == 0.0)
 
 
@@ -67,7 +68,7 @@ def test_param_gradient_matches_finite_differences(rng):
         vec0 = nets.mlp_to_vector(p)
 
         def f(vec):
-            return float(cot[0] @ nets.mlp_forward(nets.vector_to_mlp(vec, p), x)[0])
+            return float(cot[0] @ nets.mlp_forward(nets.vector_to_mlp(vec, p.sizes), x)[0])
 
         fd = richardson_grad(f, vec0)
         assert np.abs(gvec - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
