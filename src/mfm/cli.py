@@ -40,7 +40,7 @@ PRESETS = {
     "field": dict(target="field", particles=1024, hidden=256, mala_tau=1e-4,
                   iters=10000, kq=1000),
     "lgcp": dict(target="lgcp", particles=128, hidden=1024, mala_tau=0.01,
-                 iters=10000, kq=1000, divergence="hutchinson:1"),
+                 iters=10000, kq=1000),
 }
 
 _BUNDLED_COUNTS = Path(__file__).parent / "data" / "lgcp_counts_40.csv"
@@ -108,7 +108,7 @@ def build_target(cfg: ExperimentConfig) -> targets.TargetDensity:
     if cfg.target == "gmm4":
         return targets.make_gmm4()
     if cfg.target == "gmm16":
-        return targets.make_gmm16(cfg.gmm16_seed)
+        return targets.make_gmm16()
     if cfg.target == "manywell":
         return targets.make_many_well()
     if cfg.target == "field":
@@ -261,12 +261,11 @@ def main(argv=None) -> int:
     parser.add_argument("--kq", type=int)
     parser.add_argument("--iters", type=int)
     parser.add_argument("--particles", type=int)
-    parser.add_argument("--divergence", help="exact or hutchinson:N")
     args = parser.parse_args(argv)
 
     overrides = {k: getattr(args, k) for k in
                  ("preset", "seed", "out", "workers", "mode", "kq", "iters",
-                  "particles", "divergence")}
+                  "particles")}
     try:
         cfg = parse_config(args.config, overrides)
         return run(cfg)

@@ -64,8 +64,9 @@ def _require(ok: bool, name: str, message: str) -> None:
 class ExperimentConfig:
     """Flat, fully resolved description of one run; validated on construction.
 
-    ``ode`` (not a field) is the OdeConfig parsed from ode_steps and
-    divergence ("exact", "hutchinson" or "hutchinson:N" with N probes).
+    ``ode`` (not a field) is the OdeConfig built from ode_steps.  The
+    divergence estimator is not configured: flow picks it from the
+    target's dimension (flow.EXACT_DIVERGENCE_MAX_DIM).
     """
 
     mode: str = "mfm"              # mfm | atsmc | fm-oracle | diagnose
@@ -80,7 +81,6 @@ class ExperimentConfig:
     alpha: float = 0.5             # ESS target of the temperature ladder
     mala_tau: float = 0.2
     ode_steps: int = 32
-    divergence: str = "exact"      # exact | hutchinson | hutchinson:N
     sigma_min: float = 1e-2        # terminal scale of the OT path
     hidden: int = 128
     step_size: float = 1e-3        # initial Adam step, decays linearly to 0
@@ -92,7 +92,6 @@ class ExperimentConfig:
     init_scale: float = 1.0
     m_side: int = 40
     counts_csv: Optional[str] = None
-    gmm16_seed: int = 0
 
     def __post_init__(self):
         _require(self.seed is not None, "seed", "a seed is mandatory")
@@ -117,14 +116,7 @@ class ExperimentConfig:
         _require(0.0 < self.alpha < 1.0, "alpha", "must lie strictly in (0, 1)")
         _require(0.0 < self.sigma_min < 1.0, "sigma_min",
                  "must lie strictly in (0, 1)")
-        estimator, colon, probes = self.divergence.partition(":")
-        if colon:
-            ok = estimator == "hutchinson" and probes.isdigit() and int(probes) >= 1
-        else:
-            ok = estimator in ("exact", "hutchinson")
-        _require(ok, "divergence", f"bad value {self.divergence!r}")
-        n_probes = int(probes) if colon else 1
-        object.__setattr__(self, "ode", OdeConfig(self.ode_steps, estimator, n_probes))
+        object.__setattr__(self, "ode", OdeConfig(self.ode_steps))
 
 
 @dataclass
@@ -241,15 +233,12 @@ def run_mfm(base: TargetDensity, target: TargetDensity,
     flow_params = flow.flow_init(rng, target.dim, cfg.hidden)
     adam = nets.adam_init(flow.flow_size(flow_params),
                           cfg.step_size, cfg.iters)
-    # the annealed density, for training only
-    current = tempered(base, target, ens.temper.beta)
 
     log_rows = []
     nonfinite_streak = 0
     for k in range(1, cfg.iters + 1):
         if ens.temper.beta < 1.0:
             ens.temper = tempering.next_beta(ens.chains.log_ratios(), ens.temper)
-            current = tempered(base, target, ens.temper.beta)
 
         flow_step = is_flow_iteration(k, cfg.kq)
         if flow_step:
@@ -268,8 +257,10 @@ def run_mfm(base: TargetDensity, target: TargetDensity,
         ens.iteration = k
 
         try:
+            # the flow trains on the annealed density at the current beta
             flow_params, adam, loss = cfm.train_step(
-                flow_params, adam, current, cfg.sigma_min, ens.positions, rng)
+                flow_params, adam, tempered(base, target, ens.temper.beta),
+                cfg.sigma_min, ens.positions, rng)
             nonfinite_streak = 0
         except NonFiniteLoss:
             nonfinite_streak += 1
@@ -309,11 +300,11 @@ def diagnose_flow(flow_params: FlowParams, target: TargetDensity,
     """Push reference draws through the flow and score them.
 
     The push carries positions only: MMD and KSD score where the draws
-    land, so no divergence (exact or Hutchinson) is evaluated.  Uses a
-    dedicated child stream of the seed for the reference draws and then
-    the exact draws, so the same (seed, flow) pair always yields the same
-    report regardless of what the main stream consumed.  A flow of another
-    dimension than the target is refused before anything is pushed.
+    land, so no divergence is evaluated.  Uses a dedicated child stream of
+    the seed for the reference draws and then the exact draws, so the same
+    (seed, flow) pair always yields the same report regardless of what the
+    main stream consumed.  A flow of another dimension than the target is
+    refused before anything is pushed.
     """
     if flow_params.dim != target.dim:
         raise DimensionMismatch(f"flow dim {flow_params.dim} != target dim {target.dim}")

@@ -16,11 +16,17 @@ Metropolis kernels and ``pullback_log_density`` need delta_logp; the
 closing push of the diagnostics (``push_samples``) integrates positions
 alone and never evaluates the divergence.
 
+The divergence estimator follows from the dimension d alone: the exact
+trace (d target Hessian-vector products per field evaluation) up to
+EXACT_DIVERGENCE_MAX_DIM, and above it one Rademacher probe of
+Hutchinson's trace estimator (FFJORD), which draws from the integrator's
+rng.
+
 ``field`` is the only forward pass of v.  It returns the value together
 with the score, the gate, the scale and the forward caches of the three
-networks; the divergence (exact trace or Hutchinson) and the CFM parameter
-gradients in ``cfm`` reuse that cache instead of running the networks again.
-For a scalar t, as at every RK4 stage, the time networks run on one row.
+networks; the divergence and the CFM parameter gradients in ``cfm`` reuse
+that cache instead of running the networks again.  For a scalar t, as at
+every RK4 stage, the time networks run on one row.
 """
 
 import itertools
@@ -36,6 +42,9 @@ from .targets import TargetDensity
 SCALE_FLOOR = 0.1
 # Spacing of FourierFeatures.frequencies, stamped into flow checkpoints.
 FREQUENCY_SPACING = "linear"
+# Largest dimension whose divergence is the exact trace (the field preset's
+# d = 64); above it one Hutchinson probe estimates the divergence.
+EXACT_DIVERGENCE_MAX_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -44,7 +53,7 @@ class FlowParams:
 
     All parameters live in one contiguous float64 vector, flat: every layer
     of net_x, net_t and net_scale is a view into it, in that order and in
-    mlp_to_vector order within each network.  That is flow_to_vector's
+    MlpParams.arrays() order within each network.  That is flow_to_vector's
     order and the order of the checkpoint blob.  Neither the fields nor the
     layers can be rebound, so the views cannot come apart from flat; a
     layer written in place changes flat.  Build one with flow_init,
@@ -61,19 +70,13 @@ class FlowParams:
 
 @dataclass
 class OdeConfig:
-    """Fixed-step integrator settings and divergence estimator choice."""
+    """Fixed-step RK4 settings; the divergence estimator follows from d."""
 
     n_steps: int = 32
-    divergence: str = "exact"   # "exact" | "hutchinson"
-    n_probes: int = 1
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if self.divergence not in ("exact", "hutchinson"):
-            raise ValueError(f"unknown divergence mode {self.divergence!r}")
-        if self.divergence == "hutchinson" and self.n_probes < 1:
-            raise ValueError("hutchinson needs n_probes >= 1")
 
 
 def _layer_sizes(dim: int, hidden: int, ff: FourierFeatures):
@@ -191,10 +194,14 @@ def vector_field(params: FlowParams, target: TargetDensity, t, xb) -> np.ndarray
     return _checked_field(params, target, t, xb).v
 
 
-def _divergence_rows(params, target, xb, fe: FieldEval, cfg: OdeConfig, rng):
-    """Row-wise divergence of the evaluated field fe at positions xb."""
+def _divergence_rows(params, target, xb, fe: FieldEval, rng):
+    """Row-wise divergence of the evaluated field fe at positions xb.
+
+    Exact for d <= EXACT_DIVERGENCE_MAX_DIM; above it one Rademacher probe
+    drawn from rng gives Hutchinson's unbiased estimate.
+    """
     d = xb.shape[1]
-    if cfg.divergence == "exact":
+    if d <= EXACT_DIVERGENCE_MAX_DIM:
         div = nets.mlp_input_jacobian_trace(params.net_x, fe.acts_x, d)
         for i in range(d):
             e = np.zeros(d)
@@ -202,23 +209,24 @@ def _divergence_rows(params, target, xb, fe: FieldEval, cfg: OdeConfig, rng):
             div = div + fe.gate[:, i] * target.hvp_log_density(xb, e)[:, i]
         return div / fe.scale[:, 0]
     if rng is None:
-        raise ValueError("hutchinson divergence needs an rng")
-    acc = np.zeros(xb.shape[0])
+        raise ValueError(f"the Hutchinson divergence at d = {d} needs an rng")
+    eps = rng.integers(0, 2, size=xb.shape) * 2.0 - 1.0
     tangent = np.zeros_like(fe.acts_x[0])
-    for _ in range(cfg.n_probes):
-        eps = rng.integers(0, 2, size=xb.shape) * 2.0 - 1.0
-        tangent[:, :d] = eps
-        jvp = nets.mlp_input_jvp(params.net_x, fe.acts_x, tangent)
-        hvp = target.hvp_log_density(xb, eps)
-        acc += np.sum(eps * (jvp + fe.gate * hvp), axis=1)
-    return acc / (cfg.n_probes * fe.scale[:, 0])
+    tangent[:, :d] = eps
+    jvp = nets.mlp_input_jvp(params.net_x, fe.acts_x, tangent)
+    hvp = target.hvp_log_density(xb, eps)
+    return np.sum(eps * (jvp + fe.gate * hvp), axis=1) / fe.scale[:, 0]
 
 
 def divergence(params: FlowParams, target: TargetDensity, t, xb,
-               cfg: OdeConfig, rng: np.random.Generator = None):
-    """Divergence of v(t, .) per row of an (N, d) batch: exact or Hutchinson."""
+               rng: np.random.Generator = None):
+    """Divergence of v(t, .) per row of an (N, d) batch.
+
+    Exact up to EXACT_DIVERGENCE_MAX_DIM, one Hutchinson probe from rng
+    above it.
+    """
     fe = _checked_field(params, target, t, xb)
-    return _divergence_rows(params, target, xb, fe, cfg, rng)
+    return _divergence_rows(params, target, xb, fe, rng)
 
 
 def rk4_integrate(field, x0: np.ndarray, t0: float, t1: float, n_steps: int):
@@ -253,7 +261,7 @@ def rk4_integrate(field, x0: np.ndarray, t0: float, t1: float, n_steps: int):
     return x, dlp
 
 
-def _flow_field(params, target, cfg, rng, with_dlp):
+def _flow_field(params, target, rng, with_dlp):
     """Row-tolerant field closure: broken rows carry NaN, healthy rows run on.
 
     Without with_dlp the divergence is not evaluated and reads as zero, so
@@ -265,7 +273,7 @@ def _flow_field(params, target, cfg, rng, with_dlp):
         with np.errstate(over="ignore", invalid="ignore"):
             fe = field(params, target, t, safe)
             v = fe.v
-            div = (_divergence_rows(params, target, safe, fe, cfg, rng)
+            div = (_divergence_rows(params, target, safe, fe, rng)
                    if with_dlp else np.zeros(xb.shape[0]))
         ok &= np.all(np.isfinite(v), axis=1) & np.isfinite(div)
         if not ok.all():
@@ -285,13 +293,14 @@ def integrate_rows(params: FlowParams, target: TargetDensity, xb: np.ndarray,
     pullback_log_density raise NonFiniteState for it.  dlp is
     -int_0^1 div dt forward and +int_0^1 div dt backward.
 
-    With with_dlp=False no divergence (exact trace or Hutchinson probe) is
+    rng feeds the Hutchinson probes above EXACT_DIVERGENCE_MAX_DIM and is
+    not read at or below it.  With with_dlp=False no divergence is
     evaluated and rng is not read: the result is (x, finite_mask), the
     mask covering positions only.  The positions equal those of a with_dlp
     call bit for bit wherever that call's mask is set.
     """
     t0, t1 = (0.0, 1.0) if forward else (1.0, 0.0)
-    x, dlp = rk4_integrate(_flow_field(params, target, cfg, rng, with_dlp),
+    x, dlp = rk4_integrate(_flow_field(params, target, rng, with_dlp),
                            xb, t0, t1, cfg.n_steps)
     ok = np.all(np.isfinite(x), axis=1) & np.isfinite(dlp)
     return (x, dlp, ok) if with_dlp else (x, ok)

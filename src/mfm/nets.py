@@ -82,11 +82,6 @@ class MlpParams:
         """Layer widths (n_in, ..., n_out), as mlp_init takes them."""
         return (self.n_in,) + tuple(w.shape[1] for w in self.weights)
 
-    @property
-    def size(self) -> int:
-        """Number of parameters, the length of mlp_to_vector(self)."""
-        return mlp_size(self.sizes)
-
     def arrays(self) -> List[np.ndarray]:
         out = []
         for w, b in zip(self.weights, self.biases):
@@ -95,7 +90,7 @@ class MlpParams:
 
 
 def mlp_shapes(sizes: Sequence[int]) -> List[tuple]:
-    """Array shapes of an MLP with layer widths sizes, in mlp_to_vector order."""
+    """Array shapes of an MLP with layer widths sizes, in arrays() order."""
     return [shape for a, b in zip(sizes, sizes[1:]) for shape in ((a, b), (b,))]
 
 
@@ -149,27 +144,20 @@ def mlp_forward_cache(params: MlpParams, x):
     return h, acts
 
 
-def mlp_forward(params: MlpParams, x) -> np.ndarray:
-    """Deterministic forward pass of an (N, n_in) batch to (N, n_out)."""
-    return mlp_forward_cache(params, x)[0]
-
-
 def mlp_param_gradient(params: MlpParams, acts, cotangent,
-                       out: MlpParams = None) -> MlpParams:
+                       out: MlpParams) -> MlpParams:
     """Gradient of sum_rows cotangent_i . output_i with respect to parameters.
 
     acts is the forward cache of mlp_forward_cache and cotangent is
     (N, n_out).  The per-row gradients are accumulated by the matrix
     products themselves, giving a deterministic ordered reduction.  Each
     layer's gradient is written into the matching array of out, which has
-    the shapes of params (the views of a flat gradient vector, say); without
-    out the arrays are views into one fresh vector.  Returns out.
+    the shapes of params (the views of a flat gradient vector, say).
+    Returns out.
     """
     if cotangent.shape != (acts[0].shape[0], params.n_out):
         raise ShapeMismatch(
             f"cotangent shape {cotangent.shape} != {(acts[0].shape[0], params.n_out)}")
-    if out is None:
-        out = vector_to_mlp(np.empty(params.size), params.sizes)
     delta = cotangent
     for i in reversed(range(len(params.weights))):
         np.matmul(acts[i].T, delta, out=out.weights[i])
@@ -236,10 +224,6 @@ def unpack(vector: np.ndarray, shapes: Sequence[tuple]) -> List[np.ndarray]:
     if offset != vector.size:
         raise ShapeMismatch(f"vector length {vector.size}, shapes need {offset}")
     return out
-
-
-def mlp_to_vector(params: MlpParams) -> np.ndarray:
-    return pack_arrays(params.arrays())
 
 
 def vector_to_mlp(vector: np.ndarray, sizes: Sequence[int]) -> MlpParams:

@@ -73,6 +73,9 @@ INVALID_VALUES = [
     ("divergence", "hutchinson:x"), ("divergence", "trace"),
     ("mode", "sample"), ("target", "gmm8"), ("diag_samples", 1),
     ("iters", "many"), ("divergence", 3), ("seed", "one"), ("temper", "yes"),
+    # fields that no longer exist: the estimator follows from the dimension
+    # and gmm16's variances are frozen at seed 0
+    ("divergence", "exact"), ("divergence", "hutchinson:1"), ("gmm16_seed", 0),
     # the atsmc report scores the ensemble itself; mfm runs one particle
     ("particles", 1, {"mode": "atsmc"}),
 ]
@@ -205,6 +208,49 @@ def test_error_exit_status(tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "ConfigError"
 
 
+def test_divergence_flag_refused(tmp_path, capsys):
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["--preset", "gmm4", "--seed", "1", "--out", str(out),
+                  "--divergence", "exact"])
+    assert excinfo.value.code != 0
+    assert "--divergence" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# each preset at its default size: dimension and the divergence estimator
+# that follows from it
+PRESET_DIVERGENCE = {"gmm4": (2, "exact"), "gmm16": (2, "exact"),
+                     "manywell": (32, "exact"), "field": (64, "exact"),
+                     "lgcp": (1600, "hutchinson")}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_DIVERGENCE))
+def test_preset_divergence_estimator(preset):
+    # exact: d basis-direction hvp calls per field evaluation; Hutchinson:
+    # one call with a Rademacher probe per row
+    d, estimator = PRESET_DIVERGENCE[preset]
+    target = cli.build_target(cli.parse_config(overrides=dict(preset=preset, seed=0)))
+    assert target.dim == d
+    directions = []
+    inner = target.hvp_log_density
+
+    def hvp(x, v):
+        directions.append(np.shape(v))
+        return inner(x, v)
+
+    target.hvp_log_density = hvp
+    rng = np.random.Generator(np.random.Philox(0))
+    fp = flow.flow_init(rng, d, hidden=8)
+    x = rng.standard_normal((3, d))
+    flow.integrate_rows(fp, target, x, flow.OdeConfig(n_steps=1), rng, True)
+    # one RK4 step is 4 field evaluations
+    if estimator == "exact":
+        assert directions == [(d,)] * (4 * d)
+    else:
+        assert directions == [(3, d)] * 4
+
+
 def test_help_documents_blas_threads(capsys):
     with pytest.raises(SystemExit):
         cli.main(["--help"])
@@ -294,11 +340,14 @@ def test_samples_csv_header_stamp(tmp_path):
     assert first.startswith("# config_hash=") and "seed=11" in first
 
 
-def test_lgcp_property_run(tmp_path):
-    # desk-scale grid: finishes, finite KSD-V, local acceptance above 0.1
+@pytest.mark.parametrize("m_side", [8, 9])
+def test_lgcp_property_run(tmp_path, m_side):
+    # desk-scale grids on either side of flow.EXACT_DIVERGENCE_MAX_DIM
+    # (d = 64 exact, d = 81 Hutchinson): finishes, finite KSD-V, local
+    # acceptance above 0.1
     out = tmp_path / "lgcp"
     cfg = cli.parse_config(overrides=dict(
-        preset="lgcp", seed=5, out=str(out), m_side=8, iters=30, particles=16,
+        preset="lgcp", seed=5, out=str(out), m_side=m_side, iters=30, particles=16,
         kq=10, diag_samples=32, ode_steps=4, hidden=32))
     assert cli.run(cfg) == 0
     payload = json.loads((out / "diagnostics.json").read_text())

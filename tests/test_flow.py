@@ -36,6 +36,11 @@ def score_flow(d):
     return fp
 
 
+def use_hutchinson(monkeypatch):
+    """Route every dimension to the one-probe Hutchinson divergence."""
+    monkeypatch.setattr(flow, "EXACT_DIVERGENCE_MAX_DIM", 0)
+
+
 def random_spd(rng, d, scale=0.5):
     a = rng.standard_normal((d, d)) * scale / d
     return a @ a.T + scale * np.eye(d)
@@ -69,25 +74,25 @@ def test_field_scales_inversely_with_time_reweighting(rng):
 
 # -- divergence --------------------------------------------------------------------
 
-def test_divergence_zero_field(rng):
+def test_divergence_zero_field(rng, monkeypatch):
     fp = flow.flow_zero(3)
     std = targets.standard_normal(3)
     x = rng.standard_normal((1, 3))
-    assert flow.divergence(fp, std, 0.5, x, OdeConfig())[0] == 0.0
-    hut = OdeConfig(divergence="hutchinson", n_probes=2)
-    assert flow.divergence(fp, std, 0.5, x, hut, rng)[0] == 0.0
+    assert flow.divergence(fp, std, 0.5, x)[0] == 0.0
+    use_hutchinson(monkeypatch)
+    assert flow.divergence(fp, std, 0.5, x, rng)[0] == 0.0
 
 
 @pytest.mark.parametrize("d", [1, 3])
-def test_divergence_linear_diagonal_field(rng, d):
+def test_divergence_linear_diagonal_field(rng, monkeypatch, d):
     fp = score_flow(d)
     std = targets.standard_normal(d)
     x = rng.standard_normal((5, d))
-    div = flow.divergence(fp, std, 0.1, x, OdeConfig())
+    div = flow.divergence(fp, std, 0.1, x)
     assert np.allclose(div, -d, atol=1e-12)
     # Rademacher probes are exact on linear diagonal fields
-    hut = OdeConfig(divergence="hutchinson", n_probes=1)
-    divh = flow.divergence(fp, std, 0.1, x, hut, rng)
+    use_hutchinson(monkeypatch)
+    divh = flow.divergence(fp, std, 0.1, x, rng)
     assert np.allclose(divh, -d, atol=1e-12)
 
 
@@ -98,7 +103,7 @@ def test_exact_divergence_matches_finite_differences(rng):
     fp.net_x.weights[-1][...] = rng.uniform(-0.5, 0.5, size=fp.net_x.weights[-1].shape)
     x = rng.standard_normal(d)
     t = 0.37
-    div = flow.divergence(fp, target, t, x[None], OdeConfig())[0]
+    div = flow.divergence(fp, target, t, x[None])[0]
     h = 1e-6
     fd = 0.0
     for i in range(d):
@@ -109,15 +114,15 @@ def test_exact_divergence_matches_finite_differences(rng):
     assert abs(div - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
-def test_hutchinson_unbiased(rng):
+def test_hutchinson_unbiased(rng, monkeypatch):
     d = 4
     target = gaussian_with_precision(random_spd(rng, d))
     fp = flow.flow_init(rng, d, hidden=8)
     fp.net_x.weights[-1][...] = rng.uniform(-0.5, 0.5, size=fp.net_x.weights[-1].shape)
     x = rng.standard_normal(d)
-    exact = flow.divergence(fp, target, 0.5, x[None], OdeConfig())[0]
-    cfg = OdeConfig(divergence="hutchinson", n_probes=1)
-    draws = np.array([flow.divergence(fp, target, 0.5, x[None], cfg, rng)[0]
+    exact = flow.divergence(fp, target, 0.5, x[None])[0]
+    use_hutchinson(monkeypatch)
+    draws = np.array([flow.divergence(fp, target, 0.5, x[None], rng)[0]
                       for _ in range(10_000)])
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - exact) <= 3.0 * max(se, 1e-12)
@@ -138,7 +143,7 @@ def test_nonfinite_score_rejected(rng):
     with pytest.raises(NonFiniteScore):
         flow.vector_field(fp, bad, 0.3, x)
     with pytest.raises(NonFiniteScore):
-        flow.divergence(fp, bad, 0.3, x, OdeConfig())
+        flow.divergence(fp, bad, 0.3, x)
 
 
 def test_time_rows_must_match_positions(rng):
@@ -148,10 +153,10 @@ def test_time_rows_must_match_positions(rng):
     with pytest.raises(ShapeMismatch):
         flow.vector_field(fp, std, np.full(2, 0.3), x)
     with pytest.raises(ShapeMismatch):
-        flow.divergence(fp, std, np.full(4, 0.3), x, OdeConfig())
+        flow.divergence(fp, std, np.full(4, 0.3), x)
 
 
-def test_scalar_time_matches_per_row_time(rng):
+def test_scalar_time_matches_per_row_time(rng, monkeypatch):
     d, n, t = 3, 5, 0.37
     target = gaussian_with_precision(random_spd(rng, d))
     fp = flow.flow_init(rng, d, hidden=8)
@@ -160,23 +165,24 @@ def test_scalar_time_matches_per_row_time(rng):
     rows = np.full(n, t)
     assert np.allclose(flow.vector_field(fp, target, t, x),
                        flow.vector_field(fp, target, rows, x), rtol=0, atol=1e-12)
-    exact = OdeConfig()
-    assert np.allclose(flow.divergence(fp, target, t, x, exact),
-                       flow.divergence(fp, target, rows, x, exact), rtol=0, atol=1e-12)
-    hut = OdeConfig(divergence="hutchinson", n_probes=2)
+    assert np.allclose(flow.divergence(fp, target, t, x),
+                       flow.divergence(fp, target, rows, x), rtol=0, atol=1e-12)
+    use_hutchinson(monkeypatch)
     assert np.allclose(
-        flow.divergence(fp, target, t, x, hut, np.random.Generator(np.random.Philox(9))),
-        flow.divergence(fp, target, rows, x, hut, np.random.Generator(np.random.Philox(9))),
+        flow.divergence(fp, target, t, x, np.random.Generator(np.random.Philox(9))),
+        flow.divergence(fp, target, rows, x, np.random.Generator(np.random.Philox(9))),
         rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["exact", "hutchinson"])
-def test_one_forward_pass_per_field_evaluation(rng, forward_passes, mode):
+def test_one_forward_pass_per_field_evaluation(rng, monkeypatch, forward_passes, mode):
     d, n = 2, 7
     fp = flow.flow_init(rng, d, hidden=8)
     std = targets.standard_normal(d)
     x = rng.standard_normal((n, d))
-    flow.integrate_rows(fp, std, x, OdeConfig(n_steps=1, divergence=mode), rng, True)
+    if mode == "hutchinson":
+        use_hutchinson(monkeypatch)
+    flow.integrate_rows(fp, std, x, OdeConfig(n_steps=1), rng, True)
     # one RK4 step is 4 field evaluations, each net_x, net_t, net_scale once
     assert len(forward_passes) == 4 * 3
     assert [rows for net, rows in forward_passes if net is fp.net_x] == [n] * 4
@@ -354,14 +360,11 @@ def counting_hvp(target):
     return target, calls
 
 
-DIVERGENCES = {"exact": OdeConfig(n_steps=4),
-               "hutchinson:2": OdeConfig(n_steps=4, divergence="hutchinson",
-                                         n_probes=2)}
-
-
-@pytest.mark.parametrize("mode", sorted(DIVERGENCES))
-def test_push_samples_evaluates_no_divergence(rng, mode):
-    cfg = DIVERGENCES[mode]
+@pytest.mark.parametrize("mode", ["exact", "hutchinson"])
+def test_push_samples_evaluates_no_divergence(rng, monkeypatch, mode):
+    cfg = OdeConfig(n_steps=4)
+    if mode == "hutchinson":
+        use_hutchinson(monkeypatch)
     fp = flow.flow_init(rng, 2, hidden=8)
     fp.net_x.weights[-1][...] = rng.uniform(-0.2, 0.2, size=fp.net_x.weights[-1].shape)
     std, calls = counting_hvp(targets.standard_normal(2))
@@ -414,7 +417,7 @@ def test_scale_positivity_arbitrary_params(rng):
     fp.net_scale.biases[-1][...] = rng.normal(-50, 10, size=fp.net_scale.biases[-1].shape)
     for t in np.linspace(0, 1, 101):
         ffb = nets.fourier_embed(t, fp.fourier)[None]
-        u = nets.mlp_forward(fp.net_scale, ffb)
+        u = nets.mlp_forward_cache(fp.net_scale, ffb)[0]
         assert flow.SCALE_FLOOR + flow.softplus(u) > 0.0
 
 
@@ -426,7 +429,6 @@ def test_vector_to_flow_returns_views_without_packing(rng, monkeypatch):
     def refuse(*_args):
         raise AssertionError("vector_to_flow packed a vector")
 
-    monkeypatch.setattr(nets, "mlp_to_vector", refuse)
     monkeypatch.setattr(nets, "pack_arrays", refuse)
     back = flow.vector_to_flow(vec, fp)
     for net_name in ("net_x", "net_t", "net_scale"):

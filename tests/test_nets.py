@@ -18,33 +18,42 @@ def acts(p, x):
     return nets.mlp_forward_cache(p, x)[1]
 
 
+def gradient_vector(p, a, cot):
+    """mlp_param_gradient written into a flat vector allocated here."""
+    flat = np.empty(nets.mlp_size(p.sizes))
+    nets.mlp_param_gradient(p, a, cot, out=nets.vector_to_mlp(flat, p.sizes))
+    return flat
+
+
 def test_zero_net_outputs_zero():
     sizes = (3, 4, 4, 2)
     p = nets.vector_to_mlp(np.zeros(nets.mlp_size(sizes)), sizes)
-    assert np.all(nets.mlp_forward(p, np.ones((1, 3))) == 0.0)
+    assert np.all(nets.mlp_forward_cache(p, np.ones((1, 3)))[0] == 0.0)
 
 
 def test_single_linear_layer_identity():
     p = nets.MlpParams([np.eye(3)], [np.zeros(3)])
     x = np.array([[0.3, -1.2, 2.0]])
-    assert np.allclose(nets.mlp_forward(p, x), x)
+    assert np.allclose(nets.mlp_forward_cache(p, x)[0], x)
 
 
 def test_forward_not_homogeneous(rng):
     p = small_net(rng)
     x = rng.standard_normal((1, 3))
-    assert not np.allclose(nets.mlp_forward(p, 2.0 * x), 2.0 * nets.mlp_forward(p, x))
+    assert not np.allclose(nets.mlp_forward_cache(p, 2.0 * x)[0],
+                           2.0 * nets.mlp_forward_cache(p, x)[0])
 
 
 def test_forward_shape_mismatch(rng):
     p = small_net(rng)
     with pytest.raises(ShapeMismatch):
-        nets.mlp_forward(p, np.ones((1, 5)))
+        nets.mlp_forward_cache(p, np.ones((1, 5)))
 
 
 def test_param_gradient_zero_cotangent(rng):
     p = small_net(rng)
-    g = nets.mlp_param_gradient(p, acts(p, rng.standard_normal((1, 3))), np.zeros((1, 2)))
+    g = nets.vector_to_mlp(gradient_vector(p, acts(p, rng.standard_normal((1, 3))),
+                                           np.zeros((1, 2))), p.sizes)
     assert all(np.all(a == 0.0) for a in g.arrays())
 
 
@@ -53,7 +62,7 @@ def test_param_gradient_linear_closed_form(rng):
     p = nets.MlpParams([w], [np.zeros(1)])
     x = np.array([[2.5]])
     cot = np.array([[3.0]])
-    g = nets.mlp_param_gradient(p, acts(p, x), cot)
+    g = nets.vector_to_mlp(gradient_vector(p, acts(p, x), cot), p.sizes)
     assert g.weights[0][0, 0] == pytest.approx(cot[0, 0] * x[0, 0])
     assert g.biases[0][0] == pytest.approx(cot[0, 0])
 
@@ -63,12 +72,12 @@ def test_param_gradient_matches_finite_differences(rng):
         p = small_net(rng)
         x = rng.standard_normal((1, 3))
         cot = rng.standard_normal((1, 2))
-        g = nets.mlp_param_gradient(p, acts(p, x), cot)
-        gvec = nets.mlp_to_vector(g)
-        vec0 = nets.mlp_to_vector(p)
+        gvec = gradient_vector(p, acts(p, x), cot)
+        vec0 = nets.pack_arrays(p.arrays())
 
         def f(vec):
-            return float(cot[0] @ nets.mlp_forward(nets.vector_to_mlp(vec, p.sizes), x)[0])
+            out, _ = nets.mlp_forward_cache(nets.vector_to_mlp(vec, p.sizes), x)
+            return float(cot[0] @ out[0])
 
         fd = richardson_grad(f, vec0)
         assert np.abs(gvec - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
@@ -94,7 +103,8 @@ def test_input_jvp_matches_finite_differences(rng):
     x = rng.standard_normal((1, 3))
     v = rng.standard_normal(3)
     h = 1e-6
-    fd = (nets.mlp_forward(p, x + h * v) - nets.mlp_forward(p, x - h * v)) / (2 * h)
+    fd = (nets.mlp_forward_cache(p, x + h * v)[0]
+          - nets.mlp_forward_cache(p, x - h * v)[0]) / (2 * h)
     jvp = nets.mlp_input_jvp(p, acts(p, x), v)
     assert np.abs(jvp - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
 
@@ -117,9 +127,8 @@ def test_batch_gradient_sums_rows(rng):
     p = small_net(rng)
     xb = rng.standard_normal((4, 3))
     cb = rng.standard_normal((4, 2))
-    total = nets.mlp_to_vector(nets.mlp_param_gradient(p, acts(p, xb), cb))
-    parts = sum(nets.mlp_to_vector(nets.mlp_param_gradient(p, acts(p, xb[i:i + 1]),
-                                                        cb[i:i + 1]))
+    total = gradient_vector(p, acts(p, xb), cb)
+    parts = sum(gradient_vector(p, acts(p, xb[i:i + 1]), cb[i:i + 1])
                 for i in range(4))
     assert np.allclose(total, parts, atol=1e-12)
 
@@ -306,4 +315,4 @@ def test_determinism_same_seed():
     a = nets.mlp_init(np.random.Generator(np.random.Philox(4)), (3, 8, 8, 2))
     b = nets.mlp_init(np.random.Generator(np.random.Philox(4)), (3, 8, 8, 2))
     x = np.linspace(-1, 1, 3)[None]
-    assert np.array_equal(nets.mlp_forward(a, x), nets.mlp_forward(b, x))
+    assert np.array_equal(nets.mlp_forward_cache(a, x)[0], nets.mlp_forward_cache(b, x)[0])
