@@ -204,6 +204,9 @@ def _initial_positions(cfg: ExperimentConfig, base: TargetDensity,
                        rng: np.random.Generator) -> np.ndarray:
     if cfg.init_mean is not None:
         mean = np.asarray(cfg.init_mean, dtype=float)
+        if mean.shape != (base.dim,):
+            raise ConfigError("init_mean", f"needs {base.dim} entries, one per "
+                              f"dimension of the target, got shape {mean.shape}")
         return mean + cfg.init_scale * rng.standard_normal((cfg.particles, base.dim))
     if base.sampler is None:
         raise ValueError("base density must provide a sampler for initialization")

@@ -4,15 +4,16 @@ Every kernel works on a batch of chains held as a :class:`ChainState`:
 the (N, d) positions together with log pi_K, log pi_0 and both gradients
 there.  A kernel reads the annealed value (and gradient) at the current
 points from that cache, evaluates the target and base densities once, at
-its proposals, and returns the next ChainState in its outcome, so a chain
-never re-evaluates the densities at a point it already proposed.  That
-evaluation (:func:`evaluate`) is one fused oracle call per density,
-``log_density(y, with_grad=True)``, which returns the value and the
-gradient from one pass: a Langevin proposal costs one target call.  pi_beta
-is the geometric interpolant of base (beta = 0) and target (beta = 1);
-base is also the reference density of the flow kernels.  Only the ODE
-vector field inside the flow kernels needs the annealed density as a
-TargetDensity, built with ``targets.tempered``.
+its proposals (the CIS kernel: at all its candidates, stacked), and
+returns the next ChainState in its outcome, so a chain never re-evaluates
+the densities at a point it already proposed.  That evaluation
+(:func:`evaluate`) is one call per density of its one first-order oracle,
+which returns the value and the gradient from one pass: a Langevin
+proposal costs one target call.  pi_beta is the geometric interpolant of
+base (beta = 0) and target (beta = 1); base is also the reference density
+of the flow kernels.  Only the ODE vector field inside the flow kernels
+needs the annealed density as a TargetDensity, built with
+``targets.tempered``.
 
 Acceptance arithmetic stays in log space throughout, so adding a constant
 to any unnormalized log-density leaves every kernel unchanged.  A Langevin
@@ -216,9 +217,9 @@ def flow_cis_step(base: TargetDensity, target: TargetDensity,
     is pushed forward and weighted by pi(x1) / q(x1).  One index is selected
     with probability proportional to its weight (self-normalized, so
     constants on pi cancel).  If every weight underflows, the current state
-    is kept.  The candidates of all chains are integrated and their
-    log-densities evaluated as one stacked batch; the gradients, which only
-    the chain cache needs, are evaluated at the N selected rows alone.
+    is kept.  The candidates of all chains are integrated and evaluated
+    (:func:`evaluate`) as one stacked batch, and the selected rows of that
+    evaluation become the chain cache.
     """
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
@@ -232,13 +233,12 @@ def flow_cis_step(base: TargetDensity, target: TargetDensity,
     # candidate-major: row k * n + i is candidate k of chain i
     x0 = np.concatenate([base.sampler(rng, n) for _ in range(n_candidates)])
     x1, dlp_fwd, ok = integrate_rows(flow_params, density, x0, cfg, rng, True)
-    x1 = np.where(ok[:, None], x1, 0.0)
-    log_target, log_base = target.log_density(x1), base.log_density(x1)
+    cand = evaluate(base, target, np.where(ok[:, None], x1, 0.0))
     with np.errstate(invalid="ignore"):
         # w0 = pi(x)/q(x) with q(x) = base(u0) exp(-dlp_back)
         log_w0 = (chains.tempered(beta)[0]
                   - base.log_density(np.where(ok_b[:, None], u0, 0.0)) + dlp_back)
-        log_w1 = (geometric_mix(beta, log_target, log_base)
+        log_w1 = (geometric_mix(beta, cand.log_target, cand.log_base)
                   - base.log_density(x0) - dlp_fwd)
     log_w1 = np.where(ok, log_w1, -np.inf).reshape(n_candidates, n).T
     log_w = np.column_stack([np.where(ok_b, log_w0, -np.inf), log_w1])
@@ -260,8 +260,5 @@ def flow_cis_step(base: TargetDensity, target: TargetDensity,
                      n_candidates)
     accepted = ~kept & (idx > 0)
     rows = (np.maximum(idx, 1) - 1) * n + np.arange(n)
-    xp = x1[rows]
-    picked = ChainState(xp, log_target[rows], log_base[rows],
-                        target.grad_log_density(xp), base.grad_log_density(xp))
-    return KernelOutcome(chains.where(accepted, picked), accepted, log_alpha,
-                         int(np.sum(~ok_b)) + int(np.sum(~ok)))
+    return KernelOutcome(chains.where(accepted, cand.take(rows)), accepted,
+                         log_alpha, int(np.sum(~ok_b)) + int(np.sum(~ok)))

@@ -1,19 +1,20 @@
 """Benchmark target densities.
 
-Every target is packaged as a :class:`TargetDensity`: an unnormalized
-log-density together with its gradient and a Hessian-vector product, all
-taking (N, d) batches of positions; a single point is a one-row batch.
-``log_density(x, with_grad=True)`` returns the value together with the
-gradient, from one pass over the work both share (on the LGCP target, one
-(N, d) by (d, d) product with the precision), so a caller that needs both,
-such as the Langevin kernel at its proposals, pays for that work once.
-Normalizing constants are never computed anywhere; Metropolis ratios and
-tempering only ever see log-density differences.
+Every target is packaged as a :class:`TargetDensity` around one
+first-order oracle, ``value_and_grad``: it maps an (N, d) batch of
+positions to the (N,) unnormalized log-densities and their (N, d)
+gradients, from one pass over the work both share (on the LGCP target,
+one (N, d) by (d, d) product with the precision).  ``log_density`` and
+``grad_log_density`` read that oracle, so the value and the gradient of a
+target cannot disagree.  A Hessian-vector product completes each target;
+a single point is a one-row batch.  Normalizing constants are never
+computed anywhere; Metropolis ratios and tempering only ever see
+log-density differences.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -28,43 +29,37 @@ class TargetDensity:
 
     Attributes:
         dim: Dimension of the state space.
-        log_density: Maps (N, d) batches of positions to (N,) unnormalized
-            log-densities.  Called as ``log_density(x, with_grad=True)``
-            it returns ``(value, grad)``, which must equal
-            ``(log_density(x), grad_log_density(x))`` bit for bit.  A
-            target built from another target's oracles (a shifted or
-            tempered copy, a wrapper) must keep this pair consistent: the
-            fused call has to change the value and the gradient exactly as
-            the separate oracles do.
-        grad_log_density: Gradient of ``log_density``, (N, d) -> (N, d).
+        value_and_grad: The one first-order oracle: (N, d) positions ->
+            ``(value, grad)``, the (N,) unnormalized log-densities and
+            their (N, d) gradients.
         hvp_log_density: ``(x, v) -> H(x) v`` per row, where H is the
-            Hessian of ``log_density``; ``v`` is one (d,) direction for
+            Hessian of the log-density; ``v`` is one (d,) direction for
             every row or an (N, d) batch of directions.
         sampler: Optional exact sampler ``(rng, n) -> (n, d)``; present only
             for targets that admit one (mixtures, product targets).
         name: Short identifier used in logs and artifacts.
+
+    ``log_density`` and ``grad_log_density`` are methods over
+    ``value_and_grad``.  The class is neither frozen nor slotted, so a
+    counting or timing wrapper may shadow them with instance attributes;
+    :func:`tempered` looks its endpoints' ``log_density`` up at call time
+    and so sees such a wrapper.
     """
 
     dim: int
-    log_density: Callable[..., np.ndarray]
-    grad_log_density: Callable[[np.ndarray], np.ndarray]
+    value_and_grad: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     hvp_log_density: Callable[[np.ndarray, np.ndarray], np.ndarray]
     sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None
     name: str = ""
 
+    def log_density(self, x, with_grad=False):
+        """(N,) log-densities at x; ``(value, grad)`` if with_grad."""
+        out = self.value_and_grad(x)
+        return out if with_grad else out[0]
 
-@dataclass
-class GaussianMixtureSpec:
-    """Isotropic Gaussian mixture with equal weights."""
-
-    means: np.ndarray        # (C, d)
-    variances: np.ndarray    # (C,)
-
-    def __post_init__(self):
-        self.means = np.atleast_2d(np.asarray(self.means, dtype=float))
-        self.variances = np.asarray(self.variances, dtype=float)
-        if np.any(self.variances <= 0):
-            raise ValueError("mixture variances must be positive")
+    def grad_log_density(self, x):
+        """(N, d) gradients of the log-density at x."""
+        return self.value_and_grad(x)[1]
 
 
 @dataclass
@@ -122,48 +117,34 @@ class LgcpSpec:
                 f"LGCP covariance for m_side={self.m_side} is not positive definite") from exc
 
 
-def _mixture_target(spec: GaussianMixtureSpec, name: str) -> TargetDensity:
-    means = spec.means
-    variances = spec.variances
+def _mixture_target(means: np.ndarray, variances: np.ndarray,
+                    name: str) -> TargetDensity:
+    """Equally weighted isotropic Gaussian mixture: means (C, d), variances (C,)."""
     n_comp, dim = means.shape
     log_weight = -np.log(n_comp)
     # per-component constant of the normalized Gaussian density
     log_norm = -0.5 * dim * (LOG_2PI + np.log(variances))
 
-    def component_logs(xb):
-        sq = np.sum((xb[:, None, :] - means[None, :, :]) ** 2, axis=-1)
-        return log_weight + log_norm[None, :] - 0.5 * sq / variances[None, :]
-
     def weights(xb):
-        """Row max m (N, 1) of the component log-terms, w = e^(terms - m)
-        (N, C) and the row sums of w (N, 1)."""
-        logs = component_logs(xb)
+        """Row max m (N, 1) of the component log-terms, the row sums (N, 1)
+        of w = e^(terms - m), the responsibilities w / sum(w) (N, C) and
+        the pulls (mu_c - x)/var_c (N, C, d)."""
+        sq = np.sum((xb[:, None, :] - means[None, :, :]) ** 2, axis=-1)
+        logs = log_weight + log_norm[None, :] - 0.5 * sq / variances[None, :]
         m = logs.max(axis=1, keepdims=True)
         w = np.exp(logs - m)
-        return m, w, w.sum(axis=1, keepdims=True)
-
-    def responsibilities(xb):
-        _, w, total = weights(xb)
-        return w / total
-
-    def score(xb, r):
-        """Gradient given the (N, C) responsibilities r."""
+        total = w.sum(axis=1, keepdims=True)
         pulls = (means[None, :, :] - xb[:, None, :]) / variances[None, :, None]
-        return np.sum(r[:, :, None] * pulls, axis=1)
+        return m, total, w / total, pulls
 
-    def log_density(xb, with_grad=False):
-        m, w, total = weights(xb)
-        value = (m + np.log(total))[:, 0]
-        return (value, score(xb, w / total)) if with_grad else value
-
-    def grad_log_density(xb):
-        return score(xb, responsibilities(xb))
+    def value_and_grad(xb):
+        m, total, r, pulls = weights(xb)
+        return (m + np.log(total))[:, 0], np.sum(r[:, :, None] * pulls, axis=1)
 
     def hvp_log_density(xb, v):
         # H = sum_c r_c (H_c + u_c u_c^T) - g g^T with u_c = (mu_c - x)/var_c
         vb = np.broadcast_to(v, xb.shape)
-        r = responsibilities(xb)
-        pulls = (means[None, :, :] - xb[:, None, :]) / variances[None, :, None]
+        _, _, r, pulls = weights(xb)
         g = np.sum(r[:, :, None] * pulls, axis=1)
         uv = np.sum(pulls * vb[:, None, :], axis=-1)   # (N, C)
         hv = np.sum(r[:, :, None] * (pulls * uv[:, :, None]
@@ -176,14 +157,14 @@ def _mixture_target(spec: GaussianMixtureSpec, name: str) -> TargetDensity:
         idx = rng.integers(0, n_comp, size=n)
         return means[idx] + np.sqrt(variances[idx])[:, None] * rng.standard_normal((n, dim))
 
-    return TargetDensity(dim, log_density, grad_log_density, hvp_log_density,
+    return TargetDensity(dim, value_and_grad, hvp_log_density,
                          sampler=sampler, name=name)
 
 
 def make_gmm4() -> TargetDensity:
     """Four unit-variance modes at (+-8, +-8), equally weighted."""
     means = np.array([[8.0, 8.0], [-8.0, 8.0], [8.0, -8.0], [-8.0, -8.0]])
-    return _mixture_target(GaussianMixtureSpec(means, np.ones(4)), "gmm4")
+    return _mixture_target(means, np.ones(4), "gmm4")
 
 
 GMM16_LATTICE = np.array([-12.0, -4.0, 4.0, 12.0])
@@ -194,7 +175,7 @@ def make_gmm16(seed: int = 0) -> TargetDensity:
     xs, ys = np.meshgrid(GMM16_LATTICE, GMM16_LATTICE)
     means = np.column_stack([xs.ravel(), ys.ravel()])
     variances = np.random.Generator(np.random.Philox(seed)).lognormal(0.0, 0.25, size=16)
-    return _mixture_target(GaussianMixtureSpec(means, variances), "gmm16")
+    return _mixture_target(means, variances, "gmm16")
 
 
 def standard_normal(dim: int) -> TargetDensity:
@@ -209,12 +190,9 @@ def gaussian(mean, scale: float, name: str = "gaussian") -> TargetDensity:
     var = float(scale) ** 2
     log_norm = -0.5 * dim * (LOG_2PI + np.log(var))
 
-    def log_density(xb, with_grad=False):
-        value = log_norm - 0.5 * np.sum((xb - mean) ** 2, axis=-1) / var
-        return (value, grad_log_density(xb)) if with_grad else value
-
-    def grad_log_density(xb):
-        return -(xb - mean) / var
+    def value_and_grad(xb):
+        diff = xb - mean
+        return log_norm - 0.5 * np.sum(diff ** 2, axis=-1) / var, -diff / var
 
     def hvp_log_density(xb, v):
         return -np.broadcast_to(v, xb.shape) / var
@@ -222,7 +200,7 @@ def gaussian(mean, scale: float, name: str = "gaussian") -> TargetDensity:
     def sampler(rng, n):
         return mean + scale * rng.standard_normal((n, dim))
 
-    return TargetDensity(dim, log_density, grad_log_density, hvp_log_density,
+    return TargetDensity(dim, value_and_grad, hvp_log_density,
                          sampler=sampler, name=name)
 
 
@@ -243,18 +221,13 @@ def make_many_well(n_copies: int = 16) -> TargetDensity:
     """Product of 2-d double wells; dim = 2 * n_copies."""
     dim = 2 * n_copies
 
-    def log_density(xb, with_grad=False):
+    def value_and_grad(xb):
         a = xb[:, 0::2]
         b = xb[:, 1::2]
-        value = np.sum(-a ** 4 + 6.0 * a ** 2 + 0.5 * a - 0.5 * b ** 2, axis=-1)
-        return (value, grad_log_density(xb)) if with_grad else value
-
-    def grad_log_density(xb):
         g = np.empty_like(xb)
-        a = xb[:, 0::2]
         g[:, 0::2] = -4.0 * a ** 3 + 12.0 * a + 0.5
-        g[:, 1::2] = -xb[:, 1::2]
-        return g
+        g[:, 1::2] = -b
+        return np.sum(-a ** 4 + 6.0 * a ** 2 + 0.5 * a - 0.5 * b ** 2, axis=-1), g
 
     def hvp_log_density(xb, v):
         vb = np.broadcast_to(v, xb.shape)
@@ -271,7 +244,7 @@ def make_many_well(n_copies: int = 16) -> TargetDensity:
             out[:, 2 * j + 1] = rng.standard_normal(n)
         return out
 
-    return TargetDensity(dim, log_density, grad_log_density, hvp_log_density,
+    return TargetDensity(dim, value_and_grad, hvp_log_density,
                          sampler=sampler, name="many_well")
 
 
@@ -295,17 +268,13 @@ def make_field_system(spec: FieldSystemSpec = None) -> TargetDensity:
         z = np.zeros((xb.shape[0], 1))
         return np.concatenate([z, xb, z], axis=1)
 
-    def log_density(xb, with_grad=False):
+    def value_and_grad(xb):
         xp = padded(xb)
         jumps = np.sum(np.diff(xp, axis=1) ** 2, axis=1)
         wells = np.sum((1.0 - xb ** 2) ** 2, axis=1)
-        value = -beta * (coupling * jumps + onsite * wells)
-        return (value, grad_log_density(xb)) if with_grad else value
-
-    def grad_log_density(xb):
-        xp = padded(xb)
         lap = 2.0 * xb - xp[:, :-2] - xp[:, 2:]
-        return -beta * (2.0 * coupling * lap - 4.0 * onsite * xb * (1.0 - xb ** 2))
+        return (-beta * (coupling * jumps + onsite * wells),
+                -beta * (2.0 * coupling * lap - 4.0 * onsite * xb * (1.0 - xb ** 2)))
 
     def hvp_log_density(xb, v):
         vb = np.broadcast_to(v, xb.shape)
@@ -314,7 +283,7 @@ def make_field_system(spec: FieldSystemSpec = None) -> TargetDensity:
         diag = -4.0 * onsite * (1.0 - 3.0 * xb ** 2)
         return -beta * (2.0 * coupling * lap_v + diag * vb)
 
-    return TargetDensity(d, log_density, grad_log_density, hvp_log_density,
+    return TargetDensity(d, value_and_grad, hvp_log_density,
                          name="field_system")
 
 
@@ -354,25 +323,20 @@ def make_lgcp(spec: LgcpSpec, counts: np.ndarray) -> TargetDensity:
     chol_inv = np.linalg.solve(spec.covariance_cholesky, np.eye(d))
     precision = chol_inv.T @ chol_inv    # cov^{-1}, built once then read-only
 
-    def log_density(xb, with_grad=False):
-        # one product with the precision and one exp serve both outputs;
-        # -(c @ P) equals (-c) @ P bit for bit, since rounding is symmetric
+    def value_and_grad(xb):
+        # one product with the precision and one exp serve both outputs
         centered = xb - mu0
         pulled = centered @ precision
         rates = np.exp(xb)
         quad = np.sum(centered * pulled, axis=-1)
         lik = xb @ y - area * np.sum(rates, axis=-1)
-        value = -0.5 * quad + lik
-        return (value, -pulled + y - area * rates) if with_grad else value
-
-    def grad_log_density(xb):
-        return -(xb - mu0) @ precision + y - area * np.exp(xb)
+        return -0.5 * quad + lik, -pulled + y - area * rates
 
     def hvp_log_density(xb, v):
         vb = np.broadcast_to(v, xb.shape)
         return -vb @ precision - area * np.exp(xb) * vb
 
-    return TargetDensity(d, log_density, grad_log_density, hvp_log_density,
+    return TargetDensity(d, value_and_grad, hvp_log_density,
                          name=f"lgcp{spec.m_side}")
 
 
@@ -385,11 +349,16 @@ def synthetic_lgcp_counts(spec: LgcpSpec, seed: int = 0) -> np.ndarray:
 
 
 def load_counts_csv(path, m_side: int) -> np.ndarray:
-    """Row-major integer counts, m_side rows by m_side columns."""
+    """Row-major non-negative integer counts, m_side rows by m_side columns."""
     counts = np.loadtxt(path, delimiter=",", dtype=int, ndmin=2)
     if counts.shape != (m_side, m_side):
         raise DimensionMismatch(
             f"counts file is {counts.shape}, expected {(m_side, m_side)}")
+    negative = np.argwhere(counts < 0)
+    if len(negative):
+        i, j = negative[0]
+        raise ValueError(f"counts file {path}: negative count {counts[i, j]} "
+                         f"at row {i + 1}, column {j + 1}")
     return counts
 
 
@@ -421,11 +390,9 @@ def tempered(base: TargetDensity, target: TargetDensity, beta: float) -> TargetD
     if beta == 1.0:
         return target
 
-    def log_density(x, with_grad=False):
+    def value_and_grad(x):
         # the endpoints' oracles are looked up at call time, so a wrapper
         # installed on them later still sees every call
-        if not with_grad:
-            return geometric_mix(beta, target.log_density(x), base.log_density(x))
         value_k, grad_k = target.log_density(x, with_grad=True)
         value_0, grad_0 = base.log_density(x, with_grad=True)
         return (geometric_mix(beta, value_k, value_0),
@@ -433,9 +400,7 @@ def tempered(base: TargetDensity, target: TargetDensity, beta: float) -> TargetD
 
     return TargetDensity(
         base.dim,
-        log_density,
-        lambda x: geometric_mix(beta, target.grad_log_density(x),
-                                base.grad_log_density(x)),
+        value_and_grad,
         lambda x, v: geometric_mix(beta, target.hvp_log_density(x, v),
                                    base.hvp_log_density(x, v)),
         name=f"tempered({target.name},beta={beta:.6g})",

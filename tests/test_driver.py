@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from mfm import driver, flow, kernels, targets
+from mfm import cfm, driver, flow, kernels, targets
 from mfm.driver import ExperimentConfig
-from mfm.errors import DimensionMismatch
+from mfm.errors import ConfigError, DimensionMismatch
+
+from conftest import while_running
 
 
 def smoke_config(**kw):
@@ -96,6 +98,16 @@ def test_init_override_controls_start():
     assert np.all(np.abs(art.ensemble.positions - (-14.0)) < 5.0)
 
 
+@pytest.mark.parametrize("init_mean", [[3.0], [3.0, 0.0, 1.0]], ids=["short", "long"])
+def test_init_mean_of_wrong_length_refused(init_mean):
+    # gmm4 has d = 2: one entry would be broadcast over both coordinates,
+    # three would not broadcast at all
+    cfg = smoke_config(iters=1, init_mean=init_mean)
+    with pytest.raises(ConfigError) as err:
+        driver.run_mfm(targets.standard_normal(2), targets.make_gmm4(), cfg)
+    assert err.value.field == "init_mean"
+
+
 # -- AT-SMC baseline -----------------------------------------------------------------
 
 def test_atsmc_identical_base_and_target_single_jump(rng):
@@ -136,16 +148,21 @@ def test_atsmc_evaluates_target_once_per_mala_pass(monkeypatch):
 
 
 @pytest.mark.parametrize("kernel", ["rwmh", "imh", "cis"])
-def test_flow_step_evaluates_target_once(kernel):
-    # k_q = 1: every iteration is a flow step.  One log-density call for the
-    # initial cache, one per flow step (at the proposals, all candidates of
-    # the CIS kernel stacked) and one in the diagnostics report
+def test_flow_step_evaluates_target_once(kernel, monkeypatch):
+    # k_q = 1: every iteration is a flow step.  Outside the flow's vector
+    # field (ODE integration and training read the tempered score, which
+    # calls the target), one log-density call for the initial cache, one
+    # per flow step (at the proposals, all candidates of the CIS kernel
+    # stacked) and one in the diagnostics report
     target = targets.make_gmm4()
     calls = []
     inner = target.log_density
+    in_field = while_running(monkeypatch, (kernels, "integrate_rows"),
+                             (cfm, "train_step"))
 
     def counted(x, **kwargs):
-        calls.append(len(x))
+        if not in_field:
+            calls.append(len(x))
         return inner(x, **kwargs)
 
     target.log_density = counted

@@ -22,7 +22,6 @@ def gaussian_with_precision(prec):
     return targets.TargetDensity(
         d,
         fused(lambda x: -0.5 * np.sum(x * (x @ prec), axis=-1), grad),
-        grad,
         lambda x, v: -np.broadcast_to(v, x.shape) @ prec,
         name="gauss_prec",
     )
@@ -136,7 +135,7 @@ def test_nonfinite_score_rejected(rng):
     def nan_score(x):
         return np.full(x.shape, np.nan)
 
-    bad = targets.TargetDensity(2, fused(std.log_density, nan_score), nan_score,
+    bad = targets.TargetDensity(2, fused(std.log_density, nan_score),
                                 std.hvp_log_density, name="nan_score")
     fp = flow.flow_init(rng, 2, hidden=4)
     x = rng.standard_normal((3, 2))
@@ -380,7 +379,7 @@ def test_push_samples_evaluates_no_divergence(rng, monkeypatch, mode):
 
 def test_push_samples_ignores_nonfinite_hvp(rng):
     std = targets.standard_normal(2)
-    bad = targets.TargetDensity(2, std.log_density, std.grad_log_density,
+    bad = targets.TargetDensity(2, std.value_and_grad,
                                 lambda x, v: np.full(x.shape, np.nan),
                                 name="nan_hvp")
     fp = flow.flow_init(rng, 2, hidden=8)

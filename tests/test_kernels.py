@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 from mfm import flow, kernels, targets
 from mfm.flow import OdeConfig
 
-from conftest import fused, gaussian_with_overflow
+from conftest import fused, gaussian_with_overflow, while_running
 
 FAST_ODE = OdeConfig(n_steps=8)
 
@@ -79,7 +79,7 @@ def test_mala_invariant_under_lognormalization_shift(rng):
     base = targets.standard_normal(2)
     shifted = targets.TargetDensity(
         2, fused(lambda x: base.log_density(x) + 55.0, base.grad_log_density),
-        base.grad_log_density, base.hvp_log_density)
+        base.hvp_log_density)
     x = rng.standard_normal((8, 2))
     # the chain cache holds the shifted value, so the kernels below really
     # compare a shifted density with the base
@@ -383,7 +383,6 @@ def test_flow_rwmh_nonfinite_counts_as_rejection(rng):
 
     heavy = targets.TargetDensity(
         1, fused(lambda x: -0.5 * np.sum(x ** 4, axis=-1), heavy_grad),
-        heavy_grad,
         lambda x, v: -6.0 * x ** 2 * v)
     x = np.full((3, 1), 5.0)
     out = flow_at_target(kernels.flow_rwmh_step, heavy, fp, FAST_ODE, x, rng)
@@ -407,7 +406,7 @@ def test_flow_imh_unnormalized_invariance(rng):
     std = targets.standard_normal(1)
     scaled = targets.TargetDensity(
         1, fused(lambda x: std.log_density(x) + np.log(2.0), std.grad_log_density),
-        std.grad_log_density, std.hvp_log_density)
+        std.hvp_log_density)
     zf = flow.flow_zero(1)
     x = rng.standard_normal((8, 1))
     r1 = np.random.Generator(np.random.Philox(6))
@@ -467,7 +466,7 @@ def test_flow_cis_unnormalized_invariance(rng):
     std = targets.standard_normal(1)
     scaled = targets.TargetDensity(
         1, fused(lambda x: std.log_density(x) + 3.0, std.grad_log_density),
-        std.grad_log_density, std.hvp_log_density)
+        std.hvp_log_density)
     zf = flow.flow_zero(1)
     x = rng.standard_normal((16, 1))
     o1 = flow_at_target(kernels.flow_cis_step, std, zf, FAST_ODE, x,
@@ -478,35 +477,28 @@ def test_flow_cis_unnormalized_invariance(rng):
     assert np.array_equal(o1.accepted, o2.accepted)
 
 
-def test_flow_cis_evaluates_gradients_at_selected_rows_only(rng, monkeypatch):
-    # log pi at all N * n_candidates candidates, which the weights need;
-    # gradients, outside the ODE integration, only at the N selected rows
+def test_flow_cis_evaluates_candidates_in_one_fused_call(rng, monkeypatch):
+    # outside the ODE integration, one fused call of the target over all
+    # N * n_candidates candidates; the chain cache takes its gradients from
+    # that call, so no gradient-only call follows
     base, target = targets.standard_normal(2), targets.make_gmm4()
     fp = bent_flow(np.random.Generator(np.random.Philox(11)), 2, 8, 0.5)
     chains = kernels.evaluate(base, target, 4.0 * rng.standard_normal((16, 2)))
     rows = {"log_density": [], "grad_log_density": []}
-    integrating = []
-    integrate = kernels.integrate_rows
-
-    def flagged(*args):
-        integrating.append(True)
-        try:
-            return integrate(*args)
-        finally:
-            integrating.pop()
+    integrating = while_running(monkeypatch, (kernels, "integrate_rows"))
 
     def counted(name, inner):
-        def wrapper(x):
+        def wrapper(x, **kwargs):
             if not integrating:
-                rows[name].append(len(x))
-            return inner(x)
+                rows[name].append((len(x), kwargs))
+            return inner(x, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(kernels, "integrate_rows", flagged)
     for name in rows:
         setattr(target, name, counted(name, getattr(target, name)))
     kernels.flow_cis_step(base, target, fp, FAST_ODE, chains, 0.3, rng, 4)
-    assert rows == {"log_density": [64], "grad_log_density": [16]}
+    assert rows == {"log_density": [(64, {"with_grad": True})],
+                    "grad_log_density": []}
 
 
 def test_flow_cis_zero_candidates_rejected(rng):

@@ -269,3 +269,14 @@ def test_counts_csv_roundtrip(tmp_path):
     np.savetxt(path, counts, fmt="%d", delimiter=",")
     loaded = targets.load_counts_csv(path, 5)
     assert np.array_equal(loaded, counts)
+
+
+def test_counts_csv_with_negative_count_refused(tmp_path):
+    counts = np.arange(9).reshape(3, 3)
+    counts[1, 2] = -4
+    counts[2, 0] = -1
+    path = tmp_path / "counts.csv"
+    np.savetxt(path, counts, fmt="%d", delimiter=",")
+    with pytest.raises(ValueError, match="negative count -4 at row 2, column 3") as err:
+        targets.load_counts_csv(path, 3)
+    assert str(path) in str(err.value)
