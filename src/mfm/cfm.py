@@ -69,7 +69,7 @@ def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
 
     # flow.vector_to_flow, not this module's name, which only train_step's
     # packing calls use (bench/tracing.py counts those as nets.pack)
-    grad = flow.vector_to_flow(np.empty(flow.flow_size(flow_params)), flow_params)
+    grad = flow.vector_to_flow(np.empty(flow_params.flat.size), flow_params)
     nets.mlp_param_gradient(flow_params.net_x, fe.acts_x, cot_nx, out=grad.net_x)
     nets.mlp_param_gradient(flow_params.net_t, fe.acts_t, cot_nt, out=grad.net_t)
     nets.mlp_param_gradient(flow_params.net_scale, fe.acts_scale, cot_u,

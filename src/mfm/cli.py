@@ -21,6 +21,7 @@ import csv
 import hashlib
 import json
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -177,15 +178,18 @@ def _beta_trace_len(rows) -> int:
     return len({row["beta"] for row in rows})
 
 
-def write_diagnostics_json(path, report, rows) -> dict:
+def write_diagnostics_json(path, report, rows, wall_seconds: float) -> dict:
     """Strict JSON: a non-finite metric is written as null and named in
-    nonfinite_metrics (mmd2 is also null when there are no exact draws)."""
+    nonfinite_metrics (mmd2 is also null when there are no exact draws).
+
+    wall_seconds is the time of the run (mfm, atsmc, fm-oracle), without
+    its report, or of the re-scoring (diagnose)."""
     metrics = {
         "mmd2": report.mmd2_unbiased,
         "ksd_u": report.ksd_u,
         "ksd_v": report.ksd_v,
         "mean_logpi": report.mean_logpi,
-        "wall_seconds": report.wall_seconds,
+        "wall_seconds": wall_seconds,
         "acceptance_local": rows[-1]["acceptance_local"] if rows else 0.0,
         "acceptance_flow": rows[-1]["acceptance_flow"] if rows else 0.0,
     }
@@ -221,7 +225,8 @@ def run(cfg: ExperimentConfig) -> int:
     write_samples_csv(out / "samples.csv", cfg, artifacts.ensemble.positions)
     write_runlog_csv(out / "runlog.csv", cfg, artifacts.log_rows)
     report = driver.run_report(target, cfg, artifacts)
-    write_diagnostics_json(out / "diagnostics.json", report, artifacts.log_rows)
+    write_diagnostics_json(out / "diagnostics.json", report, artifacts.log_rows,
+                           artifacts.wall_seconds)
     return 0
 
 
@@ -233,8 +238,10 @@ def _run_diagnose(cfg: ExperimentConfig, out: Path) -> int:
     target = build_target(cfg)
     flow_params = flow.load_flow(ckpt)
     rows = load_runlog_csv(out / "runlog.csv")
+    t0 = time.perf_counter()
     report = driver.diagnose_flow(flow_params, target, cfg)
-    write_diagnostics_json(out / "diagnostics.json", report, rows)
+    write_diagnostics_json(out / "diagnostics.json", report, rows,
+                           time.perf_counter() - t0)
     return 0
 
 

@@ -48,7 +48,6 @@ class DiagnosticsReport:
     ksd_u: float
     ksd_v: float
     mean_logpi: float
-    wall_seconds: float
 
 
 def imq(x, y) -> float:
@@ -173,7 +172,6 @@ def mean_log_target(target: TargetDensity, samples) -> float:
 
 def compute_report(target: TargetDensity, flow_samples: np.ndarray,
                    exact_samples: Optional[np.ndarray],
-                   wall_seconds: float = 0.0,
                    workers: int = 1) -> DiagnosticsReport:
     """Assemble the standard report for a set of flow-generated samples."""
     mmd2 = None
@@ -186,5 +184,4 @@ def compute_report(target: TargetDensity, flow_samples: np.ndarray,
         ksd_u=_u_statistic(*sums),
         ksd_v=_v_statistic(*sums),
         mean_logpi=mean_log_target(target, flow_samples),
-        wall_seconds=wall_seconds,
     )

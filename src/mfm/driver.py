@@ -102,7 +102,8 @@ class ExperimentConfig:
         _require(isinstance(self.seed, int), "seed", f"expected int, got {self.seed!r}")
         _require(self.mode in MODES, "mode", f"unknown mode {self.mode!r}")
         _require(self.target in TARGETS, "target", f"unknown target {self.target!r}")
-        for name in ("iters", "particles", "kq", "ode_steps", "n_candidates"):
+        for name in ("iters", "particles", "kq", "ode_steps", "n_candidates",
+                     "hidden", "m_side"):
             _require(getattr(self, name) >= 1, name, "must be >= 1")
         # the unbiased MMD and KSD of the closing report need two samples
         _require(self.diag_samples >= 2, "diag_samples", "must be >= 2")
@@ -112,6 +113,8 @@ class ExperimentConfig:
         _require(self.nonlocal_kernel in NONLOCAL_KERNELS, "nonlocal_kernel",
                  f"unknown non-local kernel {self.nonlocal_kernel!r}")
         _require(self.mala_tau > 0, "mala_tau", "must be > 0")
+        # a negative Adam step climbs the flow-matching loss
+        _require(self.step_size >= 0, "step_size", "must be >= 0")
         # alpha >= 1 has no ESS crossing: the ladder would creep towards 1
         _require(0.0 < self.alpha < 1.0, "alpha", "must lie strictly in (0, 1)")
         _require(0.0 < self.sigma_min < 1.0, "sigma_min",
@@ -234,8 +237,7 @@ def run_mfm(base: TargetDensity, target: TargetDensity,
     ens = ChainEnsemble(kernels.evaluate(base, target, positions), temper_state)
 
     flow_params = flow.flow_init(rng, target.dim, cfg.hidden)
-    adam = nets.adam_init(flow.flow_size(flow_params),
-                          cfg.step_size, cfg.iters)
+    adam = nets.adam_init(flow_params.flat.size, cfg.step_size, cfg.iters)
 
     log_rows = []
     nonfinite_streak = 0
@@ -280,7 +282,7 @@ def run_mfm(base: TargetDensity, target: TargetDensity,
 
 def run_report(target: TargetDensity, cfg: ExperimentConfig,
                artifacts: RunArtifacts) -> DiagnosticsReport:
-    """Score a finished run, stamped with the runner's wall time.
+    """Score a finished run.
 
     A run that trained a flow is scored on reference draws pushed through
     it (:func:`diagnose_flow`).  atsmc trains none, so its final ensemble
@@ -289,17 +291,15 @@ def run_report(target: TargetDensity, cfg: ExperimentConfig,
     does not apply).
     """
     if artifacts.flow_params is not None:
-        return diagnose_flow(artifacts.flow_params, target, cfg,
-                             wall_seconds=artifacts.wall_seconds)
+        return diagnose_flow(artifacts.flow_params, target, cfg)
     exact = target.sampler(diag_rng(cfg.seed), cfg.particles) \
         if target.sampler else None
-    return diagnostics.compute_report(
-        target, artifacts.ensemble.positions, exact,
-        wall_seconds=artifacts.wall_seconds, workers=cfg.workers)
+    return diagnostics.compute_report(target, artifacts.ensemble.positions, exact,
+                                      workers=cfg.workers)
 
 
 def diagnose_flow(flow_params: FlowParams, target: TargetDensity,
-                  cfg: ExperimentConfig, wall_seconds: float = None) -> DiagnosticsReport:
+                  cfg: ExperimentConfig) -> DiagnosticsReport:
     """Push reference draws through the flow and score them.
 
     The push carries positions only: MMD and KSD score where the draws
@@ -311,15 +311,12 @@ def diagnose_flow(flow_params: FlowParams, target: TargetDensity,
     """
     if flow_params.dim != target.dim:
         raise DimensionMismatch(f"flow dim {flow_params.dim} != target dim {target.dim}")
-    t0 = time.perf_counter()
     rng = diag_rng(cfg.seed)
     x0 = rng.standard_normal((cfg.diag_samples, target.dim))
     samples = flow.push_samples(flow_params, target, x0, cfg.ode,
                                 workers=cfg.workers)
     exact = target.sampler(rng, cfg.diag_samples) if target.sampler else None
-    elapsed = wall_seconds if wall_seconds is not None else time.perf_counter() - t0
-    return diagnostics.compute_report(target, samples, exact,
-                                      wall_seconds=elapsed, workers=cfg.workers)
+    return diagnostics.compute_report(target, samples, exact, workers=cfg.workers)
 
 
 def run_atsmc(base: TargetDensity, target: TargetDensity,
@@ -383,19 +380,15 @@ def run_fm_oracle(base: TargetDensity, target: TargetDensity,
     t_start = time.perf_counter()
     rng = _root_rng(cfg.seed)
     flow_params = flow.flow_init(rng, target.dim, cfg.hidden)
-    adam = nets.adam_init(flow.flow_size(flow_params),
-                          cfg.step_size, cfg.iters)
+    adam = nets.adam_init(flow_params.flat.size, cfg.step_size, cfg.iters)
+    # no chains move while the flow trains; they are drawn after it
+    ens = ChainEnsemble(None, TemperState(1.0, cfg.alpha))
     log_rows = []
     for k in range(1, cfg.iters + 1):
         batch = target.sampler(rng, cfg.particles)
         flow_params, adam, loss = cfm.train_step(
             flow_params, adam, target, cfg.sigma_min, batch, rng)
-        log_rows.append({
-            "iteration": k, "beta": 1.0, "loss": loss,
-            "acceptance_local": 0.0, "acceptance_flow": 0.0,
-            "nonfinite_local": 0, "nonfinite_flow": 0,
-        })
-    final = target.sampler(rng, cfg.particles)
-    ens = ChainEnsemble(kernels.evaluate(base, target, final),
-                        TemperState(1.0, cfg.alpha), cfg.iters)
+        ens.iteration = k
+        log_rows.append(ens.log_row(loss))
+    ens.chains = kernels.evaluate(base, target, target.sampler(rng, cfg.particles))
     return RunArtifacts(flow_params, ens, log_rows, time.perf_counter() - t_start)

@@ -9,10 +9,6 @@ class DimensionMismatch(ValueError):
     """Two densities or states live in different dimensions."""
 
 
-class NonFiniteScore(FloatingPointError):
-    """A target gradient overflowed or produced NaN."""
-
-
 class NonFiniteState(FloatingPointError):
     """ODE state blew up during flow integration."""
 

@@ -16,17 +16,25 @@ Metropolis kernels and ``pullback_log_density`` need delta_logp; the
 closing push of the diagnostics (``push_samples``) integrates positions
 alone and never evaluates the divergence.
 
-The divergence estimator follows from the dimension d alone: the exact
-trace (d target Hessian-vector products per field evaluation) up to
+``field`` is the only forward pass of v.  It returns the value together
+with the score, the gate, the scale and the forward caches of the three
+networks; ``divergence`` and the CFM parameter gradients in ``cfm`` reuse
+that cache instead of running the networks again.  For a scalar t, as at
+every RK4 stage, the time networks run on one row.  The time networks read
+the fixed features ``nets.fourier_embed(t)``; checkpoints stamp them, and
+``load_flow`` refuses a checkpoint stamped with others.
+
+``divergence`` is the one divergence, and the RK4 field closure calls it.
+Its estimator follows from the dimension d alone: the exact trace (d
+target Hessian-vector products per field evaluation) up to
 EXACT_DIVERGENCE_MAX_DIM, and above it one Rademacher probe of
 Hutchinson's trace estimator (FFJORD), which draws from the integrator's
 rng.
 
-``field`` is the only forward pass of v.  It returns the value together
-with the score, the gate, the scale and the forward caches of the three
-networks; the divergence and the CFM parameter gradients in ``cfm`` reuse
-that cache instead of running the networks again.  For a scalar t, as at
-every RK4 stage, the time networks run on one row.
+The rest of the API is the integrator (``integrate_rows``, with
+``rk4_integrate`` underneath), the closing push (``push_samples``), two
+oracles for tests (``flow_zero`` and ``pullback_log_density``) and the
+checkpoint pair ``save_flow``/``load_flow``.
 """
 
 import itertools
@@ -35,13 +43,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nets
-from .errors import NonFiniteScore, NonFiniteState, ShapeMismatch
-from .nets import FourierFeatures, MlpParams
+from .errors import NonFiniteState, ShapeMismatch
+from .nets import MlpParams
 from .targets import TargetDensity
 
 SCALE_FLOOR = 0.1
-# Spacing of FourierFeatures.frequencies, stamped into flow checkpoints.
-FREQUENCY_SPACING = "linear"
+# The time features (nets.FREQUENCIES) as flow checkpoints stamp them.
+TIME_FEATURES = {"n_frequencies": nets.FREQUENCIES.size,
+                 "base_frequency": float(nets.FREQUENCIES[0]),
+                 "frequency_spacing": "linear"}
 # Largest dimension whose divergence is the exact trace (the field preset's
 # d = 64); above it one Hutchinson probe estimates the divergence.
 EXACT_DIVERGENCE_MAX_DIM = 64
@@ -49,7 +59,7 @@ EXACT_DIVERGENCE_MAX_DIM = 64
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Weights of the three sub-networks plus the time-feature config.
+    """Weights of the three sub-networks and the dimension.
 
     All parameters live in one contiguous float64 vector, flat: every layer
     of net_x, net_t and net_scale is a view into it, in that order and in
@@ -63,7 +73,6 @@ class FlowParams:
     net_x: MlpParams       # (x, fourier(t)) -> R^d
     net_t: MlpParams       # fourier(t) -> R^d, gates the score
     net_scale: MlpParams   # fourier(t) -> R, reweights the whole field
-    fourier: FourierFeatures
     dim: int
     flat: np.ndarray
 
@@ -79,21 +88,20 @@ class OdeConfig:
             raise ValueError("n_steps must be >= 1")
 
 
-def _layer_sizes(dim: int, hidden: int, ff: FourierFeatures):
+def _layer_sizes(dim: int, hidden: int):
     """Layer widths of net_x, net_t and net_scale."""
-    nf = ff.n_features
+    nf = nets.N_TIME_FEATURES
     return ((dim + nf, hidden, hidden, dim), (nf, hidden, hidden, dim),
             (nf, hidden, hidden, 1))
 
 
-def _on_flat(flat: np.ndarray, sizes, fourier: FourierFeatures,
-             dim: int) -> FlowParams:
+def _on_flat(flat: np.ndarray, sizes, dim: int) -> FlowParams:
     """FlowParams whose networks, with layer widths sizes, are views into flat."""
     if flat.ndim != 1 or flat.dtype != np.float64 or not flat.flags.c_contiguous:
         raise ShapeMismatch("flow parameters must be one contiguous float64 vector")
     parts = nets.unpack(flat, [(nets.mlp_size(s),) for s in sizes])
     net_x, net_t, net_scale = (nets.vector_to_mlp(p, s) for p, s in zip(parts, sizes))
-    return FlowParams(net_x, net_t, net_scale, fourier, dim, flat)
+    return FlowParams(net_x, net_t, net_scale, dim, flat)
 
 
 def flow_init(rng: np.random.Generator, dim: int, hidden: int = 128) -> FlowParams:
@@ -102,18 +110,16 @@ def flow_init(rng: np.random.Generator, dim: int, hidden: int = 128) -> FlowPara
     The networks are drawn layer by layer and packed into one flat vector
     once, here.
     """
-    ff = FourierFeatures()
-    sizes = _layer_sizes(dim, hidden, ff)
+    sizes = _layer_sizes(dim, hidden)
     drawn = [nets.mlp_init(rng, s, zero_last=(i == 0)) for i, s in enumerate(sizes)]
     flat = nets.pack_arrays([a for net in drawn for a in net.arrays()])
-    return _on_flat(flat, sizes, ff, dim)
+    return _on_flat(flat, sizes, dim)
 
 
 def flow_zero(dim: int, hidden: int = 8) -> FlowParams:
     """All-zero networks: the vector field is identically zero."""
-    ff = FourierFeatures()
-    sizes = _layer_sizes(dim, hidden, ff)
-    return _on_flat(np.zeros(sum(map(nets.mlp_size, sizes))), sizes, ff, dim)
+    sizes = _layer_sizes(dim, hidden)
+    return _on_flat(np.zeros(sum(map(nets.mlp_size, sizes))), sizes, dim)
 
 
 def flow_to_vector(params: FlowParams) -> np.ndarray:
@@ -124,11 +130,6 @@ def flow_to_vector(params: FlowParams) -> np.ndarray:
     return params.flat
 
 
-def flow_size(params: FlowParams) -> int:
-    """Number of parameters, the length of flow_to_vector(params)."""
-    return params.flat.size
-
-
 def vector_to_flow(vector: np.ndarray, template: FlowParams) -> FlowParams:
     """Inverse of flow_to_vector: a flow shaped like template stored in vector.
 
@@ -136,7 +137,7 @@ def vector_to_flow(vector: np.ndarray, template: FlowParams) -> FlowParams:
     views into it, so a later write to vector changes the flow.
     """
     sizes = [net.sizes for net in (template.net_x, template.net_t, template.net_scale)]
-    return _on_flat(vector, sizes, template.fourier, template.dim)
+    return _on_flat(vector, sizes, template.dim)
 
 
 def softplus(u):
@@ -169,7 +170,7 @@ def field(params: FlowParams, target: TargetDensity, t, xb: np.ndarray) -> Field
     """
     t = np.asarray(t, dtype=float)
     n = xb.shape[0]
-    ff = np.atleast_2d(nets.fourier_embed(t, params.fourier))
+    ff = np.atleast_2d(nets.fourier_embed(t))
     if t.ndim and ff.shape[0] != n:
         raise ShapeMismatch(f"{ff.shape[0]} time rows for {n} positions")
     score = target.grad_log_density(xb)
@@ -182,23 +183,13 @@ def field(params: FlowParams, target: TargetDensity, t, xb: np.ndarray) -> Field
     return FieldEval(v, score, gate, u, scale, acts_x, acts_t, acts_scale)
 
 
-def _checked_field(params, target, t, xb) -> FieldEval:
-    fe = field(params, target, t, xb)
-    if not np.all(np.isfinite(fe.score)):
-        raise NonFiniteScore("target gradient is not finite")
-    return fe
+def divergence(params: FlowParams, target: TargetDensity, xb: np.ndarray,
+               fe: FieldEval, rng: np.random.Generator):
+    """Divergence of v(t, .) per row of xb (N, d), where fe = field(.., t, xb).
 
-
-def vector_field(params: FlowParams, target: TargetDensity, t, xb) -> np.ndarray:
-    """v(t, x) over an (N, d) batch xb; t is a scalar or one time per row."""
-    return _checked_field(params, target, t, xb).v
-
-
-def _divergence_rows(params, target, xb, fe: FieldEval, rng):
-    """Row-wise divergence of the evaluated field fe at positions xb.
-
-    Exact for d <= EXACT_DIVERGENCE_MAX_DIM; above it one Rademacher probe
-    drawn from rng gives Hutchinson's unbiased estimate.
+    Exact for d <= EXACT_DIVERGENCE_MAX_DIM, where rng is not read; above
+    it one Rademacher probe drawn from rng gives Hutchinson's unbiased
+    estimate.
     """
     d = xb.shape[1]
     if d <= EXACT_DIVERGENCE_MAX_DIM:
@@ -216,17 +207,6 @@ def _divergence_rows(params, target, xb, fe: FieldEval, rng):
     jvp = nets.mlp_input_jvp(params.net_x, fe.acts_x, tangent)
     hvp = target.hvp_log_density(xb, eps)
     return np.sum(eps * (jvp + fe.gate * hvp), axis=1) / fe.scale[:, 0]
-
-
-def divergence(params: FlowParams, target: TargetDensity, t, xb,
-               rng: np.random.Generator = None):
-    """Divergence of v(t, .) per row of an (N, d) batch.
-
-    Exact up to EXACT_DIVERGENCE_MAX_DIM, one Hutchinson probe from rng
-    above it.
-    """
-    fe = _checked_field(params, target, t, xb)
-    return _divergence_rows(params, target, xb, fe, rng)
 
 
 def rk4_integrate(field, x0: np.ndarray, t0: float, t1: float, n_steps: int):
@@ -273,7 +253,7 @@ def _flow_field(params, target, rng, with_dlp):
         with np.errstate(over="ignore", invalid="ignore"):
             fe = field(params, target, t, safe)
             v = fe.v
-            div = (_divergence_rows(params, target, safe, fe, rng)
+            div = (divergence(params, target, safe, fe, rng)
                    if with_dlp else np.zeros(xb.shape[0]))
         ok &= np.all(np.isfinite(v), axis=1) & np.isfinite(div)
         if not ok.all():
@@ -375,24 +355,19 @@ def save_flow(path, params: FlowParams) -> None:
         for i, (w, b) in enumerate(zip(net.weights, net.biases)):
             named.append((f"{net_name}.w{i}", w))
             named.append((f"{net_name}.b{i}", b))
-    meta = {
-        "kind": "flow",
-        "dim": params.dim,
-        "n_frequencies": params.fourier.n_frequencies,
-        "base_frequency": params.fourier.base_frequency,
-        "frequency_spacing": FREQUENCY_SPACING,
-    }
-    nets.save_arrays(path, meta, named)
+    nets.save_arrays(path, {"kind": "flow", "dim": params.dim, **TIME_FEATURES},
+                     named)
 
 
-def _checkpoint_sizes(path, names, shapes, dim: int, nf: int):
+def _checkpoint_sizes(path, names, shapes, dim: int):
     """Layer widths of the three networks, read from a checkpoint header.
 
     The hidden widths are the weights' output widths; the input and output
-    widths follow from dim and the nf time features.  The arrays must be
+    widths follow from dim and nets.N_TIME_FEATURES.  The arrays must be
     exactly those of such networks, in flow_to_vector order, or ValueError
     names the first one that is not.
     """
+    nf = nets.N_TIME_FEATURES
     widths = {"net_x": (dim + nf, dim), "net_t": (nf, dim), "net_scale": (nf, 1)}
     sizes = []
     for net, (n_in, n_out) in widths.items():
@@ -411,20 +386,19 @@ def _checkpoint_sizes(path, names, shapes, dim: int, nf: int):
 def load_flow(path) -> FlowParams:
     """Read a save_flow checkpoint; the flow's flat is the loaded blob.
 
-    A checkpoint that is not a flow, has another time-feature spacing, or
-    whose arrays do not fit its dim and n_frequencies is refused with a
+    A checkpoint that is not a flow, is stamped with other time features
+    than TIME_FEATURES, or whose arrays do not fit its dim is refused with a
     ValueError.
     """
     meta, blob = nets.load_blob(path)
     if meta.get("kind") != "flow":
         raise ValueError(f"{path} is not a flow checkpoint")
-    if meta.get("frequency_spacing") != FREQUENCY_SPACING:
-        # Same shapes, different vector field: refuse rather than misread.
-        raise ValueError(
-            f"{path} has time-feature spacing "
-            f"{meta.get('frequency_spacing')!r}, expected {FREQUENCY_SPACING!r}")
-    ff = FourierFeatures(meta["n_frequencies"], meta["base_frequency"])
+    stamped = {k: meta.get(k) for k, v in TIME_FEATURES.items() if meta.get(k) != v}
+    if stamped:
+        # Another field from the same weights: refuse rather than misread.
+        raise ValueError(f"{path} stamps time features {stamped}, "
+                         f"expected {TIME_FEATURES}")
     dim = int(meta["dim"])
     spec = meta["arrays"]
-    sizes = _checkpoint_sizes(path, spec["names"], spec["shapes"], dim, ff.n_features)
-    return _on_flat(blob, sizes, ff, dim)
+    sizes = _checkpoint_sizes(path, spec["names"], spec["shapes"], dim)
+    return _on_flat(blob, sizes, dim)

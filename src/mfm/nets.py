@@ -1,4 +1,4 @@
-"""Dense network substrate: MLPs, Fourier time features, Adam.
+"""Dense network substrate: MLPs, fixed Fourier time features, Adam.
 
 Everything is plain float64 numpy.  The MLPs are fixed-shape
 input -> hidden -> hidden -> output stacks with tanh hidden activations and
@@ -6,8 +6,10 @@ a linear output layer; reverse-mode parameter gradients and forward-mode
 input derivatives are written out by hand, which is all this artifact
 needs (no general autodiff).  ``mlp_forward_cache`` is the one forward
 pass: the derivative helpers take its cache of layer activations and never
-run the network again.  A flow stores all of its layers as views into one
-flat float64 vector; see "Flat-vector packing" below.
+run the network again.  The time embedding is fixed: every flow reads the
+same FREQUENCIES, so nothing about it is stored per flow.  A flow stores
+all of its layers as views into one flat float64 vector; see "Flat-vector
+packing" below.
 """
 
 import json
@@ -20,36 +22,21 @@ import numpy as np
 from .errors import NonFiniteGradient, ShapeMismatch
 
 
-@dataclass
-class FourierFeatures:
-    """Sin/cos embedding of a time scalar at linearly spaced frequencies.
-
-    The frequencies are w_j = base_frequency * j for j = 1..n.  The time
-    features are integrated by fixed-step RK4 along with the rest of the
-    field, so the top frequency must stay resolvable at the default
-    ``OdeConfig.n_steps``: with pi * 1..8 the top feature turns 8*pi over
-    t in [0, 1], about 0.8 rad per step at the default 32 steps.
-    Geometric spacing (pi * 2^j, up to 128*pi) turns about 2*pi per step
-    even at 64 steps, which RK4 cannot resolve, and breaks the
-    backward/forward round trip of the flow.
-    """
-
-    n_frequencies: int = 8
-    base_frequency: float = np.pi
-
-    @property
-    def n_features(self) -> int:
-        return 2 * self.n_frequencies
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return self.base_frequency * np.arange(1, self.n_frequencies + 1)
+# Time features: sin and cos of t at FREQUENCIES, linearly spaced.  They are
+# integrated by fixed-step RK4 along with the rest of the field, so the top
+# frequency must stay resolvable at the default OdeConfig.n_steps: with
+# pi * 1..8 the top feature turns 8*pi over t in [0, 1], about 0.8 rad per
+# step at the default 32 steps.  Geometric spacing (pi * 2^j, up to 128*pi)
+# turns about 2*pi per step even at 64 steps, which RK4 cannot resolve, and
+# breaks the backward/forward round trip of the flow.
+FREQUENCIES = np.pi * np.arange(1, 9)
+N_TIME_FEATURES = 2 * FREQUENCIES.size
 
 
-def fourier_embed(t, ff: FourierFeatures) -> np.ndarray:
+def fourier_embed(t) -> np.ndarray:
     """Embed t in [0, 1] as [sin(w_j t), cos(w_j t)]; batches along axis 0."""
     t = np.asarray(t, dtype=float)
-    phase = t[..., None] * ff.frequencies
+    phase = t[..., None] * FREQUENCIES
     return np.concatenate([np.sin(phase), np.cos(phase)], axis=-1)
 
 

@@ -84,7 +84,7 @@ def test_loss_nonnegative_and_permutation_invariant(rng):
     x0 = ref.standard_normal((6, 2))
     perm = np.arange(5, -1, -1)
     xt = cfm.interpolant(sigma_min, t[:, None], x0, particles)
-    v = flow.vector_field(fp, target, t, xt)
+    v = flow.field(fp, target, t, xt).v
     resid = v - cfm.conditional_field(sigma_min, t[:, None], xt, particles)
     direct = np.mean(np.sum(resid ** 2, axis=1))
     permuted = np.mean(np.sum(resid[perm] ** 2, axis=1))
@@ -156,7 +156,7 @@ def test_train_step_peak_memory_is_two_parameter_vectors(rng):
     # new parameter vector are the only full-size allocations of the step
     target = targets.standard_normal(2)
     fp = flow.flow_init(rng, 2, hidden=512)
-    adam = nets.adam_init(flow.flow_size(fp), 1e-3, 10)
+    adam = nets.adam_init(fp.flat.size, 1e-3, 10)
     particles = rng.standard_normal((8, 2))
     tracemalloc.start()
     try:

@@ -78,6 +78,9 @@ INVALID_VALUES = [
     ("divergence", "exact"), ("divergence", "hutchinson:1"), ("gmm16_seed", 0),
     # the atsmc report scores the ensemble itself; mfm runs one particle
     ("particles", 1, {"mode": "atsmc"}),
+    # no network without hidden units, no lgcp grid without cells, and no
+    # Adam step that climbs the loss
+    ("hidden", 0), ("m_side", 0), ("step_size", -1.0),
 ]
 
 

@@ -1,3 +1,4 @@
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from mfm import cfm, flow, nets, targets
-from mfm.errors import NonFiniteScore, NonFiniteState, ShapeMismatch
+from mfm.errors import NonFiniteState, ShapeMismatch
 from mfm.flow import OdeConfig
 
 from conftest import fused
@@ -35,6 +36,11 @@ def score_flow(d):
     return fp
 
 
+def divergence_at(fp, target, t, x, rng=None):
+    """Divergence of v(t, .) per row, from one forward pass of the field."""
+    return flow.divergence(fp, target, x, flow.field(fp, target, t, x), rng)
+
+
 def use_hutchinson(monkeypatch):
     """Route every dimension to the one-probe Hutchinson divergence."""
     monkeypatch.setattr(flow, "EXACT_DIVERGENCE_MAX_DIM", 0)
@@ -50,24 +56,24 @@ def random_spd(rng, d, scale=0.5):
 def test_zero_nets_zero_field(rng):
     fp = flow.flow_zero(3)
     x = rng.standard_normal((4, 3))
-    assert np.all(flow.vector_field(fp, targets.standard_normal(3), 0.4, x) == 0.0)
+    assert np.all(flow.field(fp, targets.standard_normal(3), 0.4, x).v == 0.0)
 
 
 def test_score_construction_gives_minus_x(rng):
     fp = score_flow(2)
     std = targets.standard_normal(2)
     x = rng.standard_normal((6, 2))
-    assert np.allclose(flow.vector_field(fp, std, 0.7, x), -x, atol=1e-12)
+    assert np.allclose(flow.field(fp, std, 0.7, x).v, -x, atol=1e-12)
 
 
 def test_field_scales_inversely_with_time_reweighting(rng):
     d = 2
     std = targets.standard_normal(d)
     fp = score_flow(d)
-    v1 = flow.vector_field(fp, std, 0.2, np.ones((1, d)))
+    v1 = flow.field(fp, std, 0.2, np.ones((1, d))).v
     # double the divisor: 0.1 + softplus(u) = 2
     fp.net_scale.biases[-1][:] = np.log(np.expm1(2.0 - flow.SCALE_FLOOR))
-    v2 = flow.vector_field(fp, std, 0.2, np.ones((1, d)))
+    v2 = flow.field(fp, std, 0.2, np.ones((1, d))).v
     assert np.allclose(v2, v1 / 2.0, atol=1e-12)
 
 
@@ -77,9 +83,9 @@ def test_divergence_zero_field(rng, monkeypatch):
     fp = flow.flow_zero(3)
     std = targets.standard_normal(3)
     x = rng.standard_normal((1, 3))
-    assert flow.divergence(fp, std, 0.5, x)[0] == 0.0
+    assert divergence_at(fp, std, 0.5, x)[0] == 0.0
     use_hutchinson(monkeypatch)
-    assert flow.divergence(fp, std, 0.5, x, rng)[0] == 0.0
+    assert divergence_at(fp, std, 0.5, x, rng)[0] == 0.0
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -87,11 +93,11 @@ def test_divergence_linear_diagonal_field(rng, monkeypatch, d):
     fp = score_flow(d)
     std = targets.standard_normal(d)
     x = rng.standard_normal((5, d))
-    div = flow.divergence(fp, std, 0.1, x)
+    div = divergence_at(fp, std, 0.1, x)
     assert np.allclose(div, -d, atol=1e-12)
     # Rademacher probes are exact on linear diagonal fields
     use_hutchinson(monkeypatch)
-    divh = flow.divergence(fp, std, 0.1, x, rng)
+    divh = divergence_at(fp, std, 0.1, x, rng)
     assert np.allclose(divh, -d, atol=1e-12)
 
 
@@ -102,14 +108,14 @@ def test_exact_divergence_matches_finite_differences(rng):
     fp.net_x.weights[-1][...] = rng.uniform(-0.5, 0.5, size=fp.net_x.weights[-1].shape)
     x = rng.standard_normal(d)
     t = 0.37
-    div = flow.divergence(fp, target, t, x[None])[0]
+    div = divergence_at(fp, target, t, x[None])[0]
     h = 1e-6
     fd = 0.0
     for i in range(d):
         e = np.zeros(d)
         e[i] = 1.0
-        fd += (flow.vector_field(fp, target, t, (x + h * e)[None])[0, i]
-               - flow.vector_field(fp, target, t, (x - h * e)[None])[0, i]) / (2 * h)
+        fd += (flow.field(fp, target, t, (x + h * e)[None]).v[0, i]
+               - flow.field(fp, target, t, (x - h * e)[None]).v[0, i]) / (2 * h)
     assert abs(div - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
@@ -119,9 +125,9 @@ def test_hutchinson_unbiased(rng, monkeypatch):
     fp = flow.flow_init(rng, d, hidden=8)
     fp.net_x.weights[-1][...] = rng.uniform(-0.5, 0.5, size=fp.net_x.weights[-1].shape)
     x = rng.standard_normal(d)
-    exact = flow.divergence(fp, target, 0.5, x[None])[0]
+    exact = divergence_at(fp, target, 0.5, x[None])[0]
     use_hutchinson(monkeypatch)
-    draws = np.array([flow.divergence(fp, target, 0.5, x[None], rng)[0]
+    draws = np.array([divergence_at(fp, target, 0.5, x[None], rng)[0]
                       for _ in range(10_000)])
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - exact) <= 3.0 * max(se, 1e-12)
@@ -129,30 +135,14 @@ def test_hutchinson_unbiased(rng, monkeypatch):
 
 # -- the shared forward pass ----------------------------------------------------------
 
-def test_nonfinite_score_rejected(rng):
-    std = targets.standard_normal(2)
-
-    def nan_score(x):
-        return np.full(x.shape, np.nan)
-
-    bad = targets.TargetDensity(2, fused(std.log_density, nan_score),
-                                std.hvp_log_density, name="nan_score")
-    fp = flow.flow_init(rng, 2, hidden=4)
-    x = rng.standard_normal((3, 2))
-    with pytest.raises(NonFiniteScore):
-        flow.vector_field(fp, bad, 0.3, x)
-    with pytest.raises(NonFiniteScore):
-        flow.divergence(fp, bad, 0.3, x)
-
-
 def test_time_rows_must_match_positions(rng):
     fp = flow.flow_init(rng, 2, hidden=4)
     std = targets.standard_normal(2)
     x = rng.standard_normal((3, 2))
     with pytest.raises(ShapeMismatch):
-        flow.vector_field(fp, std, np.full(2, 0.3), x)
+        flow.field(fp, std, np.full(2, 0.3), x)
     with pytest.raises(ShapeMismatch):
-        flow.divergence(fp, std, np.full(4, 0.3), x)
+        flow.field(fp, std, np.full(4, 0.3), x)
 
 
 def test_scalar_time_matches_per_row_time(rng, monkeypatch):
@@ -162,14 +152,14 @@ def test_scalar_time_matches_per_row_time(rng, monkeypatch):
     fp.net_x.weights[-1][...] = rng.uniform(-0.5, 0.5, size=fp.net_x.weights[-1].shape)
     x = rng.standard_normal((n, d))
     rows = np.full(n, t)
-    assert np.allclose(flow.vector_field(fp, target, t, x),
-                       flow.vector_field(fp, target, rows, x), rtol=0, atol=1e-12)
-    assert np.allclose(flow.divergence(fp, target, t, x),
-                       flow.divergence(fp, target, rows, x), rtol=0, atol=1e-12)
+    assert np.allclose(flow.field(fp, target, t, x).v,
+                       flow.field(fp, target, rows, x).v, rtol=0, atol=1e-12)
+    assert np.allclose(divergence_at(fp, target, t, x),
+                       divergence_at(fp, target, rows, x), rtol=0, atol=1e-12)
     use_hutchinson(monkeypatch)
     assert np.allclose(
-        flow.divergence(fp, target, t, x, np.random.Generator(np.random.Philox(9))),
-        flow.divergence(fp, target, rows, x, np.random.Generator(np.random.Philox(9))),
+        divergence_at(fp, target, t, x, np.random.Generator(np.random.Philox(9))),
+        divergence_at(fp, target, rows, x, np.random.Generator(np.random.Philox(9))),
         rtol=0, atol=1e-12)
 
 
@@ -415,7 +405,7 @@ def test_scale_positivity_arbitrary_params(rng):
     fp.net_scale.weights[-1][...] = rng.normal(0, 10, size=fp.net_scale.weights[-1].shape)
     fp.net_scale.biases[-1][...] = rng.normal(-50, 10, size=fp.net_scale.biases[-1].shape)
     for t in np.linspace(0, 1, 101):
-        ffb = nets.fourier_embed(t, fp.fourier)[None]
+        ffb = nets.fourier_embed(t)[None]
         u = nets.mlp_forward_cache(fp.net_scale, ffb)[0]
         assert flow.SCALE_FLOOR + flow.softplus(u) > 0.0
 
@@ -423,7 +413,6 @@ def test_scale_positivity_arbitrary_params(rng):
 def test_vector_to_flow_returns_views_without_packing(rng, monkeypatch):
     fp = flow.flow_init(rng, 3, hidden=8)
     vec = flow.flow_to_vector(fp)
-    assert flow.flow_size(fp) == vec.size
 
     def refuse(*_args):
         raise AssertionError("vector_to_flow packed a vector")
@@ -445,22 +434,63 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     assert loaded.dim == 3
     x = rng.standard_normal((4, 3))
     std = targets.standard_normal(3)
-    assert np.array_equal(flow.vector_field(fp, std, 0.3, x),
-                          flow.vector_field(loaded, std, 0.3, x))
+    assert np.array_equal(flow.field(fp, std, 0.3, x).v,
+                          flow.field(loaded, std, 0.3, x).v)
 
 
-def test_checkpoint_without_frequency_spacing_is_refused(tmp_path, rng):
+# the same weights under other time features: the spacing of checkpoints
+# from before it was stamped (missing), the geometric spacing of earlier
+# code, and another count or base frequency
+OTHER_TIME_FEATURES = {"spacing_missing": ("frequency_spacing", None),
+                       "spacing_geometric": ("frequency_spacing", "geometric"),
+                       "n_frequencies_6": ("n_frequencies", 6),
+                       "base_frequency_2pi": ("base_frequency", 2 * np.pi)}
+
+
+@pytest.mark.parametrize("key, value", OTHER_TIME_FEATURES.values(),
+                         ids=OTHER_TIME_FEATURES.keys())
+def test_checkpoint_without_frequency_spacing_is_refused(tmp_path, rng, key, value):
     path = tmp_path / "flow.ckpt"
     flow.save_flow(path, flow.flow_init(rng, 3, hidden=8))
     meta, arrays = nets.load_arrays(path)
-    old_header = {k: v for k, v in meta.items() if k != "frequency_spacing"}
-    nets.save_arrays(path, old_header, list(arrays.items()))
-    with pytest.raises(ValueError, match="spacing"):
+    header = {k: v for k, v in meta.items() if k != key}
+    if value is not None:
+        header[key] = value
+    nets.save_arrays(path, header, list(arrays.items()))
+    stamped = re.escape(f"time features {{{key!r}: {value!r}}}")
+    with pytest.raises(ValueError, match=stamped):
         flow.load_flow(path)
-    nets.save_arrays(path, dict(old_header, frequency_spacing="geometric"),
-                     list(arrays.items()))
-    with pytest.raises(ValueError, match="spacing"):
-        flow.load_flow(path)
+
+
+# save_flow's header line for flow_zero(2, hidden=3): the time features are
+# stamped as they have been since the spacing became linear
+CHECKPOINT_HEADER = (
+    b'{"kind": "flow", "dim": 2, "n_frequencies": 8, '
+    b'"base_frequency": 3.141592653589793, "frequency_spacing": "linear", '
+    b'"arrays": {"names": ['
+    b'"net_x.w0", "net_x.b0", "net_x.w1", "net_x.b1", "net_x.w2", "net_x.b2", '
+    b'"net_t.w0", "net_t.b0", "net_t.w1", "net_t.b1", "net_t.w2", "net_t.b2", '
+    b'"net_scale.w0", "net_scale.b0", "net_scale.w1", "net_scale.b1", '
+    b'"net_scale.w2", "net_scale.b2"], '
+    b'"shapes": [[18, 3], [3], [3, 3], [3], [3, 2], [2], '
+    b'[16, 3], [3], [3, 3], [3], [3, 2], [2], '
+    b'[16, 3], [3], [3, 3], [3], [3, 1], [1]]}}')
+
+
+def test_checkpoint_header_is_stable(tmp_path, rng):
+    fp = flow.flow_zero(2, hidden=3)
+    path = tmp_path / "flow.ckpt"
+    flow.save_flow(path, fp)
+    assert path.read_bytes().split(b"\n", 1)[0] == CHECKPOINT_HEADER
+    # a checkpoint with that header loads as the field of its weights
+    weights = rng.standard_normal(fp.flat.size)
+    path.write_bytes(CHECKPOINT_HEADER + b"\n" + weights.astype("<f8").tobytes())
+    loaded = flow.load_flow(path)
+    x = rng.standard_normal((4, 2))
+    std = targets.standard_normal(2)
+    expected = flow.vector_to_flow(weights, fp)
+    assert np.array_equal(flow.field(loaded, std, 0.3, x).v,
+                          flow.field(expected, std, 0.3, x).v)
 
 
 def test_checkpoint_with_mismatched_shapes_is_refused(tmp_path, rng):
@@ -471,8 +501,7 @@ def test_checkpoint_with_mismatched_shapes_is_refused(tmp_path, rng):
     broken = dict(arrays, **{"net_t.w1": np.zeros((5, 8))})
     cases = [(meta, broken, "net_t.w1"),
              # 3 positions + 16 time features, read as 4 + 16
-             (dict(meta, dim=4), arrays, "net_x.w0"),
-             (dict(meta, n_frequencies=6), arrays, "net_x.w0")]
+             (dict(meta, dim=4), arrays, "net_x.w0")]
     for header, named, culprit in cases:
         nets.save_arrays(path, header, list(named.items()))
         with pytest.raises(ValueError, match=culprit.replace(".", r"\.")):
@@ -485,7 +514,7 @@ def _flat_backed_flow(constructor, rng, tmp_path):
     if constructor == "flow_zero":
         return flow.flow_zero(3)
     if constructor == "vector_to_flow":
-        return flow.vector_to_flow(rng.standard_normal(flow.flow_size(fp)), fp)
+        return flow.vector_to_flow(rng.standard_normal(fp.flat.size), fp)
     if constructor == "load_flow":
         flow.save_flow(tmp_path / "saved.ckpt", fp)
         return flow.load_flow(tmp_path / "saved.ckpt")
@@ -508,7 +537,7 @@ def test_layers_are_views_into_flat(tmp_path, rng, constructor):
             assert layer.ctypes.data == flat.ctypes.data + 8 * offset
             assert np.shares_memory(layer, flat)
             offset += layer.size
-    assert offset == flat.size == flow.flow_size(fp)
+    assert offset == flat.size
 
     path = tmp_path / "flow.ckpt"
     flow.save_flow(path, fp)

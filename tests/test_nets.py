@@ -136,30 +136,27 @@ def test_batch_gradient_sums_rows(rng):
 # -- Fourier features ------------------------------------------------------------
 
 def test_fourier_frequencies_linear():
-    ff = nets.FourierFeatures()
-    assert np.allclose(ff.frequencies, np.pi * np.arange(1, 9), rtol=0, atol=1e-15)
-    assert ff.n_features == 16
+    assert np.allclose(nets.FREQUENCIES, np.pi * np.arange(1, 9), rtol=0, atol=1e-15)
+    assert nets.N_TIME_FEATURES == 16
+    assert nets.fourier_embed(np.linspace(0, 1, 3)).shape == (3, 16)
 
 
 def test_fourier_embed_t_zero():
-    ff = nets.FourierFeatures()
-    e = nets.fourier_embed(0.0, ff)
+    e = nets.fourier_embed(0.0)
     assert np.all(e[:8] == 0.0) and np.all(e[8:] == 1.0)
 
 
 def test_fourier_embed_bounded_and_lipschitz():
-    ff = nets.FourierFeatures()
     grid = np.linspace(0, 1, 300)
-    emb = nets.fourier_embed(grid, ff)
+    emb = nets.fourier_embed(grid)
     assert np.all(np.abs(emb) <= 1.0)
     diffs = np.abs(np.diff(emb, axis=0)).max(axis=1)
-    assert np.all(diffs <= ff.frequencies.max() * np.diff(grid)[0] + 1e-9)
+    assert np.all(diffs <= nets.FREQUENCIES.max() * np.diff(grid)[0] + 1e-9)
 
 
 def test_fourier_embed_distinct_times():
-    ff = nets.FourierFeatures()
     grid = np.linspace(0.01, 0.99, 50)
-    emb = nets.fourier_embed(grid, ff)
+    emb = nets.fourier_embed(grid)
     dists = np.linalg.norm(emb[:, None, :] - emb[None, :, :], axis=-1)
     dists[np.diag_indices(50)] = np.inf
     assert dists.min() > 1e-6
