@@ -4,7 +4,8 @@ The sampler mutates an ensemble of chains with local Langevin steps and
 occasional non-local proposals routed through a continuous normalizing
 flow, while the flow itself is trained on the fly against the chain's own
 samples with a simulation-free flow-matching objective.  An ESS-driven
-temperature ladder bridges from a simple base density to the target.
+temperature ladder bridges from the flow's fixed N(0, I) reference to the
+target.  Every runner takes ``(target, cfg)``.
 """
 
 from .diagnostics import DiagnosticsReport

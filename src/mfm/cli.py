@@ -214,10 +214,9 @@ def run(cfg: ExperimentConfig) -> int:
     (out / "config.resolved").write_text(config_lines(cfg))
 
     target = build_target(cfg)
-    base = targets.standard_normal(target.dim)
     runner = {"mfm": driver.run_mfm, "atsmc": driver.run_atsmc,
               "fm-oracle": driver.run_fm_oracle}[cfg.mode]
-    artifacts = runner(base, target, cfg)
+    artifacts = runner(target, cfg)
     # the samples are stored before they are scored: a report that raises
     # still leaves the run behind
     if artifacts.flow_params is not None:

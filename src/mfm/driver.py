@@ -6,7 +6,7 @@ every field, raising ``ConfigError(field, ...)``, and derives the one
 config that exists is a config that can run.
 
 The three runners share one contract: ``run_mfm``, ``run_atsmc`` and
-``run_fm_oracle`` take ``(base, target, cfg)`` and return
+``run_fm_oracle`` take ``(target, cfg)`` and return
 :class:`RunArtifacts`, the trained flow (``None`` for atsmc, which trains
 none), the final ensemble, one log row per iteration or level, and the
 run's wall time.  :func:`run_report` scores a finished run, so a caller
@@ -20,11 +20,12 @@ Each iteration of the main loop (run_mfm):
      k_q-th iteration, which uses the flow-informed kernel instead;
   3. take one flow-matching training step on the freshly mutated particles.
 
-The ensemble keeps each particle's target and base oracle values with its
-position (kernels.ChainState).  The ESS solve reads its log-ratios from
-that cache, and every kernel, local or flow-informed, reads the current
-points' values from it and returns the updated cache; only the flow's ODE
-field and its training use the annealed density as a TargetDensity.
+Tempering starts from the flow's fixed reference N(0, I).  The ensemble
+keeps each particle's target oracle values with its position
+(kernels.ChainState).  The ESS solve reads its log-ratios from that
+cache, and every kernel, local or flow-informed, reads the current points'
+values from it and returns the updated cache; only the flow's ODE field
+and its training use the annealed density as a TargetDensity.
 
 All randomness comes from a single counter-based (Philox) generator with a
 fixed draw order, plus a dedicated child stream for diagnostics sampling;
@@ -102,8 +103,8 @@ class ExperimentConfig:
         _require(isinstance(self.seed, int), "seed", f"expected int, got {self.seed!r}")
         _require(self.mode in MODES, "mode", f"unknown mode {self.mode!r}")
         _require(self.target in TARGETS, "target", f"unknown target {self.target!r}")
-        for name in ("iters", "particles", "kq", "ode_steps", "n_candidates",
-                     "hidden", "m_side"):
+        for name in ("workers", "iters", "particles", "kq", "ode_steps",
+                     "n_candidates", "hidden", "m_side"):
             _require(getattr(self, name) >= 1, name, "must be >= 1")
         # the unbiased MMD and KSD of the closing report need two samples
         _require(self.diag_samples >= 2, "diag_samples", "must be >= 2")
@@ -203,38 +204,30 @@ def is_flow_iteration(k: int, k_q: int) -> bool:
     return k % k_q == (k_q - 1) % k_q
 
 
-def _initial_positions(cfg: ExperimentConfig, base: TargetDensity,
+def _initial_positions(cfg: ExperimentConfig, dim: int,
                        rng: np.random.Generator) -> np.ndarray:
-    if cfg.init_mean is not None:
-        mean = np.asarray(cfg.init_mean, dtype=float)
-        if mean.shape != (base.dim,):
-            raise ConfigError("init_mean", f"needs {base.dim} entries, one per "
-                              f"dimension of the target, got shape {mean.shape}")
-        return mean + cfg.init_scale * rng.standard_normal((cfg.particles, base.dim))
-    if base.sampler is None:
-        raise ValueError("base density must provide a sampler for initialization")
-    return base.sampler(rng, cfg.particles)
+    """N(0, I) draws, or N(init_mean, init_scale^2 I) ones if init_mean is set."""
+    if cfg.init_mean is None:
+        return rng.standard_normal((cfg.particles, dim))
+    mean = np.asarray(cfg.init_mean, dtype=float)
+    if mean.shape != (dim,):
+        raise ConfigError("init_mean", f"needs {dim} entries, one per "
+                          f"dimension of the target, got shape {mean.shape}")
+    return mean + cfg.init_scale * rng.standard_normal((cfg.particles, dim))
 
 
-def _check_dims(base: TargetDensity, target: TargetDensity) -> None:
-    if base.dim != target.dim:
-        raise DimensionMismatch(f"base dim {base.dim} != target dim {target.dim}")
-
-
-def run_mfm(base: TargetDensity, target: TargetDensity,
-            cfg: ExperimentConfig) -> RunArtifacts:
+def run_mfm(target: TargetDensity, cfg: ExperimentConfig) -> RunArtifacts:
     """Adaptive run: tempered MCMC mutations interleaved with flow training.
 
     Returns the trained flow, the final ensemble and one log row per
     iteration; :func:`run_report` scores flow-pushed samples.
     """
-    _check_dims(base, target)
     t_start = time.perf_counter()
     rng = _root_rng(cfg.seed)
 
-    positions = _initial_positions(cfg, base, rng)
+    positions = _initial_positions(cfg, target.dim, rng)
     temper_state = TemperState(0.0 if cfg.temper else 1.0, cfg.alpha)
-    ens = ChainEnsemble(kernels.evaluate(base, target, positions), temper_state)
+    ens = ChainEnsemble(kernels.evaluate(target, positions), temper_state)
 
     flow_params = flow.flow_init(rng, target.dim, cfg.hidden)
     adam = nets.adam_init(flow_params.flat.size, cfg.step_size, cfg.iters)
@@ -247,8 +240,7 @@ def run_mfm(base: TargetDensity, target: TargetDensity,
 
         flow_step = is_flow_iteration(k, cfg.kq)
         if flow_step:
-            args = (base, target, flow_params, cfg.ode, ens.chains,
-                    ens.temper.beta, rng)
+            args = (target, flow_params, cfg.ode, ens.chains, ens.temper.beta, rng)
             if cfg.nonlocal_kernel == "rwmh":
                 out = kernels.flow_rwmh_step(*args)
             elif cfg.nonlocal_kernel == "imh":
@@ -256,7 +248,7 @@ def run_mfm(base: TargetDensity, target: TargetDensity,
             else:
                 out = kernels.flow_cis_step(*args, cfg.n_candidates)
         else:
-            out = kernels.mala_step(base, target, cfg.mala_tau, ens.chains,
+            out = kernels.mala_step(target, cfg.mala_tau, ens.chains,
                                     ens.temper.beta, rng)
         ens.advance(out, flow_step)
         ens.iteration = k
@@ -264,7 +256,7 @@ def run_mfm(base: TargetDensity, target: TargetDensity,
         try:
             # the flow trains on the annealed density at the current beta
             flow_params, adam, loss = cfm.train_step(
-                flow_params, adam, tempered(base, target, ens.temper.beta),
+                flow_params, adam, tempered(target, ens.temper.beta),
                 cfg.sigma_min, ens.positions, rng)
             nonfinite_streak = 0
         except NonFiniteLoss:
@@ -319,29 +311,26 @@ def diagnose_flow(flow_params: FlowParams, target: TargetDensity,
     return diagnostics.compute_report(target, samples, exact, workers=cfg.workers)
 
 
-def run_atsmc(base: TargetDensity, target: TargetDensity,
-              cfg: ExperimentConfig) -> RunArtifacts:
+def run_atsmc(target: TargetDensity, cfg: ExperimentConfig) -> RunArtifacts:
     """Adaptive tempered SMC baseline with Langevin mutations.
 
-    At each level: solve for the next beta, importance-weight the particles
+    The particles start as N(0, I) draws (init_mean does not apply).  At
+    each level: solve for the next beta, importance-weight the particles
     with the incremental weights, resample multinomially, then run k_q
     Langevin passes at the new temperature.  A final sweep runs at beta = 1.
     No flow is trained, so :func:`run_report` scores the final ensemble
     itself.
     """
-    _check_dims(base, target)
     t_start = time.perf_counter()
     rng = _root_rng(cfg.seed)
-    if base.sampler is None:
-        raise ValueError("base density must provide a sampler")
-    positions = base.sampler(rng, cfg.particles)
-    ens = ChainEnsemble(kernels.evaluate(base, target, positions),
+    positions = rng.standard_normal((cfg.particles, target.dim))
+    ens = ChainEnsemble(kernels.evaluate(target, positions),
                         TemperState(0.0, cfg.alpha))
     log_rows = []
 
     def mala_sweep():
         for _ in range(cfg.kq):
-            ens.advance(kernels.mala_step(base, target, cfg.mala_tau, ens.chains,
+            ens.advance(kernels.mala_step(target, cfg.mala_tau, ens.chains,
                                           ens.temper.beta, rng), False)
 
     while ens.temper.beta < 1.0:
@@ -366,15 +355,13 @@ def run_atsmc(base: TargetDensity, target: TargetDensity,
     return RunArtifacts(None, ens, log_rows, time.perf_counter() - t_start)
 
 
-def run_fm_oracle(base: TargetDensity, target: TargetDensity,
-                  cfg: ExperimentConfig) -> RunArtifacts:
+def run_fm_oracle(target: TargetDensity, cfg: ExperimentConfig) -> RunArtifacts:
     """Train the flow on exact target draws: the quality ceiling.
 
     Only available for targets with an exact sampler (mixtures, product
     targets); each step regresses on a fresh batch of cfg.particles draws.
-    The final ensemble is fresh exact draws, cached against base.
+    The final ensemble is fresh exact draws.
     """
-    _check_dims(base, target)
     if target.sampler is None:
         raise ValueError(f"target {target.name!r} admits no exact sampling")
     t_start = time.perf_counter()
@@ -390,5 +377,5 @@ def run_fm_oracle(base: TargetDensity, target: TargetDensity,
             flow_params, adam, target, cfg.sigma_min, batch, rng)
         ens.iteration = k
         log_rows.append(ens.log_row(loss))
-    ens.chains = kernels.evaluate(base, target, target.sampler(rng, cfg.particles))
+    ens.chains = kernels.evaluate(target, target.sampler(rng, cfg.particles))
     return RunArtifacts(flow_params, ens, log_rows, time.perf_counter() - t_start)

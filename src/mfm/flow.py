@@ -275,15 +275,15 @@ def integrate_rows(params: FlowParams, target: TargetDensity, xb: np.ndarray,
 
     rng feeds the Hutchinson probes above EXACT_DIVERGENCE_MAX_DIM and is
     not read at or below it.  With with_dlp=False no divergence is
-    evaluated and rng is not read: the result is (x, finite_mask), the
-    mask covering positions only.  The positions equal those of a with_dlp
-    call bit for bit wherever that call's mask is set.
+    evaluated and rng is not read: dlp is all zeros, so the mask covers
+    positions only.  The positions equal those of a with_dlp call bit for
+    bit wherever that call's mask is set.
     """
     t0, t1 = (0.0, 1.0) if forward else (1.0, 0.0)
     x, dlp = rk4_integrate(_flow_field(params, target, rng, with_dlp),
                            xb, t0, t1, cfg.n_steps)
     ok = np.all(np.isfinite(x), axis=1) & np.isfinite(dlp)
-    return (x, dlp, ok) if with_dlp else (x, ok)
+    return x, dlp, ok
 
 
 def pullback_log_density(params: FlowParams, target: TargetDensity, xb,
@@ -331,7 +331,7 @@ def push_samples(params: FlowParams, target: TargetDensity, x0_batch,
         results = [run_chunk(c) for c in chunks]
 
     samples = np.concatenate([r[0] for r in results], axis=0)
-    _require_finite(np.concatenate([r[1] for r in results]))
+    _require_finite(np.concatenate([r[2] for r in results]))
     return samples
 
 

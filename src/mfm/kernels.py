@@ -1,19 +1,18 @@
 """Markov transition kernels: local Langevin and flow-informed moves.
 
 Every kernel works on a batch of chains held as a :class:`ChainState`:
-the (N, d) positions together with log pi_K, log pi_0 and both gradients
-there.  A kernel reads the annealed value (and gradient) at the current
-points from that cache, evaluates the target and base densities once, at
-its proposals (the CIS kernel: at all its candidates, stacked), and
-returns the next ChainState in its outcome, so a chain never re-evaluates
-the densities at a point it already proposed.  That evaluation
-(:func:`evaluate`) is one call per density of its one first-order oracle,
-which returns the value and the gradient from one pass: a Langevin
-proposal costs one target call.  pi_beta is the geometric interpolant of
-base (beta = 0) and target (beta = 1); base is also the reference density
-of the flow kernels.  Only the ODE vector field inside the flow kernels
-needs the annealed density as a TargetDensity, built with
-``targets.tempered``.
+the (N, d) positions together with log pi_K and its gradient there.  A
+kernel reads the target's value (and gradient) at the current points from
+that cache, evaluates the target once, at its proposals (the CIS kernel:
+at all its candidates, stacked), and returns the next ChainState in its
+outcome, so a chain never re-evaluates the target at a point it already
+proposed.  That evaluation (:func:`evaluate`) is one call of the target's
+first-order oracle, which returns the value and the gradient from one
+pass: a Langevin proposal costs one target call.  pi_beta is the geometric
+interpolant of the fixed reference N(0, I) (beta = 0; closed-form, so
+never cached) and the target (beta = 1); the flow kernels draw from the
+same reference.  Only the ODE vector field inside the flow kernels needs
+the annealed density as a TargetDensity, built with ``targets.tempered``.
 
 Acceptance arithmetic stays in log space throughout, so adding a constant
 to any unnormalized log-density leaves every kernel unchanged.  A Langevin
@@ -27,60 +26,56 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import FlowParams, OdeConfig, integrate_rows
-from .targets import TargetDensity, geometric_mix, tempered
+from .targets import (TargetDensity, geometric_mix, reference_log_density,
+                      tempered)
 
 
 @dataclass
 class ChainState:
-    """Chain positions and both endpoint densities' oracle values there.
+    """Chain positions and the target's oracle values there.
 
-    x is (N, d); log_target/log_base (N,) hold log pi_K and log pi_0 at x,
-    grad_target/grad_base (N, d) their gradients.  Build it with
-    :func:`evaluate`; reindex it with :meth:`take` and :meth:`where`, never
-    by editing x alone.
+    x is (N, d); log_target (N,) holds log pi_K at x and grad_target (N, d)
+    its gradient.  Build it with :func:`evaluate`; reindex it with
+    :meth:`take` and :meth:`where`, never by editing x alone.
     """
 
     x: np.ndarray
     log_target: np.ndarray
-    log_base: np.ndarray
     grad_target: np.ndarray
-    grad_base: np.ndarray
 
     def log_ratios(self) -> np.ndarray:
-        """log pi_K - log pi_0 per row: the ESS solve's log-ratios."""
-        return self.log_target - self.log_base
+        """log pi_K - log N(0, I) per row: the ESS solve's log-ratios."""
+        return self.log_target - reference_log_density(self.x)
 
     def tempered(self, beta: float):
         """(log pi_beta, grad log pi_beta) per row, as targets.tempered mixes them."""
-        return (geometric_mix(beta, self.log_target, self.log_base),
-                geometric_mix(beta, self.grad_target, self.grad_base))
+        if beta == 1.0:
+            return self.log_target, self.grad_target
+        log_ref, grad_ref = reference_log_density(self.x, with_grad=True)
+        return (geometric_mix(beta, self.log_target, log_ref),
+                geometric_mix(beta, self.grad_target, grad_ref))
 
     def take(self, idx) -> "ChainState":
         """Rows idx (an index array): resampling."""
-        return ChainState(self.x[idx], self.log_target[idx], self.log_base[idx],
-                          self.grad_target[idx], self.grad_base[idx])
+        return ChainState(self.x[idx], self.log_target[idx], self.grad_target[idx])
 
     def where(self, mask, other: "ChainState") -> "ChainState":
         """Row i of other where mask[i], else row i of self."""
         col = np.asarray(mask)[:, None]
         return ChainState(np.where(col, other.x, self.x),
                           np.where(mask, other.log_target, self.log_target),
-                          np.where(mask, other.log_base, self.log_base),
-                          np.where(col, other.grad_target, self.grad_target),
-                          np.where(col, other.grad_base, self.grad_base))
+                          np.where(col, other.grad_target, self.grad_target))
 
 
-def evaluate(base: TargetDensity, target: TargetDensity, x) -> ChainState:
-    """Evaluate both endpoint densities and their gradients at x (N, d).
+def evaluate(target: TargetDensity, x) -> ChainState:
+    """Evaluate the target and its gradient at x (N, d).
 
-    One fused ``log_density(x, with_grad=True)`` call per density returns
-    the value and the gradient together, so work they share (the LGCP
-    target's product with its precision) is done once per proposal.
+    One fused ``log_density(x, with_grad=True)`` call returns the value and
+    the gradient together, so work they share (the LGCP target's product
+    with its precision) is done once per proposal.
     """
     x = np.asarray(x, dtype=float)
-    log_target, grad_target = target.log_density(x, with_grad=True)
-    log_base, grad_base = base.log_density(x, with_grad=True)
-    return ChainState(x, log_target, log_base, grad_target, grad_base)
+    return ChainState(x, *target.log_density(x, with_grad=True))
 
 
 @dataclass
@@ -115,19 +110,17 @@ def _metropolis(chains, proposed, ok, log_alpha, rng) -> KernelOutcome:
                          int(np.sum(~ok)))
 
 
-def mala_step(base: TargetDensity, target: TargetDensity, tau: float,
-              chains: ChainState, beta: float,
+def mala_step(target: TargetDensity, tau: float, chains: ChainState, beta: float,
               rng: np.random.Generator) -> KernelOutcome:
     """Langevin proposal y = x + tau grad log pi_beta(x) + sqrt(2 tau) xi.
 
     The Hastings correction uses the Gaussian proposal density with
-    variance 2 tau (tau > 0) in each coordinate.  log pi_beta and its
+    variance 2 tau (tau > 0) in each coordinate.  The target's value and
     gradient at x come from the chain cache; at the proposals y they come
-    from one fused value-and-gradient call per endpoint density (see
-    :func:`evaluate`).  A row whose proposal is not finite
-    (its gradient overflowed) is rejected with log_alpha = -inf and counted
-    in n_nonfinite; the densities are evaluated at its current point
-    instead.
+    from one fused value-and-gradient call (see :func:`evaluate`).  A row
+    whose proposal is not finite (its gradient overflowed) is rejected with
+    log_alpha = -inf and counted in n_nonfinite; the target is evaluated at
+    its current point instead.
     """
     x = chains.x
     logp_x, grad_x = chains.tempered(beta)
@@ -136,7 +129,7 @@ def mala_step(base: TargetDensity, target: TargetDensity, tau: float,
         y = x + tau * grad_x + np.sqrt(2.0 * tau) * noise
     ok = np.all(np.isfinite(y), axis=1)
     y = np.where(ok[:, None], y, x)
-    proposed = evaluate(base, target, y)
+    proposed = evaluate(target, y)
     logp_y, grad_y = proposed.tempered(beta)
     with np.errstate(over="ignore", invalid="ignore"):
         log_q_fwd = -np.sum((y - x - tau * grad_x) ** 2, axis=1) / (4.0 * tau)
@@ -145,10 +138,9 @@ def mala_step(base: TargetDensity, target: TargetDensity, tau: float,
     return _metropolis(chains, proposed, ok, log_alpha, rng)
 
 
-def flow_rwmh_step(base: TargetDensity, target: TargetDensity,
-                   flow_params: FlowParams, cfg: OdeConfig, chains: ChainState,
-                   beta: float, rng: np.random.Generator,
-                   noise_scale: float = None) -> KernelOutcome:
+def flow_rwmh_step(target: TargetDensity, flow_params: FlowParams, cfg: OdeConfig,
+                   chains: ChainState, beta: float,
+                   rng: np.random.Generator) -> KernelOutcome:
     """Random walk in reference space, conjugated by the flow.
 
     Pull x back through the flow (tracking dlp_back = +int div dt), perturb
@@ -161,8 +153,8 @@ def flow_rwmh_step(base: TargetDensity, target: TargetDensity,
     appears; with the zero flow this reduces to plain random-walk MH.
     """
     x = chains.x
-    sigma = (2.38 / np.sqrt(x.shape[1])) if noise_scale is None else noise_scale
-    density = tempered(base, target, beta)
+    sigma = 2.38 / np.sqrt(x.shape[1])
+    density = tempered(target, beta)
 
     x0, dlp_back, ok_b = integrate_rows(flow_params, density, x, cfg, rng, False)
     noise = rng.standard_normal(x.shape)
@@ -170,50 +162,47 @@ def flow_rwmh_step(base: TargetDensity, target: TargetDensity,
     y1, dlp_fwd, ok_f = integrate_rows(flow_params, density, y0, cfg, rng, True)
     ok = ok_b & ok_f
 
-    proposed = evaluate(base, target, np.where(ok[:, None], y1, 0.0))
+    proposed = evaluate(target, np.where(ok[:, None], y1, 0.0))
     with np.errstate(invalid="ignore"):
         log_alpha = np.minimum(0.0, proposed.tempered(beta)[0] - dlp_fwd
                                - chains.tempered(beta)[0] - dlp_back)
     return _metropolis(chains, proposed, ok, log_alpha, rng)
 
 
-def flow_imh_step(base: TargetDensity, target: TargetDensity,
-                  flow_params: FlowParams, cfg: OdeConfig, chains: ChainState,
-                  beta: float, rng: np.random.Generator) -> KernelOutcome:
-    """Independent proposal: push a fresh reference draw through the flow.
+def flow_imh_step(target: TargetDensity, flow_params: FlowParams, cfg: OdeConfig,
+                  chains: ChainState, beta: float,
+                  rng: np.random.Generator) -> KernelOutcome:
+    """Independent proposal: push a fresh N(0, I) draw through the flow.
 
     The current point is pulled back to get its proposal density
     q(x) = p0(u0) exp(-dlp_back); the candidate's density is tracked along
     the forward pass, log q(x1) = log p0(x0) + dlp_fwd.  Acceptance is the
     standard independence ratio [pi(x1)/q(x1)] / [pi(x)/q(x)].
     """
-    if base.sampler is None:
-        raise ValueError("reference density must provide a sampler")
     x = chains.x
-    density = tempered(base, target, beta)
+    density = tempered(target, beta)
 
     u0, dlp_back, ok_b = integrate_rows(flow_params, density, x, cfg, rng, False)
-    x0 = base.sampler(rng, x.shape[0])
+    x0 = rng.standard_normal(x.shape)
     x1, dlp_fwd, ok_f = integrate_rows(flow_params, density, x0, cfg, rng, True)
     ok = ok_b & ok_f
 
-    proposed = evaluate(base, target, np.where(ok[:, None], x1, 0.0))
+    proposed = evaluate(target, np.where(ok[:, None], x1, 0.0))
     with np.errstate(invalid="ignore"):
-        log_q_x = base.log_density(np.where(ok_b[:, None], u0, 0.0)) - dlp_back
-        log_q_x1 = base.log_density(x0) + dlp_fwd
+        log_q_x = reference_log_density(np.where(ok_b[:, None], u0, 0.0)) - dlp_back
+        log_q_x1 = reference_log_density(x0) + dlp_fwd
         log_alpha = np.minimum(0.0, proposed.tempered(beta)[0] + log_q_x
                                - log_q_x1 - chains.tempered(beta)[0])
     return _metropolis(chains, proposed, ok, log_alpha, rng)
 
 
-def flow_cis_step(base: TargetDensity, target: TargetDensity,
-                  flow_params: FlowParams, cfg: OdeConfig, chains: ChainState,
-                  beta: float, rng: np.random.Generator,
+def flow_cis_step(target: TargetDensity, flow_params: FlowParams, cfg: OdeConfig,
+                  chains: ChainState, beta: float, rng: np.random.Generator,
                   n_candidates: int) -> KernelOutcome:
     """Conditional importance sampling through the flow.
 
     The current state enters with weight w0 = pi(x) / q(x) computed via the
-    backward pass; each of the n_candidates fresh reference draws per chain
+    backward pass; each of the n_candidates fresh N(0, I) draws per chain
     is pushed forward and weighted by pi(x1) / q(x1).  One index is selected
     with probability proportional to its weight (self-normalized, so
     constants on pi cancel).  If every weight underflows, the current state
@@ -223,23 +212,20 @@ def flow_cis_step(base: TargetDensity, target: TargetDensity,
     """
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
-    if base.sampler is None:
-        raise ValueError("reference density must provide a sampler")
     x = chains.x
     n = x.shape[0]
-    density = tempered(base, target, beta)
+    density = tempered(target, beta)
 
     u0, dlp_back, ok_b = integrate_rows(flow_params, density, x, cfg, rng, False)
     # candidate-major: row k * n + i is candidate k of chain i
-    x0 = np.concatenate([base.sampler(rng, n) for _ in range(n_candidates)])
+    x0 = rng.standard_normal((n_candidates * n, x.shape[1]))
     x1, dlp_fwd, ok = integrate_rows(flow_params, density, x0, cfg, rng, True)
-    cand = evaluate(base, target, np.where(ok[:, None], x1, 0.0))
+    cand = evaluate(target, np.where(ok[:, None], x1, 0.0))
     with np.errstate(invalid="ignore"):
-        # w0 = pi(x)/q(x) with q(x) = base(u0) exp(-dlp_back)
+        # w0 = pi(x)/q(x) with q(x) = p0(u0) exp(-dlp_back)
         log_w0 = (chains.tempered(beta)[0]
-                  - base.log_density(np.where(ok_b[:, None], u0, 0.0)) + dlp_back)
-        log_w1 = (geometric_mix(beta, cand.log_target, cand.log_base)
-                  - base.log_density(x0) - dlp_fwd)
+                  - reference_log_density(np.where(ok_b[:, None], u0, 0.0)) + dlp_back)
+        log_w1 = cand.tempered(beta)[0] - reference_log_density(x0) - dlp_fwd
     log_w1 = np.where(ok, log_w1, -np.inf).reshape(n_candidates, n).T
     log_w = np.column_stack([np.where(ok_b, log_w0, -np.inf), log_w1])
 

@@ -42,7 +42,7 @@ class TargetDensity:
     ``log_density`` and ``grad_log_density`` are methods over
     ``value_and_grad``.  The class is neither frozen nor slotted, so a
     counting or timing wrapper may shadow them with instance attributes;
-    :func:`tempered` looks its endpoints' ``log_density`` up at call time
+    :func:`tempered` looks the target's ``log_density`` up at call time
     and so sees such a wrapper.
     """
 
@@ -178,9 +178,22 @@ def make_gmm16(seed: int = 0) -> TargetDensity:
     return _mixture_target(means, variances, "gmm16")
 
 
+def reference_log_density(x, with_grad=False):
+    """log N(x; 0, I) per row, constant included; ``(value, -x)`` if with_grad.
+
+    The flow's one reference density: every flow starts from its draws and
+    tempering bridges from it (beta = 0) to the target (beta = 1).
+    """
+    value = -0.5 * x.shape[-1] * LOG_2PI - 0.5 * np.sum(x ** 2, axis=-1)
+    return (value, -x) if with_grad else value
+
+
 def standard_normal(dim: int) -> TargetDensity:
-    """Standard Gaussian with its normalizing constant included."""
-    return gaussian(np.zeros(dim), 1.0, name="std_normal")
+    """The reference N(0, I) as a TargetDensity, with an exact sampler."""
+    return TargetDensity(dim, lambda x: reference_log_density(x, with_grad=True),
+                         lambda x, v: -np.broadcast_to(v, x.shape),
+                         sampler=lambda rng, n: rng.standard_normal((n, dim)),
+                         name="std_normal")
 
 
 def gaussian(mean, scale: float, name: str = "gaussian") -> TargetDensity:
@@ -364,44 +377,44 @@ def load_counts_csv(path, m_side: int) -> np.ndarray:
 
 # -- Geometric tempering -----------------------------------------------------
 
-def geometric_mix(beta: float, target_value, base_value):
-    """beta * target_value + (1 - beta) * base_value, exact at beta = 0 and 1.
+def geometric_mix(beta: float, target_value, reference_value):
+    """beta * target_value + (1 - beta) * reference_value, exact at beta = 0 and 1.
 
     The one expression for every tempered quantity (log-density, gradient,
-    HVP), whether freshly evaluated by :func:`tempered` or read from a
-    cache of both endpoints' oracle values.
+    HVP), whether freshly evaluated by :func:`tempered` or mixed from a
+    cache of the target's oracle values.
     """
     if beta == 0.0:
-        return base_value
+        return reference_value
     if beta == 1.0:
         return target_value
     w = float(beta)
-    return w * target_value + (1.0 - w) * base_value
+    return w * target_value + (1.0 - w) * reference_value
 
 
-def tempered(base: TargetDensity, target: TargetDensity, beta: float) -> TargetDensity:
-    """Geometric interpolant: log pi_beta = beta log pi_K + (1-beta) log pi_0."""
-    if base.dim != target.dim:
-        raise DimensionMismatch(f"base dim {base.dim} != target dim {target.dim}")
+def tempered(target: TargetDensity, beta: float) -> TargetDensity:
+    """Geometric interpolant of the reference N(0, I) and the target:
+    log pi_beta = beta log pi_K + (1 - beta) log N(0, I)."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    reference = standard_normal(target.dim)
     if beta == 0.0:
-        return base
+        return reference
     if beta == 1.0:
         return target
 
     def value_and_grad(x):
-        # the endpoints' oracles are looked up at call time, so a wrapper
-        # installed on them later still sees every call
+        # the target's oracle is looked up at call time, so a wrapper
+        # installed on it later still sees every call
         value_k, grad_k = target.log_density(x, with_grad=True)
-        value_0, grad_0 = base.log_density(x, with_grad=True)
+        value_0, grad_0 = reference_log_density(x, with_grad=True)
         return (geometric_mix(beta, value_k, value_0),
                 geometric_mix(beta, grad_k, grad_0))
 
     return TargetDensity(
-        base.dim,
+        target.dim,
         value_and_grad,
         lambda x, v: geometric_mix(beta, target.hvp_log_density(x, v),
-                                   base.hvp_log_density(x, v)),
+                                   reference.hvp_log_density(x, v)),
         name=f"tempered({target.name},beta={beta:.6g})",
     )

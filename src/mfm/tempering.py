@@ -2,9 +2,10 @@
 
 The next inverse temperature is the smallest beta for which the effective
 sample size of the incremental importance weights
-w_i = [pi_K(x_i)/pi_0(x_i)]^(beta - beta_prev) falls to a target fraction
-of the particle count.  The ESS curve is monotone non-increasing in beta,
-so bisection is unconditionally convergent.
+w_i = [pi_K(x_i)/pi_0(x_i)]^(beta - beta_prev), with pi_0 the reference
+N(0, I), falls to a target fraction of the particle count.  The ESS curve
+is monotone non-increasing in beta, so bisection is unconditionally
+convergent.
 """
 
 from dataclasses import dataclass, field

@@ -84,7 +84,7 @@ def test_install_and_trace_target_patch_and_restore(bench):
         assert np.array_equal(target.log_density(x), value)
         assert np.array_equal(target.grad_log_density(x), grad)
         target.hvp_log_density(x, np.ones(2))
-        targets.tempered(targets.standard_normal(2), target, 0.5).grad_log_density(x)
+        targets.tempered(target, 0.5).grad_log_density(x)
         assert [span[0] for span in tracer.spans] == [
             "targets.log_density", "targets.log_density",
             "targets.grad_log_density", "targets.hvp_log_density",

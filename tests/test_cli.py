@@ -81,6 +81,8 @@ INVALID_VALUES = [
     # no network without hidden units, no lgcp grid without cells, and no
     # Adam step that climbs the loss
     ("hidden", 0), ("m_side", 0), ("step_size", -1.0),
+    # no run without a worker (it would run serially under its own hash)
+    ("workers", 0),
 ]
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from mfm import cfm, driver, flow, kernels, targets
 from mfm.driver import ExperimentConfig
-from mfm.errors import ConfigError, DimensionMismatch
+from mfm.errors import ConfigError, NonFiniteLoss
 
 from conftest import while_running
 
@@ -25,19 +25,17 @@ def test_flow_iteration_branch_arithmetic():
 
 
 def test_smoke_run_completes_and_logs():
-    base = targets.standard_normal(2)
     target = targets.make_gmm4()
-    art = driver.run_mfm(base, target, smoke_config(iters=1, particles=1))
+    art = driver.run_mfm(target, smoke_config(iters=1, particles=1))
     assert len(art.log_rows) == 1
     assert art.ensemble.positions.shape == (1, 2)
     assert np.all(np.isfinite(flow.flow_to_vector(art.flow_params)))
 
 
 def test_run_mfm_deterministic():
-    base = targets.standard_normal(2)
     target = targets.make_gmm4()
-    a = driver.run_mfm(base, target, smoke_config(iters=10))
-    b = driver.run_mfm(base, target, smoke_config(iters=10))
+    a = driver.run_mfm(target, smoke_config(iters=10))
+    b = driver.run_mfm(target, smoke_config(iters=10))
     assert np.array_equal(a.ensemble.positions, b.ensemble.positions)
     assert np.array_equal(flow.flow_to_vector(a.flow_params),
                           flow.flow_to_vector(b.flow_params))
@@ -45,17 +43,15 @@ def test_run_mfm_deterministic():
 
 
 def test_tempering_disabled_keeps_beta_one():
-    base = targets.standard_normal(2)
     target = targets.make_gmm4()
-    art = driver.run_mfm(base, target, smoke_config(temper=False, iters=5))
+    art = driver.run_mfm(target, smoke_config(temper=False, iters=5))
     assert all(row["beta"] == 1.0 for row in art.log_rows)
     assert art.ensemble.temper.history == []
 
 
 def test_beta_monotone_and_fresh_each_iteration():
-    base = targets.standard_normal(2)
     target = targets.make_gmm4()
-    art = driver.run_mfm(base, target, smoke_config(iters=30, particles=64))
+    art = driver.run_mfm(target, smoke_config(iters=30, particles=64))
     betas = [row["beta"] for row in art.log_rows]
     assert all(b2 >= b1 for b1, b2 in zip(betas, betas[1:]))
     hist = art.ensemble.temper.history
@@ -63,10 +59,9 @@ def test_beta_monotone_and_fresh_each_iteration():
 
 
 def test_mixed_kernels_accounting():
-    base = targets.standard_normal(2)
     target = targets.make_gmm4()
     cfg = smoke_config(iters=9, kq=3, particles=4)
-    art = driver.run_mfm(base, target, cfg)
+    art = driver.run_mfm(target, cfg)
     # flow fires at k = 2, 5, 8 -> 3 of 9 iterations
     assert art.ensemble.flow_proposed == 3 * 4
     assert art.ensemble.local_proposed == 6 * 4
@@ -75,25 +70,16 @@ def test_mixed_kernels_accounting():
 
 @pytest.mark.parametrize("kernel", ["imh", "cis"])
 def test_alternative_nonlocal_kernels_run(kernel):
-    base = targets.standard_normal(2)
     target = targets.make_gmm4()
-    art = driver.run_mfm(base, target,
-                         smoke_config(nonlocal_kernel=kernel, iters=6, kq=2))
+    art = driver.run_mfm(target, smoke_config(nonlocal_kernel=kernel, iters=6, kq=2))
     assert np.all(np.isfinite(art.ensemble.positions))
 
 
-def test_dim_mismatch_rejected():
-    with pytest.raises(DimensionMismatch):
-        driver.run_mfm(targets.standard_normal(3), targets.make_gmm4(),
-                       smoke_config())
-
-
 def test_init_override_controls_start():
-    base = targets.standard_normal(2)
     target = targets.make_gmm16(0)
     cfg = smoke_config(iters=1, particles=16, init_mean=[-14.0, -14.0],
                        init_scale=0.5, kq=100)
-    art = driver.run_mfm(base, target, cfg)
+    art = driver.run_mfm(target, cfg)
     # after one MALA step at beta_1 the particles are still near the init blob
     assert np.all(np.abs(art.ensemble.positions - (-14.0)) < 5.0)
 
@@ -104,8 +90,45 @@ def test_init_mean_of_wrong_length_refused(init_mean):
     # three would not broadcast at all
     cfg = smoke_config(iters=1, init_mean=init_mean)
     with pytest.raises(ConfigError) as err:
-        driver.run_mfm(targets.standard_normal(2), targets.make_gmm4(), cfg)
+        driver.run_mfm(targets.make_gmm4(), cfg)
     assert err.value.field == "init_mean"
+
+
+def failing_train_step(monkeypatch, fails):
+    """Patch cfm.train_step to raise NonFiniteLoss on the calls (1-based)
+    for which fails(call) is true, and to train normally on the others."""
+    real = cfm.train_step
+    calls = []
+
+    def train_step(*args):
+        calls.append(None)
+        if fails(len(calls)):
+            raise NonFiniteLoss("training loss is nan")
+        return real(*args)
+
+    monkeypatch.setattr(cfm, "train_step", train_step)
+
+
+def test_isolated_nonfinite_losses_are_logged(monkeypatch):
+    failed = {2, 5}
+    failing_train_step(monkeypatch, lambda call: call in failed)
+    art = driver.run_mfm(targets.make_gmm4(), smoke_config(iters=6))
+    losses = [row["loss"] for row in art.log_rows]
+    assert len(losses) == 6
+    assert [k for k, loss in enumerate(losses, 1) if np.isnan(loss)] == sorted(failed)
+    assert np.all(np.isfinite(flow.flow_to_vector(art.flow_params)))
+
+
+def test_nonfinite_loss_streak_aborts_run(monkeypatch):
+    # every step fails but the limit-th, which resets the streak; the next
+    # limit failures in a row end the run at k = 2 * limit.  k_q > iters:
+    # MALA steps only
+    limit = driver.MAX_NONFINITE_LOSSES
+    failing_train_step(monkeypatch, lambda call: call != limit)
+    cfg = smoke_config(iters=2 * limit + 5, kq=4 * limit)
+    with pytest.raises(NonFiniteLoss,
+                       match=rf"for {limit} consecutive iterations \(k={2 * limit}\)"):
+        driver.run_mfm(targets.make_gmm4(), cfg)
 
 
 # -- AT-SMC baseline -----------------------------------------------------------------
@@ -113,7 +136,7 @@ def test_init_mean_of_wrong_length_refused(init_mean):
 def test_atsmc_identical_base_and_target_single_jump(rng):
     std = targets.standard_normal(2)
     cfg = smoke_config(iters=1, particles=32, kq=2, mala_tau=0.5)
-    art = driver.run_atsmc(std, std, cfg)
+    art = driver.run_atsmc(std, cfg)
     ens, rows = art.ensemble, art.log_rows
     assert ens.temper.history == [1.0]
     # one resampling level plus the final sweep
@@ -139,7 +162,7 @@ def test_atsmc_evaluates_target_once_per_mala_pass(monkeypatch):
     monkeypatch.setattr(kernels, "mala_step", counting("mala_step", kernels.mala_step))
     cfg = ExperimentConfig(particles=16, kq=2, alpha=0.9, mala_tau=0.01,
                            seed=1, hidden=8, diag_samples=16)
-    rows = driver.run_atsmc(targets.standard_normal(spec.dim), target, cfg).log_rows
+    rows = driver.run_atsmc(target, cfg).log_rows
     passes = cfg.kq * len(rows)    # k_q passes per level and in the final sweep
     assert len(rows) > 3 and len(calls["mala_step"]) == passes
     # the initial evaluation, then the proposals of each pass
@@ -167,7 +190,7 @@ def test_flow_step_evaluates_target_once(kernel, monkeypatch):
 
     target.log_density = counted
     cfg = smoke_config(iters=4, particles=16, kq=1, nonlocal_kernel=kernel)
-    art = driver.run_mfm(targets.standard_normal(2), target, cfg)
+    art = driver.run_mfm(target, cfg)
     driver.run_report(target, cfg, art)
     assert art.ensemble.flow_proposed == 4 * 16
     assert len(calls) == 6
@@ -179,27 +202,30 @@ def test_flow_step_evaluates_target_once(kernel, monkeypatch):
 def test_ensemble_cache_matches_fresh_evaluation(run):
     # after MALA passes, resampling and (mfm, k_q=3) flow steps, the cached
     # oracle values are those of the final positions
-    base = targets.standard_normal(2)
     target = targets.make_gmm4()
     cfg = smoke_config(iters=8, particles=16)
     if run == "mfm":
-        ens = driver.run_mfm(base, target, cfg).ensemble
+        ens = driver.run_mfm(target, cfg).ensemble
         assert ens.flow_proposed > 0
     else:
-        ens = driver.run_atsmc(base, target, cfg).ensemble
-    fresh = kernels.evaluate(base, target, ens.positions)
-    for name in ("x", "log_target", "log_base", "grad_target", "grad_base"):
+        ens = driver.run_atsmc(target, cfg).ensemble
+    fresh = kernels.evaluate(target, ens.positions)
+    for name in ("x", "log_target", "grad_target"):
         assert np.array_equal(getattr(ens.chains, name), getattr(fresh, name)), name
 
 
 def test_atsmc_moments_1d():
-    target = targets.standard_normal(1)
-    base = targets.gaussian(np.zeros(1), 3.0)
-    cfg = ExperimentConfig(iters=1, particles=4096, kq=20, mala_tau=0.5,
-                           seed=3, hidden=8, diag_samples=16)
-    art = driver.run_atsmc(base, target, cfg)
+    # the reference N(0, 1) is 3 times as wide as the target; in the
+    # target's units (positions / scale, tau / scale^2) this is the run
+    # from N(0, 3^2) to N(0, 1) with tau = 0.5
+    scale = 1.0 / 3.0
+    target = targets.gaussian(np.zeros(1), scale)
+    cfg = ExperimentConfig(iters=1, particles=4096, kq=20,
+                           mala_tau=0.5 * scale ** 2, seed=3, hidden=8,
+                           diag_samples=16)
+    art = driver.run_atsmc(target, cfg)
     ens, rows = art.ensemble, art.log_rows
-    assert abs(ens.positions.var() - 1.0) <= 0.1
+    assert abs((ens.positions / scale).var() - 1.0) <= 0.1
     betas = [r["beta"] for r in rows]
     increasing = [b for b in betas if b < 1.0] + [1.0]
     assert all(b2 > b1 for b1, b2 in zip(increasing, increasing[1:]))
@@ -209,10 +235,11 @@ def test_atsmc_moments_1d():
 def test_atsmc_weights_match_ess_solve(rng):
     # the incremental weights the resampler uses are exactly the ESS weights
     from mfm import tempering
-    base = targets.standard_normal(2)
     target = targets.make_gmm4()
     x = rng.standard_normal((64, 2))
-    lr = target.log_density(x) - base.log_density(x)
+    lr = kernels.evaluate(target, x).log_ratios()
+    assert np.array_equal(lr, target.log_density(x)
+                          - targets.standard_normal(2).log_density(x))
     state = tempering.next_beta(lr, tempering.TemperState(0.0, 0.5))
     log_w = (state.beta - 0.0) * lr
     w = np.exp(log_w - log_w.max())
@@ -227,12 +254,11 @@ def test_fm_oracle_requires_sampler():
     spec = targets.LgcpSpec(m_side=4)
     lgcp = targets.make_lgcp(spec, targets.synthetic_lgcp_counts(spec, seed=0))
     with pytest.raises(ValueError):
-        driver.run_fm_oracle(targets.standard_normal(spec.dim), lgcp, smoke_config())
+        driver.run_fm_oracle(lgcp, smoke_config())
 
 
 def test_fm_oracle_smoke_gmm4():
-    art = driver.run_fm_oracle(targets.standard_normal(2), targets.make_gmm4(),
-                               smoke_config(iters=5))
+    art = driver.run_fm_oracle(targets.make_gmm4(), smoke_config(iters=5))
     assert len(art.log_rows) == 5
     assert np.all(np.isfinite(flow.flow_to_vector(art.flow_params)))
 
@@ -240,7 +266,7 @@ def test_fm_oracle_smoke_gmm4():
 def test_diagnose_flow_reproducible():
     target = targets.make_gmm4()
     cfg = smoke_config(iters=3)
-    art = driver.run_mfm(targets.standard_normal(2), target, cfg)
+    art = driver.run_mfm(target, cfg)
     r1 = driver.run_report(target, cfg, art)
     r2 = driver.diagnose_flow(art.flow_params, target, cfg)
     assert r1.mmd2_unbiased == r2.mmd2_unbiased

@@ -166,8 +166,7 @@ def test_hvp_matches_finite_difference_hessian(target, rng):
 
 
 @pytest.mark.parametrize(
-    "target", all_targets() + [targets.tempered(targets.standard_normal(2),
-                                                targets.make_gmm4(), 0.3)],
+    "target", all_targets() + [targets.tempered(targets.make_gmm4(), 0.3)],
     ids=lambda t: t.name)
 def test_hvp_one_direction_broadcasts_over_rows(target, rng):
     # the exact divergence passes one (d,) basis direction for all rows,
@@ -181,9 +180,7 @@ def test_hvp_one_direction_broadcasts_over_rows(target, rng):
 def contract_targets():
     """Every library target, and the tempered LGCP posterior at three betas."""
     lgcp = all_targets()[4]
-    std = targets.standard_normal(lgcp.dim)
-    return all_targets() + [targets.tempered(std, lgcp, beta)
-                            for beta in (0.0, 0.37, 1.0)]
+    return all_targets() + [targets.tempered(lgcp, beta) for beta in (0.0, 0.37, 1.0)]
 
 
 @pytest.mark.parametrize("target", contract_targets(),
@@ -218,17 +215,35 @@ def test_batched_matches_single(rng):
 
 # -- tempering ------------------------------------------------------------------
 
+@pytest.mark.parametrize("d", [1, 2, 64, 1600])
+def test_reference_matches_unit_gaussian(d):
+    # the closed-form N(0, I) and its sampler equal the general isotropic
+    # Gaussian at mean 0, scale 1 bit for bit
+    unit = targets.gaussian(np.zeros(d), 1.0)
+    std = targets.standard_normal(d)
+    x = 3.0 * np.random.Generator(np.random.Philox(1)).standard_normal((5, d))
+    value, grad = unit.log_density(x, with_grad=True)
+    assert np.array_equal(targets.reference_log_density(x), value)
+    ref_value, ref_grad = targets.reference_log_density(x, with_grad=True)
+    assert np.array_equal(ref_value, value) and np.array_equal(ref_grad, grad)
+    assert np.array_equal(std.log_density(x), value)
+    v = np.random.Generator(np.random.Philox(2)).standard_normal(d)
+    assert np.array_equal(std.hvp_log_density(x, v), unit.hvp_log_density(x, v))
+    assert np.array_equal(std.sampler(np.random.Generator(np.random.Philox(3)), 7),
+                          unit.sampler(np.random.Generator(np.random.Philox(3)), 7))
+
+
 def test_tempered_endpoints(rng):
-    base = targets.standard_normal(3)
     target = targets.gaussian(np.ones(3), 2.0)
     x = rng.standard_normal((1, 3))
-    assert targets.tempered(base, target, 0.0).log_density(x)[0] == base.log_density(x)[0]
-    assert targets.tempered(base, target, 1.0).log_density(x)[0] == target.log_density(x)[0]
+    assert (targets.tempered(target, 0.0).log_density(x)[0]
+            == targets.standard_normal(3).log_density(x)[0])
+    assert targets.tempered(target, 1.0).log_density(x)[0] == target.log_density(x)[0]
 
 
 def test_tempered_identical_endpoints(rng):
     std = targets.standard_normal(2)
-    half = targets.tempered(std, targets.standard_normal(2), 0.5)
+    half = targets.tempered(targets.standard_normal(2), 0.5)
     x = rng.standard_normal((1, 2))
     assert half.log_density(x)[0] == pytest.approx(std.log_density(x)[0], abs=1e-12)
 
@@ -237,7 +252,7 @@ def test_tempered_affine_in_beta(rng):
     base = targets.standard_normal(2)
     target = targets.make_gmm4()
     x = np.array([[5.0, 5.0]])
-    vals = [targets.tempered(base, target, b).log_density(x)[0]
+    vals = [targets.tempered(target, b).log_density(x)[0]
             for b in (0.2, 0.5, 0.8)]
     # affine: midpoint equals average of endpoints
     assert vals[1] == pytest.approx(0.5 * (vals[0] + vals[2]), abs=1e-10)
@@ -245,15 +260,10 @@ def test_tempered_affine_in_beta(rng):
         assert vals[0] < vals[1] < vals[2]
 
 
-def test_tempered_dim_mismatch():
-    with pytest.raises(DimensionMismatch):
-        targets.tempered(targets.standard_normal(2), targets.standard_normal(3), 0.5)
-
-
 def test_tempered_gradient_and_hvp_combine(rng):
     base = targets.standard_normal(2)
     target = targets.make_gmm4()
-    mid = targets.tempered(base, target, 0.3)
+    mid = targets.tempered(target, 0.3)
     x = rng.standard_normal((1, 2))
     v = rng.standard_normal(2)
     assert np.allclose(mid.grad_log_density(x),
