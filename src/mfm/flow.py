@@ -29,7 +29,9 @@ Its estimator follows from the dimension d alone: the exact trace (d
 target Hessian-vector products per field evaluation) up to
 EXACT_DIVERGENCE_MAX_DIM, and above it one Rademacher probe of
 Hutchinson's trace estimator (FFJORD), which draws from the integrator's
-rng.
+rng.  The exact trace reads net_x's constant trace matrix
+(``trace_matrix``), which ``integrate_rows`` builds once per call: the
+parameters are fixed across its 4 * n_steps field evaluations.
 
 The rest of the API is the integrator (``integrate_rows``, with
 ``rk4_integrate`` underneath), the closing push (``push_samples``), two
@@ -183,17 +185,25 @@ def field(params: FlowParams, target: TargetDensity, t, xb: np.ndarray) -> Field
     return FieldEval(v, score, gate, u, scale, acts_x, acts_t, acts_scale)
 
 
+def trace_matrix(params: FlowParams):
+    """net_x's trace matrix for the exact divergence, or None above
+    EXACT_DIVERGENCE_MAX_DIM, where the divergence does not read it."""
+    if params.dim > EXACT_DIVERGENCE_MAX_DIM:
+        return None
+    return nets.mlp_trace_matrix(params.net_x, params.dim)
+
+
 def divergence(params: FlowParams, target: TargetDensity, xb: np.ndarray,
-               fe: FieldEval, rng: np.random.Generator):
+               fe: FieldEval, rng: np.random.Generator, mix):
     """Divergence of v(t, .) per row of xb (N, d), where fe = field(.., t, xb).
 
-    Exact for d <= EXACT_DIVERGENCE_MAX_DIM, where rng is not read; above
-    it one Rademacher probe drawn from rng gives Hutchinson's unbiased
-    estimate.
+    Exact for d <= EXACT_DIVERGENCE_MAX_DIM, from mix = trace_matrix(params)
+    and with rng not read; above it one Rademacher probe drawn from rng
+    gives Hutchinson's unbiased estimate, and mix is not read.
     """
     d = xb.shape[1]
     if d <= EXACT_DIVERGENCE_MAX_DIM:
-        div = nets.mlp_input_jacobian_trace(params.net_x, fe.acts_x, d)
+        div = nets.mlp_input_jacobian_trace(fe.acts_x, mix)
         for i in range(d):
             e = np.zeros(d)
             e[i] = 1.0
@@ -245,15 +255,19 @@ def _flow_field(params, target, rng, with_dlp):
     """Row-tolerant field closure: broken rows carry NaN, healthy rows run on.
 
     Without with_dlp the divergence is not evaluated and reads as zero, so
-    a row breaks only when its position or velocity is not finite.
+    a row breaks only when its position or velocity is not finite.  With
+    it, net_x's trace matrix is built here, once for every evaluation.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mix = trace_matrix(params) if with_dlp else None
+
     def rk4_field(t, xb):
         ok = np.all(np.isfinite(xb), axis=1)
         safe = xb if ok.all() else np.where(ok[:, None], xb, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             fe = field(params, target, t, safe)
             v = fe.v
-            div = (divergence(params, target, safe, fe, rng)
+            div = (divergence(params, target, safe, fe, rng, mix)
                    if with_dlp else np.zeros(xb.shape[0]))
         ok &= np.all(np.isfinite(v), axis=1) & np.isfinite(div)
         if not ok.all():

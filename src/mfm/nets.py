@@ -168,20 +168,28 @@ def mlp_input_jvp(params: MlpParams, acts, tangent) -> np.ndarray:
     return d
 
 
-def mlp_input_jacobian_trace(params: MlpParams, acts, k: int) -> np.ndarray:
-    """sum_i d output_i / d input_i over the first k coordinates, per row.
+def mlp_trace_matrix(params: MlpParams, k: int) -> np.ndarray:
+    """The constant matrix W2 * (W3[:, :k] @ W1[:k])^T of the input trace.
 
-    For the fixed two-hidden-layer stack the trace collapses to a bilinear
-    form in the two tanh' vectors (read from the forward cache acts) with
-    the constant matrix W2 * (W3 @ W1[:k])^T, which avoids materializing
-    any Jacobian.
+    It depends on the weights alone, so one matrix serves every forward
+    pass of one parameter set (see mlp_input_jacobian_trace).
     """
     w1, w2, w3 = params.weights
     if w3.shape[1] < k:
         raise ShapeMismatch(f"trace needs >= {k} outputs, net has {w3.shape[1]}")
+    return w2 * (w3[:, :k] @ w1[:k, :]).T
+
+
+def mlp_input_jacobian_trace(acts, mix) -> np.ndarray:
+    """sum_i d output_i / d input_i over the first k coordinates, per row.
+
+    For the fixed two-hidden-layer stack the trace collapses to a bilinear
+    form in the two tanh' vectors (read from the forward cache acts) with
+    mix = mlp_trace_matrix(params, k), which avoids materializing any
+    Jacobian.
+    """
     d1 = 1.0 - acts[1] ** 2
     d2 = 1.0 - acts[2] ** 2
-    mix = w2 * (w3[:, :k] @ w1[:k, :]).T
     return np.sum(d1 * (d2 @ mix.T), axis=1)
 
 
@@ -334,7 +342,10 @@ def load_blob(path):
 def load_arrays(path):
     """Inverse of save_arrays; returns (meta, {name: array}).
 
-    The arrays are views into one blob (see load_blob).
+    The arrays are views into one blob (see load_blob).  The package reads
+    checkpoints through load_blob; this named form is kept as the
+    deliberate oracle that tests use to read and rewrite a checkpoint
+    array by array.
     """
     header, blob = load_blob(path)
     spec = header.pop("arrays")

@@ -1,8 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mfm import diagnostics, targets
 from mfm.errors import TooFewSamples
+
+
+def ksd_u(target, ys):
+    """Unbiased U-statistic: mean of off-diagonal Stein-kernel entries."""
+    return diagnostics._u_statistic(*diagnostics._ksd_sums(target, ys))
+
+
+def ksd_v(target, ys):
+    """Biased, non-negative V-statistic: mean over all pairs."""
+    return diagnostics._v_statistic(*diagnostics._ksd_sums(target, ys))
 
 
 def naive_mmd2(xs, ys):
@@ -112,7 +124,7 @@ def test_stein_kernel_matches_finite_differences(rng):
 
 def test_ksd_v_single_point_at_origin():
     std = targets.standard_normal(1)
-    assert diagnostics.ksd_v(std, np.zeros((1, 1))) == pytest.approx(1.0)
+    assert ksd_v(std, np.zeros((1, 1))) == pytest.approx(1.0)
 
 
 def test_ksd_matches_double_loop_oracle(rng):
@@ -123,15 +135,15 @@ def test_ksd_matches_double_loop_oracle(rng):
     n = 64
     u_naive = (naive.sum() - np.trace(naive)) / (n * (n - 1))
     v_naive = naive.sum() / (n * n)
-    assert diagnostics.ksd_u(t, ys) == pytest.approx(u_naive, rel=1e-10)
-    assert diagnostics.ksd_v(t, ys) == pytest.approx(v_naive, rel=1e-10)
+    assert ksd_u(t, ys) == pytest.approx(u_naive, rel=1e-10)
+    assert ksd_v(t, ys) == pytest.approx(v_naive, rel=1e-10)
 
 
 def test_ksd_v_nonnegative(rng):
     t = targets.standard_normal(3)
     for _ in range(10):
         ys = rng.normal(rng.uniform(-2, 2), rng.uniform(0.5, 2), size=(20, 3))
-        assert diagnostics.ksd_v(t, ys) >= 0.0
+        assert ksd_v(t, ys) >= 0.0
 
 
 def test_ksd_v_duplication_consistency(rng):
@@ -140,17 +152,17 @@ def test_ksd_v_duplication_consistency(rng):
     doubled = np.concatenate([ys, ys], axis=0)
     naive = np.mean([[diagnostics.stein_kernel(t, a, b) for b in doubled]
                      for a in doubled])
-    assert diagnostics.ksd_v(t, doubled) == pytest.approx(naive, rel=1e-10)
+    assert ksd_v(t, doubled) == pytest.approx(naive, rel=1e-10)
 
 
 def test_ksd_permutation_invariance(rng):
     t = targets.standard_normal(2)
     ys = rng.standard_normal((30, 2))
     perm = ys[rng.permutation(30)]
-    assert diagnostics.ksd_u(t, ys) == pytest.approx(
-        diagnostics.ksd_u(t, perm), rel=1e-12)
-    assert diagnostics.ksd_v(t, ys) == pytest.approx(
-        diagnostics.ksd_v(t, perm), rel=1e-12)
+    assert ksd_u(t, ys) == pytest.approx(
+        ksd_u(t, perm), rel=1e-12)
+    assert ksd_v(t, ys) == pytest.approx(
+        ksd_v(t, perm), rel=1e-12)
 
 
 def test_ksd_u_stein_identity():
@@ -159,14 +171,14 @@ def test_ksd_u_stein_identity():
     rng = np.random.Generator(np.random.Philox(7))
     ys = rng.standard_normal((10_000, 1))
     scores = std.grad_log_density(ys)
-    u = diagnostics.ksd_u(std, ys)
+    u = ksd_u(std, ys)
     n = ys.shape[0]
     # row means of the off-diagonal Stein matrix give the Hajek projection
     row_sums = np.zeros(n)
     block = 1000
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        b = diagnostics._stein_block(ys[lo:hi], scores[lo:hi], ys, scores)
+        b = whole_stein_block(ys[lo:hi], scores[lo:hi], ys, scores)
         b[np.arange(lo, hi) - lo, np.arange(lo, hi)] = 0.0
         row_sums[lo:hi] = b.sum(axis=1)
     g = row_sums / (n - 1)
@@ -177,17 +189,18 @@ def test_ksd_u_stein_identity():
 def test_ksd_u_too_few():
     std = targets.standard_normal(1)
     with pytest.raises(TooFewSamples):
-        diagnostics.ksd_u(std, np.zeros((1, 1)))
+        ksd_u(std, np.zeros((1, 1)))
 
 
 def test_worker_count_invariance(rng):
+    # each block builds its slabs in buffers of its own, so threads share none
     t = targets.standard_normal(2)
     ys = rng.standard_normal((1100, 2))
     xs = rng.standard_normal((1100, 2))
-    assert diagnostics.ksd_v(t, ys, workers=1) == \
-        diagnostics.ksd_v(t, ys, workers=4)
-    assert diagnostics.mmd2_unbiased(xs, ys, workers=1) == \
-        diagnostics.mmd2_unbiased(xs, ys, workers=4)
+    for workers in (2, 4):
+        assert diagnostics._ksd_sums(t, ys, workers) == diagnostics._ksd_sums(t, ys)
+        assert diagnostics.mmd2_unbiased(xs, ys, workers) == \
+            diagnostics.mmd2_unbiased(xs, ys)
 
 
 def test_report_builds_one_stein_gram(rng):
@@ -204,8 +217,8 @@ def test_report_builds_one_stein_gram(rng):
     target.grad_log_density = counted
     report = diagnostics.compute_report(target, ys, None)
     assert calls == [600]
-    assert report.ksd_u == diagnostics.ksd_u(target, ys)
-    assert report.ksd_v == diagnostics.ksd_v(target, ys)
+    assert report.ksd_u == ksd_u(target, ys)
+    assert report.ksd_v == ksd_v(target, ys)
 
 
 # -- mean log target ------------------------------------------------------------------
@@ -229,3 +242,112 @@ def test_mean_log_target_gmm4_reference_value():
     rng = np.random.Generator(np.random.Philox(123))
     xs = t.sampler(rng, 10_000)
     assert diagnostics.mean_log_target(t, xs) == pytest.approx(-4.22, abs=0.1)
+
+
+# -- Slabbed Gram blocks against the whole-block formula ------------------------------
+#
+# The whole-block formula, the reference for the slabbed blocks: every
+# product is one (rows, n) temporary.  The slabbed blocks run the same ufuncs
+# in the same order, so they equal it bit for bit wherever the slab-sized
+# matrix products equal the block-sized ones.
+
+def whole_sq_dists(xs, ys):
+    xx = np.sum(xs ** 2, axis=1)
+    yy = np.sum(ys ** 2, axis=1)
+    r2 = xx[:, None] + yy[None, :] - 2.0 * (xs @ ys.T)
+    return np.maximum(r2, 0.0)
+
+
+def whole_imq_block(xs, ys):
+    return (1.0 + whole_sq_dists(xs, ys)) ** diagnostics.IMQ_EXPONENT
+
+
+def whole_stein_block(xs, sxs, ys, sys_):
+    beta = diagnostics.IMQ_EXPONENT
+    d = xs.shape[1]
+    base = 1.0 + whole_sq_dists(xs, ys)
+    pow1 = base ** (beta - 1.0)
+    trace_term = -2.0 * beta * d * pow1 \
+        - 4.0 * beta * (beta - 1.0) * (base - 1.0) * base ** (beta - 2.0)
+    u_dot = (xs @ sys_.T - np.sum(ys * sys_, axis=1)[None, :]
+             - np.sum(xs * sxs, axis=1)[:, None] + sxs @ ys.T)
+    cross = 2.0 * beta * pow1 * u_dot
+    return trace_term + cross + base ** beta * (sxs @ sys_.T)
+
+
+def whole_block_sums(target, xs, ys):
+    """(KSD off-diagonal sum, KSD diagonal sum, MMD^2) of ys (and xs) from
+    whole blocks, with the block partition and reductions of the module."""
+    n = ys.shape[0]
+    scores = target.grad_log_density(ys)
+    blocks = [(lo, min(lo + diagnostics._BLOCK, n))
+              for lo in range(0, n, diagnostics._BLOCK)]
+
+    def within(zs, lo, hi):
+        k = whole_imq_block(zs[lo:hi], zs)
+        return k.sum() - np.trace(k[:, lo:hi])
+
+    off = diag = within_x = within_y = across = 0
+    for lo, hi in blocks:
+        b = whole_stein_block(ys[lo:hi], scores[lo:hi], ys, scores)
+        bdiag = np.trace(b[:, lo:hi])
+        off, diag = off + (b.sum() - bdiag), diag + bdiag
+        within_x += within(xs, lo, hi)
+        within_y += within(ys, lo, hi)
+        across += whole_imq_block(xs[lo:hi], ys).sum()
+    mmd2 = (within_x / (n * (n - 1)) - 2.0 * across / (n * n)
+            + within_y / (n * (n - 1)))
+    return off, diag, mmd2
+
+
+def gram_inputs(n, d):
+    rng = np.random.Generator(np.random.Philox(n * 10 + d))
+    target = targets.make_gmm4() if d == 2 else targets.standard_normal(d)
+    return target, rng.normal(0, 3, size=(n, d)), rng.normal(0, 3, size=(n, d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("n", [600, 1100, 2048])
+def test_slabbed_sums_equal_whole_block_formula(n, d):
+    # The slab-sized BLAS products equal the block-sized ones bit for bit
+    # when n is a multiple of 8 or d = 1 (each entry a single product).
+    # Otherwise OpenBLAS computes the last n % 8 columns with edge kernels
+    # whose rounding depends on the number of rows, so a few of those
+    # entries of a 64-row slab differ from the 512-row block's in the last
+    # bit; every other entry is equal.
+    exact = n % 8 == 0 or d == 1
+    main = n if exact else n - n % 8
+    target, xs, ys = gram_inputs(n, d)
+    scores = target.grad_log_density(ys)
+    for lo in range(0, n, diagnostics._BLOCK):
+        hi = min(lo + diagnostics._BLOCK, n)
+        pairs = [(diagnostics._stein_block(ys[lo:hi], scores[lo:hi], ys, scores),
+                  whole_stein_block(ys[lo:hi], scores[lo:hi], ys, scores)),
+                 (diagnostics._imq_block(xs[lo:hi], ys), whole_imq_block(xs[lo:hi], ys))]
+        for slabbed, whole in pairs:
+            assert np.array_equal(slabbed[:, :main], whole[:, :main])
+            np.testing.assert_allclose(slabbed, whole, rtol=1e-12, atol=1e-15)
+    off, diag, mmd2 = whole_block_sums(target, xs, ys)
+    got_off, got_diag, _ = diagnostics._ksd_sums(target, ys)
+    got_mmd2 = diagnostics.mmd2_unbiased(xs, ys)
+    if exact:
+        assert (got_off, got_diag, got_mmd2) == (off, diag, mmd2)
+    else:
+        assert got_off == pytest.approx(off, rel=1e-13)
+        assert got_diag == pytest.approx(diag, rel=1e-13)
+        assert got_mmd2 == pytest.approx(mmd2, rel=1e-12, abs=1e-16)
+
+
+def test_report_peak_memory_is_bounded(rng):
+    # one (512, 2048) block (8 MiB) and its four (64, 2048) slab buffers
+    # (4 MiB) at a time; whole-block temporaries take about 64 MiB
+    target = targets.make_gmm4()
+    ys = rng.normal(0, 5, size=(2048, 2))
+    exact = target.sampler(rng, 2048)
+    tracemalloc.start()
+    try:
+        diagnostics.compute_report(target, ys, exact)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20

@@ -38,7 +38,8 @@ def score_flow(d):
 
 def divergence_at(fp, target, t, x, rng=None):
     """Divergence of v(t, .) per row, from one forward pass of the field."""
-    return flow.divergence(fp, target, x, flow.field(fp, target, t, x), rng)
+    return flow.divergence(fp, target, x, flow.field(fp, target, t, x), rng,
+                           flow.trace_matrix(fp))
 
 
 def use_hutchinson(monkeypatch):
