@@ -37,13 +37,15 @@ def conditional_field(sigma_min: float, t, x, x1):
 
 def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
                       sigma_min: float, particles: np.ndarray,
-                      rng: np.random.Generator):
+                      rng: np.random.Generator, out: np.ndarray = None):
     """Monte Carlo loss (1/N) sum ||v_theta - v_cond||^2 and its gradient.
 
     One t ~ U(0,1) and one x0 ~ N(0, I) are drawn per particle.  Returns
     (loss, gradient) with the gradient packaged in a FlowParams of the same
     shapes: each layer's gradient is written straight into the views of one
-    new flat vector, the gradient's flat.
+    flat vector, the gradient's flat.  That vector is out, a float64 buffer
+    of flow_params.flat's size, or a new one; out is not written when the
+    loss is not finite.
     """
     n, d = particles.shape
     if n < 1:
@@ -69,7 +71,9 @@ def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
 
     # flow.vector_to_flow, not this module's name, which only train_step's
     # packing calls use (bench/tracing.py counts those as nets.pack)
-    grad = flow.vector_to_flow(np.empty(flow_params.flat.size), flow_params)
+    if out is None:
+        out = np.empty(flow_params.flat.size)
+    grad = flow.vector_to_flow(out, flow_params)
     nets.mlp_param_gradient(flow_params.net_x, fe.acts_x, cot_nx, out=grad.net_x)
     nets.mlp_param_gradient(flow_params.net_t, fe.acts_t, cot_nt, out=grad.net_t)
     nets.mlp_param_gradient(flow_params.net_scale, fe.acts_scale, cot_u,
@@ -82,12 +86,15 @@ def train_step(flow_params: FlowParams, adam: AdamState, target: TargetDensity,
                rng: np.random.Generator):
     """One Adam update on the CFM gradient; returns (params, adam, loss).
 
-    Nothing is packed: flow_to_vector hands Adam the flat vectors of the
-    parameters and of the gradient as they are, and vector_to_flow wraps
-    Adam's new vector as the returned flow's storage.  flow_params is left
-    as it was.
+    Nothing is packed or allocated at parameter size: the gradient goes
+    into adam.grad, flow_to_vector hands Adam the flat vectors as they are,
+    Adam updates flow_params.flat in place, and vector_to_flow wraps the
+    vector Adam returns.  So flow_params holds the new parameters afterwards
+    (copy its flat first to keep the old ones).  A non-finite loss raises
+    before anything is written.
     """
-    loss, grad = cfm_loss_and_grad(flow_params, target, sigma_min, particles, rng)
+    loss, grad = cfm_loss_and_grad(flow_params, target, sigma_min, particles, rng,
+                                   out=adam.grad)
     vec, new_adam = nets.adam_step(adam, flow_to_vector(flow_params),
                                    flow_to_vector(grad))
     return vector_to_flow(vec, flow_params), new_adam, loss

@@ -33,6 +33,13 @@ rng.  The exact trace reads net_x's constant trace matrix
 (``trace_matrix``), which ``integrate_rows`` builds once per call: the
 parameters are fixed across its 4 * n_steps field evaluations.
 
+So is the row count, and ``integrate_rows`` also builds one ``Workspace``
+per call: every evaluation writes net_x's layer outputs and the exact
+trace's scratch into it, with the same operations as into fresh arrays, so
+the bits are the same.  Concurrent calls (``push_samples``' chunks on a
+thread pool) each have their own.  ``cfm`` calls ``field`` without one,
+because its backward pass reads the caches after the forward pass.
+
 The rest of the API is the integrator (``integrate_rows``, with
 ``rk4_integrate`` underneath), the closing push (``push_samples``), two
 oracles for tests (``flow_zero`` and ``pullback_log_density``) and the
@@ -146,6 +153,27 @@ def softplus(u):
     return np.logaddexp(0.0, u)
 
 
+@dataclass(frozen=True)
+class Workspace:
+    """Buffers that the field evaluations of one integration reuse.
+
+    layers receives net_x's three layer outputs, (N, hidden), (N, hidden)
+    and (N, d); trace holds the three (N, hidden) scratch arrays of the
+    exact trace, or is None where the divergence does not take the exact
+    trace.  A FieldEval computed with it keeps views of layers, which the
+    next evaluation overwrites.
+    """
+
+    layers: list
+    trace: list
+
+    @classmethod
+    def for_rows(cls, params: FlowParams, n: int, exact_trace: bool):
+        hidden = params.net_x.weights[0].shape[1]
+        return cls([np.empty((n, w.shape[1])) for w in params.net_x.weights],
+                   [np.empty((n, hidden)) for _ in range(3)] if exact_trace else None)
+
+
 @dataclass
 class FieldEval:
     """One forward pass of v(t, x) and the pieces its derivatives reuse.
@@ -164,11 +192,13 @@ class FieldEval:
     acts_scale: list
 
 
-def field(params: FlowParams, target: TargetDensity, t, xb: np.ndarray) -> FieldEval:
+def field(params: FlowParams, target: TargetDensity, t, xb: np.ndarray,
+          ws: Workspace = None) -> FieldEval:
     """The single forward pass of the vector field over a batch xb (N, d).
 
     t is a scalar or one time per row.  Divergence and CFM gradients read
-    the returned caches instead of running the networks again.
+    the returned caches instead of running the networks again.  With a
+    Workspace ws for N rows, net_x's layers are written into ws.layers.
     """
     t = np.asarray(t, dtype=float)
     n = xb.shape[0]
@@ -177,7 +207,8 @@ def field(params: FlowParams, target: TargetDensity, t, xb: np.ndarray) -> Field
         raise ShapeMismatch(f"{ff.shape[0]} time rows for {n} positions")
     score = target.grad_log_density(xb)
     ffb = np.broadcast_to(ff, (n, ff.shape[1]))
-    nx, acts_x = nets.mlp_forward_cache(params.net_x, np.concatenate([xb, ffb], axis=1))
+    nx, acts_x = nets.mlp_forward_cache(params.net_x, np.concatenate([xb, ffb], axis=1),
+                                        None if ws is None else ws.layers)
     gate, acts_t = nets.mlp_forward_cache(params.net_t, ff)
     u, acts_scale = nets.mlp_forward_cache(params.net_scale, ff)
     scale = SCALE_FLOOR + softplus(u)
@@ -194,16 +225,19 @@ def trace_matrix(params: FlowParams):
 
 
 def divergence(params: FlowParams, target: TargetDensity, xb: np.ndarray,
-               fe: FieldEval, rng: np.random.Generator, mix):
+               fe: FieldEval, rng: np.random.Generator, mix,
+               ws: Workspace = None):
     """Divergence of v(t, .) per row of xb (N, d), where fe = field(.., t, xb).
 
     Exact for d <= EXACT_DIVERGENCE_MAX_DIM, from mix = trace_matrix(params)
     and with rng not read; above it one Rademacher probe drawn from rng
-    gives Hutchinson's unbiased estimate, and mix is not read.
+    gives Hutchinson's unbiased estimate, and mix is not read.  The exact
+    trace works in ws.trace when a Workspace ws is given.
     """
     d = xb.shape[1]
     if d <= EXACT_DIVERGENCE_MAX_DIM:
-        div = nets.mlp_input_jacobian_trace(fe.acts_x, mix)
+        div = nets.mlp_input_jacobian_trace(fe.acts_x, mix,
+                                            None if ws is None else ws.trace)
         for i in range(d):
             e = np.zeros(d)
             e[i] = 1.0
@@ -251,23 +285,25 @@ def rk4_integrate(field, x0: np.ndarray, t0: float, t1: float, n_steps: int):
     return x, dlp
 
 
-def _flow_field(params, target, rng, with_dlp):
+def _flow_field(params, target, rng, with_dlp, n):
     """Row-tolerant field closure: broken rows carry NaN, healthy rows run on.
 
     Without with_dlp the divergence is not evaluated and reads as zero, so
     a row breaks only when its position or velocity is not finite.  With
-    it, net_x's trace matrix is built here, once for every evaluation.
+    it, net_x's trace matrix is built here, once for every evaluation.  So
+    is the Workspace for the n rows every evaluation writes into.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mix = trace_matrix(params) if with_dlp else None
+    ws = Workspace.for_rows(params, n, mix is not None)
 
     def rk4_field(t, xb):
         ok = np.all(np.isfinite(xb), axis=1)
         safe = xb if ok.all() else np.where(ok[:, None], xb, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            fe = field(params, target, t, safe)
+            fe = field(params, target, t, safe, ws)
             v = fe.v
-            div = (divergence(params, target, safe, fe, rng, mix)
+            div = (divergence(params, target, safe, fe, rng, mix, ws)
                    if with_dlp else np.zeros(xb.shape[0]))
         ok &= np.all(np.isfinite(v), axis=1) & np.isfinite(div)
         if not ok.all():
@@ -294,7 +330,7 @@ def integrate_rows(params: FlowParams, target: TargetDensity, xb: np.ndarray,
     bit wherever that call's mask is set.
     """
     t0, t1 = (0.0, 1.0) if forward else (1.0, 0.0)
-    x, dlp = rk4_integrate(_flow_field(params, target, rng, with_dlp),
+    x, dlp = rk4_integrate(_flow_field(params, target, rng, with_dlp, xb.shape[0]),
                            xb, t0, t1, cfg.n_steps)
     ok = np.all(np.isfinite(x), axis=1) & np.isfinite(dlp)
     return x, dlp, ok

@@ -112,21 +112,28 @@ def _check_input(params: MlpParams, x: np.ndarray) -> None:
             f"input width {x.shape[-1]} != first layer width {params.n_in}")
 
 
-def mlp_forward_cache(params: MlpParams, x):
+def mlp_forward_cache(params: MlpParams, x, out=None):
     """Forward pass over an (N, n_in) batch, keeping every layer's values.
 
-    Returns (out, acts): out is (N, n_out) and acts[i] is the input of layer
-    i (acts[0] the input batch, acts[-1] is out).  The derivative helpers
-    below take acts, so one forward pass serves all of them.
+    Returns (y, acts): y is the (N, n_out) output and acts[i] is the input
+    of layer i (acts[0] the input batch, acts[-1] is y).  The derivative
+    helpers below take acts, so one forward pass serves all of them.
+
+    Layer i is written into out[i] when out, a list of C-contiguous
+    (N, output width of layer i) arrays, is given, so that a caller running
+    many passes of one shape (the integrator) allocates none; otherwise
+    into new arrays.  acts[1:] are those arrays.
     """
     _check_input(params, x)
-    h = x
-    acts = [h]
+    if out is None:
+        out = [np.empty((x.shape[0], w.shape[1])) for w in params.weights]
+    acts = [x]
     last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
+    for i, (w, b, h) in enumerate(zip(params.weights, params.biases, out)):
+        np.matmul(acts[-1], w, out=h)
+        h += b
         if i < last:
-            h = np.tanh(h)
+            np.tanh(h, out=h)
         acts.append(h)
     return h, acts
 
@@ -140,17 +147,30 @@ def mlp_param_gradient(params: MlpParams, acts, cotangent,
     products themselves, giving a deterministic ordered reduction.  Each
     layer's gradient is written into the matching array of out, which has
     the shapes of params (the views of a flat gradient vector, say).
-    Returns out.
+    The back-propagated cotangent, (delta @ W^T) * (1 - a^2), is computed
+    in two buffers allocated once per call.  Returns out.
     """
-    if cotangent.shape != (acts[0].shape[0], params.n_out):
+    n = acts[0].shape[0]
+    if cotangent.shape != (n, params.n_out):
         raise ShapeMismatch(
-            f"cotangent shape {cotangent.shape} != {(acts[0].shape[0], params.n_out)}")
+            f"cotangent shape {cotangent.shape} != {(n, params.n_out)}")
+    # delta alternates between two buffers of the widest hidden layer's
+    # size: delta @ W^T goes into the one delta is not in, then 1 - a^2 into
+    # the one it was in, which that product has finished reading
+    size = n * max((a.shape[1] for a in acts[1:-1]), default=0)
+    buffers = [np.empty(size), np.empty(size)]
     delta = cotangent
     for i in reversed(range(len(params.weights))):
         np.matmul(acts[i].T, delta, out=out.weights[i])
         np.sum(delta, axis=0, out=out.biases[i])
         if i > 0:
-            delta = (delta @ params.weights[i].T) * (1.0 - acts[i] ** 2)
+            back, slope = (b[:acts[i].size].reshape(acts[i].shape) for b in buffers)
+            np.matmul(delta, params.weights[i].T, out=back)
+            np.square(acts[i], out=slope)
+            np.subtract(1.0, slope, out=slope)
+            back *= slope
+            delta = back
+            buffers.reverse()
     return out
 
 
@@ -180,17 +200,26 @@ def mlp_trace_matrix(params: MlpParams, k: int) -> np.ndarray:
     return w2 * (w3[:, :k] @ w1[:k, :]).T
 
 
-def mlp_input_jacobian_trace(acts, mix) -> np.ndarray:
+def mlp_input_jacobian_trace(acts, mix, scratch=None) -> np.ndarray:
     """sum_i d output_i / d input_i over the first k coordinates, per row.
 
     For the fixed two-hidden-layer stack the trace collapses to a bilinear
     form in the two tanh' vectors (read from the forward cache acts) with
     mix = mlp_trace_matrix(params, k), which avoids materializing any
-    Jacobian.
+    Jacobian.  It is computed as np.sum((1 - a1**2) * ((1 - a2**2) @ mix.T),
+    axis=1), in three hidden-sized buffers: scratch, a list of three
+    C-contiguous arrays shaped like acts[1], or new ones.
     """
-    d1 = 1.0 - acts[1] ** 2
-    d2 = 1.0 - acts[2] ** 2
-    return np.sum(d1 * (d2 @ mix.T), axis=1)
+    if scratch is None:
+        scratch = [np.empty_like(acts[1]) for _ in range(3)]
+    d1, d2, prod = scratch
+    np.square(acts[1], out=d1)
+    np.subtract(1.0, d1, out=d1)
+    np.square(acts[2], out=d2)
+    np.subtract(1.0, d2, out=d2)
+    np.matmul(d2, mix.T, out=prod)
+    prod *= d1
+    return np.sum(prod, axis=1)
 
 
 # -- Flat-vector packing (flow storage, checkpoints, finite differences) ------
@@ -236,10 +265,16 @@ ADAM_BLOCK = 2 ** 15
 
 @dataclass
 class AdamState:
-    """Adam moments plus a linear step-size schedule ending at zero."""
+    """Adam moments plus a linear step-size schedule ending at zero.
+
+    grad is a parameter-sized buffer that lives as long as the state: the
+    train step writes each step's gradient into it (cfm.train_step), so no
+    step allocates a parameter-sized vector.  adam_step does not read it.
+    """
 
     m: np.ndarray
     v: np.ndarray
+    grad: np.ndarray
     step: int
     step_size: float
     total_steps: int
@@ -249,17 +284,18 @@ class AdamState:
 
 
 def adam_init(n_params: int, step_size: float, total_steps: int) -> AdamState:
-    return AdamState(np.zeros(n_params), np.zeros(n_params), 0,
+    return AdamState(np.zeros(n_params), np.zeros(n_params), np.empty(n_params), 0,
                      float(step_size), int(total_steps))
 
 
 def adam_step(state: AdamState, params: np.ndarray, gradient: np.ndarray):
-    """One Adam update on flat parameter vectors; consumes ``state``.
+    """One Adam update of a flat parameter vector, in place; consumes ``state``.
 
-    The moments are updated in place: ``state.m`` and ``state.v`` are the
-    arrays of the returned state, so the caller must use only the returned
-    state afterwards.  ``params`` and ``gradient`` are never written; the
-    only full-size allocation is the returned parameter vector.  The vectors
+    Returns (params, state): params is the argument, overwritten with the
+    updated parameters, and the moments are updated in place too, so
+    ``state.m`` and ``state.v`` are the arrays of the returned state and
+    the caller must use only the returned state afterwards.  ``gradient``
+    is never written, and nothing parameter-sized is allocated.  The vectors
     are walked in blocks of ADAM_BLOCK elements through two block-sized
     scratch buffers, with the float operations of the textbook update in
     the same order, so the result is bit-identical to
@@ -271,7 +307,8 @@ def adam_step(state: AdamState, params: np.ndarray, gradient: np.ndarray):
     (post-increment) step k is lr = step_size * max(0, 1 - k / total_steps),
     so the schedule terminates at exactly zero and further calls leave the
     parameters fixed.  Shapes and the gradient's finiteness are checked
-    before anything is written.
+    before anything is written, so a refused step leaves params, the
+    moments and the step count as they were.
     """
     if (params.ndim != 1 or params.shape != gradient.shape
             or params.shape != state.m.shape or params.shape != state.v.shape):
@@ -284,7 +321,6 @@ def adam_step(state: AdamState, params: np.ndarray, gradient: np.ndarray):
     c1 = 1.0 - b1 ** k
     c2 = 1.0 - b2 ** k
     n = params.size
-    new_params = np.empty(n)
     scratch_a = np.empty(min(n, ADAM_BLOCK))
     scratch_b = np.empty_like(scratch_a)
     for lo in range(0, n, ADAM_BLOCK):
@@ -304,8 +340,8 @@ def adam_step(state: AdamState, params: np.ndarray, gradient: np.ndarray):
         np.sqrt(b, out=b)
         b += state.eps
         a /= b
-        np.subtract(p, a, out=new_params[lo:hi])
-    return new_params, replace(state, step=k)
+        p -= a
+    return params, replace(state, step=k)
 
 
 # -- Checkpoint serialization --------------------------------------------------

@@ -196,27 +196,6 @@ def standard_normal(dim: int) -> TargetDensity:
                          name="std_normal")
 
 
-def gaussian(mean, scale: float, name: str = "gaussian") -> TargetDensity:
-    """Isotropic Gaussian N(mean, scale^2 I)."""
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    dim = mean.size
-    var = float(scale) ** 2
-    log_norm = -0.5 * dim * (LOG_2PI + np.log(var))
-
-    def value_and_grad(xb):
-        diff = xb - mean
-        return log_norm - 0.5 * np.sum(diff ** 2, axis=-1) / var, -diff / var
-
-    def hvp_log_density(xb, v):
-        return -np.broadcast_to(v, xb.shape) / var
-
-    def sampler(rng, n):
-        return mean + scale * rng.standard_normal((n, dim))
-
-    return TargetDensity(dim, value_and_grad, hvp_log_density,
-                         sampler=sampler, name=name)
-
-
 # -- Many Well ---------------------------------------------------------------
 
 def _double_well_samples(rng, n):

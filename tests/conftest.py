@@ -21,9 +21,9 @@ def forward_passes(monkeypatch):
     calls = []
     inner = nets.mlp_forward_cache
 
-    def counted(params, x):
+    def counted(params, x, out=None):
         calls.append((params, x.shape[0]))
-        return inner(params, x)
+        return inner(params, x, out)
 
     monkeypatch.setattr(nets, "mlp_forward_cache", counted)
     return calls
@@ -81,6 +81,43 @@ def while_running(monkeypatch, *points):
 def fused(log_density, grad_log_density):
     """A TargetDensity.value_and_grad oracle from a value and a gradient function."""
     return lambda x: (log_density(x), grad_log_density(x))
+
+
+def gaussian(mean, scale):
+    """Isotropic Gaussian N(mean, scale^2 I) as a TargetDensity, with an exact
+    sampler: a target of known normalizer and moments for the tests."""
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    dim = mean.size
+    var = float(scale) ** 2
+    log_norm = -0.5 * dim * (targets.LOG_2PI + np.log(var))
+
+    def value_and_grad(xb):
+        diff = xb - mean
+        return log_norm - 0.5 * np.sum(diff ** 2, axis=-1) / var, -diff / var
+
+    def hvp_log_density(xb, v):
+        return -np.broadcast_to(v, xb.shape) / var
+
+    def sampler(rng, n):
+        return mean + scale * rng.standard_normal((n, dim))
+
+    return targets.TargetDensity(dim, value_and_grad, hvp_log_density,
+                                 sampler=sampler, name="gaussian")
+
+
+def textbook_adam(m, v, k, state, params, gradient):
+    """The Adam update with full-size temporaries, at (post-increment) step k.
+
+    Returns new (params, m, v) arrays and writes none of its arguments: the
+    out-of-place oracle that the blocked, in-place nets.adam_step reproduces
+    bit for bit.
+    """
+    lr = state.step_size * max(0.0, 1.0 - k / state.total_steps)
+    m = state.beta1 * m + (1.0 - state.beta1) * gradient
+    v = state.beta2 * v + (1.0 - state.beta2) * gradient ** 2
+    m_hat = m / (1.0 - state.beta1 ** k)
+    v_hat = v / (1.0 - state.beta2 ** k)
+    return params - lr * m_hat / (np.sqrt(v_hat) + state.eps), m, v
 
 
 def gaussian_with_overflow(threshold):

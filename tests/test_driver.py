@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mfm import cfm, driver, flow, kernels, targets
+from mfm import cfm, driver, flow, kernels, nets, targets
 from mfm.driver import ExperimentConfig
-from mfm.errors import ConfigError, NonFiniteLoss
+from mfm.errors import ConfigError, NonFiniteGradient, NonFiniteLoss
 
-from conftest import while_running
+from conftest import gaussian, textbook_adam, while_running
 
 
 def smoke_config(**kw):
@@ -40,6 +42,38 @@ def test_run_mfm_deterministic():
     assert np.array_equal(flow.flow_to_vector(a.flow_params),
                           flow.flow_to_vector(b.flow_params))
     assert a.log_rows == b.log_rows
+
+
+def out_of_place_adam(state, params, gradient):
+    """nets.adam_step's contract through the textbook update: every returned
+    array is new, and neither params nor the moments are written."""
+    if not np.all(np.isfinite(gradient)):
+        raise NonFiniteGradient("gradient contains non-finite entries")
+    k = state.step + 1
+    new, m, v = textbook_adam(state.m, state.v, k, state, params, gradient)
+    return new, replace(state, m=m, v=v, step=k)
+
+
+def test_run_mfm_same_with_out_of_place_adam(tmp_path, monkeypatch):
+    # Adam overwrites the flow's parameters in place.  A caller that kept
+    # the flow from before a train step would read the new parameters here
+    # and the old ones under the oracle, so the runs would part.
+    target = targets.make_gmm4()
+    cfg = smoke_config(iters=9, particles=16)
+    runs = []
+    for variant in ("in_place", "oracle"):
+        if variant == "oracle":
+            monkeypatch.setattr(nets, "adam_step", out_of_place_adam)
+        art = driver.run_mfm(target, cfg)
+        flow.save_flow(tmp_path / f"{variant}.ckpt", art.flow_params)
+        pushed = driver.diagnose_flow(art.flow_params, target, cfg)
+        runs.append(((tmp_path / f"{variant}.ckpt").read_bytes(),
+                     art.ensemble.positions, art.log_rows, pushed))
+    (ckpt_a, pos_a, rows_a, rep_a), (ckpt_b, pos_b, rows_b, rep_b) = runs
+    assert sum(row["acceptance_flow"] > 0 for row in rows_a) > 0
+    assert ckpt_a == ckpt_b
+    assert np.array_equal(pos_a, pos_b)
+    assert rows_a == rows_b and rep_a == rep_b
 
 
 def test_tempering_disabled_keeps_beta_one():
@@ -219,7 +253,7 @@ def test_atsmc_moments_1d():
     # target's units (positions / scale, tau / scale^2) this is the run
     # from N(0, 3^2) to N(0, 1) with tau = 0.5
     scale = 1.0 / 3.0
-    target = targets.gaussian(np.zeros(1), scale)
+    target = gaussian(np.zeros(1), scale)
     cfg = ExperimentConfig(iters=1, particles=4096, kq=20,
                            mala_tau=0.5 * scale ** 2, seed=3, hidden=8,
                            diag_samples=16)

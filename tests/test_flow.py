@@ -337,6 +337,41 @@ def test_push_samples_worker_count_invariance(rng):
     assert np.array_equal(np.concatenate([r[0] for r in serial]), out1)
 
 
+@pytest.mark.parametrize("case", ["exact", "positions", "hutchinson"])
+@pytest.mark.parametrize("forward", [True, False])
+def test_integrate_rows_workspace_is_bit_identical(monkeypatch, case, forward):
+    # integrate_rows writes every field evaluation into one workspace; the
+    # reference integrates with field and divergence called without one,
+    # so each evaluation allocates its own arrays
+    if case == "hutchinson":
+        use_hutchinson(monkeypatch)
+    with_dlp = case != "positions"
+    d, n = 3, 256
+    r = np.random.Generator(np.random.Philox(8))
+    fp = flow.flow_init(r, d, hidden=32)
+    fp.net_x.weights[-1][...] = r.uniform(-0.3, 0.3, size=fp.net_x.weights[-1].shape)
+    target = gaussian_with_precision(random_spd(r, d))
+    x = r.standard_normal((n, d))
+    cfg = OdeConfig(n_steps=6)
+    mix = flow.trace_matrix(fp)
+    probes = np.random.Generator(np.random.Philox(9))
+
+    def fresh(t, xb):
+        fe = flow.field(fp, target, t, xb)
+        div = (flow.divergence(fp, target, xb, fe, probes, mix) if with_dlp
+               else np.zeros(n))
+        return fe.v, div
+
+    t0, t1 = (0.0, 1.0) if forward else (1.0, 0.0)
+    ref_x, ref_dlp = flow.rk4_integrate(fresh, x, t0, t1, cfg.n_steps)
+    got_x, got_dlp, ok = flow.integrate_rows(
+        fp, target, x, cfg, np.random.Generator(np.random.Philox(9)), forward,
+        with_dlp=with_dlp)
+    assert ok.all()
+    assert np.array_equal(got_x, ref_x)
+    assert np.array_equal(got_dlp, ref_dlp)
+
+
 def counting_hvp(target):
     """target with hvp_log_density wrapped; returns (target, call list)."""
     calls = []

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 from mfm import flow, kernels, targets
 from mfm.flow import OdeConfig
 
-from conftest import fused, gaussian_with_overflow, while_running
+from conftest import fused, gaussian, gaussian_with_overflow, while_running
 
 FAST_ODE = OdeConfig(n_steps=8)
 
@@ -304,7 +304,7 @@ def test_flow_kernels_match_fresh_evaluation_oracle(kernel):
     # tails may differ in the last place).  The oracles draw from and
     # evaluate an N(0, 1) built by gaussian(), not the kernels' reference.
     target, beta = targets.make_gmm4(), 0.3
-    p0 = targets.gaussian(np.zeros(2), 1.0)
+    p0 = gaussian(np.zeros(2), 1.0)
     fp = bent_flow(np.random.Generator(np.random.Philox(11)), 2, 8, 0.5)
     cfg = OdeConfig(n_steps=8)
     x = 4.0 * np.random.Generator(np.random.Philox(5)).standard_normal((64, 2))
@@ -422,7 +422,7 @@ def test_flow_imh_moments():
     # the reference N(0, 1) is 1.5 times as wide as the target; the moments
     # are checked in the target's units
     scale = 1.0 / 1.5
-    narrow = targets.gaussian(np.zeros(1), scale)
+    narrow = gaussian(np.zeros(1), scale)
     zf = flow.flow_zero(1)
     pooled, per_step = run_chains(
         lambda chains, rng: kernels.flow_imh_step(narrow, zf, FAST_ODE, chains,

@@ -7,7 +7,7 @@ import pytest
 from mfm import nets
 from mfm.errors import NonFiniteGradient, ShapeMismatch
 
-from conftest import richardson_grad
+from conftest import richardson_grad, textbook_adam
 
 
 def small_net(rng, sizes=(3, 4, 4, 2)):
@@ -124,6 +124,53 @@ def test_jacobian_trace_matches_jvp_columns(rng):
                        rtol=0, atol=1e-12)
 
 
+# The integrator and the train step write layers into buffers held across
+# calls; the shapes below are those of a 256-row push chunk at hidden 128 and
+# of a ragged batch, and the references are the expressions the buffered
+# code replaced.
+
+@pytest.mark.parametrize("rows", [256, 37, 1])
+def test_forward_cache_into_buffers_is_bit_identical(rng, rows):
+    p = small_net(rng, (18, 128, 128, 2))
+    x = rng.standard_normal((rows, 18))
+    out = [np.full((rows, w.shape[1]), np.nan) for w in p.weights]
+    y, cache = nets.mlp_forward_cache(p, x, out)
+    h = x
+    for i, (w, b) in enumerate(zip(p.weights, p.biases)):
+        h = h @ w + b
+        if i < 2:
+            h = np.tanh(h)
+        assert np.array_equal(cache[i + 1], h)
+    assert np.array_equal(y, h)
+    assert np.array_equal(nets.mlp_forward_cache(p, x)[0], y)
+    assert cache[0] is x and all(a is o for a, o in zip(cache[1:], out))
+
+
+@pytest.mark.parametrize("rows", [256, 37])
+def test_jacobian_trace_with_scratch_is_bit_identical(rng, rows):
+    p = small_net(rng, (18, 128, 128, 2))
+    cache = acts(p, rng.standard_normal((rows, 18)))
+    mix = nets.mlp_trace_matrix(p, 2)
+    a1, a2 = cache[1], cache[2]
+    expected = np.sum((1 - a1 ** 2) * ((1 - a2 ** 2) @ mix.T), axis=1)
+    scratch = [np.full_like(a1, np.nan) for _ in range(3)]
+    assert np.array_equal(nets.mlp_input_jacobian_trace(cache, mix, scratch), expected)
+    assert np.array_equal(nets.mlp_input_jacobian_trace(cache, mix), expected)
+
+
+@pytest.mark.parametrize("sizes", [(18, 128, 128, 2), (3, 5, 7, 2)])
+def test_param_gradient_is_bit_identical_to_textbook_backprop(rng, sizes):
+    p = small_net(rng, sizes)
+    cache = acts(p, rng.standard_normal((37, sizes[0])))
+    cot = rng.standard_normal((37, sizes[-1]))
+    expected, delta = [], cot
+    for i in reversed(range(3)):
+        expected[:0] = [cache[i].T @ delta, np.sum(delta, axis=0)]
+        if i > 0:
+            delta = (delta @ p.weights[i].T) * (1.0 - cache[i] ** 2)
+    assert np.array_equal(gradient_vector(p, cache, cot), nets.pack_arrays(expected))
+
+
 def test_batch_gradient_sums_rows(rng):
     p = small_net(rng)
     xb = rng.standard_normal((4, 3))
@@ -168,8 +215,9 @@ def test_fourier_embed_distinct_times():
 def test_adam_zero_gradient_keeps_params():
     state = nets.adam_init(3, 1e-2, 10)
     params = np.array([1.0, -2.0, 0.5])
+    before = params.copy()
     new, _ = nets.adam_step(state, params, np.zeros(3))
-    assert np.array_equal(new, params)
+    assert np.array_equal(new, before)
 
 
 def test_adam_schedule_reaches_zero():
@@ -206,16 +254,6 @@ def test_adam_rejects_nonfinite():
         nets.adam_step(state, np.zeros(2), np.array([1.0, np.nan]))
 
 
-def textbook_adam(m, v, k, state, params, gradient):
-    """The full-size-temporary Adam update the blocked adam_step reproduces."""
-    lr = state.step_size * max(0.0, 1.0 - k / state.total_steps)
-    m = state.beta1 * m + (1.0 - state.beta1) * gradient
-    v = state.beta2 * v + (1.0 - state.beta2) * gradient ** 2
-    m_hat = m / (1.0 - state.beta1 ** k)
-    v_hat = v / (1.0 - state.beta2 ** k)
-    return params - lr * m_hat / (np.sqrt(v_hat) + state.eps), m, v
-
-
 def spread_magnitudes(rng, n):
     """Random signs times magnitudes from 1e-6 to 10."""
     return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 1.0, n)
@@ -236,15 +274,27 @@ def test_adam_bit_identical_to_textbook_update(rng):
         assert np.array_equal(state.v, v)
 
 
-def test_adam_leaves_params_and_gradient_unmodified(rng):
+def test_adam_updates_params_in_place(rng):
     n = nets.ADAM_BLOCK + 5
     state = nets.adam_init(n, 1e-2, 10)
     params, g = rng.standard_normal(n), rng.standard_normal(n)
-    params0, g0 = params.copy(), g.copy()
-    for _ in range(2):
-        _, state = nets.adam_step(state, params, g)
-    assert np.array_equal(params, params0)
+    g0 = g.copy()
+    ref, m, v = params.copy(), np.zeros(n), np.zeros(n)
+    for k in (1, 2):
+        ref, m, v = textbook_adam(m, v, k, state, ref, g)
+        new, state = nets.adam_step(state, params, g)
+        assert new is params
+        assert np.array_equal(params, ref)
     assert np.array_equal(g, g0)
+    # a refused step writes nothing: not params, the moments or the step
+    bad = g.copy()
+    bad[-1] = np.nan
+    m0, v0 = state.m.copy(), state.v.copy()
+    with pytest.raises(NonFiniteGradient):
+        nets.adam_step(state, params, bad)
+    assert np.array_equal(params, ref)
+    assert np.array_equal(state.m, m0) and np.array_equal(state.v, v0)
+    assert state.step == 2
 
 
 def test_adam_nonfinite_gradient_leaves_moments(rng):
@@ -267,17 +317,19 @@ def test_adam_rejects_mismatched_moments():
         nets.adam_step(state, np.zeros(4), np.zeros(4))
 
 
-def test_adam_allocates_one_vector():
+def test_adam_allocates_no_parameter_vector():
     n = 1_000_003
     state = nets.adam_init(n, 1e-3, 10)
     params, g = np.ones(n), np.full(n, 0.5)
     tracemalloc.start()
     try:
-        new, state = nets.adam_step(state, params, g)
+        nets.adam_step(state, params, g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * params.nbytes
+    # the finiteness mask (one byte per entry) and the two block-sized
+    # scratch buffers, against 8 bytes per entry for a parameter vector
+    assert peak <= 0.25 * params.nbytes
 
 
 # -- serialization -----------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 from mfm import targets
 from mfm.errors import DimensionMismatch
 
-from conftest import finite_diff_grad
+from conftest import finite_diff_grad, gaussian
 
 
 def all_targets():
@@ -219,7 +219,7 @@ def test_batched_matches_single(rng):
 def test_reference_matches_unit_gaussian(d):
     # the closed-form N(0, I) and its sampler equal the general isotropic
     # Gaussian at mean 0, scale 1 bit for bit
-    unit = targets.gaussian(np.zeros(d), 1.0)
+    unit = gaussian(np.zeros(d), 1.0)
     std = targets.standard_normal(d)
     x = 3.0 * np.random.Generator(np.random.Philox(1)).standard_normal((5, d))
     value, grad = unit.log_density(x, with_grad=True)
@@ -234,7 +234,7 @@ def test_reference_matches_unit_gaussian(d):
 
 
 def test_tempered_endpoints(rng):
-    target = targets.gaussian(np.ones(3), 2.0)
+    target = gaussian(np.ones(3), 2.0)
     x = rng.standard_normal((1, 3))
     assert (targets.tempered(target, 0.0).log_density(x)[0]
             == targets.standard_normal(3).log_density(x)[0])
