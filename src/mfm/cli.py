@@ -96,6 +96,8 @@ def parse_config(path=None, overrides: dict = None) -> ExperimentConfig:
             raise ConfigError("preset", f"unknown preset {preset!r}; "
                               f"choose from {sorted(PRESETS)}")
         base = dict(PRESETS[preset])
+        if merged.get("mode", "mfm") != "mfm":   # gmm16's start is for mfm chains
+            base = {k: v for k, v in base.items() if not k.startswith("init_")}
         base.update(merged)
         merged = base
 

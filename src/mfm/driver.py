@@ -114,6 +114,11 @@ class ExperimentConfig:
         _require(self.nonlocal_kernel in NONLOCAL_KERNELS, "nonlocal_kernel",
                  f"unknown non-local kernel {self.nonlocal_kernel!r}")
         _require(self.mala_tau > 0, "mala_tau", "must be > 0")
+        # atsmc and fm-oracle draw their own start; diagnose re-reads an mfm config
+        _require(self.init_mean is None or self.mode in ("mfm", "diagnose"),
+                 "init_mean", f"the {self.mode} mode draws its own start")
+        _require(self.init_scale == 1.0 or self.init_mean is not None,
+                 "init_scale", "applies only with init_mean")
         # a negative Adam step climbs the flow-matching loss
         _require(self.step_size >= 0, "step_size", "must be >= 0")
         # alpha >= 1 has no ESS crossing: the ladder would creep towards 1
@@ -314,7 +319,7 @@ def diagnose_flow(flow_params: FlowParams, target: TargetDensity,
 def run_atsmc(target: TargetDensity, cfg: ExperimentConfig) -> RunArtifacts:
     """Adaptive tempered SMC baseline with Langevin mutations.
 
-    The particles start as N(0, I) draws (init_mean does not apply).  At
+    The particles start as N(0, I) draws (init_mean is refused).  At
     each level: solve for the next beta, importance-weight the particles
     with the incremental weights, resample multinomially, then run k_q
     Langevin passes at the new temperature.  A final sweep runs at beta = 1.

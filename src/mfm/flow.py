@@ -29,16 +29,16 @@ Its estimator follows from the dimension d alone: the exact trace (d
 target Hessian-vector products per field evaluation) up to
 EXACT_DIVERGENCE_MAX_DIM, and above it one Rademacher probe of
 Hutchinson's trace estimator (FFJORD), which draws from the integrator's
-rng.  The exact trace reads net_x's constant trace matrix
-(``trace_matrix``), which ``integrate_rows`` builds once per call: the
-parameters are fixed across its 4 * n_steps field evaluations.
+rng.
 
-So is the row count, and ``integrate_rows`` also builds one ``Workspace``
-per call: every evaluation writes net_x's layer outputs and the exact
-trace's scratch into it, with the same operations as into fresh arrays, so
-the bits are the same.  Concurrent calls (``push_samples``' chunks on a
-thread pool) each have their own.  ``cfm`` calls ``field`` without one,
-because its backward pass reads the caches after the forward pass.
+The parameters and the row count are fixed across the 4 * n_steps field
+evaluations of one ``integrate_rows`` call, so it builds one ``Workspace``
+per call: net_x's trace matrix, which the exact trace reads, and buffers
+into which every evaluation writes net_x's layer outputs and the exact
+trace's scratch, with the same operations as into fresh arrays, so the bits
+are the same.  Concurrent calls (``push_samples``' chunks on a thread pool)
+each have their own.  ``cfm`` calls ``field`` without one, because its
+backward pass reads the caches after the forward pass.
 
 The rest of the API is the integrator (``integrate_rows``, with
 ``rk4_integrate`` underneath), the closing push (``push_samples``), two
@@ -155,23 +155,27 @@ def softplus(u):
 
 @dataclass(frozen=True)
 class Workspace:
-    """Buffers that the field evaluations of one integration reuse.
+    """What the field evaluations of one integration over N rows reuse.
 
     layers receives net_x's three layer outputs, (N, hidden), (N, hidden)
-    and (N, d); trace holds the three (N, hidden) scratch arrays of the
-    exact trace, or is None where the divergence does not take the exact
-    trace.  A FieldEval computed with it keeps views of layers, which the
-    next evaluation overwrites.
+    and (N, d).  mix is net_x's trace matrix (nets.mlp_trace_matrix) and
+    trace the three (N, hidden) scratch arrays of the exact trace; both are
+    None unless the divergence is the exact trace.  A FieldEval computed
+    with it keeps views of layers, which the next evaluation overwrites.
     """
 
     layers: list
+    mix: np.ndarray
     trace: list
 
     @classmethod
-    def for_rows(cls, params: FlowParams, n: int, exact_trace: bool):
-        hidden = params.net_x.weights[0].shape[1]
-        return cls([np.empty((n, w.shape[1])) for w in params.net_x.weights],
-                   [np.empty((n, hidden)) for _ in range(3)] if exact_trace else None)
+    def for_rows(cls, params: FlowParams, n: int, with_dlp: bool):
+        layers = [np.empty((n, w.shape[1])) for w in params.net_x.weights]
+        if not with_dlp or params.dim > EXACT_DIVERGENCE_MAX_DIM:
+            return cls(layers, None, None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mix = nets.mlp_trace_matrix(params.net_x, params.dim)
+        return cls(layers, mix, [np.empty_like(layers[0]) for _ in range(3)])
 
 
 @dataclass
@@ -216,28 +220,17 @@ def field(params: FlowParams, target: TargetDensity, t, xb: np.ndarray,
     return FieldEval(v, score, gate, u, scale, acts_x, acts_t, acts_scale)
 
 
-def trace_matrix(params: FlowParams):
-    """net_x's trace matrix for the exact divergence, or None above
-    EXACT_DIVERGENCE_MAX_DIM, where the divergence does not read it."""
-    if params.dim > EXACT_DIVERGENCE_MAX_DIM:
-        return None
-    return nets.mlp_trace_matrix(params.net_x, params.dim)
-
-
 def divergence(params: FlowParams, target: TargetDensity, xb: np.ndarray,
-               fe: FieldEval, rng: np.random.Generator, mix,
-               ws: Workspace = None):
+               fe: FieldEval, rng: np.random.Generator, ws: Workspace):
     """Divergence of v(t, .) per row of xb (N, d), where fe = field(.., t, xb).
 
-    Exact for d <= EXACT_DIVERGENCE_MAX_DIM, from mix = trace_matrix(params)
-    and with rng not read; above it one Rademacher probe drawn from rng
-    gives Hutchinson's unbiased estimate, and mix is not read.  The exact
-    trace works in ws.trace when a Workspace ws is given.
+    Exact for d <= EXACT_DIVERGENCE_MAX_DIM, from ws.mix and in ws.trace
+    (ws = Workspace.for_rows(params, N, True)), with rng not read; above it
+    one Rademacher probe drawn from rng gives Hutchinson's unbiased estimate.
     """
     d = xb.shape[1]
     if d <= EXACT_DIVERGENCE_MAX_DIM:
-        div = nets.mlp_input_jacobian_trace(fe.acts_x, mix,
-                                            None if ws is None else ws.trace)
+        div = nets.mlp_input_jacobian_trace(fe.acts_x, ws.mix, ws.trace)
         for i in range(d):
             e = np.zeros(d)
             e[i] = 1.0
@@ -289,13 +282,10 @@ def _flow_field(params, target, rng, with_dlp, n):
     """Row-tolerant field closure: broken rows carry NaN, healthy rows run on.
 
     Without with_dlp the divergence is not evaluated and reads as zero, so
-    a row breaks only when its position or velocity is not finite.  With
-    it, net_x's trace matrix is built here, once for every evaluation.  So
-    is the Workspace for the n rows every evaluation writes into.
+    a row breaks only when its position or velocity is not finite.  The
+    Workspace for the n rows is built here, once for every evaluation.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        mix = trace_matrix(params) if with_dlp else None
-    ws = Workspace.for_rows(params, n, mix is not None)
+    ws = Workspace.for_rows(params, n, with_dlp)
 
     def rk4_field(t, xb):
         ok = np.all(np.isfinite(xb), axis=1)
@@ -303,7 +293,7 @@ def _flow_field(params, target, rng, with_dlp, n):
         with np.errstate(over="ignore", invalid="ignore"):
             fe = field(params, target, t, safe, ws)
             v = fe.v
-            div = (divergence(params, target, safe, fe, rng, mix, ws)
+            div = (divergence(params, target, safe, fe, rng, ws)
                    if with_dlp else np.zeros(xb.shape[0]))
         ok &= np.all(np.isfinite(v), axis=1) & np.isfinite(div)
         if not ok.all():

@@ -1,24 +1,28 @@
 """Markov transition kernels: local Langevin and flow-informed moves.
 
-Every kernel works on a batch of chains held as a :class:`ChainState`:
-the (N, d) positions together with log pi_K and its gradient there.  A
-kernel reads the target's value (and gradient) at the current points from
-that cache, evaluates the target once, at its proposals (the CIS kernel:
-at all its candidates, stacked), and returns the next ChainState in its
-outcome, so a chain never re-evaluates the target at a point it already
-proposed.  That evaluation (:func:`evaluate`) is one call of the target's
-first-order oracle, which returns the value and the gradient from one
-pass: a Langevin proposal costs one target call.  pi_beta is the geometric
-interpolant of the fixed reference N(0, I) (beta = 0; closed-form, so
-never cached) and the target (beta = 1); the flow kernels draw from the
-same reference.  Only the ODE vector field inside the flow kernels needs
-the annealed density as a TargetDensity, built with ``targets.tempered``.
+Every kernel works on a batch of chains held as a :class:`ChainState`: the
+(N, d) positions with log pi_K and its gradient there.  A kernel reads the
+current points' values from that cache and calls the target once, at its
+proposals (CIS: all its candidates, stacked), through the fused
+value-and-gradient oracle (:func:`evaluate`); kept proposals bring their
+values along.  pi_beta is the geometric interpolant of the reference
+N(0, I) (beta = 0; closed-form, never cached) and the target (beta = 1).
 
-Acceptance arithmetic stays in log space throughout, so adding a constant
-to any unnormalized log-density leaves every kernel unchanged.  A Langevin
-proposal that overflows, or a flow proposal whose ODE state blows up, is
-an automatic rejection of that row (counted in the outcome), never a fatal
-error.
+Each flow kernel is a Metropolis move in the flow's reference space, where
+the flow draws from N(0, I) and T pushes u forward.  It targets the
+pulled-back density pi~(u) = pi_beta(T(u)) |det dT(u)|,
+
+    log pi~(u) = log pi_beta(T(u)) - dlp_fwd(u) = log pi_beta(x) + dlp_back(x),
+
+with dlp_fwd = -int div v dt forward from u and dlp_back = +int div v dt
+backward from x = T(u), both integrated under ``targets.tempered``'s
+pi_beta.  :func:`_pull_back` and :func:`_push_forward` compute it, so each
+kernel holds only its acceptance rule.
+
+Acceptance arithmetic stays in log space, so a constant added to any
+log-density changes no kernel.  A Langevin proposal that overflows, or a
+flow proposal whose ODE state blows up, rejects its row (counted in the
+outcome), never the run.
 """
 
 from dataclasses import dataclass
@@ -54,6 +58,12 @@ class ChainState:
         log_ref, grad_ref = reference_log_density(self.x, with_grad=True)
         return (geometric_mix(beta, self.log_target, log_ref),
                 geometric_mix(beta, self.grad_target, grad_ref))
+
+    def log_tempered(self, beta: float) -> np.ndarray:
+        """log pi_beta per row alone, as :meth:`tempered` mixes it."""
+        if beta == 1.0:
+            return self.log_target
+        return geometric_mix(beta, self.log_target, reference_log_density(self.x))
 
     def take(self, idx) -> "ChainState":
         """Rows idx (an index array): resampling."""
@@ -95,17 +105,11 @@ class KernelOutcome:
     n_nonfinite: int = 0
 
 
-def _accept(rng, log_alpha):
-    """Bernoulli(min{1, e^log_alpha}); -inf and NaN both reject."""
-    u = rng.uniform(size=log_alpha.shape)
-    with np.errstate(invalid="ignore"):
-        return np.log(u) < log_alpha
-
-
 def _metropolis(chains, proposed, ok, log_alpha, rng) -> KernelOutcome:
     """Accept row i of proposed with probability e^log_alpha[i]; rows not ok reject."""
     log_alpha = np.where(ok, log_alpha, -np.inf)
-    acc = _accept(rng, log_alpha)
+    with np.errstate(invalid="ignore"):
+        acc = np.log(rng.uniform(size=log_alpha.shape)) < log_alpha
     return KernelOutcome(chains.where(acc, proposed), acc, log_alpha,
                          int(np.sum(~ok)))
 
@@ -115,12 +119,10 @@ def mala_step(target: TargetDensity, tau: float, chains: ChainState, beta: float
     """Langevin proposal y = x + tau grad log pi_beta(x) + sqrt(2 tau) xi.
 
     The Hastings correction uses the Gaussian proposal density with
-    variance 2 tau (tau > 0) in each coordinate.  The target's value and
-    gradient at x come from the chain cache; at the proposals y they come
-    from one fused value-and-gradient call (see :func:`evaluate`).  A row
-    whose proposal is not finite (its gradient overflowed) is rejected with
-    log_alpha = -inf and counted in n_nonfinite; the target is evaluated at
-    its current point instead.
+    variance 2 tau (tau > 0) in each coordinate.  A row whose proposal is
+    not finite (its gradient overflowed) is rejected with log_alpha = -inf
+    and counted in n_nonfinite; the target is evaluated at its current
+    point instead.
     """
     x = chains.x
     logp_x, grad_x = chains.tempered(beta)
@@ -138,62 +140,71 @@ def mala_step(target: TargetDensity, tau: float, chains: ChainState, beta: float
     return _metropolis(chains, proposed, ok, log_alpha, rng)
 
 
+def _pull_back(target, flow_params, cfg, chains, beta, rng):
+    """The chains in reference space: (u, log pi~(u), ok) per row.
+
+    log pi_beta(x) comes from the chain cache, so the target is not called.
+    A row whose backward integration blew up is not ok, and its u is 0.
+    """
+    u, dlp_back, ok = integrate_rows(flow_params, tempered(target, beta), chains.x,
+                                     cfg, rng, False)
+    with np.errstate(invalid="ignore"):
+        log_pt = chains.log_tempered(beta) + dlp_back
+    return np.where(ok[:, None], u, 0.0), log_pt, ok
+
+
+def _push_forward(target, flow_params, cfg, u, beta, rng):
+    """Reference points u pushed to y = T(u): (ChainState at y, log pi~(u), ok).
+
+    One fused target call (:func:`evaluate`) at y, with rows not ok at 0."""
+    y, dlp_fwd, ok = integrate_rows(flow_params, tempered(target, beta), u, cfg,
+                                    rng, True)
+    proposed = evaluate(target, np.where(ok[:, None], y, 0.0))
+    with np.errstate(invalid="ignore"):
+        log_pt = proposed.log_tempered(beta) - dlp_fwd
+    return proposed, log_pt, ok
+
+
 def flow_rwmh_step(target: TargetDensity, flow_params: FlowParams, cfg: OdeConfig,
                    chains: ChainState, beta: float,
                    rng: np.random.Generator) -> KernelOutcome:
-    """Random walk in reference space, conjugated by the flow.
+    """Random walk on pi~ in reference space, conjugated by the flow.
 
-    Pull x back through the flow (tracking dlp_back = +int div dt), perturb
-    with N(0, sigma_opt^2 I) where sigma_opt = 2.38/sqrt(d), push the
-    perturbed point forward (tracking dlp_fwd = -int div dt), and accept with
-
-        log alpha = log pi(y) - dlp_fwd(y) - log pi(x) - dlp_back(x).
-
+    Pull x back to u, perturb with N(0, sigma_opt^2 I) where sigma_opt =
+    2.38/sqrt(d), push u' forward and accept with log pi~(u') - log pi~(u).
     The reference-space Gaussian is symmetric, so no proposal-density ratio
     appears; with the zero flow this reduces to plain random-walk MH.
     """
-    x = chains.x
-    sigma = 2.38 / np.sqrt(x.shape[1])
-    density = tempered(target, beta)
-
-    x0, dlp_back, ok_b = integrate_rows(flow_params, density, x, cfg, rng, False)
-    noise = rng.standard_normal(x.shape)
-    y0 = np.where(ok_b[:, None], x0, 0.0) + sigma * noise
-    y1, dlp_fwd, ok_f = integrate_rows(flow_params, density, y0, cfg, rng, True)
-    ok = ok_b & ok_f
-
-    proposed = evaluate(target, np.where(ok[:, None], y1, 0.0))
+    u, log_pt, ok_b = _pull_back(target, flow_params, cfg, chains, beta, rng)
+    sigma = 2.38 / np.sqrt(u.shape[1])
+    proposed, log_pt_new, ok_f = _push_forward(
+        target, flow_params, cfg, u + sigma * rng.standard_normal(u.shape), beta, rng)
     with np.errstate(invalid="ignore"):
-        log_alpha = np.minimum(0.0, proposed.tempered(beta)[0] - dlp_fwd
-                               - chains.tempered(beta)[0] - dlp_back)
-    return _metropolis(chains, proposed, ok, log_alpha, rng)
+        log_alpha = np.minimum(0.0, log_pt_new - log_pt)
+    return _metropolis(chains, proposed, ok_b & ok_f, log_alpha, rng)
+
+
+def _log_weight(u, log_pt):
+    """log pi~(u) - log N(u; 0, I): the importance weight of IMH and CIS."""
+    return log_pt - reference_log_density(u)
 
 
 def flow_imh_step(target: TargetDensity, flow_params: FlowParams, cfg: OdeConfig,
                   chains: ChainState, beta: float,
                   rng: np.random.Generator) -> KernelOutcome:
-    """Independent proposal: push a fresh N(0, I) draw through the flow.
+    """Independent proposal: push a fresh N(0, I) draw u' through the flow.
 
-    The current point is pulled back to get its proposal density
-    q(x) = p0(u0) exp(-dlp_back); the candidate's density is tracked along
-    the forward pass, log q(x1) = log p0(x0) + dlp_fwd.  Acceptance is the
-    standard independence ratio [pi(x1)/q(x1)] / [pi(x)/q(x)].
+    The independence sampler for pi~ in reference space: accept with
+    log w(u') - log w(u) (:func:`_log_weight`), u the pulled-back point.
     """
-    x = chains.x
-    density = tempered(target, beta)
-
-    u0, dlp_back, ok_b = integrate_rows(flow_params, density, x, cfg, rng, False)
-    x0 = rng.standard_normal(x.shape)
-    x1, dlp_fwd, ok_f = integrate_rows(flow_params, density, x0, cfg, rng, True)
-    ok = ok_b & ok_f
-
-    proposed = evaluate(target, np.where(ok[:, None], x1, 0.0))
+    u, log_pt, ok_b = _pull_back(target, flow_params, cfg, chains, beta, rng)
+    fresh = rng.standard_normal(u.shape)
+    proposed, log_pt_new, ok_f = _push_forward(target, flow_params, cfg, fresh,
+                                               beta, rng)
     with np.errstate(invalid="ignore"):
-        log_q_x = reference_log_density(np.where(ok_b[:, None], u0, 0.0)) - dlp_back
-        log_q_x1 = reference_log_density(x0) + dlp_fwd
-        log_alpha = np.minimum(0.0, proposed.tempered(beta)[0] + log_q_x
-                               - log_q_x1 - chains.tempered(beta)[0])
-    return _metropolis(chains, proposed, ok, log_alpha, rng)
+        log_alpha = np.minimum(0.0, _log_weight(fresh, log_pt_new)
+                               - _log_weight(u, log_pt))
+    return _metropolis(chains, proposed, ok_b & ok_f, log_alpha, rng)
 
 
 def flow_cis_step(target: TargetDensity, flow_params: FlowParams, cfg: OdeConfig,
@@ -201,48 +212,37 @@ def flow_cis_step(target: TargetDensity, flow_params: FlowParams, cfg: OdeConfig
                   n_candidates: int) -> KernelOutcome:
     """Conditional importance sampling through the flow.
 
-    The current state enters with weight w0 = pi(x) / q(x) computed via the
-    backward pass; each of the n_candidates fresh N(0, I) draws per chain
-    is pushed forward and weighted by pi(x1) / q(x1).  One index is selected
-    with probability proportional to its weight (self-normalized, so
-    constants on pi cancel).  If every weight underflows, the current state
-    is kept.  The candidates of all chains are integrated and evaluated
-    (:func:`evaluate`) as one stacked batch, and the selected rows of that
-    evaluation become the chain cache.
+    One of [u, u'_1..k] is selected in proportion to its weight w
+    (:func:`_log_weight`; self-normalized, so constants on pi cancel): u is
+    the pulled-back point, u' n_candidates fresh N(0, I) draws per chain.  If
+    every weight underflows, the current state is kept.  The candidates are
+    pushed and evaluated as one stacked batch; its selected rows are cached.
     """
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
-    x = chains.x
-    n = x.shape[0]
-    density = tempered(target, beta)
-
-    u0, dlp_back, ok_b = integrate_rows(flow_params, density, x, cfg, rng, False)
+    u, log_pt, ok_b = _pull_back(target, flow_params, cfg, chains, beta, rng)
+    n = u.shape[0]
     # candidate-major: row k * n + i is candidate k of chain i
-    x0 = rng.standard_normal((n_candidates * n, x.shape[1]))
-    x1, dlp_fwd, ok = integrate_rows(flow_params, density, x0, cfg, rng, True)
-    cand = evaluate(target, np.where(ok[:, None], x1, 0.0))
-    with np.errstate(invalid="ignore"):
-        # w0 = pi(x)/q(x) with q(x) = p0(u0) exp(-dlp_back)
-        log_w0 = (chains.tempered(beta)[0]
-                  - reference_log_density(np.where(ok_b[:, None], u0, 0.0)) + dlp_back)
-        log_w1 = cand.tempered(beta)[0] - reference_log_density(x0) - dlp_fwd
-    log_w1 = np.where(ok, log_w1, -np.inf).reshape(n_candidates, n).T
-    log_w = np.column_stack([np.where(ok_b, log_w0, -np.inf), log_w1])
+    fresh = rng.standard_normal((n_candidates * n, u.shape[1]))
+    cand, log_pt_new, ok = _push_forward(target, flow_params, cfg, fresh, beta, rng)
+    log_w1 = np.where(ok, _log_weight(fresh, log_pt_new), -np.inf)
+    log_w = np.column_stack([np.where(ok_b, _log_weight(u, log_pt), -np.inf),
+                             log_w1.reshape(n_candidates, n).T])
 
     shifted = log_w - np.max(np.where(np.isfinite(log_w), log_w, -np.inf),
                              axis=1, initial=-np.inf, keepdims=True)
     with np.errstate(invalid="ignore"):
         w = np.where(np.isfinite(shifted), np.exp(shifted), 0.0)
     totals = w.sum(axis=1)
-    u = rng.uniform(size=n)
+    draw = rng.uniform(size=n)
     # a row whose weights all underflowed keeps its state, log_alpha = -inf
     kept = totals <= 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         probs = w / totals[:, None]
         log_alpha = np.where(kept | (probs[:, 0] >= 1.0), -np.inf,
                              np.minimum(0.0, np.log1p(-probs[:, 0])))
-    # searchsorted(cumsum(probs[i]), u[i], side="left"), for all rows at once
-    idx = np.minimum(np.sum(np.cumsum(probs, axis=1) < u[:, None], axis=1),
+    # searchsorted(cumsum(probs[i]), draw[i], side="left"), for all rows at once
+    idx = np.minimum(np.sum(np.cumsum(probs, axis=1) < draw[:, None], axis=1),
                      n_candidates)
     accepted = ~kept & (idx > 0)
     rows = (np.maximum(idx, 1) - 1) * n + np.arange(n)

@@ -306,14 +306,16 @@ def adam_step(state: AdamState, params: np.ndarray, gradient: np.ndarray):
     with c1 = 1 - b1^k and c2 = 1 - b2^k.  The effective step size at
     (post-increment) step k is lr = step_size * max(0, 1 - k / total_steps),
     so the schedule terminates at exactly zero and further calls leave the
-    parameters fixed.  Shapes and the gradient's finiteness are checked
-    before anything is written, so a refused step leaves params, the
-    moments and the step count as they were.
+    parameters fixed.  Shapes and the gradient's finiteness (block by
+    block, so no parameter-sized mask) are checked before anything is
+    written, so a refused step leaves params, the moments and the step
+    count as they were.
     """
     if (params.ndim != 1 or params.shape != gradient.shape
             or params.shape != state.m.shape or params.shape != state.v.shape):
         raise ShapeMismatch("params/gradient/moments are not flat vectors of one length")
-    if not np.all(np.isfinite(gradient)):
+    if not all(np.isfinite(gradient[lo:lo + ADAM_BLOCK]).all()
+               for lo in range(0, gradient.size, ADAM_BLOCK)):
         raise NonFiniteGradient("gradient contains non-finite entries")
     k = state.step + 1
     lr = state.step_size * max(0.0, 1.0 - k / state.total_steps)

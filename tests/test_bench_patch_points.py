@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import mfm
-from mfm import targets
+from mfm import driver, targets
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = [w["name"] for w in
@@ -108,3 +108,26 @@ def test_tiny_traced_run_reaches_every_gated_layer(bench, workload, tmp_path, ca
     assert gates
     for layer, metric in gates.items():
         assert result["layers"][metric] > 0, (layer, metric)
+
+
+@pytest.mark.parametrize("kernel", driver.NONLOCAL_KERNELS)
+def test_every_flow_kernel_crosses_the_traced_layers(bench, kernel):
+    # the workloads run only RWMH flow steps, so a tiny traced run_mfm checks
+    # that IMH and CIS also pass through the patched kernel and integrator:
+    # each flow step is one span with two integrations (the pull-back and
+    # the push-forward) and one fused target call directly under it
+    tracing = bench[0]
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    target = targets.make_gmm4()
+    tracing.trace_target(tracer, target)
+    cfg = driver.ExperimentConfig(seed=3, iters=4, kq=2, particles=8, hidden=8,
+                                  ode_steps=2, nonlocal_kernel=kernel)
+    driver.run_mfm(target, cfg)
+    steps = [i for i, span in enumerate(tracer.spans)
+             if span[0] == "kernels.flow_step"]
+    assert len(steps) == 2
+    for i in steps:
+        children = sorted(span[0] for span in tracer.spans if span[3] == i)
+        assert children == ["flow.integrate_rows", "flow.integrate_rows",
+                            "targets.log_density"], children

@@ -83,6 +83,11 @@ INVALID_VALUES = [
     ("hidden", 0), ("m_side", 0), ("step_size", -1.0),
     # no run without a worker (it would run serially under its own hash)
     ("workers", 0),
+    # a start that the run would not use: atsmc and fm-oracle draw their
+    # own, and init_scale scales only an init_mean start
+    ("init_mean", [50.0, 50.0], {"mode": "atsmc"}),
+    ("init_mean", [50.0, 50.0], {"mode": "fm-oracle"}),
+    ("init_scale", 0.1),
 ]
 
 
@@ -106,6 +111,21 @@ def test_invalid_value_refused_before_any_file(tmp_path, capsys, name, value, co
     assert cli.main(["--config", str(path)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", driver.MODES)
+def test_preset_start_applies_in_mfm_mode_only(tmp_path, mode):
+    # gmm16's preset start is for the mfm chains; the other modes run the
+    # preset without it rather than refuse the preset
+    cfg = cli.parse_config(overrides=dict(preset="gmm16", seed=1, mode=mode))
+    start = (cfg.init_mean, cfg.init_scale)
+    assert start == (([-14.0, -14.0], 0.5) if mode == "mfm" else (None, 1.0))
+    if mode == "diagnose":
+        # diagnose re-reads an mfm run's resolved config, start included
+        path = tmp_path / "config.resolved"
+        path.write_text(cli.config_lines(cli.parse_config(
+            overrides=dict(preset="gmm16", seed=1))))
+        assert cli.parse_config(path, dict(mode=mode)).init_mean == [-14.0, -14.0]
 
 
 def test_smoke_run_writes_artifacts(tmp_path):

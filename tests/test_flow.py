@@ -39,7 +39,7 @@ def score_flow(d):
 def divergence_at(fp, target, t, x, rng=None):
     """Divergence of v(t, .) per row, from one forward pass of the field."""
     return flow.divergence(fp, target, x, flow.field(fp, target, t, x), rng,
-                           flow.trace_matrix(fp))
+                           flow.Workspace.for_rows(fp, x.shape[0], True))
 
 
 def use_hutchinson(monkeypatch):
@@ -341,8 +341,8 @@ def test_push_samples_worker_count_invariance(rng):
 @pytest.mark.parametrize("forward", [True, False])
 def test_integrate_rows_workspace_is_bit_identical(monkeypatch, case, forward):
     # integrate_rows writes every field evaluation into one workspace; the
-    # reference integrates with field and divergence called without one,
-    # so each evaluation allocates its own arrays
+    # reference calls field without one and gives the divergence a new
+    # workspace, so each evaluation allocates its own arrays
     if case == "hutchinson":
         use_hutchinson(monkeypatch)
     with_dlp = case != "positions"
@@ -353,12 +353,12 @@ def test_integrate_rows_workspace_is_bit_identical(monkeypatch, case, forward):
     target = gaussian_with_precision(random_spd(r, d))
     x = r.standard_normal((n, d))
     cfg = OdeConfig(n_steps=6)
-    mix = flow.trace_matrix(fp)
     probes = np.random.Generator(np.random.Philox(9))
 
     def fresh(t, xb):
         fe = flow.field(fp, target, t, xb)
-        div = (flow.divergence(fp, target, xb, fe, probes, mix) if with_dlp
+        div = (flow.divergence(fp, target, xb, fe, probes,
+                               flow.Workspace.for_rows(fp, n, True)) if with_dlp
                else np.zeros(n))
         return fe.v, div
 

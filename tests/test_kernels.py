@@ -184,6 +184,7 @@ def test_chain_state_mixes_like_tempered_and_commutes_with_rows(beta, data):
     oracle = targets.tempered(target, beta)
     assert np.array_equal(logp, oracle.log_density(x))
     assert np.array_equal(grad, oracle.grad_log_density(x))
+    assert np.array_equal(chains.log_tempered(beta), logp)
 
     idx = data.draw(arrays(np.intp, data.draw(st.integers(1, 9)),
                            elements=st.integers(0, n - 1)), label="idx")
@@ -212,9 +213,11 @@ def fresh_flow_rwmh_step(density, fp, cfg, _p0, x, rng):
 
     These three are kept as the oracles of the cached kernels: the same
     draws in the same order, log pi recomputed at the current points, and
-    CIS integrating candidate by candidate and selecting row by row.
-    Each takes the reference density p0 (unused by the random walk) and
-    returns (new_x, accepted, log_alpha, n_nonfinite).
+    CIS integrating candidate by candidate and selecting row by row.  Their
+    ratios are sums in the kernels' pulled-back form, log pi~ = log pi(x) +
+    dlp_back at the current point and log pi(y) - dlp_fwd at a proposal, so
+    the two agree bit for bit.  Each takes the reference density p0 (unused
+    by the random walk) and returns (new_x, accepted, log_alpha, n_nonfinite).
     """
     sigma = 2.38 / np.sqrt(x.shape[1])
     x0, dlp_back, ok_b = flow.integrate_rows(fp, density, x, cfg, rng, False)
@@ -224,7 +227,7 @@ def fresh_flow_rwmh_step(density, fp, cfg, _p0, x, rng):
     logp_x = density.log_density(x)
     with np.errstate(invalid="ignore"):
         logp_y = density.log_density(np.where(ok[:, None], y1, 0.0))
-        log_alpha = np.minimum(0.0, logp_y - dlp_fwd - logp_x - dlp_back)
+        log_alpha = np.minimum(0.0, (logp_y - dlp_fwd) - (logp_x + dlp_back))
     log_alpha = np.where(ok, log_alpha, -np.inf)
     acc = np.log(rng.uniform(size=log_alpha.shape)) < log_alpha
     new_x = np.where(acc[:, None], np.where(ok[:, None], y1, x), x)
@@ -238,10 +241,10 @@ def fresh_flow_imh_step(density, fp, cfg, p0, x, rng):
     ok = ok_b & ok_f
     logp_x = density.log_density(x)
     with np.errstate(invalid="ignore"):
-        log_q_x = p0.log_density(np.where(ok_b[:, None], u0, 0.0)) - dlp_back
-        log_q_x1 = p0.log_density(x0) + dlp_fwd
+        log_w_x = (logp_x + dlp_back) - p0.log_density(np.where(ok_b[:, None], u0, 0.0))
         logp_x1 = density.log_density(np.where(ok[:, None], x1, 0.0))
-        log_alpha = np.minimum(0.0, logp_x1 + log_q_x - log_q_x1 - logp_x)
+        log_w_x1 = (logp_x1 - dlp_fwd) - p0.log_density(x0)
+        log_alpha = np.minimum(0.0, log_w_x1 - log_w_x)
     log_alpha = np.where(ok, log_alpha, -np.inf)
     acc = np.log(rng.uniform(size=log_alpha.shape)) < log_alpha
     new_x = np.where(acc[:, None], np.where(ok[:, None], x1, x), x)
@@ -253,8 +256,8 @@ def fresh_flow_cis_step(density, fp, cfg, q0, x, rng, n_candidates):
     u0, dlp_back, ok_b = flow.integrate_rows(fp, density, x, cfg, rng, False)
     n_nonfinite = int(np.sum(~ok_b))
     with np.errstate(invalid="ignore"):
-        log_w0 = (density.log_density(x)
-                  - q0.log_density(np.where(ok_b[:, None], u0, 0.0)) + dlp_back)
+        log_w0 = ((density.log_density(x) + dlp_back)
+                  - q0.log_density(np.where(ok_b[:, None], u0, 0.0)))
     log_w = np.full((n, n_candidates + 1), -np.inf)
     log_w[:, 0] = np.where(ok_b, log_w0, -np.inf)
     candidates = np.empty((n, n_candidates, d))
@@ -263,8 +266,8 @@ def fresh_flow_cis_step(density, fp, cfg, q0, x, rng, n_candidates):
         x1, dlp_fwd, ok = flow.integrate_rows(fp, density, x0, cfg, rng, True)
         n_nonfinite += int(np.sum(~ok))
         with np.errstate(invalid="ignore"):
-            lw = (density.log_density(np.where(ok[:, None], x1, 0.0))
-                  - q0.log_density(x0) - dlp_fwd)
+            lw = ((density.log_density(np.where(ok[:, None], x1, 0.0)) - dlp_fwd)
+                  - q0.log_density(x0))
         log_w[:, k + 1] = np.where(ok, lw, -np.inf)
         candidates[:, k] = np.where(ok[:, None], x1, 0.0)
     finite_any = np.any(np.isfinite(log_w), axis=1)
@@ -394,28 +397,37 @@ def test_flow_imh_unnormalized_invariance(rng):
     assert np.allclose(o1.log_alpha, o2.log_alpha, atol=1e-12)
 
 
-def test_flow_imh_matches_pullback_oracle(rng):
-    # two-route check: acceptance recomputed from pullback_log_density
+@pytest.mark.parametrize("beta", [1.0, 0.3])
+@pytest.mark.parametrize("kernel", ["rwmh", "imh"])
+def test_flow_kernels_match_pullback_oracle(rng, kernel, beta):
+    # two-route check: the log ratio recomputed from pullback_log_density at
+    # the two reference points, against the kernel's cached route
     d = 2
     fp = bent_flow(rng, d, 6, 0.3)
     target = targets.make_gmm4()
+    density = targets.tempered(target, beta)
     p0 = targets.standard_normal(d)
     x = rng.standard_normal((5, d)) * 2
     seed = 1234
     cfg = OdeConfig(n_steps=32)
-    out = flow_at_target(kernels.flow_imh_step, target, fp, cfg, x,
-                         np.random.Generator(np.random.Philox(seed)))
-    # replay the draw to recover the fresh reference points
+    step = {"rwmh": kernels.flow_rwmh_step, "imh": kernels.flow_imh_step}[kernel]
+    out = step(target, fp, cfg, kernels.evaluate(target, x), beta,
+               np.random.Generator(np.random.Philox(seed)))
+    # replay the draws to recover the current and the proposed reference points
     replay = np.random.Generator(np.random.Philox(seed))
-    u0 = flow.integrate_rows(fp, target, x, cfg, replay, False)[0]
-    x0 = p0.sampler(replay, 5)
-    # pullback-space IMH ratio: r(z) = pullback(z) - log p0(z) evaluated at the
-    # two reference points; alpha = min(1, r(x0) - r(u0))
-    ratio = (flow.pullback_log_density(fp, target, x0, cfg)
-             - p0.log_density(x0)
-             - flow.pullback_log_density(fp, target, u0, cfg)
-             + p0.log_density(u0))
-    assert np.allclose(out.log_alpha, np.minimum(0.0, ratio), atol=1e-6)
+    u0 = flow.integrate_rows(fp, density, x, cfg, replay, False)[0]
+    if kernel == "rwmh":
+        u1 = u0 + 2.38 / np.sqrt(d) * replay.standard_normal(u0.shape)
+    else:
+        u1 = p0.sampler(replay, 5)
+
+    def log_r(z):
+        # RWMH targets the pullback itself; IMH its ratio to the proposal p0
+        pulled = flow.pullback_log_density(fp, density, z, cfg)
+        return pulled - p0.log_density(z) if kernel == "imh" else pulled
+
+    assert np.allclose(out.log_alpha, np.minimum(0.0, log_r(u1) - log_r(u0)),
+                       atol=1e-6)
 
 
 def test_flow_imh_moments():
