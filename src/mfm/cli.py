@@ -247,12 +247,13 @@ def _run_diagnose(cfg: ExperimentConfig, out: Path) -> int:
 
 
 HELP_EPILOG = (
-    "Threads: the closing push of the diagnostics draws through the flow "
-    "runs in row chunks on --workers threads.  OPENBLAS_NUM_THREADS=1 with "
-    "--workers 2 speeds it up, because the chunks then do not compete with "
-    "BLAS threads for the cores.  numpy reads OPENBLAS_NUM_THREADS when it "
-    "is imported, so set it in the environment that starts mfm; the library "
-    "never sets it.  Results are identical for any worker count.")
+    "Threads: the closing report's MMD and KSD Gram blocks fan out over "
+    "--workers threads; the push of the diagnostics draws through the flow "
+    "runs serially.  OPENBLAS_NUM_THREADS=1 with --workers 2 speeds the "
+    "report up, because its blocks then do not compete with BLAS threads "
+    "for the cores.  numpy reads OPENBLAS_NUM_THREADS when it is imported, "
+    "so set it in the environment that starts mfm; the library never sets "
+    "it.  Results are identical for any worker count.")
 
 
 def main(argv=None) -> int:

@@ -100,6 +100,9 @@ class ExperimentConfig:
             value, kind = getattr(self, f.name), _VALUE_TYPES.get(f.type)
             _require(kind is None or isinstance(value, kind), f.name,
                      f"expected {f.type.__name__}, got {value!r}")
+            # bool is a subclass of int, so a JSON true would pass as a count
+            _require(f.type is bool or not isinstance(value, bool), f.name,
+                     f"must not be a boolean, got {value!r}")
         _require(isinstance(self.seed, int), "seed", f"expected int, got {self.seed!r}")
         _require(self.mode in MODES, "mode", f"unknown mode {self.mode!r}")
         _require(self.target in TARGETS, "target", f"unknown target {self.target!r}")
@@ -310,8 +313,7 @@ def diagnose_flow(flow_params: FlowParams, target: TargetDensity,
         raise DimensionMismatch(f"flow dim {flow_params.dim} != target dim {target.dim}")
     rng = diag_rng(cfg.seed)
     x0 = rng.standard_normal((cfg.diag_samples, target.dim))
-    samples = flow.push_samples(flow_params, target, x0, cfg.ode,
-                                workers=cfg.workers)
+    samples = flow.push_samples(flow_params, target, x0, cfg.ode)
     exact = target.sampler(rng, cfg.diag_samples) if target.sampler else None
     return diagnostics.compute_report(target, samples, exact, workers=cfg.workers)
 

@@ -25,20 +25,20 @@ the fixed features ``nets.fourier_embed(t)``; checkpoints stamp them, and
 ``load_flow`` refuses a checkpoint stamped with others.
 
 ``divergence`` is the one divergence, and the RK4 field closure calls it.
-Its estimator follows from the dimension d alone: the exact trace (d
-target Hessian-vector products per field evaluation) up to
-EXACT_DIVERGENCE_MAX_DIM, and above it one Rademacher probe of
-Hutchinson's trace estimator (FFJORD), which draws from the integrator's
-rng.
+It splits div v into net_x's input-Jacobian trace, exact at every d, and
+the target term tr(diag(gate) H), whose estimator follows from the
+dimension d alone: exact (d target Hessian-vector products per field
+evaluation) up to EXACT_DIVERGENCE_MAX_DIM, and above it one Rademacher
+probe of Hutchinson's trace estimator (FFJORD), which draws from the
+integrator's rng.
 
 The parameters and the row count are fixed across the 4 * n_steps field
 evaluations of one ``integrate_rows`` call, so it builds one ``Workspace``
-per call: net_x's trace matrix, which the exact trace reads, and buffers
-into which every evaluation writes net_x's layer outputs and the exact
-trace's scratch, with the same operations as into fresh arrays, so the bits
-are the same.  Concurrent calls (``push_samples``' chunks on a thread pool)
-each have their own.  ``cfm`` calls ``field`` without one, because its
-backward pass reads the caches after the forward pass.
+per call: net_x's trace matrix, which the trace reads, and buffers into
+which every evaluation writes net_x's layer outputs and the trace's
+scratch, with the same operations as into fresh arrays, so the bits are the
+same.  ``cfm`` calls ``field`` without one, because its backward pass reads
+the caches after the forward pass.
 
 The rest of the API is the integrator (``integrate_rows``, with
 ``rk4_integrate`` underneath), the closing push (``push_samples``), two
@@ -61,8 +61,9 @@ SCALE_FLOOR = 0.1
 TIME_FEATURES = {"n_frequencies": nets.FREQUENCIES.size,
                  "base_frequency": float(nets.FREQUENCIES[0]),
                  "frequency_spacing": "linear"}
-# Largest dimension whose divergence is the exact trace (the field preset's
-# d = 64); above it one Hutchinson probe estimates the divergence.
+# Largest dimension whose target term tr(diag(gate) H) is exact (the field
+# preset's d = 64); above it one Hutchinson probe estimates that term.
+# net_x's trace is exact at every dimension.
 EXACT_DIVERGENCE_MAX_DIM = 64
 
 
@@ -159,9 +160,9 @@ class Workspace:
 
     layers receives net_x's three layer outputs, (N, hidden), (N, hidden)
     and (N, d).  mix is net_x's trace matrix (nets.mlp_trace_matrix) and
-    trace the three (N, hidden) scratch arrays of the exact trace; both are
-    None unless the divergence is the exact trace.  A FieldEval computed
-    with it keeps views of layers, which the next evaluation overwrites.
+    trace the three (N, hidden) scratch arrays of its input-Jacobian trace;
+    both are None unless with_dlp.  A FieldEval computed with it keeps views
+    of layers, which the next evaluation overwrites.
     """
 
     layers: list
@@ -171,7 +172,7 @@ class Workspace:
     @classmethod
     def for_rows(cls, params: FlowParams, n: int, with_dlp: bool):
         layers = [np.empty((n, w.shape[1])) for w in params.net_x.weights]
-        if not with_dlp or params.dim > EXACT_DIVERGENCE_MAX_DIM:
+        if not with_dlp:
             return cls(layers, None, None)
         with np.errstate(over="ignore", invalid="ignore"):
             mix = nets.mlp_trace_matrix(params.net_x, params.dim)
@@ -220,30 +221,29 @@ def field(params: FlowParams, target: TargetDensity, t, xb: np.ndarray,
     return FieldEval(v, score, gate, u, scale, acts_x, acts_t, acts_scale)
 
 
-def divergence(params: FlowParams, target: TargetDensity, xb: np.ndarray,
-               fe: FieldEval, rng: np.random.Generator, ws: Workspace):
+def divergence(target: TargetDensity, xb: np.ndarray, fe: FieldEval,
+               rng: np.random.Generator, ws: Workspace):
     """Divergence of v(t, .) per row of xb (N, d), where fe = field(.., t, xb).
 
-    Exact for d <= EXACT_DIVERGENCE_MAX_DIM, from ws.mix and in ws.trace
-    (ws = Workspace.for_rows(params, N, True)), with rng not read; above it
-    one Rademacher probe drawn from rng gives Hutchinson's unbiased estimate.
+    net_x's trace is exact at every d, from ws.mix and in ws.trace, where
+    ws = Workspace.for_rows(params, N, True) for the flow fe came from.  The
+    target term tr(diag(gate) H) is exact for d <= EXACT_DIVERGENCE_MAX_DIM,
+    with rng not read; above it one Rademacher probe eps drawn from rng
+    gives Hutchinson's unbiased estimate sum(eps * gate * H eps).
     """
     d = xb.shape[1]
+    div = nets.mlp_input_jacobian_trace(fe.acts_x, ws.mix, ws.trace)
     if d <= EXACT_DIVERGENCE_MAX_DIM:
-        div = nets.mlp_input_jacobian_trace(fe.acts_x, ws.mix, ws.trace)
         for i in range(d):
             e = np.zeros(d)
             e[i] = 1.0
             div = div + fe.gate[:, i] * target.hvp_log_density(xb, e)[:, i]
         return div / fe.scale[:, 0]
     if rng is None:
-        raise ValueError(f"the Hutchinson divergence at d = {d} needs an rng")
+        raise ValueError(f"the Hutchinson target term at d = {d} needs an rng")
     eps = rng.integers(0, 2, size=xb.shape) * 2.0 - 1.0
-    tangent = np.zeros_like(fe.acts_x[0])
-    tangent[:, :d] = eps
-    jvp = nets.mlp_input_jvp(params.net_x, fe.acts_x, tangent)
     hvp = target.hvp_log_density(xb, eps)
-    return np.sum(eps * (jvp + fe.gate * hvp), axis=1) / fe.scale[:, 0]
+    return (div + np.sum(eps * fe.gate * hvp, axis=1)) / fe.scale[:, 0]
 
 
 def rk4_integrate(field, x0: np.ndarray, t0: float, t1: float, n_steps: int):
@@ -293,7 +293,7 @@ def _flow_field(params, target, rng, with_dlp, n):
         with np.errstate(over="ignore", invalid="ignore"):
             fe = field(params, target, t, safe, ws)
             v = fe.v
-            div = (divergence(params, target, safe, fe, rng, ws)
+            div = (divergence(target, safe, fe, rng, ws)
                    if with_dlp else np.zeros(xb.shape[0]))
         ok &= np.all(np.isfinite(v), axis=1) & np.isfinite(div)
         if not ok.all():
@@ -313,11 +313,11 @@ def integrate_rows(params: FlowParams, target: TargetDensity, xb: np.ndarray,
     pullback_log_density raise NonFiniteState for it.  dlp is
     -int_0^1 div dt forward and +int_0^1 div dt backward.
 
-    rng feeds the Hutchinson probes above EXACT_DIVERGENCE_MAX_DIM and is
-    not read at or below it.  With with_dlp=False no divergence is
-    evaluated and rng is not read: dlp is all zeros, so the mask covers
-    positions only.  The positions equal those of a with_dlp call bit for
-    bit wherever that call's mask is set.
+    rng feeds only the Hutchinson probes of the target term above
+    EXACT_DIVERGENCE_MAX_DIM and is not read at or below it.  With
+    with_dlp=False no divergence is evaluated and rng is not read: dlp is
+    all zeros, so the mask covers positions only.  The positions equal
+    those of a with_dlp call bit for bit wherever that call's mask is set.
     """
     t0, t1 = (0.0, 1.0) if forward else (1.0, 0.0)
     x, dlp = rk4_integrate(_flow_field(params, target, rng, with_dlp, xb.shape[0]),
@@ -339,15 +339,13 @@ def pullback_log_density(params: FlowParams, target: TargetDensity, xb,
 
 
 def push_samples(params: FlowParams, target: TargetDensity, x0_batch,
-                 cfg: OdeConfig, workers: int = 1):
+                 cfg: OdeConfig):
     """Integrate a batch of reference draws forward; returns the samples (N, d).
 
     Positions only: the closing diagnostics score where the draws land, so
     no divergence is evaluated (integrate_rows with with_dlp=False).  A row
     whose position or velocity blows up raises NonFiniteState naming it.
-    Chunks fan out across a thread pool when workers > 1; results are
-    reassembled by chunk index, so the output is identical for any worker
-    count.
+    The rows run in fixed chunks (_split_rows), one after another.
     """
     x0 = np.asarray(x0_batch, dtype=float)
     if x0.shape[0] == 0:
@@ -356,20 +354,9 @@ def push_samples(params: FlowParams, target: TargetDensity, x0_batch,
         bad = int(np.where(~np.all(np.isfinite(x0), axis=1))[0][0])
         raise NonFiniteState(f"input row {bad} is not finite")
 
-    def run_chunk(bounds):
-        lo, hi = bounds
-        # looked up at call time, so a wrapper on flow.integrate_rows sees it
-        return integrate_rows(params, target, x0[lo:hi], cfg, None, True,
+    results = [integrate_rows(params, target, x0[lo:hi], cfg, None, True,
                               with_dlp=False)
-
-    chunks = _split_rows(x0.shape[0])
-    if workers > 1 and len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, chunks))
-    else:
-        results = [run_chunk(c) for c in chunks]
-
+               for lo, hi in _split_rows(x0.shape[0])]
     samples = np.concatenate([r[0] for r in results], axis=0)
     _require_finite(np.concatenate([r[2] for r in results]))
     return samples
@@ -382,7 +369,7 @@ def _require_finite(ok):
 
 
 def _split_rows(n: int, chunk: int = 256):
-    """Fixed-size row partition, independent of the worker count."""
+    """Fixed-size row partition of n rows."""
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 

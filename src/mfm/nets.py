@@ -2,14 +2,14 @@
 
 Everything is plain float64 numpy.  The MLPs are fixed-shape
 input -> hidden -> hidden -> output stacks with tanh hidden activations and
-a linear output layer; reverse-mode parameter gradients and forward-mode
-input derivatives are written out by hand, which is all this artifact
-needs (no general autodiff).  ``mlp_forward_cache`` is the one forward
-pass: the derivative helpers take its cache of layer activations and never
-run the network again.  The time embedding is fixed: every flow reads the
-same FREQUENCIES, so nothing about it is stored per flow.  A flow stores
-all of its layers as views into one flat float64 vector; see "Flat-vector
-packing" below.
+a linear output layer; reverse-mode parameter gradients and the trace of
+the input Jacobian are written out by hand, which is all this artifact
+needs (no general autodiff, and no forward-mode input derivatives).
+``mlp_forward_cache`` is the one forward pass: the derivative helpers take
+its cache of layer activations and never run the network again.  The time
+embedding is fixed: every flow reads the same FREQUENCIES, so nothing about
+it is stored per flow.  A flow stores all of its layers as views into one
+flat float64 vector; see "Flat-vector packing" below.
 """
 
 import json
@@ -172,20 +172,6 @@ def mlp_param_gradient(params: MlpParams, acts, cotangent,
             delta = back
             buffers.reverse()
     return out
-
-
-def mlp_input_jvp(params: MlpParams, acts, tangent) -> np.ndarray:
-    """Directional derivative of the output wrt the input (forward mode).
-
-    acts is the forward cache; tangent is one input-width row or one per row.
-    """
-    d = np.broadcast_to(np.asarray(tangent, dtype=float), acts[0].shape)
-    last = len(params.weights) - 1
-    for i, w in enumerate(params.weights):
-        d = d @ w
-        if i < last:
-            d = d * (1.0 - acts[i + 1] ** 2)
-    return d
 
 
 def mlp_trace_matrix(params: MlpParams, k: int) -> np.ndarray:

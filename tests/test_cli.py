@@ -73,6 +73,8 @@ INVALID_VALUES = [
     ("divergence", "hutchinson:x"), ("divergence", "trace"),
     ("mode", "sample"), ("target", "gmm8"), ("diag_samples", 1),
     ("iters", "many"), ("divergence", 3), ("seed", "one"), ("temper", "yes"),
+    # JSON true is a bool, which Python counts as an int
+    ("iters", True), ("seed", True), ("mala_tau", True),
     # fields that no longer exist: the estimator follows from the dimension
     # and gmm16's variances are frozen at seed 0
     ("divergence", "exact"), ("divergence", "hutchinson:1"), ("gmm16_seed", 0),
@@ -368,8 +370,9 @@ def test_samples_csv_header_stamp(tmp_path):
 @pytest.mark.parametrize("m_side", [8, 9])
 def test_lgcp_property_run(tmp_path, m_side):
     # desk-scale grids on either side of flow.EXACT_DIVERGENCE_MAX_DIM
-    # (d = 64 exact, d = 81 Hutchinson): finishes, finite KSD-V, local
-    # acceptance above 0.1
+    # (d = 64 exact target term, d = 81 Hutchinson target term; net_x's
+    # trace is exact at both): finishes, finite KSD-V, local acceptance
+    # above 0.1
     out = tmp_path / "lgcp"
     cfg = cli.parse_config(overrides=dict(
         preset="lgcp", seed=5, out=str(out), m_side=m_side, iters=30, particles=16,

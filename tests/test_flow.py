@@ -1,5 +1,4 @@
 import re
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -38,7 +37,7 @@ def score_flow(d):
 
 def divergence_at(fp, target, t, x, rng=None):
     """Divergence of v(t, .) per row, from one forward pass of the field."""
-    return flow.divergence(fp, target, x, flow.field(fp, target, t, x), rng,
+    return flow.divergence(target, x, flow.field(fp, target, t, x), rng,
                            flow.Workspace.for_rows(fp, x.shape[0], True))
 
 
@@ -132,6 +131,24 @@ def test_hutchinson_unbiased(rng, monkeypatch):
                       for _ in range(10_000)])
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - exact) <= 3.0 * max(se, 1e-12)
+
+
+def test_hutchinson_exact_without_gate(rng, monkeypatch):
+    # net_t all zero: the gate, and with it the target term, vanishes, so
+    # above the threshold the divergence is net_x's exact trace, whatever
+    # the probes
+    d, n = 4, 6
+    target = gaussian_with_precision(random_spd(rng, d))
+    fp = flow.flow_init(rng, d, hidden=8)
+    fp.net_x.weights[-1][...] = rng.uniform(-0.5, 0.5, size=fp.net_x.weights[-1].shape)
+    for a in fp.net_t.arrays():
+        a[...] = 0.0
+    x = rng.standard_normal((n, d))
+    exact = divergence_at(fp, target, 0.5, x)
+    use_hutchinson(monkeypatch)
+    for seed in (1, 2):
+        probes = np.random.Generator(np.random.Philox(seed))
+        assert np.array_equal(divergence_at(fp, target, 0.5, x, probes), exact)
 
 
 # -- the shared forward pass ----------------------------------------------------------
@@ -312,29 +329,18 @@ def test_push_samples_empty_batch():
     assert dlp.shape == (0,) and ok.shape == (0,)
 
 
-def test_push_samples_worker_count_invariance(rng):
+def test_push_samples_matches_chunked_integration(rng):
     d = 2
     fp = flow.flow_init(rng, d, hidden=8)
     fp.net_x.weights[-1][...] = rng.uniform(-0.2, 0.2, size=fp.net_x.weights[-1].shape)
     std = targets.standard_normal(d)
     x = rng.standard_normal((700, d))
     cfg = OdeConfig(n_steps=8)
-    out1 = flow.push_samples(fp, std, x, cfg, workers=1)
-    out4 = flow.push_samples(fp, std, x, cfg, workers=4)
-    assert np.array_equal(out1, out4)
-
-    # the same row chunks with the divergence, in order and on 4 threads
-    def chunk(bounds):
-        return flow.integrate_rows(fp, std, x[bounds[0]:bounds[1]], cfg, None, True)
-
-    chunks = flow._split_rows(x.shape[0])
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = list(pool.map(chunk, chunks))
-    serial = [chunk(c) for c in chunks]
-    dlp1 = np.concatenate([r[1] for r in serial])
-    dlp4 = np.concatenate([r[1] for r in threaded])
-    assert np.array_equal(dlp1, dlp4)
-    assert np.array_equal(np.concatenate([r[0] for r in serial]), out1)
+    out = flow.push_samples(fp, std, x, cfg)
+    # the same row chunks with the divergence, in order
+    chunks = [flow.integrate_rows(fp, std, x[lo:hi], cfg, None, True)
+              for lo, hi in flow._split_rows(x.shape[0])]
+    assert np.array_equal(np.concatenate([r[0] for r in chunks]), out)
 
 
 @pytest.mark.parametrize("case", ["exact", "positions", "hutchinson"])
@@ -357,7 +363,7 @@ def test_integrate_rows_workspace_is_bit_identical(monkeypatch, case, forward):
 
     def fresh(t, xb):
         fe = flow.field(fp, target, t, xb)
-        div = (flow.divergence(fp, target, xb, fe, probes,
+        div = (flow.divergence(target, xb, fe, probes,
                                flow.Workspace.for_rows(fp, n, True)) if with_dlp
                else np.zeros(n))
         return fe.v, div
