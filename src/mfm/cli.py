@@ -183,6 +183,7 @@ def _beta_trace_len(rows) -> int:
 def write_diagnostics_json(path, report, rows, wall_seconds: float) -> dict:
     """Strict JSON: a non-finite metric is written as null and named in
     nonfinite_metrics (mmd2 is also null when there are no exact draws).
+    diag_rejected counts the scored rows the KSDs left out.
 
     wall_seconds is the time of the run (mfm, atsmc, fm-oracle), without
     its report, or of the re-scoring (diagnose)."""
@@ -199,6 +200,7 @@ def write_diagnostics_json(path, report, rows, wall_seconds: float) -> dict:
                        if v is not None and not np.isfinite(v))
     payload = {k: None if k in nonfinite else v for k, v in metrics.items()}
     payload["beta_trace_len"] = _beta_trace_len(rows)
+    payload["diag_rejected"] = report.diag_rejected
     payload["nonfinite_metrics"] = nonfinite
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True,
                                      allow_nan=False) + "\n")

@@ -50,13 +50,16 @@ class DiagnosticsReport:
 
     mmd2_unbiased is None when the target admits no exact sampler.  The
     unbiased MMD^2 may legitimately be slightly negative; the KSD V-statistic
-    is non-negative by construction.
+    is non-negative by construction.  The KSDs score only the rows whose
+    position and score are finite; diag_rejected counts the others.  A KSD
+    with too few such rows is NaN.
     """
 
     mmd2_unbiased: Optional[float]
     ksd_u: float
     ksd_v: float
     mean_logpi: float
+    diag_rejected: int
 
 
 def imq(x, y) -> float:
@@ -209,9 +212,19 @@ def _stein_block(xs, sxs, ys, sys_):
 
 
 def _ksd_sums(target, ys, workers=1):
-    """(off-diagonal sum, diagonal sum, n) of the Stein Gram matrix."""
-    n = ys.shape[0]
+    """(off-diagonal sum, diagonal sum, n) of the Stein Gram matrix.
+
+    A row whose position or score is not finite would poison every entry
+    it touches, so the matrix is over the other rows, and n counts them.
+    When every row is finite, ys and its scores are used as they are.
+    """
     scores = target.grad_log_density(ys)
+    finite = np.all(np.isfinite(ys), axis=1) & np.all(np.isfinite(scores), axis=1)
+    if not finite.all():
+        ys, scores = ys[finite], scores[finite]
+    n = ys.shape[0]
+    if n == 0:
+        return 0.0, 0.0, 0
 
     def block(lo, hi):
         b = _stein_block(ys[lo:hi], scores[lo:hi], ys, scores)
@@ -248,10 +261,11 @@ def compute_report(target: TargetDensity, flow_samples: np.ndarray,
     if exact_samples is not None:
         mmd2 = mmd2_unbiased(flow_samples, exact_samples, workers)
     # one Stein Gram pass serves both KSD statistics
-    sums = _ksd_sums(target, flow_samples, workers)
+    off, diag, n = _ksd_sums(target, flow_samples, workers)
     return DiagnosticsReport(
         mmd2_unbiased=mmd2,
-        ksd_u=_u_statistic(*sums),
-        ksd_v=_v_statistic(*sums),
+        ksd_u=_u_statistic(off, diag, n) if n >= 2 else float("nan"),
+        ksd_v=_v_statistic(off, diag, n) if n >= 1 else float("nan"),
         mean_logpi=mean_log_target(target, flow_samples),
+        diag_rejected=flow_samples.shape[0] - n,
     )

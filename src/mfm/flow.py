@@ -6,6 +6,13 @@ target score, and a positive scalar time reweighting:
     v(t, x) = [ net_x(x, t) + net_t(t) * grad_log_pi(x) ] / scale(t),
     scale(t) = 0.1 + softplus(net_scale(t))
 
+net_x takes the flow's hidden width.  net_t and net_scale read only the
+time features, so they are at most TIME_HIDDEN_MAX wide (``_layer_sizes``);
+on a wide flow they would otherwise hold a large share of the parameters,
+and of Adam's state, for a function of one scalar.  A checkpoint records
+every network's widths, so ``load_flow`` reads a flow saved with wider time
+networks as it was saved.
+
 Integration is classical fixed-step RK4 on the augmented state
 (x, delta_logp) with d(delta_logp)/dt = -div v, so the accumulated
 delta_logp of a forward pass (t 0 -> 1) is -int_0^1 div v dt and of a
@@ -65,6 +72,9 @@ TIME_FEATURES = {"n_frequencies": nets.FREQUENCIES.size,
 # preset's d = 64); above it one Hutchinson probe estimates that term.
 # net_x's trace is exact at every dimension.
 EXACT_DIVERGENCE_MAX_DIM = 64
+# Widest hidden layer of net_t and net_scale, the networks of t alone (the
+# field preset's 256); only net_x grows with a flow's hidden width.
+TIME_HIDDEN_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -99,10 +109,16 @@ class OdeConfig:
 
 
 def _layer_sizes(dim: int, hidden: int):
-    """Layer widths of net_x, net_t and net_scale."""
+    """Layer widths of net_x, net_t and net_scale.
+
+    net_x is hidden wide.  The time networks read only the
+    nets.N_TIME_FEATURES features of t, so they are min(hidden,
+    TIME_HIDDEN_MAX) wide: a flow with hidden <= TIME_HIDDEN_MAX has three
+    networks of one width.
+    """
     nf = nets.N_TIME_FEATURES
-    return ((dim + nf, hidden, hidden, dim), (nf, hidden, hidden, dim),
-            (nf, hidden, hidden, 1))
+    ht = min(hidden, TIME_HIDDEN_MAX)
+    return ((dim + nf, hidden, hidden, dim), (nf, ht, ht, dim), (nf, ht, ht, 1))
 
 
 def _on_flat(flat: np.ndarray, sizes, dim: int) -> FlowParams:

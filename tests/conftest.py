@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from mfm import nets, targets
+from mfm import flow, nets, targets
 
 # Derandomized examples and no example database: every run checks the
 # same cases, and no failing example is saved for replay.
@@ -128,3 +128,16 @@ def gaussian_with_overflow(threshold):
     return targets.TargetDensity(
         2, fused(lambda x: -0.5 * np.sum(x ** 2, axis=-1), grad),
         lambda x, v: -np.broadcast_to(v, x.shape))
+
+
+def uncapped_flow_init(rng, dim, hidden):
+    """A flow drawn as flow_init draws it, but with all three networks hidden
+    wide, whatever flow.TIME_HIDDEN_MAX is: the layout of checkpoints written
+    before the time networks were capped, and flow_init's oracle at hidden
+    <= TIME_HIDDEN_MAX."""
+    nf = nets.N_TIME_FEATURES
+    sizes = [(dim + nf, hidden, hidden, dim), (nf, hidden, hidden, dim),
+             (nf, hidden, hidden, 1)]
+    drawn = [nets.mlp_init(rng, s, zero_last=(i == 0)) for i, s in enumerate(sizes)]
+    flat = nets.pack_arrays([a for net in drawn for a in net.arrays()])
+    return flow._on_flat(flat, sizes, dim)

@@ -152,7 +152,7 @@ def test_train_step_deterministic(rng):
 
 
 def test_train_step_allocates_no_parameter_vector(rng):
-    # 0.8M parameters against activations of 8 rows: the gradient goes into
+    # 0.41M parameters against activations of 8 rows: the gradient goes into
     # adam.grad and Adam updates the flow in place, so nothing the step
     # allocates is parameter-sized
     target = targets.standard_normal(2)

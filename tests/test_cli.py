@@ -12,7 +12,7 @@ import pytest
 from mfm import cfm, cli, diagnostics, driver, flow, kernels, nets, targets, tempering
 from mfm.errors import ConfigError, DimensionMismatch
 
-from conftest import gaussian_with_overflow
+from conftest import gaussian_with_overflow, uncapped_flow_init
 
 
 def smoke_overrides(out, **kw):
@@ -147,6 +147,7 @@ def test_smoke_run_writes_artifacts(tmp_path):
                 "acceptance_local", "acceptance_flow", "beta_trace_len"]:
         assert key in payload
     assert payload["nonfinite_metrics"] == []
+    assert payload["diag_rejected"] == 0
 
 
 def test_rerun_same_seed_identical_artifacts(tmp_path):
@@ -187,6 +188,21 @@ def test_diagnose_reproduces_stored_diagnostics(tmp_path):
         if key == "wall_seconds":
             continue
         assert recomputed[key] == stored[key], key
+
+
+def test_diagnose_reads_a_checkpoint_with_uncapped_time_networks(tmp_path, rng):
+    # a flow whose time networks are as wide as net_x, above TIME_HIDDEN_MAX
+    out = tmp_path / "run"
+    cfg = cli.parse_config(overrides=smoke_overrides(out))
+    assert cli.run(cfg) == 0
+    fp = uncapped_flow_init(rng, 2, flow.TIME_HIDDEN_MAX + 44)
+    flow.save_flow(out / "flow.ckpt", fp)
+    (out / "diagnostics.json").unlink()
+    assert cli.run(cli.parse_config(overrides=smoke_overrides(out, mode="diagnose"))) == 0
+    payload = json.loads((out / "diagnostics.json").read_text())
+    expected = driver.diagnose_flow(fp, cli.build_target(cfg), cfg)
+    assert payload["ksd_u"] == expected.ksd_u
+    assert payload["mmd2"] == expected.mmd2_unbiased
 
 
 def test_diagnose_refuses_a_flow_of_another_dimension(tmp_path, monkeypatch):
@@ -419,8 +435,10 @@ def test_nonfinite_proposals_reach_runlog(tmp_path, monkeypatch, mode, threshold
                          parse_constant=reject_constant)
     assert all(payload[k] is None for k in payload["nonfinite_metrics"])
     if mode == "atsmc":
-        # chains stuck where the score is infinite: the KSDs are NaN
-        assert {"ksd_u", "ksd_v"} <= set(payload["nonfinite_metrics"])
+        # chains stuck where the score is infinite are left out of the KSDs,
+        # which score the other chains
+        assert payload["diag_rejected"] > 0
+        assert np.isfinite(payload["ksd_u"]) and np.isfinite(payload["ksd_v"])
 
 
 def reject_constant(name):

@@ -6,6 +6,8 @@ import pytest
 from mfm import diagnostics, targets
 from mfm.errors import TooFewSamples
 
+from conftest import gaussian_with_overflow
+
 
 def ksd_u(target, ys):
     """Unbiased U-statistic: mean of off-diagonal Stein-kernel entries."""
@@ -219,6 +221,29 @@ def test_report_builds_one_stein_gram(rng):
     assert calls == [600]
     assert report.ksd_u == ksd_u(target, ys)
     assert report.ksd_v == ksd_v(target, ys)
+
+
+def test_report_leaves_out_rows_with_nonfinite_scores(rng):
+    # the score overflows to inf where x_0 > 2: such a row would make every
+    # Stein Gram entry it touches NaN, so the KSDs score the other rows
+    target = gaussian_with_overflow(2.0)
+    ys = rng.uniform(-1.5, 1.5, size=(40, 2))
+    bad = ys.copy()
+    bad[7, 0] = 3.0
+    report = diagnostics.compute_report(target, bad, None)
+    kept = np.delete(ys, 7, axis=0)
+    assert report.diag_rejected == 1
+    assert report.ksd_u == ksd_u(target, kept)
+    assert report.ksd_v == ksd_v(target, kept)
+    assert diagnostics.compute_report(target, ys, None).diag_rejected == 0
+    # too few rows left for a statistic: it is NaN, and nothing raises
+    for n_kept in (1, 0):
+        few = ys.copy()
+        few[n_kept:, 0] = 3.0
+        report = diagnostics.compute_report(target, few, None)
+        assert report.diag_rejected == 40 - n_kept
+        assert np.isnan(report.ksd_u)
+        assert np.isnan(report.ksd_v) == (n_kept == 0)
 
 
 # -- mean log target ------------------------------------------------------------------

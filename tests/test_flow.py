@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from mfm import cfm, flow, nets, targets
+from mfm import cfm, cli, flow, nets, targets
 from mfm.errors import NonFiniteState, ShapeMismatch
 from mfm.flow import OdeConfig
 
-from conftest import fused
+from conftest import fused, uncapped_flow_init
 
 
 def gaussian_with_precision(prec):
@@ -466,6 +466,51 @@ def test_vector_to_flow_returns_views_without_packing(rng, monkeypatch):
                         getattr(fp, net_name).arrays()):
             assert np.shares_memory(a, vec)
             assert np.array_equal(a, b)
+
+
+# (dimension, hidden width, parameter count) of each preset's flow; only
+# lgcp's hidden width is above TIME_HIDDEN_MAX
+PRESET_FLOWS = {"gmm4": (2, 128, 56_965), "field": (64, 256, 259_969),
+                "lgcp": (1600, 1024, 4_897_153)}
+
+
+@pytest.mark.parametrize("preset", PRESET_FLOWS)
+def test_preset_flow_parameter_counts(preset):
+    dim, hidden, count = PRESET_FLOWS[preset]
+    assert cli.PRESETS[preset]["hidden"] == hidden
+    assert flow.flow_zero(dim, hidden).flat.size == count
+
+
+@pytest.mark.parametrize("hidden", [8, 128, flow.TIME_HIDDEN_MAX])
+def test_flow_init_draws_three_networks_of_one_width_up_to_the_cap(hidden):
+    drawn, oracle = (np.random.Generator(np.random.Philox(3)) for _ in range(2))
+    fp = flow.flow_init(drawn, 3, hidden)
+    assert np.array_equal(fp.flat, uncapped_flow_init(oracle, 3, hidden).flat)
+    assert drawn.random() == oracle.random()   # and both drew as many numbers
+
+
+def test_time_networks_are_capped_above_the_cap(rng):
+    hidden, cap = flow.TIME_HIDDEN_MAX + 44, flow.TIME_HIDDEN_MAX
+    fp = flow.flow_init(rng, 3, hidden)
+    assert fp.net_x.sizes == (19, hidden, hidden, 3)
+    assert fp.net_t.sizes == (16, cap, cap, 3)
+    assert fp.net_scale.sizes == (16, cap, cap, 1)
+
+
+def test_checkpoint_with_uncapped_time_networks_loads_as_saved(tmp_path, rng):
+    hidden = flow.TIME_HIDDEN_MAX + 44
+    fp = uncapped_flow_init(rng, 2, hidden)
+    path = tmp_path / "flow.ckpt"
+    flow.save_flow(path, fp)
+    loaded = flow.load_flow(path)
+    assert loaded.net_x.sizes == (18, hidden, hidden, 2)
+    assert loaded.net_t.sizes == (16, hidden, hidden, 2)
+    assert loaded.net_scale.sizes == (16, hidden, hidden, 1)
+    x = rng.standard_normal((5, 2))
+    gmm4 = targets.make_gmm4()
+    for t in (0.0, 0.4, 1.0):
+        assert np.array_equal(flow.field(loaded, gmm4, t, x).v,
+                              flow.field(fp, gmm4, t, x).v)
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):
