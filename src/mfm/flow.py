@@ -361,7 +361,6 @@ def push_samples(params: FlowParams, target: TargetDensity, x0_batch,
     Positions only: the closing diagnostics score where the draws land, so
     no divergence is evaluated (integrate_rows with with_dlp=False).  A row
     whose position or velocity blows up raises NonFiniteState naming it.
-    The rows run in fixed chunks (_split_rows), one after another.
     """
     x0 = np.asarray(x0_batch, dtype=float)
     if x0.shape[0] == 0:
@@ -370,11 +369,9 @@ def push_samples(params: FlowParams, target: TargetDensity, x0_batch,
         bad = int(np.where(~np.all(np.isfinite(x0), axis=1))[0][0])
         raise NonFiniteState(f"input row {bad} is not finite")
 
-    results = [integrate_rows(params, target, x0[lo:hi], cfg, None, True,
-                              with_dlp=False)
-               for lo, hi in _split_rows(x0.shape[0])]
-    samples = np.concatenate([r[0] for r in results], axis=0)
-    _require_finite(np.concatenate([r[2] for r in results]))
+    samples, _, ok = integrate_rows(params, target, x0, cfg, None, True,
+                                    with_dlp=False)
+    _require_finite(ok)
     return samples
 
 
@@ -383,10 +380,6 @@ def _require_finite(ok):
     if not ok.all():
         raise NonFiniteState(f"flow integration blew up (row {int(np.argmin(ok))})")
 
-
-def _split_rows(n: int, chunk: int = 256):
-    """Fixed-size row partition of n rows."""
-    return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
 # -- Checkpointing -------------------------------------------------------------

@@ -329,7 +329,7 @@ def test_push_samples_empty_batch():
     assert dlp.shape == (0,) and ok.shape == (0,)
 
 
-def test_push_samples_matches_chunked_integration(rng):
+def test_push_samples_matches_one_integration_of_all_rows(rng):
     d = 2
     fp = flow.flow_init(rng, d, hidden=8)
     fp.net_x.weights[-1][...] = rng.uniform(-0.2, 0.2, size=fp.net_x.weights[-1].shape)
@@ -337,10 +337,10 @@ def test_push_samples_matches_chunked_integration(rng):
     x = rng.standard_normal((700, d))
     cfg = OdeConfig(n_steps=8)
     out = flow.push_samples(fp, std, x, cfg)
-    # the same row chunks with the divergence, in order
-    chunks = [flow.integrate_rows(fp, std, x[lo:hi], cfg, None, True)
-              for lo, hi in flow._split_rows(x.shape[0])]
-    assert np.array_equal(np.concatenate([r[0] for r in chunks]), out)
+    # every row in one integrate_rows call, with the divergence
+    x1, _, ok = flow.integrate_rows(fp, std, x, cfg, None, True)
+    assert ok.all()
+    assert np.array_equal(x1, out)
 
 
 @pytest.mark.parametrize("case", ["exact", "positions", "hutchinson"])
