@@ -3,7 +3,7 @@
 Given particles x1 approximating the target, each training step draws one
 (t, x0) pair per particle, forms the affine interpolant, and regresses the
 parametric vector field onto the closed-form conditional field.  The
-parameter gradient is reverse-accumulated through the three sub-networks
+parameter gradient is reverse-accumulated through the two sub-networks
 only, from the forward caches that ``flow.field`` returns; the conditional
 field carries no parameters.
 """
@@ -64,7 +64,7 @@ def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
     # backpropagate through the cached forward pass of field()
     cot_v = (2.0 / n) * residual
     cot_nx = cot_v / fe.scale
-    cot_nt = cot_v * fe.score / fe.scale
+    cot_gate = cot_v * fe.score / fe.scale
     # d loss / d u through scale = floor + softplus(u): dscale/du = sigmoid(u)
     sig = 1.0 / (1.0 + np.exp(-fe.u))
     cot_u = -np.sum(cot_v * fe.v, axis=1, keepdims=True) * sig / fe.scale
@@ -75,9 +75,8 @@ def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
         out = np.empty(flow_params.flat.size)
     grad = flow.vector_to_flow(out, flow_params)
     nets.mlp_param_gradient(flow_params.net_x, fe.acts_x, cot_nx, out=grad.net_x)
-    nets.mlp_param_gradient(flow_params.net_t, fe.acts_t, cot_nt, out=grad.net_t)
-    nets.mlp_param_gradient(flow_params.net_scale, fe.acts_scale, cot_u,
-                            out=grad.net_scale)
+    nets.mlp_param_gradient(flow_params.net_t, fe.acts_t,
+                            np.concatenate([cot_gate, cot_u], axis=1), out=grad.net_t)
     return loss, grad
 
 

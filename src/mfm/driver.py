@@ -32,6 +32,7 @@ fixed draw order, plus a dedicated child stream for diagnostics sampling;
 worker counts never touch either stream, so runs are bit-reproducible.
 """
 
+import math
 import time
 from dataclasses import dataclass, fields
 from typing import List, Optional
@@ -50,7 +51,8 @@ MAX_NONFINITE_LOSSES = 100
 
 
 MODES = ("mfm", "atsmc", "fm-oracle", "diagnose")
-TARGETS = ("gmm4", "gmm16", "manywell", "field", "lgcp")
+# each target's dimension, as build_target builds it; lgcp's is m_side ** 2
+TARGETS = {"gmm4": 2, "gmm16": 2, "manywell": 32, "field": 64, "lgcp": None}
 NONLOCAL_KERNELS = ("rwmh", "imh", "cis")
 # accepted value types per annotation; JSON writes a whole float as an int
 _VALUE_TYPES = {int: int, float: (int, float), str: str, bool: bool}
@@ -120,6 +122,13 @@ class ExperimentConfig:
         # atsmc and fm-oracle draw their own start; diagnose re-reads an mfm config
         _require(self.init_mean is None or self.mode in ("mfm", "diagnose"),
                  "init_mean", f"the {self.mode} mode draws its own start")
+        mean = self.init_mean
+        _require(mean is None or (
+            isinstance(mean, list) and len(mean) == self.dim
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in mean)),
+            "init_mean", f"needs {self.dim} finite real entries, one per "
+            f"dimension of the {self.target} target")
         _require(self.init_scale == 1.0 or self.init_mean is not None,
                  "init_scale", "applies only with init_mean")
         # a negative Adam step climbs the flow-matching loss
@@ -129,6 +138,11 @@ class ExperimentConfig:
         _require(0.0 < self.sigma_min < 1.0, "sigma_min",
                  "must lie strictly in (0, 1)")
         object.__setattr__(self, "ode", OdeConfig(self.ode_steps))
+
+    @property
+    def dim(self) -> int:
+        """The target's dimension, known before the target is built."""
+        return TARGETS[self.target] or self.m_side ** 2
 
 
 @dataclass
@@ -218,9 +232,6 @@ def _initial_positions(cfg: ExperimentConfig, dim: int,
     if cfg.init_mean is None:
         return rng.standard_normal((cfg.particles, dim))
     mean = np.asarray(cfg.init_mean, dtype=float)
-    if mean.shape != (dim,):
-        raise ConfigError("init_mean", f"needs {dim} entries, one per "
-                          f"dimension of the target, got shape {mean.shape}")
     return mean + cfg.init_scale * rng.standard_normal((cfg.particles, dim))
 
 

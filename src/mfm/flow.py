@@ -1,17 +1,19 @@
 """Continuous normalizing flow built from the dense-network substrate.
 
-The vector field combines a position network, a time network gating the
-target score, and a positive scalar time reweighting:
+The vector field combines a position network with one time network, whose
+d + 1 outputs are a gate on the target score and a positive scalar time
+reweighting:
 
-    v(t, x) = [ net_x(x, t) + net_t(t) * grad_log_pi(x) ] / scale(t),
-    scale(t) = 0.1 + softplus(net_scale(t))
+    v(t, x) = [ net_x(x, t) + gate(t) * grad_log_pi(x) ] / scale(t),
+    (gate(t), u(t)) = net_t(t),   scale(t) = 0.1 + softplus(u(t))
 
-net_x takes the flow's hidden width.  net_t and net_scale read only the
-time features, so they are at most TIME_HIDDEN_MAX wide (``_layer_sizes``);
-on a wide flow they would otherwise hold a large share of the parameters,
-and of Adam's state, for a function of one scalar.  A checkpoint records
-every network's widths, so ``load_flow`` reads a flow saved with wider time
-networks as it was saved.
+net_x takes the flow's hidden width.  net_t reads only the time features,
+so it is at most TIME_HIDDEN_MAX wide (``_layer_sizes``); on a wide flow it
+would otherwise hold a large share of the parameters, and of Adam's state,
+for a function of one scalar.  ``_layer_sizes(dim, hidden)`` fixes every
+layer, so a checkpoint's layout follows from its dim and net_x's width, and
+``load_flow`` refuses one saved with another layout, such as the separate
+gate and scale networks (net_t and net_scale) of earlier flows.
 
 Integration is classical fixed-step RK4 on the augmented state
 (x, delta_logp) with d(delta_logp)/dt = -div v, so the accumulated
@@ -24,11 +26,11 @@ closing push of the diagnostics (``push_samples``) integrates positions
 alone and never evaluates the divergence.
 
 ``field`` is the only forward pass of v.  It returns the value together
-with the score, the gate, the scale and the forward caches of the three
+with the score, the gate, the scale and the forward caches of the two
 networks; ``divergence`` and the CFM parameter gradients in ``cfm`` reuse
 that cache instead of running the networks again.  For a scalar t, as at
-every RK4 stage, the time networks run on one row.  The time networks read
-the fixed features ``nets.fourier_embed(t)``; checkpoints stamp them, and
+every RK4 stage, the time network runs on one row.  It reads the fixed
+features ``nets.fourier_embed(t)``; checkpoints stamp them, and
 ``load_flow`` refuses a checkpoint stamped with others.
 
 ``divergence`` is the one divergence, and the RK4 field closure calls it.
@@ -72,17 +74,17 @@ TIME_FEATURES = {"n_frequencies": nets.FREQUENCIES.size,
 # preset's d = 64); above it one Hutchinson probe estimates that term.
 # net_x's trace is exact at every dimension.
 EXACT_DIVERGENCE_MAX_DIM = 64
-# Widest hidden layer of net_t and net_scale, the networks of t alone (the
-# field preset's 256); only net_x grows with a flow's hidden width.
+# Widest hidden layer of net_t, the network of t alone (the field preset's
+# 256); only net_x grows with a flow's hidden width.
 TIME_HIDDEN_MAX = 256
 
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Weights of the three sub-networks and the dimension.
+    """Weights of the two sub-networks and the dimension.
 
     All parameters live in one contiguous float64 vector, flat: every layer
-    of net_x, net_t and net_scale is a view into it, in that order and in
+    of net_x and net_t is a view into it, in that order and in
     MlpParams.arrays() order within each network.  That is flow_to_vector's
     order and the order of the checkpoint blob.  Neither the fields nor the
     layers can be rebound, so the views cannot come apart from flat; a
@@ -91,8 +93,7 @@ class FlowParams:
     """
 
     net_x: MlpParams       # (x, fourier(t)) -> R^d
-    net_t: MlpParams       # fourier(t) -> R^d, gates the score
-    net_scale: MlpParams   # fourier(t) -> R, reweights the whole field
+    net_t: MlpParams       # fourier(t) -> R^(d+1): the score's gate, then u
     dim: int
     flat: np.ndarray
 
@@ -109,16 +110,15 @@ class OdeConfig:
 
 
 def _layer_sizes(dim: int, hidden: int):
-    """Layer widths of net_x, net_t and net_scale.
+    """Layer widths of net_x and net_t.
 
-    net_x is hidden wide.  The time networks read only the
-    nets.N_TIME_FEATURES features of t, so they are min(hidden,
-    TIME_HIDDEN_MAX) wide: a flow with hidden <= TIME_HIDDEN_MAX has three
-    networks of one width.
+    net_x is hidden wide.  net_t reads only the nets.N_TIME_FEATURES
+    features of t, so it is min(hidden, TIME_HIDDEN_MAX) wide, and it has
+    d + 1 outputs: the gate and the scale's pre-activation u.
     """
     nf = nets.N_TIME_FEATURES
     ht = min(hidden, TIME_HIDDEN_MAX)
-    return ((dim + nf, hidden, hidden, dim), (nf, ht, ht, dim), (nf, ht, ht, 1))
+    return (dim + nf, hidden, hidden, dim), (nf, ht, ht, dim + 1)
 
 
 def _on_flat(flat: np.ndarray, sizes, dim: int) -> FlowParams:
@@ -126,8 +126,8 @@ def _on_flat(flat: np.ndarray, sizes, dim: int) -> FlowParams:
     if flat.ndim != 1 or flat.dtype != np.float64 or not flat.flags.c_contiguous:
         raise ShapeMismatch("flow parameters must be one contiguous float64 vector")
     parts = nets.unpack(flat, [(nets.mlp_size(s),) for s in sizes])
-    net_x, net_t, net_scale = (nets.vector_to_mlp(p, s) for p, s in zip(parts, sizes))
-    return FlowParams(net_x, net_t, net_scale, dim, flat)
+    net_x, net_t = (nets.vector_to_mlp(p, s) for p, s in zip(parts, sizes))
+    return FlowParams(net_x, net_t, dim, flat)
 
 
 def flow_init(rng: np.random.Generator, dim: int, hidden: int = 128) -> FlowParams:
@@ -162,7 +162,7 @@ def vector_to_flow(vector: np.ndarray, template: FlowParams) -> FlowParams:
     No copy is made: vector becomes the new flow's flat and its layers are
     views into it, so a later write to vector changes the flow.
     """
-    sizes = [net.sizes for net in (template.net_x, template.net_t, template.net_scale)]
+    sizes = [net.sizes for net in (template.net_x, template.net_t)]
     return _on_flat(vector, sizes, template.dim)
 
 
@@ -199,18 +199,17 @@ class Workspace:
 class FieldEval:
     """One forward pass of v(t, x) and the pieces its derivatives reuse.
 
-    For a scalar t the time networks run on one row, so gate, u and scale
+    For a scalar t the time network runs on one row, so gate, u and scale
     are (1, .) and broadcast against the N rows of v and score.
     """
 
     v: np.ndarray          # (N, d) field value
     score: np.ndarray      # (N, d) grad log pi(x)
-    gate: np.ndarray       # net_t output
-    u: np.ndarray          # net_scale output; scale = SCALE_FLOOR + softplus(u)
+    gate: np.ndarray       # net_t's first d outputs
+    u: np.ndarray          # net_t's last output; scale = SCALE_FLOOR + softplus(u)
     scale: np.ndarray
-    acts_x: list           # forward caches of net_x, net_t, net_scale
+    acts_x: list           # forward caches of net_x and net_t
     acts_t: list
-    acts_scale: list
 
 
 def field(params: FlowParams, target: TargetDensity, t, xb: np.ndarray,
@@ -230,11 +229,11 @@ def field(params: FlowParams, target: TargetDensity, t, xb: np.ndarray,
     ffb = np.broadcast_to(ff, (n, ff.shape[1]))
     nx, acts_x = nets.mlp_forward_cache(params.net_x, np.concatenate([xb, ffb], axis=1),
                                         None if ws is None else ws.layers)
-    gate, acts_t = nets.mlp_forward_cache(params.net_t, ff)
-    u, acts_scale = nets.mlp_forward_cache(params.net_scale, ff)
+    time_out, acts_t = nets.mlp_forward_cache(params.net_t, ff)
+    gate, u = time_out[:, :-1], time_out[:, -1:]
     scale = SCALE_FLOOR + softplus(u)
     v = (nx + gate * score) / scale
-    return FieldEval(v, score, gate, u, scale, acts_x, acts_t, acts_scale)
+    return FieldEval(v, score, gate, u, scale, acts_x, acts_t)
 
 
 def divergence(target: TargetDensity, xb: np.ndarray, fe: FieldEval,
@@ -384,47 +383,28 @@ def _require_finite(ok):
 
 # -- Checkpointing -------------------------------------------------------------
 
+def _checkpoint_arrays(dim: int, hidden: int):
+    """(name, shape) of every array of a flow checkpoint, in flat's order."""
+    return [(f"{net}.{'wb'[j % 2]}{j // 2}", list(shape))
+            for net, sizes in zip(("net_x", "net_t"), _layer_sizes(dim, hidden))
+            for j, shape in enumerate(nets.mlp_shapes(sizes))]
+
+
 def save_flow(path, params: FlowParams) -> None:
-    named = []
-    for net_name in ("net_x", "net_t", "net_scale"):
-        net = getattr(params, net_name)
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            named.append((f"{net_name}.w{i}", w))
-            named.append((f"{net_name}.b{i}", b))
+    names = _checkpoint_arrays(params.dim, params.net_x.sizes[1])
+    layers = params.net_x.arrays() + params.net_t.arrays()
     nets.save_arrays(path, {"kind": "flow", "dim": params.dim, **TIME_FEATURES},
-                     named)
-
-
-def _checkpoint_sizes(path, names, shapes, dim: int):
-    """Layer widths of the three networks, read from a checkpoint header.
-
-    The hidden widths are the weights' output widths; the input and output
-    widths follow from dim and nets.N_TIME_FEATURES.  The arrays must be
-    exactly those of such networks, in flow_to_vector order, or ValueError
-    names the first one that is not.
-    """
-    nf = nets.N_TIME_FEATURES
-    widths = {"net_x": (dim + nf, dim), "net_t": (nf, dim), "net_scale": (nf, 1)}
-    sizes = []
-    for net, (n_in, n_out) in widths.items():
-        outs = [shape[-1] for name, shape in zip(names, shapes)
-                if name.startswith(f"{net}.w") and shape]
-        sizes.append((n_in, *outs[:-1], n_out))
-    expected = [(f"{net}.{'wb'[j % 2]}{j // 2}", list(shape))
-                for net, s in zip(widths, sizes)
-                for j, shape in enumerate(nets.mlp_shapes(s))]
-    for found, want in itertools.zip_longest(zip(names, shapes), expected):
-        if found != want:
-            raise ValueError(f"{path}: expected array {want}, found {found}")
-    return sizes
+                     [(name, a) for (name, _), a in zip(names, layers)])
 
 
 def load_flow(path) -> FlowParams:
     """Read a save_flow checkpoint; the flow's flat is the loaded blob.
 
-    A checkpoint that is not a flow, is stamped with other time features
-    than TIME_FEATURES, or whose arrays do not fit its dim is refused with a
-    ValueError.
+    net_x's width is read from net_x.w0; every other width follows from it
+    and dim (_layer_sizes).  A checkpoint that is not a flow, is stamped
+    with other time features than TIME_FEATURES, or holds other arrays than
+    that layout is refused with a ValueError, and so is one with a separate
+    net_scale network, as flows were saved before it was merged into net_t.
     """
     meta, blob = nets.load_blob(path)
     if meta.get("kind") != "flow":
@@ -434,7 +414,14 @@ def load_flow(path) -> FlowParams:
         # Another field from the same weights: refuse rather than misread.
         raise ValueError(f"{path} stamps time features {stamped}, "
                          f"expected {TIME_FEATURES}")
-    dim = int(meta["dim"])
     spec = meta["arrays"]
-    sizes = _checkpoint_sizes(path, spec["names"], spec["shapes"], dim)
-    return _on_flat(blob, sizes, dim)
+    if any(name.startswith("net_scale.") for name in spec["names"]):
+        raise ValueError(f"{path} holds a separate net_scale network, saved before "
+                         "the gate and the scale became one net_t; it cannot be read")
+    found = list(zip(spec["names"], spec["shapes"]))
+    dim = int(meta["dim"])
+    hidden = (dict(found).get("net_x.w0") or [0])[-1]
+    for got, want in itertools.zip_longest(found, _checkpoint_arrays(dim, hidden)):
+        if got != want:
+            raise ValueError(f"{path}: expected array {want}, found {got}")
+    return _on_flat(blob, _layer_sizes(dim, hidden), dim)

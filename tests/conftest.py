@@ -1,8 +1,11 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from mfm import flow, nets, targets
+from mfm import nets, targets
 
 # Derandomized examples and no example database: every run checks the
 # same cases, and no failing example is saved for replay.
@@ -130,14 +133,24 @@ def gaussian_with_overflow(threshold):
         lambda x, v: -np.broadcast_to(v, x.shape))
 
 
-def uncapped_flow_init(rng, dim, hidden):
-    """A flow drawn as flow_init draws it, but with all three networks hidden
-    wide, whatever flow.TIME_HIDDEN_MAX is: the layout of checkpoints written
-    before the time networks were capped, and flow_init's oracle at hidden
-    <= TIME_HIDDEN_MAX."""
-    nf = nets.N_TIME_FEATURES
-    sizes = [(dim + nf, hidden, hidden, dim), (nf, hidden, hidden, dim),
-             (nf, hidden, hidden, 1)]
-    drawn = [nets.mlp_init(rng, s, zero_last=(i == 0)) for i, s in enumerate(sizes)]
-    flat = nets.pack_arrays([a for net in drawn for a in net.arrays()])
-    return flow._on_flat(flat, sizes, dim)
+# save_flow's header line for flow_zero(2, hidden=3) before net_t and
+# net_scale were merged into one time network: the layout of every flow
+# checkpoint written until then
+PRE_MERGE_CHECKPOINT_HEADER = (
+    b'{"kind": "flow", "dim": 2, "n_frequencies": 8, '
+    b'"base_frequency": 3.141592653589793, "frequency_spacing": "linear", '
+    b'"arrays": {"names": ['
+    b'"net_x.w0", "net_x.b0", "net_x.w1", "net_x.b1", "net_x.w2", "net_x.b2", '
+    b'"net_t.w0", "net_t.b0", "net_t.w1", "net_t.b1", "net_t.w2", "net_t.b2", '
+    b'"net_scale.w0", "net_scale.b0", "net_scale.w1", "net_scale.b1", '
+    b'"net_scale.w2", "net_scale.b2"], '
+    b'"shapes": [[18, 3], [3], [3, 3], [3], [3, 2], [2], '
+    b'[16, 3], [3], [3, 3], [3], [3, 2], [2], '
+    b'[16, 3], [3], [3, 3], [3], [3, 1], [1]]}}')
+
+
+def write_pre_merge_checkpoint(path, rng):
+    """A d = 2 flow checkpoint in the pre-merge layout, with random weights."""
+    shapes = json.loads(PRE_MERGE_CHECKPOINT_HEADER)["arrays"]["shapes"]
+    weights = rng.standard_normal(sum(math.prod(shape) for shape in shapes))
+    path.write_bytes(PRE_MERGE_CHECKPOINT_HEADER + b"\n" + weights.astype("<f8").tobytes())

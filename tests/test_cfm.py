@@ -115,14 +115,21 @@ def test_full_gradient_matches_finite_differences(rng):
     assert np.abs(gvec - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
 
 
-def test_loss_and_grad_runs_each_network_once(rng, forward_passes):
+def test_loss_and_grad_runs_each_network_once(rng, forward_passes, monkeypatch):
     target = targets.standard_normal(2)
     fp = flow.flow_init(rng, 2, hidden=4)
     particles = rng.standard_normal((6, 2))
+    backward = []
+    inner = nets.mlp_param_gradient
+
+    def counted(params, *args, **kwargs):
+        backward.append(params)
+        return inner(params, *args, **kwargs)
+
+    monkeypatch.setattr(nets, "mlp_param_gradient", counted)
     cfm.cfm_loss_and_grad(fp, target, SIGMA_MIN, particles, rng)
-    assert len(forward_passes) == 3
-    assert {id(net) for net, _ in forward_passes} == {id(fp.net_x), id(fp.net_t),
-                                                     id(fp.net_scale)}
+    assert [id(net) for net, _ in forward_passes] == [id(fp.net_x), id(fp.net_t)]
+    assert [id(net) for net in backward] == [id(fp.net_x), id(fp.net_t)]
 
 
 def test_train_step_final_schedule_step_freezes(rng):

@@ -12,7 +12,7 @@ import pytest
 from mfm import cfm, cli, diagnostics, driver, flow, kernels, nets, targets, tempering
 from mfm.errors import ConfigError, DimensionMismatch
 
-from conftest import gaussian_with_overflow, uncapped_flow_init
+from conftest import gaussian_with_overflow, write_pre_merge_checkpoint
 
 
 def smoke_overrides(out, **kw):
@@ -90,6 +90,11 @@ INVALID_VALUES = [
     ("init_mean", [50.0, 50.0], {"mode": "atsmc"}),
     ("init_mean", [50.0, 50.0], {"mode": "fm-oracle"}),
     ("init_scale", 0.1),
+    # one finite real entry per dimension of the target (gmm4: d = 2)
+    ("init_mean", [50.0]), ("init_mean", [50.0, 50.0, 50.0]),
+    ("init_mean", [50.0, "x"]), ("init_mean", [float("nan"), 50.0]),
+    ("init_mean", [50.0, float("inf")]), ("init_mean", [True, 50.0]),
+    ("init_mean", "origin"), ("init_mean", [50.0, 50.0], {"target": "manywell"}),
 ]
 
 
@@ -190,19 +195,26 @@ def test_diagnose_reproduces_stored_diagnostics(tmp_path):
         assert recomputed[key] == stored[key], key
 
 
-def test_diagnose_reads_a_checkpoint_with_uncapped_time_networks(tmp_path, rng):
-    # a flow whose time networks are as wide as net_x, above TIME_HIDDEN_MAX
+def test_diagnose_refuses_a_pre_merge_checkpoint(tmp_path, capsys, rng):
+    # a checkpoint with a separate net_scale network, as every flow was
+    # saved before the gate and the scale became one net_t
     out = tmp_path / "run"
-    cfg = cli.parse_config(overrides=smoke_overrides(out))
-    assert cli.run(cfg) == 0
-    fp = uncapped_flow_init(rng, 2, flow.TIME_HIDDEN_MAX + 44)
-    flow.save_flow(out / "flow.ckpt", fp)
-    (out / "diagnostics.json").unlink()
-    assert cli.run(cli.parse_config(overrides=smoke_overrides(out, mode="diagnose"))) == 0
-    payload = json.loads((out / "diagnostics.json").read_text())
-    expected = driver.diagnose_flow(fp, cli.build_target(cfg), cfg)
-    assert payload["ksd_u"] == expected.ksd_u
-    assert payload["mmd2"] == expected.mmd2_unbiased
+    assert cli.run(cli.parse_config(overrides=smoke_overrides(out))) == 0
+    write_pre_merge_checkpoint(out / "flow.ckpt", rng)
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    rc = cli.main(["--config", str(out / "config.resolved"), "--mode", "diagnose"])
+    assert rc == 1
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "ValueError" and "net_scale" in report["message"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+
+@pytest.mark.parametrize("overrides", [dict(preset=p) for p in cli.PRESETS]
+                         + [dict(preset="lgcp", m_side=6)],
+                         ids=[*cli.PRESETS, "lgcp-m_side=6"])
+def test_config_dim_is_the_target_dim(overrides):
+    cfg = cli.parse_config(overrides=dict(overrides, seed=1))
+    assert cfg.dim == cli.build_target(cfg).dim
 
 
 def test_diagnose_refuses_a_flow_of_another_dimension(tmp_path, monkeypatch):

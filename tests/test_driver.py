@@ -121,10 +121,10 @@ def test_init_override_controls_start():
 @pytest.mark.parametrize("init_mean", [[3.0], [3.0, 0.0, 1.0]], ids=["short", "long"])
 def test_init_mean_of_wrong_length_refused(init_mean):
     # gmm4 has d = 2: one entry would be broadcast over both coordinates,
-    # three would not broadcast at all
-    cfg = smoke_config(iters=1, init_mean=init_mean)
+    # three would not broadcast at all.  The config refuses both before
+    # anything runs
     with pytest.raises(ConfigError) as err:
-        driver.run_mfm(targets.make_gmm4(), cfg)
+        smoke_config(iters=1, init_mean=init_mean)
     assert err.value.field == "init_mean"
 
 

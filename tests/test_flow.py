@@ -8,7 +8,7 @@ from mfm import cfm, cli, flow, nets, targets
 from mfm.errors import NonFiniteState, ShapeMismatch
 from mfm.flow import OdeConfig
 
-from conftest import fused, uncapped_flow_init
+from conftest import fused, write_pre_merge_checkpoint
 
 
 def gaussian_with_precision(prec):
@@ -28,10 +28,10 @@ def gaussian_with_precision(prec):
 
 
 def score_flow(d):
-    """net_x = 0, net_t = 1, scale = 1: the field equals the target score."""
+    """net_x = 0, gate = 1, scale = 1: the field equals the target score."""
     fp = flow.flow_zero(d)
-    fp.net_t.biases[-1][:] = 1.0
-    fp.net_scale.biases[-1][:] = np.log(np.expm1(1.0 - flow.SCALE_FLOOR))
+    fp.net_t.biases[-1][:d] = 1.0
+    fp.net_t.biases[-1][d] = np.log(np.expm1(1.0 - flow.SCALE_FLOOR))
     return fp
 
 
@@ -72,7 +72,7 @@ def test_field_scales_inversely_with_time_reweighting(rng):
     fp = score_flow(d)
     v1 = flow.field(fp, std, 0.2, np.ones((1, d))).v
     # double the divisor: 0.1 + softplus(u) = 2
-    fp.net_scale.biases[-1][:] = np.log(np.expm1(2.0 - flow.SCALE_FLOOR))
+    fp.net_t.biases[-1][d] = np.log(np.expm1(2.0 - flow.SCALE_FLOOR))
     v2 = flow.field(fp, std, 0.2, np.ones((1, d))).v
     assert np.allclose(v2, v1 / 2.0, atol=1e-12)
 
@@ -190,11 +190,10 @@ def test_one_forward_pass_per_field_evaluation(rng, monkeypatch, forward_passes,
     if mode == "hutchinson":
         use_hutchinson(monkeypatch)
     flow.integrate_rows(fp, std, x, OdeConfig(n_steps=1), rng, True)
-    # one RK4 step is 4 field evaluations, each net_x, net_t, net_scale once
-    assert len(forward_passes) == 4 * 3
+    # one RK4 step is 4 field evaluations, each net_x and net_t once
+    assert len(forward_passes) == 4 * 2
     assert [rows for net, rows in forward_passes if net is fp.net_x] == [n] * 4
     assert [rows for net, rows in forward_passes if net is fp.net_t] == [1] * 4
-    assert [rows for net, rows in forward_passes if net is fp.net_scale] == [1] * 4
 
 
 # -- integrator against the matrix-exponential oracle -------------------------------
@@ -286,9 +285,10 @@ def test_pullback_step_refinement(rng):
 
 def test_pullback_nonfinite_row_raises():
     # a gate of 1e300 on the score blows up every row it touches; row 0
-    # starts at the origin, where the standard normal score is zero
+    # starts at the origin, where the standard normal score is zero.  Only
+    # the gate: a scale of the same size would cancel it
     fp = flow.flow_zero(2)
-    fp.net_t.biases[-1][:] = 1e300
+    fp.net_t.biases[-1][:2] = 1e300
     std = targets.standard_normal(2)
     x = np.array([[0.0, 0.0], [1.0, 2.0]])
     with pytest.raises(NonFiniteState, match="row 1"):
@@ -426,7 +426,7 @@ def test_push_samples_blown_up_row_reports_index():
     # same blow-up as test_pullback_nonfinite_row_raises: the gate of 1e300
     # sends row 1's velocity to infinity, row 0 sits where the score is zero
     fp = flow.flow_zero(2)
-    fp.net_t.biases[-1][:] = 1e300
+    fp.net_t.biases[-1][:2] = 1e300
     std = targets.standard_normal(2)
     x = np.array([[0.0, 0.0], [1.0, 2.0]])
     with pytest.raises(NonFiniteState, match="row 1"):
@@ -444,11 +444,11 @@ def test_push_samples_nonfinite_row_reports_index():
 
 def test_scale_positivity_arbitrary_params(rng):
     fp = flow.flow_init(rng, 2, hidden=8)
-    fp.net_scale.weights[-1][...] = rng.normal(0, 10, size=fp.net_scale.weights[-1].shape)
-    fp.net_scale.biases[-1][...] = rng.normal(-50, 10, size=fp.net_scale.biases[-1].shape)
+    fp.net_t.weights[-1][...] = rng.normal(0, 10, size=fp.net_t.weights[-1].shape)
+    fp.net_t.biases[-1][...] = rng.normal(-50, 10, size=fp.net_t.biases[-1].shape)
     for t in np.linspace(0, 1, 101):
         ffb = nets.fourier_embed(t)[None]
-        u = nets.mlp_forward_cache(fp.net_scale, ffb)[0]
+        u = nets.mlp_forward_cache(fp.net_t, ffb)[0][:, -1]
         assert flow.SCALE_FLOOR + flow.softplus(u) > 0.0
 
 
@@ -461,7 +461,7 @@ def test_vector_to_flow_returns_views_without_packing(rng, monkeypatch):
 
     monkeypatch.setattr(nets, "pack_arrays", refuse)
     back = flow.vector_to_flow(vec, fp)
-    for net_name in ("net_x", "net_t", "net_scale"):
+    for net_name in ("net_x", "net_t"):
         for a, b in zip(getattr(back, net_name).arrays(),
                         getattr(fp, net_name).arrays()):
             assert np.shares_memory(a, vec)
@@ -470,8 +470,8 @@ def test_vector_to_flow_returns_views_without_packing(rng, monkeypatch):
 
 # (dimension, hidden width, parameter count) of each preset's flow; only
 # lgcp's hidden width is above TIME_HIDDEN_MAX
-PRESET_FLOWS = {"gmm4": (2, 128, 56_965), "field": (64, 256, 259_969),
-                "lgcp": (1600, 1024, 4_897_153)}
+PRESET_FLOWS = {"gmm4": (2, 128, 38_277), "field": (64, 256, 189_825),
+                "lgcp": (1600, 1024, 4_827_009)}
 
 
 @pytest.mark.parametrize("preset", PRESET_FLOWS)
@@ -481,36 +481,20 @@ def test_preset_flow_parameter_counts(preset):
     assert flow.flow_zero(dim, hidden).flat.size == count
 
 
-@pytest.mark.parametrize("hidden", [8, 128, flow.TIME_HIDDEN_MAX])
-def test_flow_init_draws_three_networks_of_one_width_up_to_the_cap(hidden):
-    drawn, oracle = (np.random.Generator(np.random.Philox(3)) for _ in range(2))
-    fp = flow.flow_init(drawn, 3, hidden)
-    assert np.array_equal(fp.flat, uncapped_flow_init(oracle, 3, hidden).flat)
-    assert drawn.random() == oracle.random()   # and both drew as many numbers
-
-
 def test_time_networks_are_capped_above_the_cap(rng):
     hidden, cap = flow.TIME_HIDDEN_MAX + 44, flow.TIME_HIDDEN_MAX
     fp = flow.flow_init(rng, 3, hidden)
     assert fp.net_x.sizes == (19, hidden, hidden, 3)
-    assert fp.net_t.sizes == (16, cap, cap, 3)
-    assert fp.net_scale.sizes == (16, cap, cap, 1)
+    assert fp.net_t.sizes == (16, cap, cap, 4)
 
 
-def test_checkpoint_with_uncapped_time_networks_loads_as_saved(tmp_path, rng):
-    hidden = flow.TIME_HIDDEN_MAX + 44
-    fp = uncapped_flow_init(rng, 2, hidden)
+def test_pre_merge_checkpoint_is_refused(tmp_path, rng):
+    # a separate net_scale: the layout of every checkpoint saved before the
+    # merge, refused rather than misread
     path = tmp_path / "flow.ckpt"
-    flow.save_flow(path, fp)
-    loaded = flow.load_flow(path)
-    assert loaded.net_x.sizes == (18, hidden, hidden, 2)
-    assert loaded.net_t.sizes == (16, hidden, hidden, 2)
-    assert loaded.net_scale.sizes == (16, hidden, hidden, 1)
-    x = rng.standard_normal((5, 2))
-    gmm4 = targets.make_gmm4()
-    for t in (0.0, 0.4, 1.0):
-        assert np.array_equal(flow.field(loaded, gmm4, t, x).v,
-                              flow.field(fp, gmm4, t, x).v)
+    write_pre_merge_checkpoint(path, rng)
+    with pytest.raises(ValueError, match="net_scale"):
+        flow.load_flow(path)
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):
@@ -550,18 +534,16 @@ def test_checkpoint_without_frequency_spacing_is_refused(tmp_path, rng, key, val
 
 
 # save_flow's header line for flow_zero(2, hidden=3): the time features are
-# stamped as they have been since the spacing became linear
+# stamped as they have been since the spacing became linear, and net_t ends
+# in the gate's 2 outputs and u
 CHECKPOINT_HEADER = (
     b'{"kind": "flow", "dim": 2, "n_frequencies": 8, '
     b'"base_frequency": 3.141592653589793, "frequency_spacing": "linear", '
     b'"arrays": {"names": ['
     b'"net_x.w0", "net_x.b0", "net_x.w1", "net_x.b1", "net_x.w2", "net_x.b2", '
-    b'"net_t.w0", "net_t.b0", "net_t.w1", "net_t.b1", "net_t.w2", "net_t.b2", '
-    b'"net_scale.w0", "net_scale.b0", "net_scale.w1", "net_scale.b1", '
-    b'"net_scale.w2", "net_scale.b2"], '
+    b'"net_t.w0", "net_t.b0", "net_t.w1", "net_t.b1", "net_t.w2", "net_t.b2"], '
     b'"shapes": [[18, 3], [3], [3, 3], [3], [3, 2], [2], '
-    b'[16, 3], [3], [3, 3], [3], [3, 2], [2], '
-    b'[16, 3], [3], [3, 3], [3], [3, 1], [1]]}}')
+    b'[16, 3], [3], [3, 3], [3], [3, 3], [3]]}}')
 
 
 def test_checkpoint_header_is_stable(tmp_path, rng):
@@ -619,7 +601,7 @@ def test_layers_are_views_into_flat(tmp_path, rng, constructor):
     assert flow.flow_to_vector(fp) is flat
     assert flat.ndim == 1 and flat.dtype == np.float64 and flat.flags.c_contiguous
     offset = 0
-    for net in (fp.net_x, fp.net_t, fp.net_scale):
+    for net in (fp.net_x, fp.net_t):
         for layer in net.arrays():
             assert layer.ctypes.data == flat.ctypes.data + 8 * offset
             assert np.shares_memory(layer, flat)
@@ -635,5 +617,5 @@ def test_layers_are_views_into_flat(tmp_path, rng, constructor):
         fp.net_x.weights[-1] = np.zeros_like(fp.net_x.weights[-1])
     with pytest.raises(AttributeError):
         fp.net_t = fp.net_x
-    fp.net_scale.biases[-1][...] = 7.0
+    fp.net_t.biases[-1][...] = 7.0
     assert flat[-1] == 7.0

@@ -355,10 +355,10 @@ def test_flow_rwmh_moments():
 
 
 def test_flow_rwmh_nonfinite_counts_as_rejection(rng):
-    # a flow whose scale net drives the field to astronomically large values
+    # a flow whose gate drives the field to astronomically large values
     d = 1
     fp = flow.flow_zero(d)
-    fp.net_t.biases[-1][:] = 1e300
+    fp.net_t.biases[-1][:d] = 1e300
     def heavy_grad(x):
         return -2.0 * x ** 3
 
