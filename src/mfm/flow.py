@@ -380,7 +380,6 @@ def _require_finite(ok):
         raise NonFiniteState(f"flow integration blew up (row {int(np.argmin(ok))})")
 
 
-
 # -- Checkpointing -------------------------------------------------------------
 
 def _checkpoint_arrays(dim: int, hidden: int):
