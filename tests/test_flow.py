@@ -329,7 +329,7 @@ def test_push_samples_empty_batch():
     assert dlp.shape == (0,) and ok.shape == (0,)
 
 
-def test_push_samples_matches_one_integration_of_all_rows(rng):
+def test_push_samples_matches_chunked_integration(rng):
     d = 2
     fp = flow.flow_init(rng, d, hidden=8)
     fp.net_x.weights[-1][...] = rng.uniform(-0.2, 0.2, size=fp.net_x.weights[-1].shape)
@@ -337,7 +337,11 @@ def test_push_samples_matches_one_integration_of_all_rows(rng):
     x = rng.standard_normal((700, d))
     cfg = OdeConfig(n_steps=8)
     out = flow.push_samples(fp, std, x, cfg)
-    # every row in one integrate_rows call, with the divergence
+    # the same 256-row slices with the divergence, in order
+    chunks = [flow.integrate_rows(fp, std, x[lo:lo + 256], cfg, None, True)
+              for lo in range(0, x.shape[0], 256)]
+    assert np.array_equal(np.concatenate([r[0] for r in chunks]), out)
+    # and the slicing does not show: one call over every row gives the same bits
     x1, _, ok = flow.integrate_rows(fp, std, x, cfg, None, True)
     assert ok.all()
     assert np.array_equal(x1, out)
@@ -575,6 +579,16 @@ def test_checkpoint_with_mismatched_shapes_is_refused(tmp_path, rng):
         nets.save_arrays(path, header, list(named.items()))
         with pytest.raises(ValueError, match=culprit.replace(".", r"\.")):
             flow.load_flow(path)
+
+
+def test_save_flow_refuses_a_flow_of_another_layout(tmp_path, rng):
+    # net_t 5 wide, where _layer_sizes(3, 8) makes it 8 wide
+    sizes = [flow._layer_sizes(3, 8)[0], (16, 5, 5, 4)]
+    flat = rng.standard_normal(sum(nets.mlp_size(s) for s in sizes))
+    path = tmp_path / "flow.ckpt"
+    with pytest.raises(ValueError, match="checkpoint layout"):
+        flow.save_flow(path, flow._on_flat(flat, sizes, 3))
+    assert not path.exists()
 
 
 def _flat_backed_flow(constructor, rng, tmp_path):
