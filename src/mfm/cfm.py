@@ -43,9 +43,11 @@ def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
     One t ~ U(0,1) and one x0 ~ N(0, I) are drawn per particle.  Returns
     (loss, gradient) with the gradient packaged in a FlowParams of the same
     shapes: each layer's gradient is written straight into the views of one
-    flat vector, the gradient's flat.  That vector is out, a float64 buffer
-    of flow_params.flat's size, or a new one; out is not written when the
-    loss is not finite.
+    flat vector, the gradient's flat.  That vector is out, a buffer of
+    flow_params.flat's size and dtype, or a new one; out is not written
+    when the loss is not finite.  The loss is computed in float64 from the
+    float64 field value; the cotangents are cast to the flow's dtype where
+    they enter nets.mlp_param_gradient.
     """
     n, d = particles.shape
     if n < 1:
@@ -72,7 +74,7 @@ def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
     # flow.vector_to_flow, not this module's name, which only train_step's
     # packing calls use (bench/tracing.py counts those as nets.pack)
     if out is None:
-        out = np.empty(flow_params.flat.size)
+        out = np.empty(flow_params.flat.size, flow_params.flat.dtype)
     grad = flow.vector_to_flow(out, flow_params)
     nets.mlp_param_gradient(flow_params.net_x, fe.acts_x, cot_nx, out=grad.net_x)
     nets.mlp_param_gradient(flow_params.net_t, fe.acts_t,

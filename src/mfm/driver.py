@@ -249,7 +249,8 @@ def run_mfm(target: TargetDensity, cfg: ExperimentConfig) -> RunArtifacts:
     ens = ChainEnsemble(kernels.evaluate(target, positions), temper_state)
 
     flow_params = flow.flow_init(rng, target.dim, cfg.hidden)
-    adam = nets.adam_init(flow_params.flat.size, cfg.step_size, cfg.iters)
+    adam = nets.adam_init(flow_params.flat.size, cfg.step_size, cfg.iters,
+                          flow_params.flat.dtype)
 
     log_rows = []
     nonfinite_streak = 0
@@ -385,7 +386,8 @@ def run_fm_oracle(target: TargetDensity, cfg: ExperimentConfig) -> RunArtifacts:
     t_start = time.perf_counter()
     rng = _root_rng(cfg.seed)
     flow_params = flow.flow_init(rng, target.dim, cfg.hidden)
-    adam = nets.adam_init(flow_params.flat.size, cfg.step_size, cfg.iters)
+    adam = nets.adam_init(flow_params.flat.size, cfg.step_size, cfg.iters,
+                          flow_params.flat.dtype)
     # no chains move while the flow trains; they are drawn after it
     ens = ChainEnsemble(None, TemperState(1.0, cfg.alpha))
     log_rows = []

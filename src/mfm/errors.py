@@ -2,7 +2,7 @@
 
 
 class ShapeMismatch(ValueError):
-    """Array shapes are inconsistent with the network or batch layout."""
+    """Array shapes or dtypes are inconsistent with the network or batch layout."""
 
 
 class DimensionMismatch(ValueError):

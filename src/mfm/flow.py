@@ -15,6 +15,16 @@ layer, so a checkpoint's layout follows from its dim and net_x's width, and
 ``load_flow`` refuses one saved with another layout, such as the separate
 gate and scale networks (net_t and net_scale) of earlier flows.
 
+A flow wider than TIME_HIDDEN_MAX (only the lgcp preset's) stores its
+parameters and runs both networks in float32 (``_param_dtype``): there the
+train step is dense BLAS and an elementwise Adam update over millions of
+parameters, both bound by memory traffic.  Everything around the networks
+stays float64: the target's oracles and the score, the RK4 state and its
+delta_logp, the CFM loss and everything the Metropolis kernels compute.
+The float64 state is cast where it enters a network (``field``), and a
+float64 cotangent where it enters ``nets.mlp_param_gradient``; a network's
+float32 output widens where it meets the float64 state, in v.
+
 Integration is classical fixed-step RK4 on the augmented state
 (x, delta_logp) with d(delta_logp)/dt = -div v, so the accumulated
 delta_logp of a forward pass (t 0 -> 1) is -int_0^1 div v dt and of a
@@ -83,13 +93,13 @@ TIME_HIDDEN_MAX = 256
 class FlowParams:
     """Weights of the two sub-networks and the dimension.
 
-    All parameters live in one contiguous float64 vector, flat: every layer
-    of net_x and net_t is a view into it, in that order and in
-    MlpParams.arrays() order within each network.  That is flow_to_vector's
-    order and the order of the checkpoint blob.  Neither the fields nor the
-    layers can be rebound, so the views cannot come apart from flat; a
-    layer written in place changes flat.  Build one with flow_init,
-    flow_zero, vector_to_flow or load_flow.
+    All parameters live in one contiguous vector, flat, of float64 or (for
+    a wide flow, see _param_dtype) float32: every layer of net_x and net_t
+    is a view into it, in that order and in MlpParams.arrays() order within
+    each network.  That is flow_to_vector's order and the order of the
+    checkpoint blob.  Neither the fields nor the layers can be rebound, so
+    the views cannot come apart from flat; a layer written in place changes
+    flat.  Build one with flow_init, flow_zero, vector_to_flow or load_flow.
     """
 
     net_x: MlpParams       # (x, fourier(t)) -> R^d
@@ -121,10 +131,26 @@ def _layer_sizes(dim: int, hidden: int):
     return (dim + nf, hidden, hidden, dim), (nf, ht, ht, dim + 1)
 
 
+def _param_dtype(hidden: int):
+    """dtype of a new flow's parameters and network arithmetic.
+
+    float32 when net_x is wider than TIME_HIDDEN_MAX (only the lgcp preset's
+    1,024), where the train step is bound by memory traffic; float64 for
+    every narrower flow, which so keeps the bits it always had.
+    """
+    return np.float32 if hidden > TIME_HIDDEN_MAX else np.float64
+
+
 def _on_flat(flat: np.ndarray, sizes, dim: int) -> FlowParams:
-    """FlowParams whose networks, with layer widths sizes, are views into flat."""
-    if flat.ndim != 1 or flat.dtype != np.float64 or not flat.flags.c_contiguous:
-        raise ShapeMismatch("flow parameters must be one contiguous float64 vector")
+    """FlowParams whose networks, with layer widths sizes, are views into flat.
+
+    flat may be float32 or float64 at any width: a float64 checkpoint of a
+    wide flow, written before wide flows were float32, loads as it is.
+    """
+    if (flat.ndim != 1 or flat.dtype not in (np.float32, np.float64)
+            or not flat.flags.c_contiguous):
+        raise ShapeMismatch("flow parameters must be one contiguous float32 or "
+                            "float64 vector")
     parts = nets.unpack(flat, [(nets.mlp_size(s),) for s in sizes])
     net_x, net_t = (nets.vector_to_mlp(p, s) for p, s in zip(parts, sizes))
     return FlowParams(net_x, net_t, dim, flat)
@@ -133,19 +159,21 @@ def _on_flat(flat: np.ndarray, sizes, dim: int) -> FlowParams:
 def flow_init(rng: np.random.Generator, dim: int, hidden: int = 128) -> FlowParams:
     """Fresh flow; net_x's last layer is zeroed so the field starts small.
 
-    The networks are drawn layer by layer and packed into one flat vector
-    once, here.
+    The networks are drawn layer by layer, in float64 at every width, and
+    packed into one flat vector of _param_dtype(hidden) once, here.
     """
     sizes = _layer_sizes(dim, hidden)
     drawn = [nets.mlp_init(rng, s, zero_last=(i == 0)) for i, s in enumerate(sizes)]
-    flat = nets.pack_arrays([a for net in drawn for a in net.arrays()])
+    flat = nets.pack_arrays([a for net in drawn for a in net.arrays()],
+                            _param_dtype(hidden))
     return _on_flat(flat, sizes, dim)
 
 
 def flow_zero(dim: int, hidden: int = 8) -> FlowParams:
     """All-zero networks: the vector field is identically zero."""
     sizes = _layer_sizes(dim, hidden)
-    return _on_flat(np.zeros(sum(map(nets.mlp_size, sizes))), sizes, dim)
+    return _on_flat(np.zeros(sum(map(nets.mlp_size, sizes)), _param_dtype(hidden)),
+                    sizes, dim)
 
 
 def flow_to_vector(params: FlowParams) -> np.ndarray:
@@ -177,8 +205,9 @@ class Workspace:
     layers receives net_x's three layer outputs, (N, hidden), (N, hidden)
     and (N, d).  mix is net_x's trace matrix (nets.mlp_trace_matrix) and
     trace the three (N, hidden) scratch arrays of its input-Jacobian trace;
-    both are None unless with_dlp.  A FieldEval computed with it keeps views
-    of layers, which the next evaluation overwrites.
+    both are None unless with_dlp.  All of them have the flow's dtype.  A
+    FieldEval computed with it keeps views of layers, which the next
+    evaluation overwrites.
     """
 
     layers: list
@@ -187,7 +216,7 @@ class Workspace:
 
     @classmethod
     def for_rows(cls, params: FlowParams, n: int, with_dlp: bool):
-        layers = [np.empty((n, w.shape[1])) for w in params.net_x.weights]
+        layers = [np.empty((n, w.shape[1]), w.dtype) for w in params.net_x.weights]
         if not with_dlp:
             return cls(layers, None, None)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -200,7 +229,8 @@ class FieldEval:
     """One forward pass of v(t, x) and the pieces its derivatives reuse.
 
     For a scalar t the time network runs on one row, so gate, u and scale
-    are (1, .) and broadcast against the N rows of v and score.
+    are (1, .) and broadcast against the N rows of v and score.  v and
+    score are float64; gate, u, scale and the caches have the flow's dtype.
     """
 
     v: np.ndarray          # (N, d) field value
@@ -219,16 +249,19 @@ def field(params: FlowParams, target: TargetDensity, t, xb: np.ndarray,
     t is a scalar or one time per row.  Divergence and CFM gradients read
     the returned caches instead of running the networks again.  With a
     Workspace ws for N rows, net_x's layers are written into ws.layers.
+    Both networks' inputs are cast to the flow's dtype here; v is float64.
     """
     t = np.asarray(t, dtype=float)
     n = xb.shape[0]
-    ff = np.atleast_2d(nets.fourier_embed(t))
+    dtype = params.flat.dtype
+    ff = np.atleast_2d(nets.fourier_embed(t)).astype(dtype, copy=False)
     if t.ndim and ff.shape[0] != n:
         raise ShapeMismatch(f"{ff.shape[0]} time rows for {n} positions")
     score = target.grad_log_density(xb)
     ffb = np.broadcast_to(ff, (n, ff.shape[1]))
-    nx, acts_x = nets.mlp_forward_cache(params.net_x, np.concatenate([xb, ffb], axis=1),
-                                        None if ws is None else ws.layers)
+    nx, acts_x = nets.mlp_forward_cache(
+        params.net_x, np.concatenate([xb, ffb], axis=1, dtype=dtype),
+        None if ws is None else ws.layers)
     time_out, acts_t = nets.mlp_forward_cache(params.net_t, ff)
     gate, u = time_out[:, :-1], time_out[:, -1:]
     scale = SCALE_FLOOR + softplus(u)
@@ -394,7 +427,10 @@ def _checkpoint_arrays(dim: int, hidden: int):
 
 
 def save_flow(path, params: FlowParams) -> None:
-    """Write params under _checkpoint_arrays' names; refuse any other layout."""
+    """Write params under _checkpoint_arrays' names; refuse any other layout.
+
+    The data keeps the flow's dtype (nets.save_arrays stamps float32).
+    """
     names = _checkpoint_arrays(params.dim, params.net_x.sizes[1])
     layers = params.net_x.arrays() + params.net_t.arrays()
     shapes = [list(a.shape) for a in layers]
@@ -408,7 +444,10 @@ def load_flow(path) -> FlowParams:
     """Read a save_flow checkpoint; the flow's flat is the loaded blob.
 
     net_x's width is read from net_x.w0; every other width follows from it
-    and dim (_layer_sizes).  A checkpoint that is not a flow, is stamped
+    and dim (_layer_sizes).  The flow has the checkpoint's dtype, whatever
+    its width, so a float64 checkpoint of a wide flow loads as it was
+    written; one stamped with an unknown dtype is refused with a ValueError
+    (nets.load_blob).  A checkpoint that is not a flow, is stamped
     with other time features than TIME_FEATURES, or holds other arrays than
     that layout is refused with a ValueError, and so is one with a separate
     net_scale network, as flows were saved before it was merged into net_t.

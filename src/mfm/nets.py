@@ -1,6 +1,11 @@
 """Dense network substrate: MLPs, fixed Fourier time features, Adam.
 
-Everything is plain float64 numpy.  The MLPs are fixed-shape
+Everything is plain numpy, in the dtype of the network's weights: float64,
+or float32 for the flows wider than ``flow.TIME_HIDDEN_MAX``.  A network
+never mixes the two: ``mlp_forward_cache`` refuses an input of another
+dtype than its weights, and ``mlp_param_gradient`` casts the cotangent to
+it, so no matrix product reads a float64 operand into a float32 result.
+The MLPs are fixed-shape
 input -> hidden -> hidden -> output stacks with tanh hidden activations and
 a linear output layer; reverse-mode parameter gradients and the trace of
 the input Jacobian are written out by hand, which is all this artifact
@@ -9,7 +14,7 @@ needs (no general autodiff, and no forward-mode input derivatives).
 its cache of layer activations and never run the network again.  The time
 embedding is fixed: every flow reads the same FREQUENCIES, so nothing about
 it is stored per flow.  A flow stores all of its layers as views into one
-flat float64 vector; see "Flat-vector packing" below.
+flat vector; see "Flat-vector packing" below.
 """
 
 import json
@@ -110,6 +115,9 @@ def _check_input(params: MlpParams, x: np.ndarray) -> None:
     if x.shape[-1] != params.n_in:
         raise ShapeMismatch(
             f"input width {x.shape[-1]} != first layer width {params.n_in}")
+    if x.dtype != params.weights[0].dtype:
+        raise ShapeMismatch(
+            f"input dtype {x.dtype} != weights' dtype {params.weights[0].dtype}")
 
 
 def mlp_forward_cache(params: MlpParams, x, out=None):
@@ -117,7 +125,8 @@ def mlp_forward_cache(params: MlpParams, x, out=None):
 
     Returns (y, acts): y is the (N, n_out) output and acts[i] is the input
     of layer i (acts[0] the input batch, acts[-1] is y).  The derivative
-    helpers below take acts, so one forward pass serves all of them.
+    helpers below take acts, so one forward pass serves all of them.  x
+    must have the weights' dtype, and so do the layer outputs.
 
     Layer i is written into out[i] when out, a list of C-contiguous
     (N, output width of layer i) arrays, is given, so that a caller running
@@ -126,7 +135,7 @@ def mlp_forward_cache(params: MlpParams, x, out=None):
     """
     _check_input(params, x)
     if out is None:
-        out = [np.empty((x.shape[0], w.shape[1])) for w in params.weights]
+        out = [np.empty((x.shape[0], w.shape[1]), dtype=w.dtype) for w in params.weights]
     acts = [x]
     last = len(params.weights) - 1
     for i, (w, b, h) in enumerate(zip(params.weights, params.biases, out)):
@@ -143,13 +152,16 @@ def mlp_param_gradient(params: MlpParams, acts, cotangent,
     """Gradient of sum_rows cotangent_i . output_i with respect to parameters.
 
     acts is the forward cache of mlp_forward_cache and cotangent is
-    (N, n_out).  The per-row gradients are accumulated by the matrix
-    products themselves, giving a deterministic ordered reduction.  Each
+    (N, n_out); it is cast to the weights' dtype here, the one place where
+    a float64 cotangent meets a float32 network.  The per-row gradients are
+    accumulated by the matrix products themselves, giving a deterministic
+    ordered reduction.  Each
     layer's gradient is written into the matching array of out, which has
     the shapes of params (the views of a flat gradient vector, say).
     The back-propagated cotangent, (delta @ W^T) * (1 - a^2), is computed
     in two buffers allocated once per call.  Returns out.
     """
+    dtype = params.weights[0].dtype
     n = acts[0].shape[0]
     if cotangent.shape != (n, params.n_out):
         raise ShapeMismatch(
@@ -158,8 +170,8 @@ def mlp_param_gradient(params: MlpParams, acts, cotangent,
     # size: delta @ W^T goes into the one delta is not in, then 1 - a^2 into
     # the one it was in, which that product has finished reading
     size = n * max((a.shape[1] for a in acts[1:-1]), default=0)
-    buffers = [np.empty(size), np.empty(size)]
-    delta = cotangent
+    buffers = [np.empty(size, dtype=dtype), np.empty(size, dtype=dtype)]
+    delta = cotangent.astype(dtype, copy=False)
     for i in reversed(range(len(params.weights))):
         np.matmul(acts[i].T, delta, out=out.weights[i])
         np.sum(delta, axis=0, out=out.biases[i])
@@ -213,11 +225,11 @@ def mlp_input_jacobian_trace(acts, mix, scratch=None) -> np.ndarray:
 # A flow keeps all of its layers as views into one flat vector
 # (flow.FlowParams.flat), so Adam and the checkpoint read that vector as it
 # is and the CFM gradient is written into a second one.  pack_arrays copies
-# separate arrays into a new vector once, when a flow is initialised;
-# unpack and vector_to_mlp only make views.
+# separate arrays into a new vector of the flow's dtype once, when a flow is
+# initialised; unpack and vector_to_mlp only make views.
 
-def pack_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    return np.concatenate([np.ravel(a) for a in arrays])
+def pack_arrays(arrays: Sequence[np.ndarray], dtype=np.float64) -> np.ndarray:
+    return np.concatenate([np.ravel(a) for a in arrays], dtype=dtype)
 
 
 def unpack(vector: np.ndarray, shapes: Sequence[tuple]) -> List[np.ndarray]:
@@ -244,8 +256,9 @@ def vector_to_mlp(vector: np.ndarray, sizes: Sequence[int]) -> MlpParams:
 
 # -- Adam with linear step-size decay -----------------------------------------
 
-# Elements per block of adam_step: 256 KiB per float64 stream, so the blocks
-# of the seven vectors it touches (1.75 MiB) fit in a 2 MiB per-core L2 cache.
+# Elements per block of adam_step: 256 KiB per float64 stream (128 KiB per
+# float32 one), so the blocks of the seven vectors it touches (1.75 MiB at
+# most) fit in a 2 MiB per-core L2 cache.
 ADAM_BLOCK = 2 ** 15
 
 
@@ -256,6 +269,7 @@ class AdamState:
     grad is a parameter-sized buffer that lives as long as the state: the
     train step writes each step's gradient into it (cfm.train_step), so no
     step allocates a parameter-sized vector.  adam_step does not read it.
+    m, v and grad have the dtype of the parameters they serve.
     """
 
     m: np.ndarray
@@ -269,9 +283,11 @@ class AdamState:
     eps: float = 1e-8
 
 
-def adam_init(n_params: int, step_size: float, total_steps: int) -> AdamState:
-    return AdamState(np.zeros(n_params), np.zeros(n_params), np.empty(n_params), 0,
-                     float(step_size), int(total_steps))
+def adam_init(n_params: int, step_size: float, total_steps: int,
+              dtype=np.float64) -> AdamState:
+    """Zero moments and an empty gradient buffer, all of the given dtype."""
+    return AdamState(np.zeros(n_params, dtype), np.zeros(n_params, dtype),
+                     np.empty(n_params, dtype), 0, float(step_size), int(total_steps))
 
 
 def adam_step(state: AdamState, params: np.ndarray, gradient: np.ndarray):
@@ -284,7 +300,9 @@ def adam_step(state: AdamState, params: np.ndarray, gradient: np.ndarray):
     is never written, and nothing parameter-sized is allocated.  The vectors
     are walked in blocks of ADAM_BLOCK elements through two block-sized
     scratch buffers, with the float operations of the textbook update in
-    the same order, so the result is bit-identical to
+    the same order and in the vectors' dtype (the scalars are Python
+    floats, which do not widen a float32 array), so the result is
+    bit-identical to
 
         m = b1 m + (1 - b1) g,   v = b2 v + (1 - b2) g^2,
         new = params - lr (m / c1) / (sqrt(v / c2) + eps),
@@ -292,14 +310,18 @@ def adam_step(state: AdamState, params: np.ndarray, gradient: np.ndarray):
     with c1 = 1 - b1^k and c2 = 1 - b2^k.  The effective step size at
     (post-increment) step k is lr = step_size * max(0, 1 - k / total_steps),
     so the schedule terminates at exactly zero and further calls leave the
-    parameters fixed.  Shapes and the gradient's finiteness (block by
-    block, so no parameter-sized mask) are checked before anything is
+    parameters fixed.  Shapes, dtypes and the gradient's finiteness (block
+    by block, so no parameter-sized mask) are checked before anything is
     written, so a refused step leaves params, the moments and the step
-    count as they were.
+    count as they were.  The four vectors must share one dtype: an in-place
+    update across dtypes would cast silently.
     """
     if (params.ndim != 1 or params.shape != gradient.shape
             or params.shape != state.m.shape or params.shape != state.v.shape):
         raise ShapeMismatch("params/gradient/moments are not flat vectors of one length")
+    dtypes = [x.dtype for x in (params, gradient, state.m, state.v)]
+    if len(set(dtypes)) > 1:
+        raise ShapeMismatch(f"params/gradient/m/v have mixed dtypes {dtypes}")
     if not all(np.isfinite(gradient[lo:lo + ADAM_BLOCK]).all()
                for lo in range(0, gradient.size, ADAM_BLOCK)):
         raise NonFiniteGradient("gradient contains non-finite entries")
@@ -309,7 +331,7 @@ def adam_step(state: AdamState, params: np.ndarray, gradient: np.ndarray):
     c1 = 1.0 - b1 ** k
     c2 = 1.0 - b2 ** k
     n = params.size
-    scratch_a = np.empty(min(n, ADAM_BLOCK))
+    scratch_a = np.empty(min(n, ADAM_BLOCK), dtype=params.dtype)
     scratch_b = np.empty_like(scratch_a)
     for lo in range(0, n, ADAM_BLOCK):
         hi = min(lo + ADAM_BLOCK, n)
@@ -334,32 +356,51 @@ def adam_step(state: AdamState, params: np.ndarray, gradient: np.ndarray):
 
 # -- Checkpoint serialization --------------------------------------------------
 
-def save_arrays(path, meta: dict, named_arrays) -> None:
-    """One JSON header line (meta + shapes) then float64 little-endian data.
+# dtypes a checkpoint blob can hold, by the name its header stamps
+_BLOB_DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
 
+
+def save_arrays(path, meta: dict, named_arrays) -> None:
+    """One JSON header line (meta + shapes) then little-endian data.
+
+    The data is one blob of one dtype: float32 when every array is float32
+    (a wide flow), and then the header stamps "dtype": "float32"; float64
+    otherwise, unstamped, so float64 files keep the bytes they always had.
     Each array's buffer is written straight to the file; only an array that
-    is not already contiguous little-endian float64 is converted first.
+    is not already contiguous little-endian data of the blob's dtype is
+    converted first.
     """
     names = [name for name, _ in named_arrays]
     shapes = [list(a.shape) for _, a in named_arrays]
+    f32 = bool(named_arrays) and all(a.dtype == np.float32 for _, a in named_arrays)
     header = dict(meta)
+    if f32:
+        header["dtype"] = "float32"
     header["arrays"] = {"names": names, "shapes": shapes}
+    dtype = _BLOB_DTYPES["float32" if f32 else "float64"]
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8"))
         fh.write(b"\n")
         for _, a in named_arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").reshape(-1).data)
+            fh.write(np.ascontiguousarray(a, dtype=dtype).reshape(-1).data)
 
 
 def load_blob(path):
     """Read a save_arrays file as (header, blob).
 
-    The header keeps its "arrays" entry (names and shapes) and blob is one
-    new float64 vector holding every array's data in file order.
+    The header keeps its "arrays" entry (names and shapes) and its "dtype"
+    stamp, if any; blob is one new vector of the stamped dtype (float64
+    when there is no stamp), read straight from the file, holding every
+    array's data in file order.  An unknown dtype is refused with a
+    ValueError.
     """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
-        blob = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
+        name = header.get("dtype", "float64")
+        if name not in _BLOB_DTYPES:
+            raise ValueError(f"{path} stamps dtype {name!r}, "
+                             f"expected one of {sorted(_BLOB_DTYPES)}")
+        blob = np.fromfile(fh, dtype=_BLOB_DTYPES[name])
     return header, blob
 
 
@@ -373,5 +414,6 @@ def load_arrays(path):
     """
     header, blob = load_blob(path)
     spec = header.pop("arrays")
+    header.pop("dtype", None)
     arrays = unpack(blob, [tuple(shape) for shape in spec["shapes"]])
     return header, dict(zip(spec["names"], arrays))

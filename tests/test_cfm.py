@@ -158,13 +158,11 @@ def test_train_step_deterministic(rng):
     assert np.array_equal(results[0], results[1])
 
 
-def test_train_step_allocates_no_parameter_vector(rng):
-    # 0.41M parameters against activations of 8 rows: the gradient goes into
-    # adam.grad and Adam updates the flow in place, so nothing the step
-    # allocates is parameter-sized
+def train_step_peak(rng, hidden):
+    """(flow, tracemalloc peak) of one train step of a fresh flow at d = 2."""
     target = targets.standard_normal(2)
-    fp = flow.flow_init(rng, 2, hidden=512)
-    adam = nets.adam_init(fp.flat.size, 1e-3, 10)
+    fp = flow.flow_init(rng, 2, hidden=hidden)
+    adam = nets.adam_init(fp.flat.size, 1e-3, 10, fp.flat.dtype)
     particles = rng.standard_normal((8, 2))
     tracemalloc.start()
     try:
@@ -172,7 +170,59 @@ def test_train_step_allocates_no_parameter_vector(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return fp, peak
+
+
+def test_train_step_allocates_no_parameter_vector(rng):
+    # 0.41M float32 parameters (hidden 512 > TIME_HIDDEN_MAX) against
+    # activations of 8 rows: the gradient goes into adam.grad and Adam
+    # updates the flow in place, so nothing the step allocates is
+    # parameter-sized
+    fp, peak = train_step_peak(rng, 512)
+    assert fp.flat.dtype == np.float32
     assert peak <= 0.5 * fp.flat.nbytes
+
+
+def test_train_step_allocates_no_parameter_vector_float64(rng):
+    # the float64 twin at hidden TIME_HIDDEN_MAX: 0.14M parameters
+    fp, peak = train_step_peak(rng, flow.TIME_HIDDEN_MAX)
+    assert fp.flat.dtype == np.float64
+    assert peak <= 0.5 * fp.flat.nbytes
+
+
+@pytest.mark.parametrize("hidden, dtype", [(flow.TIME_HIDDEN_MAX + 1, np.float32),
+                                           (flow.TIME_HIDDEN_MAX, np.float64)])
+def test_gradient_and_adam_state_have_the_flow_dtype(rng, hidden, dtype):
+    # float32 networks on a wide flow, a float64 loss at every width
+    target = targets.make_gmm4()
+    fp = flow.flow_init(rng, 2, hidden)
+    particles = rng.standard_normal((8, 2))
+    loss, grad = cfm.cfm_loss_and_grad(fp, target, SIGMA_MIN, particles, rng)
+    assert type(loss) is float
+    assert grad.flat.dtype == dtype
+    assert all(a.dtype == dtype for net in (grad.net_x, grad.net_t)
+               for a in net.arrays())
+    adam = nets.adam_init(fp.flat.size, 1e-3, 10, fp.flat.dtype)
+    fp, adam, loss = cfm.train_step(fp, adam, target, SIGMA_MIN, particles, rng)
+    assert type(loss) is float and np.isfinite(loss)
+    assert fp.flat.dtype == adam.m.dtype == adam.v.dtype == adam.grad.dtype == dtype
+
+
+def test_float32_gradient_matches_its_float64_twin(rng):
+    # the same weights and draws in float64 are the reference: the loss and
+    # the gradient move by float32 rounding only
+    target = targets.make_gmm4()
+    fp32 = flow.flow_init(rng, 2, flow.TIME_HIDDEN_MAX + 1)
+    fp32.net_x.weights[-1][...] = rng.uniform(-0.1, 0.1, fp32.net_x.weights[-1].shape)
+    fp64 = flow.vector_to_flow(fp32.flat.astype(np.float64), fp32)
+    particles = 4.0 * rng.standard_normal((16, 2))
+    (l32, g32), (l64, g64) = (
+        cfm.cfm_loss_and_grad(fp, target, SIGMA_MIN, particles,
+                              np.random.Generator(np.random.Philox(3)))
+        for fp in (fp32, fp64))
+    tol = 64 * np.finfo(np.float32).eps
+    assert l32 == pytest.approx(l64, rel=tol)
+    assert np.allclose(g32.flat, g64.flat, rtol=tol, atol=tol * np.abs(g64.flat).max())
 
 
 def test_train_step_updates_the_flow_in_place(rng):

@@ -195,6 +195,22 @@ def test_diagnose_reproduces_stored_diagnostics(tmp_path):
         assert recomputed[key] == stored[key], key
 
 
+def test_diagnose_reads_a_float32_checkpoint(tmp_path):
+    # a flow wider than TIME_HIDDEN_MAX trains, saves and is re-scored in
+    # float32; the re-scored report equals the stored one
+    out = tmp_path / "run"
+    cfg = cli.parse_config(overrides=smoke_overrides(
+        out, hidden=flow.TIME_HIDDEN_MAX + 1))
+    assert cli.run(cfg) == 0
+    assert flow.load_flow(out / "flow.ckpt").flat.dtype == np.float32
+    stored = json.loads((out / "diagnostics.json").read_text())
+    rc = cli.main(["--config", str(out / "config.resolved"), "--mode", "diagnose"])
+    assert rc == 0
+    recomputed = json.loads((out / "diagnostics.json").read_text())
+    assert {k: v for k, v in recomputed.items() if k != "wall_seconds"} == \
+        {k: v for k, v in stored.items() if k != "wall_seconds"}
+
+
 def test_diagnose_refuses_a_pre_merge_checkpoint(tmp_path, capsys, rng):
     # a checkpoint with a separate net_scale network, as every flow was
     # saved before the gate and the scale became one net_t

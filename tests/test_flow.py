@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -490,6 +491,74 @@ def test_time_networks_are_capped_above_the_cap(rng):
     fp = flow.flow_init(rng, 3, hidden)
     assert fp.net_x.sizes == (19, hidden, hidden, 3)
     assert fp.net_t.sizes == (16, cap, cap, 4)
+
+
+@pytest.mark.parametrize("hidden, dtype", [(flow.TIME_HIDDEN_MAX + 1, np.float32),
+                                           (flow.TIME_HIDDEN_MAX, np.float64)])
+def test_network_dtype_follows_the_width(rng, hidden, dtype):
+    # a cheap wide flow (d = 2) is float32, one at TIME_HIDDEN_MAX float64:
+    # the networks, their caches, the workspace and the trace matrix are in
+    # the flow's dtype; the field value, the score and everything the
+    # integrator carries stay float64
+    n, target, cfg = 5, targets.make_gmm4(), OdeConfig(n_steps=4)
+    for fp in (flow.flow_init(rng, 2, hidden), flow.flow_zero(2, hidden)):
+        assert fp.flat.dtype == dtype
+        assert all(a.dtype == dtype for net in (fp.net_x, fp.net_t)
+                   for a in net.arrays())
+    x = rng.standard_normal((n, 2))
+    ws = flow.Workspace.for_rows(fp, n, True)
+    fe = flow.field(fp, target, 0.3, x, ws)
+    assert all(a.dtype == dtype for a in ws.layers + ws.trace + [ws.mix])
+    assert all(a.dtype == dtype for a in fe.acts_x + fe.acts_t)
+    assert fe.v.dtype == fe.score.dtype == np.float64
+    assert flow.divergence(target, x, fe, rng, ws).dtype == np.float64
+    y, dlp, ok = flow.integrate_rows(fp, target, x, cfg, rng, True)
+    assert ok.all() and y.dtype == dlp.dtype == np.float64
+    assert flow.push_samples(fp, target, x, cfg).dtype == np.float64
+
+
+def test_float32_flow_matches_its_float64_twin(rng):
+    # the same weights in float64 are the reference; float32 network
+    # arithmetic moves v and dlp by float32 rounding only
+    fp32 = flow.flow_init(rng, 2, flow.TIME_HIDDEN_MAX + 1)
+    fp32.net_x.weights[-1][...] = rng.uniform(-0.1, 0.1, fp32.net_x.weights[-1].shape)
+    fp64 = flow.vector_to_flow(fp32.flat.astype(np.float64), fp32)
+    target, x = targets.make_gmm4(), 3.0 * rng.standard_normal((6, 2))
+    tol = 64 * np.finfo(np.float32).eps
+    v32, v64 = (flow.field(fp, target, 0.3, x).v for fp in (fp32, fp64))
+    assert np.allclose(v32, v64, rtol=tol, atol=tol * np.abs(v64).max())
+    (y32, dlp32, _), (y64, dlp64, _) = (
+        flow.integrate_rows(fp, target, x, OdeConfig(n_steps=4), None, True)
+        for fp in (fp32, fp64))
+    assert np.allclose(y32, y64, rtol=tol, atol=tol * np.abs(y64).max())
+    assert np.allclose(dlp32, dlp64, rtol=tol, atol=tol * np.abs(dlp64).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_wide_checkpoint_keeps_its_dtype(tmp_path, rng, dtype):
+    # a float32 wide flow is written as it is, not widened, and stamped; a
+    # float64 one, as every flow was saved before wide flows became
+    # float32, is unstamped and read back in float64
+    fp = flow.flow_init(rng, 2, flow.TIME_HIDDEN_MAX + 1)
+    fp = flow.vector_to_flow(fp.flat.astype(dtype), fp)
+    path = tmp_path / "flow.ckpt"
+    flow.save_flow(path, fp)
+    header, data = path.read_bytes().split(b"\n", 1)
+    assert json.loads(header).get("dtype") == ("float32" if dtype == np.float32 else None)
+    assert data == fp.flat.tobytes()
+    loaded = flow.load_flow(path)
+    assert loaded.flat.dtype == dtype
+    assert loaded.flat.tobytes() == fp.flat.tobytes()
+
+
+def test_checkpoint_of_an_unknown_dtype_is_refused(tmp_path, rng):
+    path = tmp_path / "flow.ckpt"
+    flow.save_flow(path, flow.flow_init(rng, 2, hidden=8))
+    header, data = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(dict(json.loads(header), dtype="float16")).encode()
+                     + b"\n" + data)
+    with pytest.raises(ValueError, match="dtype 'float16'"):
+        flow.load_flow(path)
 
 
 def test_pre_merge_checkpoint_is_refused(tmp_path, rng):

@@ -329,6 +329,27 @@ def test_flow_kernels_match_fresh_evaluation_oracle(kernel):
     assert_same_chains(out.chains, kernels.evaluate(target, new_x))
 
 
+@pytest.mark.parametrize("kernel", ["rwmh", "imh", "cis"])
+def test_flow_kernels_stay_float64_on_a_float32_flow(kernel):
+    # a wide flow runs its networks in float32; log pi~ and every
+    # Metropolis ratio are float64
+    target, beta = targets.make_gmm4(), 0.3
+    fp = bent_flow(np.random.Generator(np.random.Philox(11)), 2,
+                   flow.TIME_HIDDEN_MAX + 1, 0.05)
+    assert fp.flat.dtype == np.float32
+    cfg = OdeConfig(n_steps=4)
+    rng = np.random.Generator(np.random.Philox(7))
+    chains = kernels.evaluate(target, rng.standard_normal((16, 2)))
+    u, log_pt, ok = kernels._pull_back(target, fp, cfg, chains, beta, rng)
+    assert ok.all() and u.dtype == log_pt.dtype == np.float64
+    step, extra = {"rwmh": (kernels.flow_rwmh_step, ()),
+                   "imh": (kernels.flow_imh_step, ()),
+                   "cis": (kernels.flow_cis_step, (3,))}[kernel]
+    out = step(target, fp, cfg, chains, beta, rng, *extra)
+    assert out.log_alpha.dtype == out.chains.x.dtype == np.float64
+    assert np.isfinite(out.log_alpha).all()
+
+
 # -- flow-informed random walk -------------------------------------------------------
 
 def test_flow_rwmh_zero_flow_equals_plain_rwmh(rng):

@@ -292,6 +292,60 @@ def test_adam_rejects_mismatched_moments():
         nets.adam_step(state, np.zeros(4), np.zeros(4))
 
 
+def test_adam_float32_matches_the_textbook_update_in_float32(rng):
+    n = nets.ADAM_BLOCK + 5
+    state = nets.adam_init(n, 1e-2, 10, np.float32)
+    params = spread_magnitudes(rng, n).astype(np.float32)
+    ref, m, v = params.copy(), np.zeros(n, np.float32), np.zeros(n, np.float32)
+    for k in (1, 2):
+        g = spread_magnitudes(rng, n).astype(np.float32)
+        ref, m, v = textbook_adam(m, v, k, state, ref, g)
+        params, state = nets.adam_step(state, params, g)
+        assert params.dtype == state.m.dtype == state.v.dtype == ref.dtype == np.float32
+        assert np.array_equal(params, ref)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+
+@pytest.mark.parametrize("culprit", ["params", "gradient", "m", "v"])
+def test_adam_refuses_mixed_dtypes_before_writing(rng, culprit):
+    n = nets.ADAM_BLOCK + 5
+    params = rng.standard_normal(n).astype(np.float32)
+    g = rng.standard_normal(n).astype(np.float32)
+    params, state = nets.adam_step(nets.adam_init(n, 1e-2, 10, np.float32), params, g)
+    vectors = {"params": params, "gradient": g, "m": state.m, "v": state.v}
+    vectors[culprit] = vectors[culprit].astype(np.float64)
+    state.m, state.v = vectors["m"], vectors["v"]
+    before = {name: x.copy() for name, x in vectors.items()}
+    with pytest.raises(ShapeMismatch, match="mixed dtypes"):
+        nets.adam_step(state, vectors["params"], vectors["gradient"])
+    for name, x in vectors.items():
+        assert x.dtype == before[name].dtype and np.array_equal(x, before[name]), name
+    assert state.step == 1
+
+
+def test_param_gradient_casts_the_cotangent_to_the_weights_dtype(rng):
+    # a float64 cotangent entering a float32 network gives the bits of the
+    # same cotangent cast to float32 first: the products run in float32
+    sizes = (3, 4, 4, 2)
+    p = nets.vector_to_mlp(nets.pack_arrays(small_net(rng).arrays(), np.float32), sizes)
+    a = acts(p, rng.standard_normal((5, 3)).astype(np.float32))
+    cot = rng.standard_normal((5, 2))
+    grads = []
+    for c in (cot, cot.astype(np.float32)):
+        flat = np.empty(nets.mlp_size(sizes), np.float32)
+        nets.mlp_param_gradient(p, a, c, out=nets.vector_to_mlp(flat, sizes))
+        grads.append(flat)
+    assert np.array_equal(grads[0], grads[1])
+
+
+def test_forward_pass_refuses_an_input_of_another_dtype(rng):
+    sizes = (3, 4, 4, 2)
+    p = nets.vector_to_mlp(nets.pack_arrays(small_net(rng).arrays(), np.float32), sizes)
+    assert nets.mlp_forward_cache(p, np.ones((2, 3), np.float32))[0].dtype == np.float32
+    with pytest.raises(ShapeMismatch, match="dtype"):
+        nets.mlp_forward_cache(p, np.ones((2, 3)))
+
+
 def test_adam_allocates_no_parameter_vector():
     n = 1_000_003
     state = nets.adam_init(n, 1e-3, 10)
@@ -334,6 +388,21 @@ def test_save_arrays_writes_the_concatenated_float64_blob(tmp_path, rng):
     expected = (json.dumps(header).encode("utf-8") + b"\n"
                 + np.concatenate([np.ravel(a) for _, a in arrays]).astype("<f8").tobytes())
     assert path.read_bytes() == expected
+
+
+def test_all_float32_arrays_are_saved_as_a_stamped_float32_blob(tmp_path, rng):
+    arrays = [("w", rng.standard_normal((3, 2)).astype(np.float32)),
+              ("b", rng.standard_normal(2).astype(np.float32))]
+    path = tmp_path / "blob.ckpt"
+    nets.save_arrays(path, {"kind": "test"}, arrays)
+    header = {"kind": "test", "dtype": "float32",
+              "arrays": {"names": ["w", "b"], "shapes": [[3, 2], [2]]}}
+    assert path.read_bytes() == (json.dumps(header).encode("utf-8") + b"\n"
+                                 + b"".join(a.astype("<f4").tobytes() for _, a in arrays))
+    meta, loaded = nets.load_arrays(path)
+    assert meta == {"kind": "test"}
+    for name, a in arrays:
+        assert loaded[name].dtype == np.float32 and np.array_equal(loaded[name], a)
 
 
 def test_determinism_same_seed():
