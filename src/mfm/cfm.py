@@ -48,6 +48,12 @@ def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
     when the loss is not finite.  The loss is computed in float64 from the
     float64 field value; the cotangents are cast to the flow's dtype where
     they enter nets.mlp_param_gradient.
+
+    The (N, d) arithmetic runs in place, in three buffers of this call's
+    own: v_cond, the field value fe.v once it has been read for the last
+    time, and net_t's (N, d + 1) cotangent, with the ufuncs of the
+    out-of-place formulas in the same order, so the bits are the same.
+    particles and the target's score are never written.
     """
     n, d = particles.shape
     if n < 1:
@@ -55,21 +61,28 @@ def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
     t = rng.uniform(size=n)
     x0 = rng.standard_normal((n, d))
     xt = interpolant(sigma_min, t[:, None], x0, particles)
+    del x0
     v_cond = conditional_field(sigma_min, t[:, None], xt, particles)
-
     fe = field(flow_params, target, t, xt)
-    residual = fe.v - v_cond
-    loss = float(np.mean(np.sum(residual ** 2, axis=1)))
+    del xt
+
+    # net_t's cotangent: the gate's d columns, then u's
+    cot_t = np.empty((n, d + 1))
+    cot_gate, cot_u = cot_t[:, :-1], cot_t[:, -1:]
+    residual = np.subtract(fe.v, v_cond, out=v_cond)
+    loss = float(np.mean(np.sum(np.square(residual, out=cot_gate), axis=1)))
     if not np.isfinite(loss):
         raise NonFiniteLoss("flow-matching residual is not finite")
 
     # backpropagate through the cached forward pass of field()
-    cot_v = (2.0 / n) * residual
-    cot_nx = cot_v / fe.scale
-    cot_gate = cot_v * fe.score / fe.scale
+    cot_v = np.multiply(2.0 / n, residual, out=residual)
     # d loss / d u through scale = floor + softplus(u): dscale/du = sigmoid(u)
     sig = 1.0 / (1.0 + np.exp(-fe.u))
-    cot_u = -np.sum(cot_v * fe.v, axis=1, keepdims=True) * sig / fe.scale
+    cot_u[...] = -np.sum(np.multiply(cot_v, fe.v, out=fe.v), axis=1,
+                         keepdims=True) * sig / fe.scale
+    cot_nx = np.divide(cot_v, fe.scale, out=fe.v)
+    np.multiply(cot_v, fe.score, out=cot_gate)
+    np.divide(cot_gate, fe.scale, out=cot_gate)
 
     # flow.vector_to_flow, not this module's name, which only train_step's
     # packing calls use (bench/tracing.py counts those as nets.pack)
@@ -77,8 +90,7 @@ def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
         out = np.empty(flow_params.flat.size, flow_params.flat.dtype)
     grad = flow.vector_to_flow(out, flow_params)
     nets.mlp_param_gradient(flow_params.net_x, fe.acts_x, cot_nx, out=grad.net_x)
-    nets.mlp_param_gradient(flow_params.net_t, fe.acts_t,
-                            np.concatenate([cot_gate, cot_u], axis=1), out=grad.net_t)
+    nets.mlp_param_gradient(flow_params.net_t, fe.acts_t, cot_t, out=grad.net_t)
     return loss, grad
 
 

@@ -39,7 +39,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import cfm, diagnostics, flow, kernels, nets, tempering
+from . import cfm, diagnostics, flow, kernels, nets, targets, tempering
 from .diagnostics import DiagnosticsReport
 from .errors import ConfigError, DegenerateWeights, DimensionMismatch, NonFiniteLoss
 from .flow import FlowParams, OdeConfig
@@ -51,8 +51,6 @@ MAX_NONFINITE_LOSSES = 100
 
 
 MODES = ("mfm", "atsmc", "fm-oracle", "diagnose")
-# each target's dimension, as build_target builds it; lgcp's is m_side ** 2
-TARGETS = {"gmm4": 2, "gmm16": 2, "manywell": 32, "field": 64, "lgcp": None}
 NONLOCAL_KERNELS = ("rwmh", "imh", "cis")
 # accepted value types per annotation; JSON writes a whole float as an int
 _VALUE_TYPES = {int: int, float: (int, float), str: str, bool: bool}
@@ -107,7 +105,8 @@ class ExperimentConfig:
                      f"must not be a boolean, got {value!r}")
         _require(isinstance(self.seed, int), "seed", f"expected int, got {self.seed!r}")
         _require(self.mode in MODES, "mode", f"unknown mode {self.mode!r}")
-        _require(self.target in TARGETS, "target", f"unknown target {self.target!r}")
+        _require(self.target in targets.DIMENSIONS, "target",
+                 f"unknown target {self.target!r}")
         for name in ("workers", "iters", "particles", "kq", "ode_steps",
                      "n_candidates", "hidden", "m_side"):
             _require(getattr(self, name) >= 1, name, "must be >= 1")
@@ -142,7 +141,7 @@ class ExperimentConfig:
     @property
     def dim(self) -> int:
         """The target's dimension, known before the target is built."""
-        return TARGETS[self.target] or self.m_side ** 2
+        return targets.DIMENSIONS[self.target] or self.m_side ** 2
 
 
 @dataclass

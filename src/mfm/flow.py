@@ -159,14 +159,16 @@ def _on_flat(flat: np.ndarray, sizes, dim: int) -> FlowParams:
 def flow_init(rng: np.random.Generator, dim: int, hidden: int = 128) -> FlowParams:
     """Fresh flow; net_x's last layer is zeroed so the field starts small.
 
-    The networks are drawn layer by layer, in float64 at every width, and
-    packed into one flat vector of _param_dtype(hidden) once, here.
+    The flat vector of _param_dtype(hidden) is allocated once and each
+    network is drawn straight into its views (nets.mlp_init), layer by
+    layer from float64 draws.
     """
     sizes = _layer_sizes(dim, hidden)
-    drawn = [nets.mlp_init(rng, s, zero_last=(i == 0)) for i, s in enumerate(sizes)]
-    flat = nets.pack_arrays([a for net in drawn for a in net.arrays()],
-                            _param_dtype(hidden))
-    return _on_flat(flat, sizes, dim)
+    params = _on_flat(np.empty(sum(map(nets.mlp_size, sizes)), _param_dtype(hidden)),
+                      sizes, dim)
+    for i, (s, net) in enumerate(zip(sizes, (params.net_x, params.net_t))):
+        nets.mlp_init(rng, s, zero_last=(i == 0), out=net)
+    return params
 
 
 def flow_zero(dim: int, hidden: int = 8) -> FlowParams:

@@ -92,23 +92,31 @@ def mlp_size(sizes: Sequence[int]) -> int:
 
 
 def mlp_init(rng: np.random.Generator, sizes: Sequence[int],
-             zero_last: bool = False) -> MlpParams:
-    """Centered-uniform init with scale 1/sqrt(fan_in).
+             zero_last: bool = False, out: MlpParams = None) -> MlpParams:
+    """Centered-uniform init with scale 1/sqrt(fan_in), zero biases.
 
     Args:
-        rng: Source of initial weights.
+        rng: Source of initial weights; one uniform draw per weight matrix,
+            in layer order, the zeroed last one included.
         sizes: Layer widths, e.g. (n_in, hidden, hidden, n_out).
         zero_last: Zero the final layer so the initial map is identically 0.
+        out: An MlpParams with these widths (views into a flat vector, say)
+            into which each layer is drawn, cast to its dtype; otherwise
+            new float64 arrays.  Only one layer's float64 draw is alive at
+            a time.  Returns out.
     """
-    weights, biases = [], []
-    for i in range(len(sizes) - 1):
-        scale = 1.0 / np.sqrt(sizes[i])
-        weights.append(rng.uniform(-scale, scale, size=(sizes[i], sizes[i + 1])))
-        biases.append(np.zeros(sizes[i + 1]))
+    if out is None:
+        out = MlpParams([np.empty((a, b)) for a, b in zip(sizes, sizes[1:])],
+                        [np.empty(b) for b in sizes[1:]])
+    if out.sizes != tuple(sizes):
+        raise ShapeMismatch(f"out has layer widths {out.sizes}, expected {tuple(sizes)}")
+    for w, b in zip(out.weights, out.biases):
+        scale = 1.0 / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(-scale, scale, size=w.shape)
+        b[...] = 0.0
     if zero_last:
-        weights[-1] = np.zeros_like(weights[-1])
-        biases[-1] = np.zeros_like(biases[-1])
-    return MlpParams(weights, biases)
+        out.weights[-1][...] = 0.0
+    return out
 
 
 def _check_input(params: MlpParams, x: np.ndarray) -> None:
@@ -224,13 +232,9 @@ def mlp_input_jacobian_trace(acts, mix, scratch=None) -> np.ndarray:
 #
 # A flow keeps all of its layers as views into one flat vector
 # (flow.FlowParams.flat), so Adam and the checkpoint read that vector as it
-# is and the CFM gradient is written into a second one.  pack_arrays copies
-# separate arrays into a new vector of the flow's dtype once, when a flow is
-# initialised; unpack and vector_to_mlp only make views.
-
-def pack_arrays(arrays: Sequence[np.ndarray], dtype=np.float64) -> np.ndarray:
-    return np.concatenate([np.ravel(a) for a in arrays], dtype=dtype)
-
+# is and the CFM gradient is written into a second one.  unpack and
+# vector_to_mlp only make views; mlp_init draws a new flow's layers straight
+# into them.
 
 def unpack(vector: np.ndarray, shapes: Sequence[tuple]) -> List[np.ndarray]:
     """Consecutive pieces of a 1-D vector with the given shapes, in order.

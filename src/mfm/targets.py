@@ -312,7 +312,9 @@ def make_lgcp(spec: LgcpSpec, counts: np.ndarray) -> TargetDensity:
     area = spec.cell_area
     mu0 = spec.mu0
 
-    chol_inv = np.linalg.solve(spec.covariance_cholesky, np.eye(d))
+    # inv makes the same LAPACK gesv call as solve(chol, np.eye(d)), with
+    # the identity right-hand side built inside: one fewer d x d array
+    chol_inv = np.linalg.inv(spec.covariance_cholesky)
     precision = chol_inv.T @ chol_inv    # cov^{-1}, built once then read-only
 
     def value_and_grad(xb):
@@ -338,6 +340,11 @@ def synthetic_lgcp_counts(spec: LgcpSpec, seed: int = 0) -> np.ndarray:
     latent = spec.mu0 + spec.covariance_cholesky @ rng.standard_normal(spec.dim)
     rates = spec.cell_area * np.exp(latent)
     return rng.poisson(rates).reshape(spec.m_side, spec.m_side)
+
+
+# Each named target's dimension, as cli.build_target builds it from the
+# constructors above; lgcp's is m_side ** 2, so its entry is None.
+DIMENSIONS = {"gmm4": 2, "gmm16": 2, "manywell": 32, "field": 64, "lgcp": None}
 
 
 def load_counts_csv(path, m_side: int) -> np.ndarray:

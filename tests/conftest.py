@@ -123,6 +123,15 @@ def textbook_adam(m, v, k, state, params, gradient):
     return params - lr * m_hat / (np.sqrt(v_hat) + state.eps), m, v
 
 
+def pack_arrays(arrays, dtype=np.float64):
+    """One new flat vector of dtype holding arrays raveled, in order.
+
+    flow_init drew every layer in float64 and packed them with this before
+    it drew into the flat vector itself: the oracle of that path.
+    """
+    return np.concatenate([np.ravel(a) for a in arrays], dtype=dtype)
+
+
 def gaussian_with_overflow(threshold):
     """Standard normal in 2-d whose gradient overflows to inf where x_0 > threshold."""
     def grad(x):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from mfm import cfm, flow, nets, targets
 
-from conftest import richardson_grad
+from conftest import gaussian, richardson_grad
 
 SIGMA_MIN = 1e-2   # ExperimentConfig's default terminal scale
 
@@ -113,6 +114,58 @@ def test_full_gradient_matches_finite_differences(rng):
 
     fd = richardson_grad(f, vec0)
     assert np.abs(gvec - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
+
+
+def out_of_place_loss_and_grad(fp, target, sigma_min, particles, rng):
+    """cfm_loss_and_grad with a new array for every (N, d) expression, as
+    it was before its arithmetic ran in place: the oracle of that change."""
+    n, d = particles.shape
+    t = rng.uniform(size=n)
+    x0 = rng.standard_normal((n, d))
+    xt = cfm.interpolant(sigma_min, t[:, None], x0, particles)
+    v_cond = cfm.conditional_field(sigma_min, t[:, None], xt, particles)
+    fe = flow.field(fp, target, t, xt)
+    residual = fe.v - v_cond
+    loss = float(np.mean(np.sum(residual ** 2, axis=1)))
+    cot_v = (2.0 / n) * residual
+    cot_nx = cot_v / fe.scale
+    cot_gate = cot_v * fe.score / fe.scale
+    sig = 1.0 / (1.0 + np.exp(-fe.u))
+    cot_u = -np.sum(cot_v * fe.v, axis=1, keepdims=True) * sig / fe.scale
+    grad = flow.vector_to_flow(np.empty_like(fp.flat), fp)
+    nets.mlp_param_gradient(fp.net_x, fe.acts_x, cot_nx, out=grad.net_x)
+    nets.mlp_param_gradient(fp.net_t, fe.acts_t,
+                            np.concatenate([cot_gate, cot_u], axis=1), out=grad.net_t)
+    return loss, grad.flat
+
+
+def read_only_scores(target):
+    """target whose gradients come back read-only: writing one raises."""
+    def value_and_grad(x):
+        value, grad = target.value_and_grad(x)
+        grad.setflags(write=False)
+        return value, grad
+    return dataclasses.replace(target, value_and_grad=value_and_grad)
+
+
+@pytest.mark.parametrize("dim, hidden", [(2, 16), (300, 16),
+                                         (300, flow.TIME_HIDDEN_MAX + 1)],
+                         ids=["d2-float64", "d300-float64", "d300-float32"])
+def test_in_place_loss_and_grad_equals_the_out_of_place_formula(rng, dim, hidden):
+    # read-only particles and scores: the in-place arithmetic writes neither
+    target = read_only_scores(gaussian(np.linspace(-3.0, 3.0, dim), 2.0))
+    fp = flow.flow_init(rng, dim, hidden)
+    last = fp.net_x.weights[-1]
+    last[...] = rng.uniform(-0.1, 0.1, last.shape)
+    particles = 4.0 * rng.standard_normal((16, dim))
+    particles.setflags(write=False)
+    loss, grad = cfm.cfm_loss_and_grad(fp, target, SIGMA_MIN, particles,
+                                       np.random.Generator(np.random.Philox(3)))
+    want_loss, want_flat = out_of_place_loss_and_grad(
+        fp, target, SIGMA_MIN, particles, np.random.Generator(np.random.Philox(3)))
+    assert grad.flat.dtype == flow._param_dtype(hidden)
+    assert loss == want_loss
+    assert grad.flat.tobytes() == want_flat.tobytes()
 
 
 def test_loss_and_grad_runs_each_network_once(rng, forward_passes, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from mfm import cfm, cli, flow, nets, targets
 from mfm.errors import NonFiniteState, ShapeMismatch
 from mfm.flow import OdeConfig
 
-from conftest import fused, write_pre_merge_checkpoint
+from conftest import fused, pack_arrays, write_pre_merge_checkpoint
 
 
 def gaussian_with_precision(prec):
@@ -457,15 +458,11 @@ def test_scale_positivity_arbitrary_params(rng):
         assert flow.SCALE_FLOOR + flow.softplus(u) > 0.0
 
 
-def test_vector_to_flow_returns_views_without_packing(rng, monkeypatch):
+def test_vector_to_flow_returns_views_without_packing(rng):
     fp = flow.flow_init(rng, 3, hidden=8)
     vec = flow.flow_to_vector(fp)
-
-    def refuse(*_args):
-        raise AssertionError("vector_to_flow packed a vector")
-
-    monkeypatch.setattr(nets, "pack_arrays", refuse)
     back = flow.vector_to_flow(vec, fp)
+    assert back.flat is vec
     for net_name in ("net_x", "net_t"):
         for a, b in zip(getattr(back, net_name).arrays(),
                         getattr(fp, net_name).arrays()):
@@ -491,6 +488,45 @@ def test_time_networks_are_capped_above_the_cap(rng):
     fp = flow.flow_init(rng, 3, hidden)
     assert fp.net_x.sizes == (19, hidden, hidden, 3)
     assert fp.net_t.sizes == (16, cap, cap, 4)
+
+
+def drawn_then_packed(rng, dim, hidden):
+    """flat of flow_init as it was: every layer drawn as a float64 array
+    (zeroing net_x's last layer after its draw), then all packed at once."""
+    arrays = []
+    for i, sizes in enumerate(flow._layer_sizes(dim, hidden)):
+        for j, (a, b) in enumerate(zip(sizes, sizes[1:])):
+            scale = 1.0 / np.sqrt(a)
+            w = rng.uniform(-scale, scale, size=(a, b))
+            if i == 0 and j == len(sizes) - 2:
+                w = np.zeros_like(w)
+            arrays += [w, np.zeros(b)]
+    return pack_arrays(arrays, flow._param_dtype(hidden))
+
+
+@pytest.mark.parametrize("dim, hidden", [(3, 16), (5, flow.TIME_HIDDEN_MAX),
+                                         (3, flow.TIME_HIDDEN_MAX + 44)])
+def test_flow_init_draws_the_bits_of_draw_then_pack(dim, hidden):
+    fp = flow.flow_init(np.random.Generator(np.random.Philox(5)), dim, hidden)
+    want = drawn_then_packed(np.random.Generator(np.random.Philox(5)), dim, hidden)
+    assert fp.flat.dtype == want.dtype == flow._param_dtype(hidden)
+    assert fp.flat.tobytes() == want.tobytes()
+
+
+def test_flow_init_holds_one_float64_layer_at_a_time():
+    # a float32 flow: the flat vector plus one float64 draw of its largest
+    # layer, never every layer in float64 (3.4 MB more here)
+    dim, hidden = 64, 2 * flow.TIME_HIDDEN_MAX
+    largest = max(a * b for sizes in flow._layer_sizes(dim, hidden)
+                  for a, b in zip(sizes, sizes[1:]))
+    tracemalloc.start()
+    try:
+        fp = flow.flow_init(np.random.Generator(np.random.Philox(5)), dim, hidden)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fp.flat.dtype == np.float32
+    assert peak <= fp.flat.nbytes + 8 * largest + 64 * 1024
 
 
 @pytest.mark.parametrize("hidden, dtype", [(flow.TIME_HIDDEN_MAX + 1, np.float32),

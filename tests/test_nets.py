@@ -7,7 +7,7 @@ import pytest
 from mfm import nets
 from mfm.errors import NonFiniteGradient, ShapeMismatch
 
-from conftest import richardson_grad, textbook_adam
+from conftest import pack_arrays, richardson_grad, textbook_adam
 
 
 def small_net(rng, sizes=(3, 4, 4, 2)):
@@ -73,7 +73,7 @@ def test_param_gradient_matches_finite_differences(rng):
         x = rng.standard_normal((1, 3))
         cot = rng.standard_normal((1, 2))
         gvec = gradient_vector(p, acts(p, x), cot)
-        vec0 = nets.pack_arrays(p.arrays())
+        vec0 = pack_arrays(p.arrays())
 
         def f(vec):
             out, _ = nets.mlp_forward_cache(nets.vector_to_mlp(vec, p.sizes), x)
@@ -143,7 +143,7 @@ def test_param_gradient_is_bit_identical_to_textbook_backprop(rng, sizes):
         expected[:0] = [cache[i].T @ delta, np.sum(delta, axis=0)]
         if i > 0:
             delta = (delta @ p.weights[i].T) * (1.0 - cache[i] ** 2)
-    assert np.array_equal(gradient_vector(p, cache, cot), nets.pack_arrays(expected))
+    assert np.array_equal(gradient_vector(p, cache, cot), pack_arrays(expected))
 
 
 def test_batch_gradient_sums_rows(rng):
@@ -327,7 +327,7 @@ def test_param_gradient_casts_the_cotangent_to_the_weights_dtype(rng):
     # a float64 cotangent entering a float32 network gives the bits of the
     # same cotangent cast to float32 first: the products run in float32
     sizes = (3, 4, 4, 2)
-    p = nets.vector_to_mlp(nets.pack_arrays(small_net(rng).arrays(), np.float32), sizes)
+    p = nets.vector_to_mlp(pack_arrays(small_net(rng).arrays(), np.float32), sizes)
     a = acts(p, rng.standard_normal((5, 3)).astype(np.float32))
     cot = rng.standard_normal((5, 2))
     grads = []
@@ -340,7 +340,7 @@ def test_param_gradient_casts_the_cotangent_to_the_weights_dtype(rng):
 
 def test_forward_pass_refuses_an_input_of_another_dtype(rng):
     sizes = (3, 4, 4, 2)
-    p = nets.vector_to_mlp(nets.pack_arrays(small_net(rng).arrays(), np.float32), sizes)
+    p = nets.vector_to_mlp(pack_arrays(small_net(rng).arrays(), np.float32), sizes)
     assert nets.mlp_forward_cache(p, np.ones((2, 3), np.float32))[0].dtype == np.float32
     with pytest.raises(ShapeMismatch, match="dtype"):
         nets.mlp_forward_cache(p, np.ones((2, 3)))
@@ -410,3 +410,17 @@ def test_determinism_same_seed():
     b = nets.mlp_init(np.random.Generator(np.random.Philox(4)), (3, 8, 8, 2))
     x = np.linspace(-1, 1, 3)[None]
     assert np.array_equal(nets.mlp_forward_cache(a, x)[0], nets.mlp_forward_cache(b, x)[0])
+
+
+def test_mlp_init_into_views_matches_new_arrays():
+    sizes = (3, 8, 8, 2)
+    vec = np.empty(nets.mlp_size(sizes))
+    into = nets.mlp_init(np.random.Generator(np.random.Philox(4)), sizes, True,
+                         out=nets.vector_to_mlp(vec, sizes))
+    new = nets.mlp_init(np.random.Generator(np.random.Philox(4)), sizes, True)
+    assert all(np.shares_memory(a, vec) for a in into.arrays())
+    assert np.array_equal(vec, pack_arrays(new.arrays()))
+    assert not new.weights[-1].any() and not new.biases[0].any()
+    with pytest.raises(ShapeMismatch, match="widths"):
+        nets.mlp_init(np.random.Generator(np.random.Philox(4)), (3, 8, 8, 3),
+                      out=nets.vector_to_mlp(vec, sizes))
