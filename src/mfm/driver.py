@@ -130,6 +130,10 @@ class ExperimentConfig:
             f"dimension of the {self.target} target")
         _require(self.init_scale == 1.0 or self.init_mean is not None,
                  "init_scale", "applies only with init_mean")
+        _require(self.counts_csv is None or isinstance(self.counts_csv, str),
+                 "counts_csv", f"expected a path, got {self.counts_csv!r}")
+        _require(self.counts_csv is None or self.target == "lgcp", "counts_csv",
+                 f"the {self.target} target reads no counts")
         # a negative Adam step climbs the flow-matching loss
         _require(self.step_size >= 0, "step_size", "must be >= 0")
         # alpha >= 1 has no ESS crossing: the ladder would creep towards 1

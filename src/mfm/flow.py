@@ -11,9 +11,7 @@ net_x takes the flow's hidden width.  net_t reads only the time features,
 so it is at most TIME_HIDDEN_MAX wide (``_layer_sizes``); on a wide flow it
 would otherwise hold a large share of the parameters, and of Adam's state,
 for a function of one scalar.  ``_layer_sizes(dim, hidden)`` fixes every
-layer, so a checkpoint's layout follows from its dim and net_x's width, and
-``load_flow`` refuses one saved with another layout, such as the separate
-gate and scale networks (net_t and net_scale) of earlier flows.
+layer, so a checkpoint's layout follows from its dim and net_x's width.
 
 A flow wider than TIME_HIDDEN_MAX (only the lgcp preset's) stores its
 parameters and runs both networks in float32 (``_param_dtype``): there the
@@ -62,10 +60,12 @@ the caches after the forward pass.
 The rest of the API is the integrator (``integrate_rows``, with
 ``rk4_integrate`` underneath), the closing push (``push_samples``), two
 oracles for tests (``flow_zero`` and ``pullback_log_density``) and the
-checkpoint pair ``save_flow``/``load_flow``.
+checkpoint pair ``save_flow``/``load_flow``, which alone own its format.
 """
 
 import itertools
+import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -421,6 +421,10 @@ def _require_finite(ok):
 
 # -- Checkpointing -------------------------------------------------------------
 
+# dtypes of a checkpoint's data, by the name its header stamps
+_CHECKPOINT_DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
+
+
 def _checkpoint_arrays(dim: int, hidden: int):
     """(name, shape) of every array of a flow checkpoint, in flat's order."""
     return [(f"{net}.{'wb'[j % 2]}{j // 2}", list(shape))
@@ -429,47 +433,69 @@ def _checkpoint_arrays(dim: int, hidden: int):
 
 
 def save_flow(path, params: FlowParams) -> None:
-    """Write params under _checkpoint_arrays' names; refuse any other layout.
+    """One JSON header line naming every layer (_checkpoint_arrays), then flat.
 
-    The data keeps the flow's dtype (nets.save_arrays stamps float32).
+    flat is written as it is, in little-endian order; a float32 flow is
+    stamped "dtype": "float32", a float64 one is not, as every flow was saved
+    before wide flows became float32.  A flow of any other layout is refused.
     """
-    names = _checkpoint_arrays(params.dim, params.net_x.sizes[1])
-    layers = params.net_x.arrays() + params.net_t.arrays()
-    shapes = [list(a.shape) for a in layers]
-    if shapes != [shape for _, shape in names]:
-        raise ShapeMismatch(f"flow arrays {shapes} are not the checkpoint layout {names}")
-    nets.save_arrays(path, {"kind": "flow", "dim": params.dim, **TIME_FEATURES},
-                     [(name, a) for (name, _), a in zip(names, layers)])
+    layout = _checkpoint_arrays(params.dim, params.net_x.sizes[1])
+    shapes = [list(a.shape) for a in params.net_x.arrays() + params.net_t.arrays()]
+    if shapes != [shape for _, shape in layout]:
+        raise ShapeMismatch(f"flow arrays {shapes} are not the checkpoint layout {layout}")
+    dtype = params.flat.dtype.name
+    header = {"kind": "flow", "dim": params.dim, **TIME_FEATURES,
+              **({"dtype": dtype} if dtype == "float32" else {}),
+              "arrays": {"names": [name for name, _ in layout], "shapes": shapes}}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        fh.write(params.flat.astype(_CHECKPOINT_DTYPES[dtype], copy=False).data)
 
 
 def load_flow(path) -> FlowParams:
-    """Read a save_flow checkpoint; the flow's flat is the loaded blob.
+    """Read a save_flow checkpoint, in its dtype; the flow's flat is its data.
 
-    net_x's width is read from net_x.w0; every other width follows from it
-    and dim (_layer_sizes).  The flow has the checkpoint's dtype, whatever
-    its width, so a float64 checkpoint of a wide flow loads as it was
-    written; one stamped with an unknown dtype is refused with a ValueError
-    (nets.load_blob).  A checkpoint that is not a flow, is stamped
-    with other time features than TIME_FEATURES, or holds other arrays than
-    that layout is refused with a ValueError, and so is one with a separate
-    net_scale network, as flows were saved before it was merged into net_t.
+    net_x's width is read from net_x.w0; dim fixes the rest (_layer_sizes).
+    A ValueError naming path refuses a header that is not a JSON object, an
+    unknown dtype, another kind or time features than TIME_FEATURES, a dim
+    that is not a positive integer, "arrays" that are not names and shapes
+    lists of one length naming that layout (such as the separate net_scale
+    network saved before it joined net_t), and data not of that size.
     """
-    meta, blob = nets.load_blob(path)
-    if meta.get("kind") != "flow":
-        raise ValueError(f"{path} is not a flow checkpoint")
-    stamped = {k: meta.get(k) for k, v in TIME_FEATURES.items() if meta.get(k) != v}
-    if stamped:
-        # Another field from the same weights: refuse rather than misread.
-        raise ValueError(f"{path} stamps time features {stamped}, "
-                         f"expected {TIME_FEATURES}")
-    spec = meta["arrays"]
-    if any(name.startswith("net_scale.") for name in spec["names"]):
-        raise ValueError(f"{path} holds a separate net_scale network, saved before "
-                         "the gate and the scale became one net_t; it cannot be read")
-    found = list(zip(spec["names"], spec["shapes"]))
-    dim = int(meta["dim"])
-    hidden = (dict(found).get("net_x.w0") or [0])[-1]
-    for got, want in itertools.zip_longest(found, _checkpoint_arrays(dim, hidden)):
-        if got != want:
-            raise ValueError(f"{path}: expected array {want}, found {got}")
-    return _on_flat(blob, _layer_sizes(dim, hidden), dim)
+    with open(path, "rb") as fh:
+        meta = json.loads(fh.readline().decode("utf-8"))
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: the header is not a JSON object")
+        stamp = meta.get("dtype", "float64")
+        if not isinstance(stamp, str) or stamp not in _CHECKPOINT_DTYPES:
+            raise ValueError(f"{path} stamps dtype {stamp!r}, "
+                             f"expected one of {sorted(_CHECKPOINT_DTYPES)}")
+        if meta.get("kind") != "flow":
+            raise ValueError(f"{path} is not a flow checkpoint")
+        stamped = {k: meta.get(k) for k, v in TIME_FEATURES.items() if meta.get(k) != v}
+        if stamped:
+            # Another field from the same weights: refuse rather than misread.
+            raise ValueError(f"{path} stamps time features {stamped}, "
+                             f"expected {TIME_FEATURES}")
+        dim, spec = meta.get("dim"), meta.get("arrays")
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"{path}: dim {dim!r} is not a positive integer")
+        names, shapes = map((spec if isinstance(spec, dict) else {}).get, ("names", "shapes"))
+        if not (isinstance(names, list) and isinstance(shapes, list)
+                and len(names) == len(shapes)):
+            raise ValueError(f"{path}: arrays are not names and shapes lists of one length")
+        if any(str(name).startswith("net_scale.") for name in names):
+            raise ValueError(f"{path} holds a separate net_scale network, saved before "
+                             "the gate and the scale became one net_t; it cannot be read")
+        w0 = dict(zip(map(str, names), shapes)).get("net_x.w0") or [0]
+        hidden = w0[-1] if isinstance(w0, list) and type(w0[-1]) is int else 0
+        layout = _checkpoint_arrays(dim, hidden)
+        for got, want in itertools.zip_longest(zip(names, shapes), layout):
+            if got != want:
+                raise ValueError(f"{path}: expected array {want}, found {got}")
+        sizes, dtype = _layer_sizes(dim, hidden), _CHECKPOINT_DTYPES[stamp]
+        size = sum(map(nets.mlp_size, sizes)) * dtype.itemsize
+        if os.fstat(fh.fileno()).st_size - fh.tell() != size:
+            raise ValueError(f"{path} does not hold the layout's {size} data bytes")
+        flat = np.fromfile(fh, dtype=dtype)
+    return _on_flat(flat, sizes, dim)

@@ -5,19 +5,18 @@ or float32 for the flows wider than ``flow.TIME_HIDDEN_MAX``.  A network
 never mixes the two: ``mlp_forward_cache`` refuses an input of another
 dtype than its weights, and ``mlp_param_gradient`` casts the cotangent to
 it, so no matrix product reads a float64 operand into a float32 result.
-The MLPs are fixed-shape
-input -> hidden -> hidden -> output stacks with tanh hidden activations and
-a linear output layer; reverse-mode parameter gradients and the trace of
-the input Jacobian are written out by hand, which is all this artifact
-needs (no general autodiff, and no forward-mode input derivatives).
-``mlp_forward_cache`` is the one forward pass: the derivative helpers take
-its cache of layer activations and never run the network again.  The time
-embedding is fixed: every flow reads the same FREQUENCIES, so nothing about
-it is stored per flow.  A flow stores all of its layers as views into one
-flat vector; see "Flat-vector packing" below.
+The MLPs are fixed-shape input -> hidden -> hidden -> output stacks with
+tanh hidden activations and a linear output layer; reverse-mode parameter
+gradients and the trace of the input Jacobian are written out by hand,
+which is all this artifact needs (no general autodiff, and no forward-mode
+input derivatives).  ``mlp_forward_cache`` is the one forward pass: the
+derivative helpers take its cache of layer activations and never run the
+network again.  The time embedding is fixed: every flow reads the same
+FREQUENCIES, so nothing about it is stored per flow.  A flow stores all of
+its layers as views into one flat vector; see "Flat-vector views" below.
+Nothing here reads or writes files: ``flow`` owns the checkpoint format.
 """
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
@@ -228,11 +227,11 @@ def mlp_input_jacobian_trace(acts, mix, scratch=None) -> np.ndarray:
     return np.sum(prod, axis=1)
 
 
-# -- Flat-vector packing (flow storage, checkpoints, finite differences) ------
+# -- Flat-vector views (flow storage) ------------------------------------------
 #
 # A flow keeps all of its layers as views into one flat vector
-# (flow.FlowParams.flat), so Adam and the checkpoint read that vector as it
-# is and the CFM gradient is written into a second one.  unpack and
+# (flow.FlowParams.flat), so Adam and flow's checkpoint read that vector as
+# it is and the CFM gradient is written into a second one.  unpack and
 # vector_to_mlp only make views; mlp_init draws a new flow's layers straight
 # into them.
 
@@ -357,67 +356,3 @@ def adam_step(state: AdamState, params: np.ndarray, gradient: np.ndarray):
         p -= a
     return params, replace(state, step=k)
 
-
-# -- Checkpoint serialization --------------------------------------------------
-
-# dtypes a checkpoint blob can hold, by the name its header stamps
-_BLOB_DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
-
-
-def save_arrays(path, meta: dict, named_arrays) -> None:
-    """One JSON header line (meta + shapes) then little-endian data.
-
-    The data is one blob of one dtype: float32 when every array is float32
-    (a wide flow), and then the header stamps "dtype": "float32"; float64
-    otherwise, unstamped, so float64 files keep the bytes they always had.
-    Each array's buffer is written straight to the file; only an array that
-    is not already contiguous little-endian data of the blob's dtype is
-    converted first.
-    """
-    names = [name for name, _ in named_arrays]
-    shapes = [list(a.shape) for _, a in named_arrays]
-    f32 = bool(named_arrays) and all(a.dtype == np.float32 for _, a in named_arrays)
-    header = dict(meta)
-    if f32:
-        header["dtype"] = "float32"
-    header["arrays"] = {"names": names, "shapes": shapes}
-    dtype = _BLOB_DTYPES["float32" if f32 else "float64"]
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8"))
-        fh.write(b"\n")
-        for _, a in named_arrays:
-            fh.write(np.ascontiguousarray(a, dtype=dtype).reshape(-1).data)
-
-
-def load_blob(path):
-    """Read a save_arrays file as (header, blob).
-
-    The header keeps its "arrays" entry (names and shapes) and its "dtype"
-    stamp, if any; blob is one new vector of the stamped dtype (float64
-    when there is no stamp), read straight from the file, holding every
-    array's data in file order.  An unknown dtype is refused with a
-    ValueError.
-    """
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        name = header.get("dtype", "float64")
-        if name not in _BLOB_DTYPES:
-            raise ValueError(f"{path} stamps dtype {name!r}, "
-                             f"expected one of {sorted(_BLOB_DTYPES)}")
-        blob = np.fromfile(fh, dtype=_BLOB_DTYPES[name])
-    return header, blob
-
-
-def load_arrays(path):
-    """Inverse of save_arrays; returns (meta, {name: array}).
-
-    The arrays are views into one blob (see load_blob).  The package reads
-    checkpoints through load_blob; this named form is kept as the
-    deliberate oracle that tests use to read and rewrite a checkpoint
-    array by array.
-    """
-    header, blob = load_blob(path)
-    spec = header.pop("arrays")
-    header.pop("dtype", None)
-    arrays = unpack(blob, [tuple(shape) for shape in spec["shapes"]])
-    return header, dict(zip(spec["names"], arrays))

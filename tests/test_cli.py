@@ -12,7 +12,7 @@ import pytest
 from mfm import cfm, cli, diagnostics, driver, flow, kernels, nets, targets, tempering
 from mfm.errors import ConfigError, DimensionMismatch
 
-from conftest import gaussian_with_overflow, write_pre_merge_checkpoint
+from conftest import gaussian_with_overflow, rewrite_checkpoint, write_pre_merge_checkpoint
 
 
 def smoke_overrides(out, **kw):
@@ -95,6 +95,8 @@ INVALID_VALUES = [
     ("init_mean", [50.0, "x"]), ("init_mean", [float("nan"), 50.0]),
     ("init_mean", [50.0, float("inf")]), ("init_mean", [True, 50.0]),
     ("init_mean", "origin"), ("init_mean", [50.0, 50.0], {"target": "manywell"}),
+    # a counts file is a path, and only the lgcp target reads one
+    ("counts_csv", 5, {"target": "lgcp"}), ("counts_csv", "counts.csv"),
 ]
 
 
@@ -222,6 +224,19 @@ def test_diagnose_refuses_a_pre_merge_checkpoint(tmp_path, capsys, rng):
     assert rc == 1
     report = json.loads(capsys.readouterr().err)
     assert report["error"] == "ValueError" and "net_scale" in report["message"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+
+def test_diagnose_refuses_a_malformed_checkpoint(tmp_path, capsys):
+    # three bytes past the layout's data, which np.fromfile alone would drop
+    out = tmp_path / "run"
+    assert cli.run(cli.parse_config(overrides=smoke_overrides(out))) == 0
+    rewrite_checkpoint(out / "flow.ckpt", data=lambda d: d + b"\0\0\0")
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    rc = cli.main(["--config", str(out / "config.resolved"), "--mode", "diagnose"])
+    assert rc == 1
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "ValueError" and "data bytes" in report["message"]
     assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
 

@@ -10,7 +10,7 @@ from mfm import cfm, cli, flow, nets, targets
 from mfm.errors import NonFiniteState, ShapeMismatch
 from mfm.flow import OdeConfig
 
-from conftest import fused, pack_arrays, write_pre_merge_checkpoint
+from conftest import fused, pack_arrays, rewrite_checkpoint, write_pre_merge_checkpoint
 
 
 def gaussian_with_precision(prec):
@@ -590,9 +590,7 @@ def test_wide_checkpoint_keeps_its_dtype(tmp_path, rng, dtype):
 def test_checkpoint_of_an_unknown_dtype_is_refused(tmp_path, rng):
     path = tmp_path / "flow.ckpt"
     flow.save_flow(path, flow.flow_init(rng, 2, hidden=8))
-    header, data = path.read_bytes().split(b"\n", 1)
-    path.write_bytes(json.dumps(dict(json.loads(header), dtype="float16")).encode()
-                     + b"\n" + data)
+    rewrite_checkpoint(path, lambda h: dict(h, dtype="float16"))
     with pytest.raises(ValueError, match="dtype 'float16'"):
         flow.load_flow(path)
 
@@ -632,11 +630,9 @@ OTHER_TIME_FEATURES = {"spacing_missing": ("frequency_spacing", None),
 def test_checkpoint_without_frequency_spacing_is_refused(tmp_path, rng, key, value):
     path = tmp_path / "flow.ckpt"
     flow.save_flow(path, flow.flow_init(rng, 3, hidden=8))
-    meta, arrays = nets.load_arrays(path)
-    header = {k: v for k, v in meta.items() if k != key}
-    if value is not None:
-        header[key] = value
-    nets.save_arrays(path, header, list(arrays.items()))
+    # a value of None drops the key
+    rewrite_checkpoint(path, lambda h: {k: v for k, v in {**h, key: value}.items()
+                                        if v is not None})
     stamped = re.escape(f"time features {{{key!r}: {value!r}}}")
     with pytest.raises(ValueError, match=stamped):
         flow.load_flow(path)
@@ -655,14 +651,30 @@ CHECKPOINT_HEADER = (
     b'[16, 3], [3], [3, 3], [3], [3, 3], [3]]}}')
 
 
-def test_checkpoint_header_is_stable(tmp_path, rng):
-    fp = flow.flow_zero(2, hidden=3)
+# the same for flow_zero(2, hidden=TIME_HIDDEN_MAX + 1), a float32 flow: the
+# dtype stamp comes before the arrays, and net_t is TIME_HIDDEN_MAX wide
+FLOAT32_CHECKPOINT_HEADER = (
+    b'{"kind": "flow", "dim": 2, "n_frequencies": 8, '
+    b'"base_frequency": 3.141592653589793, "frequency_spacing": "linear", '
+    b'"dtype": "float32", '
+    b'"arrays": {"names": ['
+    b'"net_x.w0", "net_x.b0", "net_x.w1", "net_x.b1", "net_x.w2", "net_x.b2", '
+    b'"net_t.w0", "net_t.b0", "net_t.w1", "net_t.b1", "net_t.w2", "net_t.b2"], '
+    b'"shapes": [[18, 257], [257], [257, 257], [257], [257, 2], [2], '
+    b'[16, 256], [256], [256, 256], [256], [256, 3], [3]]}}')
+
+
+@pytest.mark.parametrize("hidden, header", [
+    (3, CHECKPOINT_HEADER), (flow.TIME_HIDDEN_MAX + 1, FLOAT32_CHECKPOINT_HEADER)],
+    ids=["float64", "float32"])
+def test_checkpoint_header_is_stable(tmp_path, rng, hidden, header):
+    fp = flow.flow_zero(2, hidden=hidden)
     path = tmp_path / "flow.ckpt"
     flow.save_flow(path, fp)
-    assert path.read_bytes().split(b"\n", 1)[0] == CHECKPOINT_HEADER
+    assert path.read_bytes().split(b"\n", 1)[0] == header
     # a checkpoint with that header loads as the field of its weights
-    weights = rng.standard_normal(fp.flat.size)
-    path.write_bytes(CHECKPOINT_HEADER + b"\n" + weights.astype("<f8").tobytes())
+    weights = rng.standard_normal(fp.flat.size).astype(fp.flat.dtype.newbyteorder("<"))
+    path.write_bytes(header + b"\n" + weights.tobytes())
     loaded = flow.load_flow(path)
     x = rng.standard_normal((4, 2))
     std = targets.standard_normal(2)
@@ -674,16 +686,65 @@ def test_checkpoint_header_is_stable(tmp_path, rng):
 def test_checkpoint_with_mismatched_shapes_is_refused(tmp_path, rng):
     path = tmp_path / "flow.ckpt"
     flow.save_flow(path, flow.flow_init(rng, 3, hidden=8))
-    meta, arrays = nets.load_arrays(path)
-    # net_t's second layer takes 5 inputs where its first gives 8
-    broken = dict(arrays, **{"net_t.w1": np.zeros((5, 8))})
-    cases = [(meta, broken, "net_t.w1"),
+    saved = path.read_bytes()
+
+    def broken(header):
+        # net_t's second layer takes 5 inputs where its first gives 8
+        spec = header["arrays"]
+        shapes = [[5, 8] if name == "net_t.w1" else shape
+                  for name, shape in zip(spec["names"], spec["shapes"])]
+        return dict(header, arrays=dict(spec, shapes=shapes))
+
+    cases = [(broken, "net_t.w1"),
              # 3 positions + 16 time features, read as 4 + 16
-             (dict(meta, dim=4), arrays, "net_x.w0")]
-    for header, named, culprit in cases:
-        nets.save_arrays(path, header, list(named.items()))
+             (lambda h: dict(h, dim=4), "net_x.w0")]
+    for header, culprit in cases:
+        path.write_bytes(saved)
+        rewrite_checkpoint(path, header)
         with pytest.raises(ValueError, match=culprit.replace(".", r"\.")):
             flow.load_flow(path)
+
+
+def _without(key):
+    return lambda header: {k: v for k, v in header.items() if k != key}
+
+
+def _arrays(**entries):
+    return lambda header: dict(header, arrays=dict(header["arrays"], **entries))
+
+
+# (rewrite_checkpoint's maps, what the error names after the path) of d = 2
+# checkpoints that load_flow refuses with a ValueError: a header that is not
+# an object, a dim that is no positive integer, "arrays" that are not names
+# and shapes lists of one length, and data that is not the layout's bytes
+MALFORMED_CHECKPOINTS = {
+    "header_a_list": ({"header": lambda h: [h]}, "the header is not a JSON object"),
+    "dim_missing": ({"header": _without("dim")}, "dim None"),
+    "dim_bool": ({"header": lambda h: dict(h, dim=True)}, "dim True"),
+    "dim_fractional": ({"header": lambda h: dict(h, dim=2.7)}, "dim 2.7"),
+    "dim_a_string": ({"header": lambda h: dict(h, dim="2")}, "dim '2'"),
+    "dim_zero": ({"header": lambda h: dict(h, dim=0)}, "dim 0"),
+    "arrays_missing": ({"header": _without("arrays")}, "arrays are not"),
+    "arrays_a_list": ({"header": lambda h: dict(h, arrays=list(h["arrays"].values()))},
+                      "arrays are not"),
+    "names_missing": ({"header": lambda h: dict(h, arrays={"shapes": []})},
+                      "arrays are not"),
+    "shapes_not_a_list": ({"header": _arrays(shapes=5)}, "arrays are not"),
+    "one_name_for_12_shapes": ({"header": _arrays(names=["net_x.w0"])}, "arrays are not"),
+    "three_trailing_bytes": ({"data": lambda d: d + b"\0\0\0"}, "data bytes"),
+    "one_value_short": ({"data": lambda d: d[:-8]}, "data bytes"),
+    "three_bytes_short": ({"data": lambda d: d[:-3]}, "data bytes"),
+}
+
+
+@pytest.mark.parametrize("maps, named", MALFORMED_CHECKPOINTS.values(),
+                         ids=MALFORMED_CHECKPOINTS.keys())
+def test_malformed_checkpoint_is_refused(tmp_path, rng, maps, named):
+    path = tmp_path / "flow.ckpt"
+    flow.save_flow(path, flow.flow_init(rng, 2, hidden=8))
+    rewrite_checkpoint(path, **maps)
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + re.escape(named)):
+        flow.load_flow(path)
 
 
 def test_save_flow_refuses_a_flow_of_another_layout(tmp_path, rng):

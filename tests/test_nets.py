@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -359,50 +358,6 @@ def test_adam_allocates_no_parameter_vector():
     # the two block-sized scratch buffers and the finiteness check's
     # block-sized mask, against 8 bytes per entry for a parameter vector
     assert peak <= 3 * nets.ADAM_BLOCK * 8
-
-
-# -- serialization -----------------------------------------------------------------
-
-def test_save_load_arrays_roundtrip(tmp_path, rng):
-    arrays = [("a", rng.standard_normal((3, 2))), ("b", rng.standard_normal(4))]
-    path = tmp_path / "blob.ckpt"
-    nets.save_arrays(path, {"kind": "test", "note": 7}, arrays)
-    meta, loaded = nets.load_arrays(path)
-    assert meta == {"kind": "test", "note": 7}
-    for name, arr in arrays:
-        assert np.array_equal(loaded[name], arr)
-
-
-def test_save_arrays_writes_the_concatenated_float64_blob(tmp_path, rng):
-    base = rng.standard_normal((5, 6))
-    arrays = [("c", np.asfortranarray(base)), ("strided", base[:, ::2]),
-              ("f32", rng.standard_normal(7).astype(np.float32)),
-              ("big", rng.standard_normal((2, 3)).astype(">f8")),
-              ("ints", np.arange(4)), ("empty", np.zeros((0, 3))),
-              ("scalar", np.array(2.5))]
-    meta = {"kind": "test"}
-    path = tmp_path / "blob.ckpt"
-    nets.save_arrays(path, meta, arrays)
-    header = dict(meta, arrays={"names": [name for name, _ in arrays],
-                                "shapes": [list(a.shape) for _, a in arrays]})
-    expected = (json.dumps(header).encode("utf-8") + b"\n"
-                + np.concatenate([np.ravel(a) for _, a in arrays]).astype("<f8").tobytes())
-    assert path.read_bytes() == expected
-
-
-def test_all_float32_arrays_are_saved_as_a_stamped_float32_blob(tmp_path, rng):
-    arrays = [("w", rng.standard_normal((3, 2)).astype(np.float32)),
-              ("b", rng.standard_normal(2).astype(np.float32))]
-    path = tmp_path / "blob.ckpt"
-    nets.save_arrays(path, {"kind": "test"}, arrays)
-    header = {"kind": "test", "dtype": "float32",
-              "arrays": {"names": ["w", "b"], "shapes": [[3, 2], [2]]}}
-    assert path.read_bytes() == (json.dumps(header).encode("utf-8") + b"\n"
-                                 + b"".join(a.astype("<f4").tobytes() for _, a in arrays))
-    meta, loaded = nets.load_arrays(path)
-    assert meta == {"kind": "test"}
-    for name, a in arrays:
-        assert loaded[name].dtype == np.float32 and np.array_equal(loaded[name], a)
 
 
 def test_determinism_same_seed():
