@@ -92,7 +92,7 @@ def parse_config(path=None, overrides: dict = None) -> ExperimentConfig:
 
     preset = merged.get("preset")
     if preset is not None:
-        if preset not in PRESETS:
+        if not isinstance(preset, str) or preset not in PRESETS:
             raise ConfigError("preset", f"unknown preset {preset!r}; "
                               f"choose from {sorted(PRESETS)}")
         base = dict(PRESETS[preset])

@@ -463,7 +463,10 @@ def load_flow(path) -> FlowParams:
     network saved before it joined net_t), and data not of that size.
     """
     with open(path, "rb") as fh:
-        meta = json.loads(fh.readline().decode("utf-8"))
+        try:
+            meta = json.loads(fh.readline().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            meta = None
         if not isinstance(meta, dict):
             raise ValueError(f"{path}: the header is not a JSON object")
         stamp = meta.get("dtype", "float64")

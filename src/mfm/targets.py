@@ -301,6 +301,32 @@ def lgcp_covariance(spec: LgcpSpec) -> np.ndarray:
     return cov
 
 
+def _invert_lower(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by 2 x 2 block recursion.
+
+    inv([[A, 0], [C, B]]) = [[inv(A), 0], [-inv(B) (C inv(A)), inv(B)]]
+    (Du Croz & Higham, IMA J. Numer. Anal. 1992).  Each half is recursed
+    into its view of one output, whose upper triangle stays exactly zero;
+    blocks of at most 64 rows go to np.linalg.inv.  The input is only read.
+    """
+    out = np.zeros(lower.shape)
+
+    def invert_into(a, dest):
+        n = a.shape[0]
+        if n <= 64:
+            dest[...] = np.linalg.inv(a)
+            return
+        h = n // 2
+        invert_into(a[:h, :h], dest[:h, :h])
+        invert_into(a[h:, h:], dest[h:, h:])
+        corner = dest[h:, :h]
+        np.matmul(dest[h:, h:], a[h:, :h] @ dest[:h, :h], out=corner)
+        np.negative(corner, out=corner)
+
+    invert_into(lower, out)
+    return out
+
+
 def make_lgcp(spec: LgcpSpec, counts: np.ndarray) -> TargetDensity:
     """Posterior of the latent log-intensity field given grid counts."""
     counts = np.asarray(counts)
@@ -312,9 +338,8 @@ def make_lgcp(spec: LgcpSpec, counts: np.ndarray) -> TargetDensity:
     area = spec.cell_area
     mu0 = spec.mu0
 
-    # inv makes the same LAPACK gesv call as solve(chol, np.eye(d)), with
-    # the identity right-hand side built inside: one fewer d x d array
-    chol_inv = np.linalg.inv(spec.covariance_cholesky)
+    # the factor's inverse by triangular blocks: no LU, no identity
+    chol_inv = _invert_lower(spec.covariance_cholesky)
     precision = chol_inv.T @ chol_inv    # cov^{-1}, built once then read-only
 
     def value_and_grad(xb):

@@ -161,12 +161,15 @@ PRE_MERGE_CHECKPOINT_HEADER = (
 def rewrite_checkpoint(path, header=lambda h: h, data=lambda d: d):
     """Rewrite a flow checkpoint as header(its header) and data(its data).
 
-    header maps the parsed JSON header line to the new one, any JSON value;
-    data maps the bytes after that line to the new ones.  A part whose map
-    is not given is kept as it is.
+    header maps the parsed JSON header line to the new one, any JSON value,
+    or to bytes, written as they are; data maps the bytes after that line to
+    the new ones.  A part whose map is not given is kept as it is.
     """
     line, blob = path.read_bytes().split(b"\n", 1)
-    path.write_bytes(json.dumps(header(json.loads(line))).encode() + b"\n" + data(blob))
+    line = header(json.loads(line))
+    if not isinstance(line, bytes):
+        line = json.dumps(line).encode()
+    path.write_bytes(line + b"\n" + data(blob))
 
 
 def write_pre_merge_checkpoint(path, rng):

@@ -97,6 +97,8 @@ INVALID_VALUES = [
     ("init_mean", "origin"), ("init_mean", [50.0, 50.0], {"target": "manywell"}),
     # a counts file is a path, and only the lgcp target reads one
     ("counts_csv", 5, {"target": "lgcp"}), ("counts_csv", "counts.csv"),
+    # a preset is named by a string; a list cannot even be looked up
+    ("preset", [1]), ("preset", 1),
 ]
 
 
@@ -343,8 +345,9 @@ def test_help_documents_blas_threads(capsys):
     assert "OPENBLAS_NUM_THREADS" in capsys.readouterr().out
 
 
-def test_lgcp_build_factors_covariance_once(monkeypatch):
-    cfg = cli.parse_config(overrides=dict(preset="lgcp", seed=0, m_side=8))
+@pytest.mark.parametrize("m_side", [8, 9])
+def test_lgcp_build_factors_covariance_once(monkeypatch, m_side):
+    cfg = cli.parse_config(overrides=dict(preset="lgcp", seed=0, m_side=m_side))
     calls = []
     inner = np.linalg.cholesky
 
@@ -355,16 +358,19 @@ def test_lgcp_build_factors_covariance_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counted)
     target = cli.build_target(cfg)
     monkeypatch.undo()
-    assert calls == [(64, 64)]
+    assert calls == [(m_side ** 2, m_side ** 2)]
 
     # oracle: synthetic counts and precision each from a factor of their own
-    spec = targets.LgcpSpec(m_side=8)
+    spec = targets.LgcpSpec(m_side=m_side)
     rng = np.random.Generator(np.random.Philox(0))
     chol = np.linalg.cholesky(targets.lgcp_covariance(spec))
     latent = spec.mu0 + chol @ rng.standard_normal(spec.dim)
-    counts = rng.poisson(spec.cell_area * np.exp(latent)).reshape(8, 8)
-    chol_inv = np.linalg.solve(np.linalg.cholesky(targets.lgcp_covariance(spec)),
-                               np.eye(spec.dim))
+    counts = rng.poisson(spec.cell_area * np.exp(latent)).reshape(m_side, m_side)
+    own_chol = np.linalg.cholesky(targets.lgcp_covariance(spec))
+    if spec.dim <= 64:   # one block of the inverse: LAPACK's gesv itself
+        chol_inv = np.linalg.solve(own_chol, np.eye(spec.dim))
+    else:
+        chol_inv = targets._invert_lower(own_chol)
     precision = chol_inv.T @ chol_inv
     assert np.array_equal(targets.synthetic_lgcp_counts(spec, seed=0), counts)
     # at x = mu0 the gradient is y - area e^mu0, which exposes the counts

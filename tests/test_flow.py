@@ -719,6 +719,9 @@ def _arrays(**entries):
 # and shapes lists of one length, and data that is not the layout's bytes
 MALFORMED_CHECKPOINTS = {
     "header_a_list": ({"header": lambda h: [h]}, "the header is not a JSON object"),
+    "header_cut_short": ({"header": lambda h: b'{"kind": "flow"'},
+                         "the header is not a JSON object"),
+    "header_not_utf8": ({"header": lambda h: b"\xff"}, "the header is not a JSON object"),
     "dim_missing": ({"header": _without("dim")}, "dim None"),
     "dim_bool": ({"header": lambda h: dict(h, dim=True)}, "dim True"),
     "dim_fractional": ({"header": lambda h: dict(h, dim=2.7)}, "dim 2.7"),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mfm import targets
+from mfm import cli, targets
 from mfm.errors import DimensionMismatch
 
 from conftest import finite_diff_grad, gaussian
@@ -126,6 +126,37 @@ def test_lgcp_covariance_matches_pairwise_difference_tensor(m_side):
     dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
     oracle = spec.sigma2 * np.exp(-dist / spec.beta_len)
     assert np.array_equal(targets.lgcp_covariance(spec), oracle)
+
+
+@pytest.mark.parametrize("n", [1, 17, 64, 65, 100, 257])
+def test_invert_lower(rng, n):
+    # random lower-triangular matrices with a dominant diagonal: well conditioned
+    lower = np.tril(rng.standard_normal((n, n)), -1) / np.sqrt(n)
+    lower += np.diag(rng.uniform(1.0, 2.0, n))
+    lower.setflags(write=False)   # the input is only read
+    inverse = targets._invert_lower(lower)
+    oracle = np.linalg.inv(lower)
+    if n <= 64:   # one block: numpy's inverse itself
+        assert np.array_equal(inverse, oracle)
+    else:
+        assert np.abs(inverse - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    assert np.all(np.triu(inverse, 1) == 0.0)
+
+
+def test_lgcp_preset_precision_inverts_the_covariance():
+    # the presets' m_side = 40 target, on the bundled counts; where e^x = 0
+    # the Hessian is -precision, and H I = H exactly
+    target = cli.build_target(cli.parse_config(overrides=dict(preset="lgcp", seed=0)))
+    spec = targets.LgcpSpec(m_side=40)
+    xb = np.full((spec.dim, spec.dim), -np.inf)
+    precision = -target.hvp_log_density(xb, np.eye(spec.dim))
+    cov = targets.lgcp_covariance(spec)
+    assert np.array_equal(precision, precision.T)
+    assert np.abs(precision @ cov - np.eye(spec.dim)).max() <= 1e-12
+    # oracle: the precision from LAPACK's gesv, as built before the block inverse
+    chol_inv = np.linalg.solve(np.linalg.cholesky(cov), np.eye(spec.dim))
+    gesv = chol_inv.T @ chol_inv
+    assert np.abs(precision - gesv).max() <= 1e-13 * np.abs(gesv).max()
 
 
 def test_lgcp_counts_shape_mismatch():
