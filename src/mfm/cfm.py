@@ -16,6 +16,9 @@ from .flow import FlowParams, field, flow_to_vector, vector_to_flow
 from .nets import AdamState
 from .targets import TargetDensity
 
+# terminal scale of the optimal-transport path (Lipman et al.)
+SIGMA_MIN = 1e-2
+
 
 def interpolant(sigma_min: float, t, x0, x1):
     """phi_t(x0 | x1) = (1 - (1 - sigma_min) t) x0 + t x1.
@@ -36,11 +39,12 @@ def conditional_field(sigma_min: float, t, x, x1):
 
 
 def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
-                      sigma_min: float, particles: np.ndarray,
-                      rng: np.random.Generator, out: np.ndarray = None):
+                      particles: np.ndarray, rng: np.random.Generator,
+                      out: np.ndarray = None):
     """Monte Carlo loss (1/N) sum ||v_theta - v_cond||^2 and its gradient.
 
-    One t ~ U(0,1) and one x0 ~ N(0, I) are drawn per particle.  Returns
+    The path's terminal scale is SIGMA_MIN.  One t ~ U(0,1) and one
+    x0 ~ N(0, I) are drawn per particle.  Returns
     (loss, gradient) with the gradient packaged in a FlowParams of the same
     shapes: each layer's gradient is written straight into the views of one
     flat vector, the gradient's flat.  That vector is out, a buffer of
@@ -60,9 +64,9 @@ def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
         raise ValueError("need at least one particle")
     t = rng.uniform(size=n)
     x0 = rng.standard_normal((n, d))
-    xt = interpolant(sigma_min, t[:, None], x0, particles)
+    xt = interpolant(SIGMA_MIN, t[:, None], x0, particles)
     del x0
-    v_cond = conditional_field(sigma_min, t[:, None], xt, particles)
+    v_cond = conditional_field(SIGMA_MIN, t[:, None], xt, particles)
     fe = field(flow_params, target, t, xt)
     del xt
 
@@ -95,8 +99,7 @@ def cfm_loss_and_grad(flow_params: FlowParams, target: TargetDensity,
 
 
 def train_step(flow_params: FlowParams, adam: AdamState, target: TargetDensity,
-               sigma_min: float, particles: np.ndarray,
-               rng: np.random.Generator):
+               particles: np.ndarray, rng: np.random.Generator):
     """One Adam update on the CFM gradient; returns (params, adam, loss).
 
     Nothing is packed or allocated at parameter size: the gradient goes
@@ -106,7 +109,7 @@ def train_step(flow_params: FlowParams, adam: AdamState, target: TargetDensity,
     (copy its flat first to keep the old ones).  A non-finite loss raises
     before anything is written.
     """
-    loss, grad = cfm_loss_and_grad(flow_params, target, sigma_min, particles, rng,
+    loss, grad = cfm_loss_and_grad(flow_params, target, particles, rng,
                                    out=adam.grad)
     vec, new_adam = nets.adam_step(adam, flow_to_vector(flow_params),
                                    flow_to_vector(grad))

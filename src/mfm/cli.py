@@ -35,7 +35,7 @@ PRESETS = {
     "gmm4": dict(target="gmm4", particles=128, hidden=128, mala_tau=0.2,
                  iters=5000, kq=100),
     "gmm16": dict(target="gmm16", particles=128, hidden=128, mala_tau=0.2,
-                  iters=5000, kq=100, init_mean=[-14.0, -14.0], init_scale=0.5),
+                  iters=5000, kq=100, init_mean=[-14.0, -14.0]),
     "manywell": dict(target="manywell", particles=128, hidden=128, mala_tau=0.1,
                      iters=5000, kq=100),
     "field": dict(target="field", particles=1024, hidden=256, mala_tau=1e-4,
@@ -97,7 +97,7 @@ def parse_config(path=None, overrides: dict = None) -> ExperimentConfig:
                               f"choose from {sorted(PRESETS)}")
         base = dict(PRESETS[preset])
         if merged.get("mode", "mfm") != "mfm":   # gmm16's start is for mfm chains
-            base = {k: v for k, v in base.items() if not k.startswith("init_")}
+            base.pop("init_mean", None)
         base.update(merged)
         merged = base
 

@@ -35,7 +35,7 @@ worker counts never touch either stream, so runs are bit-reproducible.
 import math
 import time
 from dataclasses import dataclass, fields
-from typing import List, Optional
+from typing import List, Optional, get_args
 
 import numpy as np
 
@@ -48,12 +48,15 @@ from .targets import TargetDensity, tempered
 from .tempering import TemperState
 
 MAX_NONFINITE_LOSSES = 100
+ADAM_STEP_SIZE = 1e-3   # initial Adam step, decays linearly to 0
+CIS_CANDIDATES = 4      # fresh candidates per chain of a CIS flow step
+INIT_MEAN_SCALE = 0.5   # standard deviation of an init_mean start
 
 
 MODES = ("mfm", "atsmc", "fm-oracle", "diagnose")
 NONLOCAL_KERNELS = ("rwmh", "imh", "cis")
 # accepted value types per annotation; JSON writes a whole float as an int
-_VALUE_TYPES = {int: int, float: (int, float), str: str, bool: bool}
+_VALUE_TYPES = {int: int, float: (int, float), str: str, list: list}
 
 
 def _require(ok: bool, name: str, message: str) -> None:
@@ -68,6 +71,12 @@ class ExperimentConfig:
     ``ode`` (not a field) is the OdeConfig built from ode_steps.  The
     divergence estimator is not configured: flow picks it from the
     target's dimension (flow.EXACT_DIVERGENCE_MAX_DIM).
+
+    Values that no preset, benchmark workload or flag sets to more than
+    one value are constants, not fields: the OT path's terminal scale
+    (cfm.SIGMA_MIN), Adam's initial step (ADAM_STEP_SIZE), the CIS
+    candidates per chain (CIS_CANDIDATES) and the spread of an init_mean
+    start (INIT_MEAN_SCALE); and run_mfm always tempers from beta = 0.
     """
 
     mode: str = "mfm"              # mfm | atsmc | fm-oracle | diagnose
@@ -82,33 +91,31 @@ class ExperimentConfig:
     alpha: float = 0.5             # ESS target of the temperature ladder
     mala_tau: float = 0.2
     ode_steps: int = 32
-    sigma_min: float = 1e-2        # terminal scale of the OT path
     hidden: int = 128
-    step_size: float = 1e-3        # initial Adam step, decays linearly to 0
     nonlocal_kernel: str = "rwmh"  # rwmh | imh | cis
-    n_candidates: int = 4
-    temper: bool = True
     diag_samples: int = 2048
     init_mean: Optional[list] = None
-    init_scale: float = 1.0
     m_side: int = 40
     counts_csv: Optional[str] = None
 
     def __post_init__(self):
         _require(self.seed is not None, "seed", "a seed is mandatory")
         for f in fields(self):
-            value, kind = getattr(self, f.name), _VALUE_TYPES.get(f.type)
-            _require(kind is None or isinstance(value, kind), f.name,
-                     f"expected {f.type.__name__}, got {value!r}")
+            value = getattr(self, f.name)
+            # Optional[X] accepts None or an X
+            kind, *optional = get_args(f.type) or (f.type,)
+            if value is None and optional:
+                continue
+            _require(isinstance(value, _VALUE_TYPES[kind]), f.name,
+                     f"expected {kind.__name__}, got {value!r}")
             # bool is a subclass of int, so a JSON true would pass as a count
-            _require(f.type is bool or not isinstance(value, bool), f.name,
+            _require(not isinstance(value, bool), f.name,
                      f"must not be a boolean, got {value!r}")
-        _require(isinstance(self.seed, int), "seed", f"expected int, got {self.seed!r}")
         _require(self.mode in MODES, "mode", f"unknown mode {self.mode!r}")
         _require(self.target in targets.DIMENSIONS, "target",
                  f"unknown target {self.target!r}")
         for name in ("workers", "iters", "particles", "kq", "ode_steps",
-                     "n_candidates", "hidden", "m_side"):
+                     "hidden", "m_side"):
             _require(getattr(self, name) >= 1, name, "must be >= 1")
         # the unbiased MMD and KSD of the closing report need two samples
         _require(self.diag_samples >= 2, "diag_samples", "must be >= 2")
@@ -123,23 +130,15 @@ class ExperimentConfig:
                  "init_mean", f"the {self.mode} mode draws its own start")
         mean = self.init_mean
         _require(mean is None or (
-            isinstance(mean, list) and len(mean) == self.dim
+            len(mean) == self.dim
             and all(isinstance(v, (int, float)) and not isinstance(v, bool)
                     and math.isfinite(v) for v in mean)),
             "init_mean", f"needs {self.dim} finite real entries, one per "
             f"dimension of the {self.target} target")
-        _require(self.init_scale == 1.0 or self.init_mean is not None,
-                 "init_scale", "applies only with init_mean")
-        _require(self.counts_csv is None or isinstance(self.counts_csv, str),
-                 "counts_csv", f"expected a path, got {self.counts_csv!r}")
         _require(self.counts_csv is None or self.target == "lgcp", "counts_csv",
                  f"the {self.target} target reads no counts")
-        # a negative Adam step climbs the flow-matching loss
-        _require(self.step_size >= 0, "step_size", "must be >= 0")
         # alpha >= 1 has no ESS crossing: the ladder would creep towards 1
         _require(0.0 < self.alpha < 1.0, "alpha", "must lie strictly in (0, 1)")
-        _require(0.0 < self.sigma_min < 1.0, "sigma_min",
-                 "must lie strictly in (0, 1)")
         object.__setattr__(self, "ode", OdeConfig(self.ode_steps))
 
     @property
@@ -231,11 +230,11 @@ def is_flow_iteration(k: int, k_q: int) -> bool:
 
 def _initial_positions(cfg: ExperimentConfig, dim: int,
                        rng: np.random.Generator) -> np.ndarray:
-    """N(0, I) draws, or N(init_mean, init_scale^2 I) ones if init_mean is set."""
+    """N(0, I) draws, or N(init_mean, INIT_MEAN_SCALE^2 I) ones if init_mean is set."""
     if cfg.init_mean is None:
         return rng.standard_normal((cfg.particles, dim))
     mean = np.asarray(cfg.init_mean, dtype=float)
-    return mean + cfg.init_scale * rng.standard_normal((cfg.particles, dim))
+    return mean + INIT_MEAN_SCALE * rng.standard_normal((cfg.particles, dim))
 
 
 def run_mfm(target: TargetDensity, cfg: ExperimentConfig) -> RunArtifacts:
@@ -248,11 +247,11 @@ def run_mfm(target: TargetDensity, cfg: ExperimentConfig) -> RunArtifacts:
     rng = _root_rng(cfg.seed)
 
     positions = _initial_positions(cfg, target.dim, rng)
-    temper_state = TemperState(0.0 if cfg.temper else 1.0, cfg.alpha)
-    ens = ChainEnsemble(kernels.evaluate(target, positions), temper_state)
+    ens = ChainEnsemble(kernels.evaluate(target, positions),
+                        TemperState(0.0, cfg.alpha))
 
     flow_params = flow.flow_init(rng, target.dim, cfg.hidden)
-    adam = nets.adam_init(flow_params.flat.size, cfg.step_size, cfg.iters,
+    adam = nets.adam_init(flow_params.flat.size, ADAM_STEP_SIZE, cfg.iters,
                           flow_params.flat.dtype)
 
     log_rows = []
@@ -269,7 +268,7 @@ def run_mfm(target: TargetDensity, cfg: ExperimentConfig) -> RunArtifacts:
             elif cfg.nonlocal_kernel == "imh":
                 out = kernels.flow_imh_step(*args)
             else:
-                out = kernels.flow_cis_step(*args, cfg.n_candidates)
+                out = kernels.flow_cis_step(*args, CIS_CANDIDATES)
         else:
             out = kernels.mala_step(target, cfg.mala_tau, ens.chains,
                                     ens.temper.beta, rng)
@@ -280,7 +279,7 @@ def run_mfm(target: TargetDensity, cfg: ExperimentConfig) -> RunArtifacts:
             # the flow trains on the annealed density at the current beta
             flow_params, adam, loss = cfm.train_step(
                 flow_params, adam, tempered(target, ens.temper.beta),
-                cfg.sigma_min, ens.positions, rng)
+                ens.positions, rng)
             nonfinite_streak = 0
         except NonFiniteLoss:
             nonfinite_streak += 1
@@ -389,7 +388,7 @@ def run_fm_oracle(target: TargetDensity, cfg: ExperimentConfig) -> RunArtifacts:
     t_start = time.perf_counter()
     rng = _root_rng(cfg.seed)
     flow_params = flow.flow_init(rng, target.dim, cfg.hidden)
-    adam = nets.adam_init(flow_params.flat.size, cfg.step_size, cfg.iters,
+    adam = nets.adam_init(flow_params.flat.size, ADAM_STEP_SIZE, cfg.iters,
                           flow_params.flat.dtype)
     # no chains move while the flow trains; they are drawn after it
     ens = ChainEnsemble(None, TemperState(1.0, cfg.alpha))
@@ -397,7 +396,7 @@ def run_fm_oracle(target: TargetDensity, cfg: ExperimentConfig) -> RunArtifacts:
     for k in range(1, cfg.iters + 1):
         batch = target.sampler(rng, cfg.particles)
         flow_params, adam, loss = cfm.train_step(
-            flow_params, adam, target, cfg.sigma_min, batch, rng)
+            flow_params, adam, target, batch, rng)
         ens.iteration = k
         log_rows.append(ens.log_row(loss))
     ens.chains = kernels.evaluate(target, target.sampler(rng, cfg.particles))

@@ -205,7 +205,7 @@ def mlp_trace_matrix(params: MlpParams, k: int) -> np.ndarray:
     return w2 * (w3[:, :k] @ w1[:k, :]).T
 
 
-def mlp_input_jacobian_trace(acts, mix, scratch=None) -> np.ndarray:
+def mlp_input_jacobian_trace(acts, mix, scratch) -> np.ndarray:
     """sum_i d output_i / d input_i over the first k coordinates, per row.
 
     For the fixed two-hidden-layer stack the trace collapses to a bilinear
@@ -213,10 +213,8 @@ def mlp_input_jacobian_trace(acts, mix, scratch=None) -> np.ndarray:
     mix = mlp_trace_matrix(params, k), which avoids materializing any
     Jacobian.  It is computed as np.sum((1 - a1**2) * ((1 - a2**2) @ mix.T),
     axis=1), in three hidden-sized buffers: scratch, a list of three
-    C-contiguous arrays shaped like acts[1], or new ones.
+    C-contiguous arrays shaped like acts[1].
     """
-    if scratch is None:
-        scratch = [np.empty_like(acts[1]) for _ in range(3)]
     d1, d2, prod = scratch
     np.square(acts[1], out=d1)
     np.subtract(1.0, d1, out=d1)

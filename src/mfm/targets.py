@@ -87,11 +87,12 @@ class LgcpSpec:
     m_side: int = 40
     sigma2: float = 1.91
     beta_len: float = 1.0 / 33.0
-    mu0: Optional[float] = None
 
-    def __post_init__(self):
-        if self.mu0 is None:
-            self.mu0 = np.log(126.0) - self.sigma2 / 2.0
+    @property
+    def mu0(self) -> float:
+        """Prior mean of the latent field: log(126) - sigma2 / 2, so the
+        intensity's prior mean is 126."""
+        return np.log(126.0) - self.sigma2 / 2.0
 
     @property
     def dim(self) -> int:

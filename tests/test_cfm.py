@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from mfm import cfm, flow, nets, targets
+from mfm.cfm import SIGMA_MIN
 
 from conftest import gaussian, richardson_grad
-
-SIGMA_MIN = 1e-2   # ExperimentConfig's default terminal scale
 
 
 def test_interpolant_endpoints(rng):
@@ -59,7 +58,7 @@ def test_zero_field_loss_equals_conditional_norm(rng):
     sigma_min = SIGMA_MIN
     particles = rng.standard_normal((8, 2))
     seed_rng = np.random.Generator(np.random.Philox(3))
-    loss, _ = cfm.cfm_loss_and_grad(fp, target, sigma_min, particles, seed_rng)
+    loss, _ = cfm.cfm_loss_and_grad(fp, target, particles, seed_rng)
     ref_rng = np.random.Generator(np.random.Philox(3))
     t = ref_rng.uniform(size=8)
     x0 = ref_rng.standard_normal((8, 2))
@@ -73,7 +72,7 @@ def test_loss_nonnegative_and_permutation_invariant(rng):
     fp = flow.flow_init(rng, 2, hidden=4)
     sigma_min = SIGMA_MIN
     particles = rng.standard_normal((6, 2))
-    l1, _ = cfm.cfm_loss_and_grad(fp, target, sigma_min, particles,
+    l1, _ = cfm.cfm_loss_and_grad(fp, target, particles,
                                   np.random.Generator(np.random.Philox(5)))
     assert l1 >= 0.0
     # permuting particles AND the matching per-particle draws leaves loss unchanged;
@@ -98,17 +97,16 @@ def test_full_gradient_matches_finite_differences(rng):
     target = targets.standard_normal(1)
     fp = flow.flow_init(rng, 1, hidden=4)
     fp.net_x.weights[-1][...] = rng.uniform(-0.5, 0.5, size=fp.net_x.weights[-1].shape)
-    sigma_min = SIGMA_MIN
     particles = np.array([[1.3]])
 
-    loss, grad = cfm.cfm_loss_and_grad(fp, target, sigma_min, particles,
+    loss, grad = cfm.cfm_loss_and_grad(fp, target, particles,
                                        np.random.Generator(np.random.Philox(17)))
     gvec = flow.flow_to_vector(grad)
     vec0 = flow.flow_to_vector(fp)
 
     def f(vec):
         p = flow.vector_to_flow(vec, fp)
-        l, _ = cfm.cfm_loss_and_grad(p, target, sigma_min, particles,
+        l, _ = cfm.cfm_loss_and_grad(p, target, particles,
                                      np.random.Generator(np.random.Philox(17)))
         return l
 
@@ -159,7 +157,7 @@ def test_in_place_loss_and_grad_equals_the_out_of_place_formula(rng, dim, hidden
     last[...] = rng.uniform(-0.1, 0.1, last.shape)
     particles = 4.0 * rng.standard_normal((16, dim))
     particles.setflags(write=False)
-    loss, grad = cfm.cfm_loss_and_grad(fp, target, SIGMA_MIN, particles,
+    loss, grad = cfm.cfm_loss_and_grad(fp, target, particles,
                                        np.random.Generator(np.random.Philox(3)))
     want_loss, want_flat = out_of_place_loss_and_grad(
         fp, target, SIGMA_MIN, particles, np.random.Generator(np.random.Philox(3)))
@@ -180,7 +178,7 @@ def test_loss_and_grad_runs_each_network_once(rng, forward_passes, monkeypatch):
         return inner(params, *args, **kwargs)
 
     monkeypatch.setattr(nets, "mlp_param_gradient", counted)
-    cfm.cfm_loss_and_grad(fp, target, SIGMA_MIN, particles, rng)
+    cfm.cfm_loss_and_grad(fp, target, particles, rng)
     assert [id(net) for net, _ in forward_passes] == [id(fp.net_x), id(fp.net_t)]
     assert [id(net) for net in backward] == [id(fp.net_x), id(fp.net_t)]
 
@@ -191,7 +189,7 @@ def test_train_step_final_schedule_step_freezes(rng):
     before = flow.flow_to_vector(fp).copy()
     adam = nets.adam_init(before.size, 1e-3, total_steps=1)
     particles = rng.standard_normal((4, 2))
-    new_fp, adam, _ = cfm.train_step(fp, adam, target, SIGMA_MIN, particles, rng)
+    new_fp, adam, _ = cfm.train_step(fp, adam, target, particles, rng)
     assert np.array_equal(flow.flow_to_vector(fp), before)
     assert np.array_equal(flow.flow_to_vector(new_fp), before)
 
@@ -205,8 +203,7 @@ def test_train_step_deterministic(rng):
         adam = nets.adam_init(flow.flow_to_vector(fp).size, 1e-3, 50)
         particles = r.standard_normal((16, 2)) * 4
         for _ in range(5):
-            fp, adam, loss = cfm.train_step(fp, adam, target, SIGMA_MIN,
-                                            particles, r)
+            fp, adam, loss = cfm.train_step(fp, adam, target, particles, r)
         results.append(flow.flow_to_vector(fp).copy())
     assert np.array_equal(results[0], results[1])
 
@@ -219,7 +216,7 @@ def train_step_peak(rng, hidden):
     particles = rng.standard_normal((8, 2))
     tracemalloc.start()
     try:
-        cfm.train_step(fp, adam, target, SIGMA_MIN, particles, rng)
+        cfm.train_step(fp, adam, target, particles, rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -250,13 +247,13 @@ def test_gradient_and_adam_state_have_the_flow_dtype(rng, hidden, dtype):
     target = targets.make_gmm4()
     fp = flow.flow_init(rng, 2, hidden)
     particles = rng.standard_normal((8, 2))
-    loss, grad = cfm.cfm_loss_and_grad(fp, target, SIGMA_MIN, particles, rng)
+    loss, grad = cfm.cfm_loss_and_grad(fp, target, particles, rng)
     assert type(loss) is float
     assert grad.flat.dtype == dtype
     assert all(a.dtype == dtype for net in (grad.net_x, grad.net_t)
                for a in net.arrays())
     adam = nets.adam_init(fp.flat.size, 1e-3, 10, fp.flat.dtype)
-    fp, adam, loss = cfm.train_step(fp, adam, target, SIGMA_MIN, particles, rng)
+    fp, adam, loss = cfm.train_step(fp, adam, target, particles, rng)
     assert type(loss) is float and np.isfinite(loss)
     assert fp.flat.dtype == adam.m.dtype == adam.v.dtype == adam.grad.dtype == dtype
 
@@ -270,7 +267,7 @@ def test_float32_gradient_matches_its_float64_twin(rng):
     fp64 = flow.vector_to_flow(fp32.flat.astype(np.float64), fp32)
     particles = 4.0 * rng.standard_normal((16, 2))
     (l32, g32), (l64, g64) = (
-        cfm.cfm_loss_and_grad(fp, target, SIGMA_MIN, particles,
+        cfm.cfm_loss_and_grad(fp, target, particles,
                               np.random.Generator(np.random.Philox(3)))
         for fp in (fp32, fp64))
     tol = 64 * np.finfo(np.float32).eps
@@ -284,7 +281,7 @@ def test_train_step_updates_the_flow_in_place(rng):
     before = fp.flat.copy()
     adam = nets.adam_init(fp.flat.size, 1e-3, 50)
     particles = rng.standard_normal((16, 2)) * 4
-    new_fp, adam, _ = cfm.train_step(fp, adam, target, SIGMA_MIN, particles, rng)
+    new_fp, adam, _ = cfm.train_step(fp, adam, target, particles, rng)
     assert new_fp.flat is fp.flat
     assert not np.array_equal(fp.flat, before)
 
@@ -300,7 +297,7 @@ def test_training_on_exact_samples_reduces_loss(rng):
     zero_losses = []
     fp0 = flow.flow_zero(2, hidden=64)
     for _ in range(50):
-        l, _ = cfm.cfm_loss_and_grad(fp0, target, SIGMA_MIN, particles, zero_rng)
+        l, _ = cfm.cfm_loss_and_grad(fp0, target, particles, zero_rng)
         zero_losses.append(l)
     baseline = np.mean(zero_losses)
 
@@ -309,8 +306,7 @@ def test_training_on_exact_samples_reduces_loss(rng):
     adam = nets.adam_init(flow.flow_to_vector(fp).size, 1e-3, 5000)
     losses = []
     for _ in range(5000):
-        fp, adam, loss = cfm.train_step(fp, adam, target, SIGMA_MIN,
-                                        particles, r)
+        fp, adam, loss = cfm.train_step(fp, adam, target, particles, r)
         losses.append(loss)
     tail = np.mean(losses[-100:])
     assert tail < 0.5 * baseline

@@ -66,30 +66,29 @@ def test_flag_overrides_beat_file(tmp_path):
 
 INVALID_VALUES = [
     ("kq", 0), ("iters", 0), ("particles", 0), ("ode_steps", 0),
-    ("n_candidates", 0), ("nonlocal_kernel", "foo"), ("mala_tau", 0),
-    ("mala_tau", -0.1), ("sigma_min", 0.0), ("sigma_min", 1.0),
-    ("sigma_min", 1.5), ("alpha", 0.0), ("alpha", 1.0), ("alpha", 1.5),
+    ("nonlocal_kernel", "foo"), ("mala_tau", 0), ("mala_tau", -0.1),
+    ("alpha", 0.0), ("alpha", 1.0), ("alpha", 1.5),
     ("divergence", "hutchinson:0"), ("divergence", "exact:2"),
     ("divergence", "hutchinson:x"), ("divergence", "trace"),
     ("mode", "sample"), ("target", "gmm8"), ("diag_samples", 1),
-    ("iters", "many"), ("divergence", 3), ("seed", "one"), ("temper", "yes"),
+    ("iters", "many"), ("divergence", 3), ("seed", "one"),
     # JSON true is a bool, which Python counts as an int
     ("iters", True), ("seed", True), ("mala_tau", True),
-    # fields that no longer exist: the estimator follows from the dimension
-    # and gmm16's variances are frozen at seed 0
+    # fields that no longer exist: the estimator follows from the dimension,
+    # gmm16's variances are frozen at seed 0, and the rest are constants
+    # (each at a value it used to accept)
     ("divergence", "exact"), ("divergence", "hutchinson:1"), ("gmm16_seed", 0),
+    ("sigma_min", 0.01), ("step_size", 0.001), ("n_candidates", 4),
+    ("temper", True), ("init_scale", 0.5, {"init_mean": [0.0, 0.0]}),
     # the atsmc report scores the ensemble itself; mfm runs one particle
     ("particles", 1, {"mode": "atsmc"}),
-    # no network without hidden units, no lgcp grid without cells, and no
-    # Adam step that climbs the loss
-    ("hidden", 0), ("m_side", 0), ("step_size", -1.0),
+    # no network without hidden units and no lgcp grid without cells
+    ("hidden", 0), ("m_side", 0),
     # no run without a worker (it would run serially under its own hash)
     ("workers", 0),
-    # a start that the run would not use: atsmc and fm-oracle draw their
-    # own, and init_scale scales only an init_mean start
+    # a start that the run would not use: atsmc and fm-oracle draw their own
     ("init_mean", [50.0, 50.0], {"mode": "atsmc"}),
     ("init_mean", [50.0, 50.0], {"mode": "fm-oracle"}),
-    ("init_scale", 0.1),
     # one finite real entry per dimension of the target (gmm4: d = 2)
     ("init_mean", [50.0]), ("init_mean", [50.0, 50.0, 50.0]),
     ("init_mean", [50.0, "x"]), ("init_mean", [float("nan"), 50.0]),
@@ -129,8 +128,7 @@ def test_preset_start_applies_in_mfm_mode_only(tmp_path, mode):
     # gmm16's preset start is for the mfm chains; the other modes run the
     # preset without it rather than refuse the preset
     cfg = cli.parse_config(overrides=dict(preset="gmm16", seed=1, mode=mode))
-    start = (cfg.init_mean, cfg.init_scale)
-    assert start == (([-14.0, -14.0], 0.5) if mode == "mfm" else (None, 1.0))
+    assert cfg.init_mean == ([-14.0, -14.0] if mode == "mfm" else None)
     if mode == "diagnose":
         # diagnose re-reads an mfm run's resolved config, start included
         path = tmp_path / "config.resolved"
@@ -450,7 +448,7 @@ def test_lgcp_property_run(tmp_path, m_side):
 
 
 @pytest.mark.parametrize("mode, threshold, start", [
-    ("mfm", 3.0, dict(init_mean=[3.0, 0.0], init_scale=0.5)),
+    ("mfm", 3.0, dict(init_mean=[3.0, 0.0])),
     ("atsmc", 1.0, {}),
 ], ids=["mfm", "atsmc"])
 def test_nonfinite_proposals_reach_runlog(tmp_path, monkeypatch, mode, threshold,

@@ -76,13 +76,6 @@ def test_run_mfm_same_with_out_of_place_adam(tmp_path, monkeypatch):
     assert rows_a == rows_b and rep_a == rep_b
 
 
-def test_tempering_disabled_keeps_beta_one():
-    target = targets.make_gmm4()
-    art = driver.run_mfm(target, smoke_config(temper=False, iters=5))
-    assert all(row["beta"] == 1.0 for row in art.log_rows)
-    assert art.ensemble.temper.history == []
-
-
 def test_beta_monotone_and_fresh_each_iteration():
     target = targets.make_gmm4()
     art = driver.run_mfm(target, smoke_config(iters=30, particles=64))
@@ -111,8 +104,7 @@ def test_alternative_nonlocal_kernels_run(kernel):
 
 def test_init_override_controls_start():
     target = targets.make_gmm16(0)
-    cfg = smoke_config(iters=1, particles=16, init_mean=[-14.0, -14.0],
-                       init_scale=0.5, kq=100)
+    cfg = smoke_config(iters=1, particles=16, init_mean=[-14.0, -14.0], kq=100)
     art = driver.run_mfm(target, cfg)
     # after one MALA step at beta_1 the particles are still near the init blob
     assert np.all(np.abs(art.ensemble.positions - (-14.0)) < 5.0)
@@ -126,6 +118,15 @@ def test_init_mean_of_wrong_length_refused(init_mean):
     with pytest.raises(ConfigError) as err:
         smoke_config(iters=1, init_mean=init_mean)
     assert err.value.field == "init_mean"
+
+
+@pytest.mark.parametrize("preset", [[1], 3], ids=["list", "int"])
+def test_non_string_preset_refused(preset):
+    # built in code, such a config would be written to a config.resolved
+    # that parse_config refuses
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(seed=1, preset=preset)
+    assert err.value.field == "preset"
 
 
 def failing_train_step(monkeypatch, fails):
@@ -228,7 +229,7 @@ def test_flow_step_evaluates_target_once(kernel, monkeypatch):
     driver.run_report(target, cfg, art)
     assert art.ensemble.flow_proposed == 4 * 16
     assert len(calls) == 6
-    per_step = 16 * (cfg.n_candidates if kernel == "cis" else 1)
+    per_step = 16 * (driver.CIS_CANDIDATES if kernel == "cis" else 1)
     assert calls == [16] + [per_step] * 4 + [cfg.diag_samples]
 
 

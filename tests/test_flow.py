@@ -771,7 +771,7 @@ def _flat_backed_flow(constructor, rng, tmp_path):
         flow.save_flow(tmp_path / "saved.ckpt", fp)
         return flow.load_flow(tmp_path / "saved.ckpt")
     if constructor == "cfm_gradient":
-        return cfm.cfm_loss_and_grad(fp, targets.standard_normal(3), 0.01,
+        return cfm.cfm_loss_and_grad(fp, targets.standard_normal(3),
                                      rng.standard_normal((5, 3)), rng)[1]
     return fp
 
