@@ -220,7 +220,9 @@ def run(cfg: ExperimentConfig) -> int:
     target = build_target(cfg)
     runner = {"mfm": driver.run_mfm, "atsmc": driver.run_atsmc,
               "fm-oracle": driver.run_fm_oracle}[cfg.mode]
+    t0 = time.perf_counter()
     artifacts = runner(target, cfg)
+    wall_seconds = time.perf_counter() - t0
     # the samples are stored before they are scored: a report that raises
     # still leaves the run behind
     if artifacts.flow_params is not None:
@@ -229,7 +231,7 @@ def run(cfg: ExperimentConfig) -> int:
     write_runlog_csv(out / "runlog.csv", cfg, artifacts.log_rows)
     report = driver.run_report(target, cfg, artifacts)
     write_diagnostics_json(out / "diagnostics.json", report, artifacts.log_rows,
-                           artifacts.wall_seconds)
+                           wall_seconds)
     return 0
 
 

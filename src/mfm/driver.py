@@ -8,10 +8,10 @@ config that exists is a config that can run.
 The three runners share one contract: ``run_mfm``, ``run_atsmc`` and
 ``run_fm_oracle`` take ``(target, cfg)`` and return
 :class:`RunArtifacts`, the trained flow (``None`` for atsmc, which trains
-none), the final ensemble, one log row per iteration or level, and the
-run's wall time.  :func:`run_report` scores a finished run, so a caller
-can store the samples before scoring them, and a report that fails
-leaves the run's samples behind.
+none), the final ensemble and one log row per iteration or level.  The
+caller times the runner (cli.run).  :func:`run_report` scores a finished
+run, so a caller can store the samples before scoring them, and a report
+that fails leaves the run's samples behind.
 
 Each iteration of the main loop (run_mfm):
   1. while the inverse temperature is below 1, solve the ESS equation for
@@ -33,7 +33,6 @@ worker counts never touch either stream, so runs are bit-reproducible.
 """
 
 import math
-import time
 from dataclasses import dataclass, fields
 from typing import List, Optional, get_args
 
@@ -49,7 +48,6 @@ from .tempering import TemperState
 
 MAX_NONFINITE_LOSSES = 100
 ADAM_STEP_SIZE = 1e-3   # initial Adam step, decays linearly to 0
-CIS_CANDIDATES = 4      # fresh candidates per chain of a CIS flow step
 INIT_MEAN_SCALE = 0.5   # standard deviation of an init_mean start
 
 
@@ -75,8 +73,9 @@ class ExperimentConfig:
     Values that no preset, benchmark workload or flag sets to more than
     one value are constants, not fields: the OT path's terminal scale
     (cfm.SIGMA_MIN), Adam's initial step (ADAM_STEP_SIZE), the CIS
-    candidates per chain (CIS_CANDIDATES) and the spread of an init_mean
-    start (INIT_MEAN_SCALE); and run_mfm always tempers from beta = 0.
+    candidates per chain (kernels.CIS_CANDIDATES) and the spread of an
+    init_mean start (INIT_MEAN_SCALE); and run_mfm always tempers from
+    beta = 0.
     """
 
     mode: str = "mfm"              # mfm | atsmc | fm-oracle | diagnose
@@ -111,6 +110,8 @@ class ExperimentConfig:
             # bool is a subclass of int, so a JSON true would pass as a count
             _require(not isinstance(value, bool), f.name,
                      f"must not be a boolean, got {value!r}")
+        # the Philox key of the run's streams, diagnostics included
+        _require(0 <= self.seed < 2 ** 128, "seed", "must lie in [0, 2**128)")
         _require(self.mode in MODES, "mode", f"unknown mode {self.mode!r}")
         _require(self.target in targets.DIMENSIONS, "target",
                  f"unknown target {self.target!r}")
@@ -124,7 +125,8 @@ class ExperimentConfig:
                  "must be >= 2 in atsmc mode")
         _require(self.nonlocal_kernel in NONLOCAL_KERNELS, "nonlocal_kernel",
                  f"unknown non-local kernel {self.nonlocal_kernel!r}")
-        _require(self.mala_tau > 0, "mala_tau", "must be > 0")
+        _require(self.mala_tau > 0 and math.isfinite(self.mala_tau), "mala_tau",
+                 "must be finite and > 0")
         # atsmc and fm-oracle draw their own start; diagnose re-reads an mfm config
         _require(self.init_mean is None or self.mode in ("mfm", "diagnose"),
                  "init_mean", f"the {self.mode} mode draws its own start")
@@ -205,13 +207,13 @@ class ChainEnsemble:
 class RunArtifacts:
     """What every runner returns; flow_params is None when no flow is trained.
 
-    wall_seconds is the runner's own time, without the report.
+    The caller times the runner (cli.run), so a run's time leaves out its
+    report.
     """
 
     flow_params: Optional[FlowParams]
     ensemble: ChainEnsemble
     log_rows: List[dict]
-    wall_seconds: float
 
 
 def _root_rng(seed: int) -> np.random.Generator:
@@ -241,9 +243,12 @@ def run_mfm(target: TargetDensity, cfg: ExperimentConfig) -> RunArtifacts:
     """Adaptive run: tempered MCMC mutations interleaved with flow training.
 
     Returns the trained flow, the final ensemble and one log row per
-    iteration; :func:`run_report` scores flow-pushed samples.
+    iteration; :func:`run_report` scores flow-pushed samples.  The flow
+    kernel is looked up once per run, not at import, so a wrapper installed
+    on the kernels module still sees its calls.
     """
-    t_start = time.perf_counter()
+    flow_kernel = {"rwmh": kernels.flow_rwmh_step, "imh": kernels.flow_imh_step,
+                   "cis": kernels.flow_cis_step}[cfg.nonlocal_kernel]
     rng = _root_rng(cfg.seed)
 
     positions = _initial_positions(cfg, target.dim, rng)
@@ -262,13 +267,8 @@ def run_mfm(target: TargetDensity, cfg: ExperimentConfig) -> RunArtifacts:
 
         flow_step = is_flow_iteration(k, cfg.kq)
         if flow_step:
-            args = (target, flow_params, cfg.ode, ens.chains, ens.temper.beta, rng)
-            if cfg.nonlocal_kernel == "rwmh":
-                out = kernels.flow_rwmh_step(*args)
-            elif cfg.nonlocal_kernel == "imh":
-                out = kernels.flow_imh_step(*args)
-            else:
-                out = kernels.flow_cis_step(*args, CIS_CANDIDATES)
+            out = flow_kernel(target, flow_params, cfg.ode, ens.chains,
+                              ens.temper.beta, rng)
         else:
             out = kernels.mala_step(target, cfg.mala_tau, ens.chains,
                                     ens.temper.beta, rng)
@@ -291,7 +291,7 @@ def run_mfm(target: TargetDensity, cfg: ExperimentConfig) -> RunArtifacts:
 
         log_rows.append(ens.log_row(loss))
 
-    return RunArtifacts(flow_params, ens, log_rows, time.perf_counter() - t_start)
+    return RunArtifacts(flow_params, ens, log_rows)
 
 
 def run_report(target: TargetDensity, cfg: ExperimentConfig,
@@ -342,7 +342,6 @@ def run_atsmc(target: TargetDensity, cfg: ExperimentConfig) -> RunArtifacts:
     No flow is trained, so :func:`run_report` scores the final ensemble
     itself.
     """
-    t_start = time.perf_counter()
     rng = _root_rng(cfg.seed)
     positions = rng.standard_normal((cfg.particles, target.dim))
     ens = ChainEnsemble(kernels.evaluate(target, positions),
@@ -373,7 +372,7 @@ def run_atsmc(target: TargetDensity, cfg: ExperimentConfig) -> RunArtifacts:
     mala_sweep()   # final sweep at the target itself (beta = 1)
     ens.iteration += 1
     log_rows.append(ens.log_row(float("nan")))
-    return RunArtifacts(None, ens, log_rows, time.perf_counter() - t_start)
+    return RunArtifacts(None, ens, log_rows)
 
 
 def run_fm_oracle(target: TargetDensity, cfg: ExperimentConfig) -> RunArtifacts:
@@ -385,7 +384,6 @@ def run_fm_oracle(target: TargetDensity, cfg: ExperimentConfig) -> RunArtifacts:
     """
     if target.sampler is None:
         raise ValueError(f"target {target.name!r} admits no exact sampling")
-    t_start = time.perf_counter()
     rng = _root_rng(cfg.seed)
     flow_params = flow.flow_init(rng, target.dim, cfg.hidden)
     adam = nets.adam_init(flow_params.flat.size, ADAM_STEP_SIZE, cfg.iters,
@@ -400,4 +398,4 @@ def run_fm_oracle(target: TargetDensity, cfg: ExperimentConfig) -> RunArtifacts:
         ens.iteration = k
         log_rows.append(ens.log_row(loss))
     ens.chains = kernels.evaluate(target, target.sampler(rng, cfg.particles))
-    return RunArtifacts(flow_params, ens, log_rows, time.perf_counter() - t_start)
+    return RunArtifacts(flow_params, ens, log_rows)

@@ -167,7 +167,7 @@ def flow_init(rng: np.random.Generator, dim: int, hidden: int = 128) -> FlowPara
     params = _on_flat(np.empty(sum(map(nets.mlp_size, sizes)), _param_dtype(hidden)),
                       sizes, dim)
     for i, (s, net) in enumerate(zip(sizes, (params.net_x, params.net_t))):
-        nets.mlp_init(rng, s, zero_last=(i == 0), out=net)
+        nets.mlp_init(rng, s, net, zero_last=(i == 0))
     return params
 
 
@@ -460,7 +460,8 @@ def load_flow(path) -> FlowParams:
     unknown dtype, another kind or time features than TIME_FEATURES, a dim
     that is not a positive integer, "arrays" that are not names and shapes
     lists of one length naming that layout (such as the separate net_scale
-    network saved before it joined net_t), and data not of that size.
+    network saved before it joined net_t), a net_x narrower than 1, and
+    data not of that size.
     """
     with open(path, "rb") as fh:
         try:
@@ -496,6 +497,8 @@ def load_flow(path) -> FlowParams:
         for got, want in itertools.zip_longest(zip(names, shapes), layout):
             if got != want:
                 raise ValueError(f"{path}: expected array {want}, found {got}")
+        if hidden < 1:
+            raise ValueError(f"{path}: net_x is {hidden} wide, not at least 1")
         sizes, dtype = _layer_sizes(dim, hidden), _CHECKPOINT_DTYPES[stamp]
         size = sum(map(nets.mlp_size, sizes)) * dtype.itemsize
         if os.fstat(fh.fileno()).st_size - fh.tell() != size:

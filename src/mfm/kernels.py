@@ -17,7 +17,9 @@ pulled-back density pi~(u) = pi_beta(T(u)) |det dT(u)|,
 with dlp_fwd = -int div v dt forward from u and dlp_back = +int div v dt
 backward from x = T(u), both integrated under ``targets.tempered``'s
 pi_beta.  :func:`_pull_back` and :func:`_push_forward` compute it, so each
-kernel holds only its acceptance rule.
+kernel holds only its acceptance rule.  The three flow kernels take the same
+``(target, flow_params, cfg, chains, beta, rng)``, so a runner calls the one
+it chose the same way; CIS draws CIS_CANDIDATES candidates per chain.
 
 Acceptance arithmetic stays in log space, so a constant added to any
 log-density changes no kernel.  A Langevin proposal that overflows, or a
@@ -32,6 +34,8 @@ import numpy as np
 from .flow import FlowParams, OdeConfig, integrate_rows
 from .targets import (TargetDensity, geometric_mix, reference_log_density,
                       tempered)
+
+CIS_CANDIDATES = 4   # fresh candidates per chain of a CIS flow step
 
 
 @dataclass
@@ -58,12 +62,6 @@ class ChainState:
         log_ref, grad_ref = reference_log_density(self.x, with_grad=True)
         return (geometric_mix(beta, self.log_target, log_ref),
                 geometric_mix(beta, self.grad_target, grad_ref))
-
-    def log_tempered(self, beta: float) -> np.ndarray:
-        """log pi_beta per row alone, as :meth:`tempered` mixes it."""
-        if beta == 1.0:
-            return self.log_target
-        return geometric_mix(beta, self.log_target, reference_log_density(self.x))
 
     def take(self, idx) -> "ChainState":
         """Rows idx (an index array): resampling."""
@@ -149,7 +147,7 @@ def _pull_back(target, flow_params, cfg, chains, beta, rng):
     u, dlp_back, ok = integrate_rows(flow_params, tempered(target, beta), chains.x,
                                      cfg, rng, False)
     with np.errstate(invalid="ignore"):
-        log_pt = chains.log_tempered(beta) + dlp_back
+        log_pt = chains.tempered(beta)[0] + dlp_back
     return np.where(ok[:, None], u, 0.0), log_pt, ok
 
 
@@ -161,7 +159,7 @@ def _push_forward(target, flow_params, cfg, u, beta, rng):
                                     rng, True)
     proposed = evaluate(target, np.where(ok[:, None], y, 0.0))
     with np.errstate(invalid="ignore"):
-        log_pt = proposed.log_tempered(beta) - dlp_fwd
+        log_pt = proposed.tempered(beta)[0] - dlp_fwd
     return proposed, log_pt, ok
 
 
@@ -209,12 +207,13 @@ def flow_imh_step(target: TargetDensity, flow_params: FlowParams, cfg: OdeConfig
 
 def flow_cis_step(target: TargetDensity, flow_params: FlowParams, cfg: OdeConfig,
                   chains: ChainState, beta: float, rng: np.random.Generator,
-                  n_candidates: int) -> KernelOutcome:
+                  n_candidates: int = CIS_CANDIDATES) -> KernelOutcome:
     """Conditional importance sampling through the flow.
 
     One of [u, u'_1..k] is selected in proportion to its weight w
     (:func:`_log_weight`; self-normalized, so constants on pi cancel): u is
-    the pulled-back point, u' n_candidates fresh N(0, I) draws per chain.  If
+    the pulled-back point, u' n_candidates fresh N(0, I) draws per chain
+    (CIS_CANDIDATES, the one count a run uses; tests vary it).  If
     every weight underflows, the current state is kept.  The candidates are
     pushed and evaluated as one stacked batch; its selected rows are cached.
     """

@@ -90,23 +90,19 @@ def mlp_size(sizes: Sequence[int]) -> int:
     return sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
 
 
-def mlp_init(rng: np.random.Generator, sizes: Sequence[int],
-             zero_last: bool = False, out: MlpParams = None) -> MlpParams:
+def mlp_init(rng: np.random.Generator, sizes: Sequence[int], out: MlpParams,
+             zero_last: bool = False) -> MlpParams:
     """Centered-uniform init with scale 1/sqrt(fan_in), zero biases.
 
     Args:
         rng: Source of initial weights; one uniform draw per weight matrix,
             in layer order, the zeroed last one included.
         sizes: Layer widths, e.g. (n_in, hidden, hidden, n_out).
-        zero_last: Zero the final layer so the initial map is identically 0.
         out: An MlpParams with these widths (views into a flat vector, say)
-            into which each layer is drawn, cast to its dtype; otherwise
-            new float64 arrays.  Only one layer's float64 draw is alive at
-            a time.  Returns out.
+            into which each layer is drawn, cast to its dtype.  Only one
+            layer's float64 draw is alive at a time.  Returns out.
+        zero_last: Zero the final layer so the initial map is identically 0.
     """
-    if out is None:
-        out = MlpParams([np.empty((a, b)) for a, b in zip(sizes, sizes[1:])],
-                        [np.empty(b) for b in sizes[1:]])
     if out.sizes != tuple(sizes):
         raise ShapeMismatch(f"out has layer widths {out.sizes}, expected {tuple(sizes)}")
     for w, b in zip(out.weights, out.biases):
@@ -257,6 +253,11 @@ def vector_to_mlp(vector: np.ndarray, sizes: Sequence[int]) -> MlpParams:
 
 # -- Adam with linear step-size decay -----------------------------------------
 
+# Adam's decay rates b1, b2 and eps (Kingma & Ba's defaults); no run varies them
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 # Elements per block of adam_step: 256 KiB per float64 stream (128 KiB per
 # float32 one), so the blocks of the seven vectors it touches (1.75 MiB at
 # most) fit in a 2 MiB per-core L2 cache.
@@ -279,9 +280,6 @@ class AdamState:
     step: int
     step_size: float
     total_steps: int
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_init(n_params: int, step_size: float, total_steps: int,
@@ -328,7 +326,7 @@ def adam_step(state: AdamState, params: np.ndarray, gradient: np.ndarray):
         raise NonFiniteGradient("gradient contains non-finite entries")
     k = state.step + 1
     lr = state.step_size * max(0.0, 1.0 - k / state.total_steps)
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** k
     c2 = 1.0 - b2 ** k
     n = params.size
@@ -349,7 +347,7 @@ def adam_step(state: AdamState, params: np.ndarray, gradient: np.ndarray):
         a *= lr
         np.divide(v, c2, out=b)
         np.sqrt(b, out=b)
-        b += state.eps
+        b += ADAM_EPS
         a /= b
         p -= a
     return params, replace(state, step=k)

@@ -62,22 +62,16 @@ class TargetDensity:
         return self.value_and_grad(x)[1]
 
 
-@dataclass
-class FieldSystemSpec:
-    """One-dimensional lattice field with double-well on-site potential.
-
-    Boundary values x_0 = x_{d+1} = 0 are implicit and not part of the
-    state vector.
-    """
-
-    d: int = 64
-    a: float = 0.1
-    b: float = 10.0
-    beta: float = 20.0
-
-    @property
-    def delta_s(self) -> float:
-        return 1.0 / self.d
+# The models are fixed; only their sizes vary (field d, lgcp m_side), so
+# that tests can build small instances.  Field system: coupling a, well
+# depth b and inverse temperature beta.  LGCP prior: the exponential
+# covariance's variance sigma^2 and length scale beta, as in Moller,
+# Syversveen & Waagepetersen (1998).
+FIELD_COUPLING = 0.1
+FIELD_WELL_DEPTH = 10.0
+FIELD_BETA = 20.0
+LGCP_SIGMA2 = 1.91
+LGCP_BETA_LEN = 1.0 / 33.0
 
 
 @dataclass
@@ -85,14 +79,12 @@ class LgcpSpec:
     """Grid discretization of a log-Gaussian Cox process on the unit square."""
 
     m_side: int = 40
-    sigma2: float = 1.91
-    beta_len: float = 1.0 / 33.0
 
     @property
     def mu0(self) -> float:
-        """Prior mean of the latent field: log(126) - sigma2 / 2, so the
+        """Prior mean of the latent field: log(126) - sigma^2 / 2, so the
         intensity's prior mean is 126."""
-        return np.log(126.0) - self.sigma2 / 2.0
+        return np.log(126.0) - LGCP_SIGMA2 / 2.0
 
     @property
     def dim(self) -> int:
@@ -243,19 +235,19 @@ def make_many_well(n_copies: int = 16) -> TargetDensity:
 
 # -- Field system ------------------------------------------------------------
 
-def make_field_system(spec: FieldSystemSpec = None) -> TargetDensity:
+def make_field_system(d: int = 64) -> TargetDensity:
     """Discretized scalar field with zero Dirichlet boundaries.
 
     log pi(x) = -beta [ a/(2 ds) sum_{i=1..d+1} (x_i - x_{i-1})^2
                         + b ds/4 sum_{i=1..d} (1 - x_i^2)^2 ]
-    with x_0 = x_{d+1} = 0 and ds = 1/d.
+    with x_0 = x_{d+1} = 0 (implicit, not in the state vector), ds = 1/d,
+    a = FIELD_COUPLING, b = FIELD_WELL_DEPTH and beta = FIELD_BETA.
     """
-    spec = spec or FieldSystemSpec()
-    if spec.d < 2:
+    if d < 2:
         raise ValueError("field system needs d >= 2")
-    d, a, b, beta, ds = spec.d, spec.a, spec.b, spec.beta, spec.delta_s
-    coupling = a / (2.0 * ds)
-    onsite = b * ds / 4.0
+    beta, ds = FIELD_BETA, 1.0 / d
+    coupling = FIELD_COUPLING / (2.0 * ds)
+    onsite = FIELD_WELL_DEPTH * ds / 4.0
 
     def padded(xb):
         z = np.zeros((xb.shape[0], 1))
@@ -283,7 +275,8 @@ def make_field_system(spec: FieldSystemSpec = None) -> TargetDensity:
 # -- Log-Gaussian Cox process ------------------------------------------------
 
 def lgcp_covariance(spec: LgcpSpec) -> np.ndarray:
-    """Exponential covariance over grid-cell midpoints of the unit square."""
+    """Exponential covariance over grid-cell midpoints of the unit square:
+    LGCP_SIGMA2 exp(-distance / LGCP_BETA_LEN)."""
     side = spec.m_side
     coords = (np.arange(side) + 0.5) / side
     px, py = np.meshgrid(coords, coords, indexing="ij")
@@ -296,9 +289,9 @@ def lgcp_covariance(spec: LgcpSpec) -> np.ndarray:
     dy *= dy
     dx += dy
     cov = np.sqrt(dx, out=dx)
-    cov /= -spec.beta_len
+    cov /= -LGCP_BETA_LEN
     np.exp(cov, out=cov)
-    cov *= spec.sigma2
+    cov *= LGCP_SIGMA2
     return cov
 
 

@@ -115,12 +115,13 @@ def textbook_adam(m, v, k, state, params, gradient):
     out-of-place oracle that the blocked, in-place nets.adam_step reproduces
     bit for bit.
     """
+    b1, b2 = nets.ADAM_BETA1, nets.ADAM_BETA2
     lr = state.step_size * max(0.0, 1.0 - k / state.total_steps)
-    m = state.beta1 * m + (1.0 - state.beta1) * gradient
-    v = state.beta2 * v + (1.0 - state.beta2) * gradient ** 2
-    m_hat = m / (1.0 - state.beta1 ** k)
-    v_hat = v / (1.0 - state.beta2 ** k)
-    return params - lr * m_hat / (np.sqrt(v_hat) + state.eps), m, v
+    m = b1 * m + (1.0 - b1) * gradient
+    v = b2 * v + (1.0 - b2) * gradient ** 2
+    m_hat = m / (1.0 - b1 ** k)
+    v_hat = v / (1.0 - b2 ** k)
+    return params - lr * m_hat / (np.sqrt(v_hat) + nets.ADAM_EPS), m, v
 
 
 def pack_arrays(arrays, dtype=np.float64):

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,8 @@ INVALID_VALUES = [
     ("divergence", "hutchinson:x"), ("divergence", "trace"),
     ("mode", "sample"), ("target", "gmm8"), ("diag_samples", 1),
     ("iters", "many"), ("divergence", 3), ("seed", "one"),
+    # a seed is a Philox key, and a step size must be a finite number
+    ("seed", -1), ("seed", 2 ** 128), ("mala_tau", float("inf")),
     # JSON true is a bool, which Python counts as an int
     ("iters", True), ("seed", True), ("mala_tau", True),
     # fields that no longer exist: the estimator follows from the dimension,
@@ -178,6 +181,27 @@ def test_worker_count_does_not_change_samples(tmp_path):
         assert cli.run(cfg) == 0
         bodies.append((out / "samples.csv").read_text().splitlines()[1:])
     assert bodies[0] == bodies[1]
+
+
+def test_wall_seconds_times_the_run_without_its_report(tmp_path, monkeypatch):
+    # a runner 0.2 s slower shows in wall_seconds; a report 0.3 s slower,
+    # which runs after the run, does not
+    run_mfm, run_report = driver.run_mfm, driver.run_report
+
+    def slow(fn, seconds):
+        def wrapped(*args):
+            time.sleep(seconds)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(driver, "run_mfm", slow(run_mfm, 0.2))
+    monkeypatch.setattr(driver, "run_report", slow(run_report, 0.3))
+    out = tmp_path / "run"
+    t0 = time.perf_counter()
+    assert cli.run(cli.parse_config(overrides=smoke_overrides(out))) == 0
+    elapsed = time.perf_counter() - t0
+    wall = json.loads((out / "diagnostics.json").read_text())["wall_seconds"]
+    assert 0.2 <= wall and wall + 0.3 <= elapsed
 
 
 def test_diagnose_reproduces_stored_diagnostics(tmp_path):

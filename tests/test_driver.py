@@ -229,7 +229,7 @@ def test_flow_step_evaluates_target_once(kernel, monkeypatch):
     driver.run_report(target, cfg, art)
     assert art.ensemble.flow_proposed == 4 * 16
     assert len(calls) == 6
-    per_step = 16 * (driver.CIS_CANDIDATES if kernel == "cis" else 1)
+    per_step = 16 * (kernels.CIS_CANDIDATES if kernel == "cis" else 1)
     assert calls == [16] + [per_step] * 4 + [cfg.diag_samples]
 
 

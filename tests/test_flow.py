@@ -713,10 +713,18 @@ def _arrays(**entries):
     return lambda header: dict(header, arrays=dict(header["arrays"], **entries))
 
 
+def _hidden_zero(header):
+    """The d = 2 header of a flow without hidden units (5 output biases)."""
+    layout = flow._checkpoint_arrays(2, 0)
+    return dict(header, arrays={"names": [name for name, _ in layout],
+                                "shapes": [shape for _, shape in layout]})
+
+
 # (rewrite_checkpoint's maps, what the error names after the path) of d = 2
 # checkpoints that load_flow refuses with a ValueError: a header that is not
 # an object, a dim that is no positive integer, "arrays" that are not names
-# and shapes lists of one length, and data that is not the layout's bytes
+# and shapes lists of one length, a net_x without hidden units, and data
+# that is not the layout's bytes
 MALFORMED_CHECKPOINTS = {
     "header_a_list": ({"header": lambda h: [h]}, "the header is not a JSON object"),
     "header_cut_short": ({"header": lambda h: b'{"kind": "flow"'},
@@ -734,6 +742,8 @@ MALFORMED_CHECKPOINTS = {
                       "arrays are not"),
     "shapes_not_a_list": ({"header": _arrays(shapes=5)}, "arrays are not"),
     "one_name_for_12_shapes": ({"header": _arrays(names=["net_x.w0"])}, "arrays are not"),
+    "hidden_zero": ({"header": _hidden_zero, "data": lambda d: np.zeros(5).tobytes()},
+                    "net_x is 0 wide"),
     "three_trailing_bytes": ({"data": lambda d: d + b"\0\0\0"}, "data bytes"),
     "one_value_short": ({"data": lambda d: d[:-8]}, "data bytes"),
     "three_bytes_short": ({"data": lambda d: d[:-3]}, "data bytes"),

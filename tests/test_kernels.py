@@ -184,7 +184,6 @@ def test_chain_state_mixes_like_tempered_and_commutes_with_rows(beta, data):
     oracle = targets.tempered(target, beta)
     assert np.array_equal(logp, oracle.log_density(x))
     assert np.array_equal(grad, oracle.grad_log_density(x))
-    assert np.array_equal(chains.log_tempered(beta), logp)
 
     idx = data.draw(arrays(np.intp, data.draw(st.integers(1, 9)),
                            elements=st.integers(0, n - 1)), label="idx")

@@ -10,7 +10,9 @@ from conftest import pack_arrays, richardson_grad, textbook_adam
 
 
 def small_net(rng, sizes=(3, 4, 4, 2)):
-    return nets.mlp_init(rng, sizes)
+    """A float64 MLP drawn into the views of a new flat vector."""
+    flat = np.empty(nets.mlp_size(sizes))
+    return nets.mlp_init(rng, sizes, nets.vector_to_mlp(flat, sizes))
 
 
 def acts(p, x):
@@ -364,21 +366,11 @@ def test_adam_allocates_no_parameter_vector():
 
 
 def test_determinism_same_seed():
-    a = nets.mlp_init(np.random.Generator(np.random.Philox(4)), (3, 8, 8, 2))
-    b = nets.mlp_init(np.random.Generator(np.random.Philox(4)), (3, 8, 8, 2))
+    sizes = (3, 8, 8, 2)
+    a = small_net(np.random.Generator(np.random.Philox(4)), sizes)
+    b = small_net(np.random.Generator(np.random.Philox(4)), sizes)
     x = np.linspace(-1, 1, 3)[None]
     assert np.array_equal(nets.mlp_forward_cache(a, x)[0], nets.mlp_forward_cache(b, x)[0])
-
-
-def test_mlp_init_into_views_matches_new_arrays():
-    sizes = (3, 8, 8, 2)
-    vec = np.empty(nets.mlp_size(sizes))
-    into = nets.mlp_init(np.random.Generator(np.random.Philox(4)), sizes, True,
-                         out=nets.vector_to_mlp(vec, sizes))
-    new = nets.mlp_init(np.random.Generator(np.random.Philox(4)), sizes, True)
-    assert all(np.shares_memory(a, vec) for a in into.arrays())
-    assert np.array_equal(vec, pack_arrays(new.arrays()))
-    assert not new.weights[-1].any() and not new.biases[0].any()
+    # out must have the widths asked for
     with pytest.raises(ShapeMismatch, match="widths"):
-        nets.mlp_init(np.random.Generator(np.random.Philox(4)), (3, 8, 8, 3),
-                      out=nets.vector_to_mlp(vec, sizes))
+        nets.mlp_init(np.random.Generator(np.random.Philox(4)), (3, 8, 8, 3), a)

@@ -15,7 +15,7 @@ def all_targets():
         targets.make_gmm4(),
         targets.make_gmm16(seed=3),
         targets.make_many_well(n_copies=4),
-        targets.make_field_system(targets.FieldSystemSpec(d=8)),
+        targets.make_field_system(8),
         targets.make_lgcp(lg_spec, targets.synthetic_lgcp_counts(lg_spec, seed=1)),
         targets.standard_normal(5),
     ]
@@ -81,13 +81,13 @@ def test_field_system_values():
 
 
 def test_field_system_gradient_odd(rng):
-    t = targets.make_field_system(targets.FieldSystemSpec(d=12))
+    t = targets.make_field_system(12)
     x = rng.standard_normal((1, 12))
     assert np.allclose(t.grad_log_density(-x), -t.grad_log_density(x), atol=1e-12)
 
 
 def test_field_system_reversal_invariance(rng):
-    t = targets.make_field_system(targets.FieldSystemSpec(d=10))
+    t = targets.make_field_system(10)
     x = rng.standard_normal((1, 10))
     assert t.log_density(x[:, ::-1])[0] == pytest.approx(t.log_density(x)[0], abs=1e-12)
 
@@ -124,7 +124,7 @@ def test_lgcp_covariance_matches_pairwise_difference_tensor(m_side):
     px, py = np.meshgrid(coords, coords, indexing="ij")
     pts = np.column_stack([px.ravel(), py.ravel()])
     dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
-    oracle = spec.sigma2 * np.exp(-dist / spec.beta_len)
+    oracle = targets.LGCP_SIGMA2 * np.exp(-dist / targets.LGCP_BETA_LEN)
     assert np.array_equal(targets.lgcp_covariance(spec), oracle)
 
 
