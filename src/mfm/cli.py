@@ -116,14 +116,12 @@ def build_target(cfg: ExperimentConfig) -> targets.TargetDensity:
         return targets.make_many_well()
     if cfg.target == "field":
         return targets.make_field_system()
-    spec = targets.LgcpSpec(m_side=cfg.m_side)
+    counts = None   # make_lgcp draws the seed-0 synthetic grid
     if cfg.counts_csv:
         counts = targets.load_counts_csv(cfg.counts_csv, cfg.m_side)
     elif cfg.m_side == 40 and _BUNDLED_COUNTS.exists():
         counts = targets.load_counts_csv(_BUNDLED_COUNTS, 40)
-    else:
-        counts = targets.synthetic_lgcp_counts(spec, seed=0)
-    return targets.make_lgcp(spec, counts)
+    return targets.make_lgcp(cfg.m_side, counts)
 
 
 # -- Artifact I/O --------------------------------------------------------------
@@ -237,12 +235,13 @@ def run(cfg: ExperimentConfig) -> int:
 
 def _run_diagnose(cfg: ExperimentConfig, out: Path) -> int:
     """Re-score a stored flow; rewrites diagnostics.json and nothing else."""
-    ckpt = out / "flow.ckpt"
-    if not ckpt.exists():
-        raise ConfigError("out", f"no flow checkpoint at {ckpt}")
+    ckpt, runlog = out / "flow.ckpt", out / "runlog.csv"
+    for what, path in (("flow checkpoint", ckpt), ("run log", runlog)):
+        if not path.exists():
+            raise ConfigError("out", f"no {what} at {path}")
     target = build_target(cfg)
     flow_params = flow.load_flow(ckpt)
-    rows = load_runlog_csv(out / "runlog.csv")
+    rows = load_runlog_csv(runlog)
     t0 = time.perf_counter()
     report = driver.diagnose_flow(flow_params, target, cfg)
     write_diagnostics_json(out / "diagnostics.json", report, rows,

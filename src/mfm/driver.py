@@ -139,6 +139,10 @@ class ExperimentConfig:
             f"dimension of the {self.target} target")
         _require(self.counts_csv is None or self.target == "lgcp", "counts_csv",
                  f"the {self.target} target reads no counts")
+        _require(self.m_side == ExperimentConfig.m_side or self.target == "lgcp",
+                 "m_side", f"the {self.target} target has no grid to size")
+        _require(self.mode != "fm-oracle" or self.target in targets.EXACT_SAMPLERS,
+                 "mode", f"the {self.target} target has no exact sampler to train on")
         # alpha >= 1 has no ESS crossing: the ladder would creep towards 1
         _require(0.0 < self.alpha < 1.0, "alpha", "must lie strictly in (0, 1)")
         object.__setattr__(self, "ode", OdeConfig(self.ode_steps))

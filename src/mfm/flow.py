@@ -11,7 +11,7 @@ net_x takes the flow's hidden width.  net_t reads only the time features,
 so it is at most TIME_HIDDEN_MAX wide (``_layer_sizes``); on a wide flow it
 would otherwise hold a large share of the parameters, and of Adam's state,
 for a function of one scalar.  ``_layer_sizes(dim, hidden)`` fixes every
-layer, so a checkpoint's layout follows from its dim and net_x's width.
+layer, so a flow and its checkpoint's layout follow from dim and net_x's width.
 
 A flow wider than TIME_HIDDEN_MAX (only the lgcp preset's) stores its
 parameters and runs both networks in float32 (``_param_dtype``): there the
@@ -91,7 +91,7 @@ TIME_HIDDEN_MAX = 256
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Weights of the two sub-networks and the dimension.
+    """Weights of the two sub-networks; dim is net_x's output width.
 
     All parameters live in one contiguous vector, flat, of float64 or (for
     a wide flow, see _param_dtype) float32: every layer of net_x and net_t
@@ -99,13 +99,17 @@ class FlowParams:
     each network.  That is flow_to_vector's order and the order of the
     checkpoint blob.  Neither the fields nor the layers can be rebound, so
     the views cannot come apart from flat; a layer written in place changes
-    flat.  Build one with flow_init, flow_zero, vector_to_flow or load_flow.
+    flat.  Build one with flow_init, flow_zero, vector_to_flow or load_flow,
+    which lay flat out by _layer_sizes(dim, hidden).
     """
 
     net_x: MlpParams       # (x, fourier(t)) -> R^d
     net_t: MlpParams       # fourier(t) -> R^(d+1): the score's gate, then u
-    dim: int
     flat: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.net_x.n_out
 
 
 @dataclass
@@ -141,8 +145,8 @@ def _param_dtype(hidden: int):
     return np.float32 if hidden > TIME_HIDDEN_MAX else np.float64
 
 
-def _on_flat(flat: np.ndarray, sizes, dim: int) -> FlowParams:
-    """FlowParams whose networks, with layer widths sizes, are views into flat.
+def _on_flat(flat: np.ndarray, dim: int, hidden: int) -> FlowParams:
+    """FlowParams whose networks, of _layer_sizes(dim, hidden), are views into flat.
 
     flat may be float32 or float64 at any width: a float64 checkpoint of a
     wide flow, written before wide flows were float32, loads as it is.
@@ -151,9 +155,10 @@ def _on_flat(flat: np.ndarray, sizes, dim: int) -> FlowParams:
             or not flat.flags.c_contiguous):
         raise ShapeMismatch("flow parameters must be one contiguous float32 or "
                             "float64 vector")
+    sizes = _layer_sizes(dim, hidden)
     parts = nets.unpack(flat, [(nets.mlp_size(s),) for s in sizes])
     net_x, net_t = (nets.vector_to_mlp(p, s) for p, s in zip(parts, sizes))
-    return FlowParams(net_x, net_t, dim, flat)
+    return FlowParams(net_x, net_t, flat)
 
 
 def flow_init(rng: np.random.Generator, dim: int, hidden: int = 128) -> FlowParams:
@@ -163,19 +168,17 @@ def flow_init(rng: np.random.Generator, dim: int, hidden: int = 128) -> FlowPara
     network is drawn straight into its views (nets.mlp_init), layer by
     layer from float64 draws.
     """
-    sizes = _layer_sizes(dim, hidden)
-    params = _on_flat(np.empty(sum(map(nets.mlp_size, sizes)), _param_dtype(hidden)),
-                      sizes, dim)
-    for i, (s, net) in enumerate(zip(sizes, (params.net_x, params.net_t))):
-        nets.mlp_init(rng, s, net, zero_last=(i == 0))
+    n = sum(map(nets.mlp_size, _layer_sizes(dim, hidden)))
+    params = _on_flat(np.empty(n, _param_dtype(hidden)), dim, hidden)
+    nets.mlp_init(rng, params.net_x, zero_last=True)
+    nets.mlp_init(rng, params.net_t)
     return params
 
 
 def flow_zero(dim: int, hidden: int = 8) -> FlowParams:
     """All-zero networks: the vector field is identically zero."""
-    sizes = _layer_sizes(dim, hidden)
-    return _on_flat(np.zeros(sum(map(nets.mlp_size, sizes)), _param_dtype(hidden)),
-                    sizes, dim)
+    n = sum(map(nets.mlp_size, _layer_sizes(dim, hidden)))
+    return _on_flat(np.zeros(n, _param_dtype(hidden)), dim, hidden)
 
 
 def flow_to_vector(params: FlowParams) -> np.ndarray:
@@ -192,8 +195,7 @@ def vector_to_flow(vector: np.ndarray, template: FlowParams) -> FlowParams:
     No copy is made: vector becomes the new flow's flat and its layers are
     views into it, so a later write to vector changes the flow.
     """
-    sizes = [net.sizes for net in (template.net_x, template.net_t)]
-    return _on_flat(vector, sizes, template.dim)
+    return _on_flat(vector, template.dim, template.net_x.sizes[1])
 
 
 def softplus(u):
@@ -222,7 +224,7 @@ class Workspace:
         if not with_dlp:
             return cls(layers, None, None)
         with np.errstate(over="ignore", invalid="ignore"):
-            mix = nets.mlp_trace_matrix(params.net_x, params.dim)
+            mix = nets.mlp_trace_matrix(params.net_x)
         return cls(layers, mix, [np.empty_like(layers[0]) for _ in range(3)])
 
 
@@ -499,9 +501,9 @@ def load_flow(path) -> FlowParams:
                 raise ValueError(f"{path}: expected array {want}, found {got}")
         if hidden < 1:
             raise ValueError(f"{path}: net_x is {hidden} wide, not at least 1")
-        sizes, dtype = _layer_sizes(dim, hidden), _CHECKPOINT_DTYPES[stamp]
-        size = sum(map(nets.mlp_size, sizes)) * dtype.itemsize
+        dtype = _CHECKPOINT_DTYPES[stamp]
+        size = sum(map(nets.mlp_size, _layer_sizes(dim, hidden))) * dtype.itemsize
         if os.fstat(fh.fileno()).st_size - fh.tell() != size:
             raise ValueError(f"{path} does not hold the layout's {size} data bytes")
         flat = np.fromfile(fh, dtype=dtype)
-    return _on_flat(flat, sizes, dim)
+    return _on_flat(flat, dim, hidden)

@@ -70,7 +70,7 @@ class MlpParams:
 
     @property
     def sizes(self) -> Tuple[int, ...]:
-        """Layer widths (n_in, ..., n_out), as mlp_init takes them."""
+        """Layer widths (n_in, ..., n_out), as mlp_shapes and mlp_size take them."""
         return (self.n_in,) + tuple(w.shape[1] for w in self.weights)
 
     def arrays(self) -> List[np.ndarray]:
@@ -90,21 +90,18 @@ def mlp_size(sizes: Sequence[int]) -> int:
     return sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
 
 
-def mlp_init(rng: np.random.Generator, sizes: Sequence[int], out: MlpParams,
+def mlp_init(rng: np.random.Generator, out: MlpParams,
              zero_last: bool = False) -> MlpParams:
     """Centered-uniform init with scale 1/sqrt(fan_in), zero biases.
 
     Args:
         rng: Source of initial weights; one uniform draw per weight matrix,
             in layer order, the zeroed last one included.
-        sizes: Layer widths, e.g. (n_in, hidden, hidden, n_out).
-        out: An MlpParams with these widths (views into a flat vector, say)
-            into which each layer is drawn, cast to its dtype.  Only one
-            layer's float64 draw is alive at a time.  Returns out.
+        out: The MlpParams (views into a flat vector, say) into which each
+            layer is drawn, cast to its dtype; its layers fix the widths.
+            Only one layer's float64 draw is alive at a time.  Returns out.
         zero_last: Zero the final layer so the initial map is identically 0.
     """
-    if out.sizes != tuple(sizes):
-        raise ShapeMismatch(f"out has layer widths {out.sizes}, expected {tuple(sizes)}")
     for w, b in zip(out.weights, out.biases):
         scale = 1.0 / np.sqrt(w.shape[0])
         w[...] = rng.uniform(-scale, scale, size=w.shape)
@@ -189,24 +186,24 @@ def mlp_param_gradient(params: MlpParams, acts, cotangent,
     return out
 
 
-def mlp_trace_matrix(params: MlpParams, k: int) -> np.ndarray:
-    """The constant matrix W2 * (W3[:, :k] @ W1[:k])^T of the input trace.
+def mlp_trace_matrix(params: MlpParams) -> np.ndarray:
+    """The constant matrix W2 * (W3 @ W1[:k])^T of the input trace, k = n_out.
 
-    It depends on the weights alone, so one matrix serves every forward
-    pass of one parameter set (see mlp_input_jacobian_trace).
+    The trace runs over the first n_out inputs (net_x's positions, which
+    precede its time features).  The matrix depends on the weights alone,
+    so one serves every forward pass of one parameter set (see
+    mlp_input_jacobian_trace).
     """
     w1, w2, w3 = params.weights
-    if w3.shape[1] < k:
-        raise ShapeMismatch(f"trace needs >= {k} outputs, net has {w3.shape[1]}")
-    return w2 * (w3[:, :k] @ w1[:k, :]).T
+    return w2 * (w3 @ w1[:params.n_out, :]).T
 
 
 def mlp_input_jacobian_trace(acts, mix, scratch) -> np.ndarray:
-    """sum_i d output_i / d input_i over the first k coordinates, per row.
+    """sum_i d output_i / d input_i over the first n_out coordinates, per row.
 
     For the fixed two-hidden-layer stack the trace collapses to a bilinear
     form in the two tanh' vectors (read from the forward cache acts) with
-    mix = mlp_trace_matrix(params, k), which avoids materializing any
+    mix = mlp_trace_matrix(params), which avoids materializing any
     Jacobian.  It is computed as np.sum((1 - a1**2) * ((1 - a2**2) @ mix.T),
     axis=1), in three hidden-sized buffers: scratch, a list of three
     C-contiguous arrays shaped like acts[1].

@@ -7,13 +7,14 @@ gradients, from one pass over the work both share (on the LGCP target,
 one (N, d) by (d, d) product with the precision).  ``log_density`` and
 ``grad_log_density`` read that oracle, so the value and the gradient of a
 target cannot disagree.  A Hessian-vector product completes each target;
-a single point is a one-row batch.  Normalizing constants are never
-computed anywhere; Metropolis ratios and tempering only ever see
-log-density differences.
+a single point is a one-row batch.  Each target is built from its size
+alone (``make_field_system(d)``, ``make_lgcp(m_side, counts)``); the model
+constants are module constants.  Normalizing constants are never computed
+anywhere; Metropolis ratios and tempering only ever see log-density
+differences.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -65,49 +66,15 @@ class TargetDensity:
 # The models are fixed; only their sizes vary (field d, lgcp m_side), so
 # that tests can build small instances.  Field system: coupling a, well
 # depth b and inverse temperature beta.  LGCP prior: the exponential
-# covariance's variance sigma^2 and length scale beta, as in Moller,
-# Syversveen & Waagepetersen (1998).
+# covariance's variance sigma^2 and length scale beta, and the latent
+# field's mean mu0, as in Moller, Syversveen & Waagepetersen (1998).
 FIELD_COUPLING = 0.1
 FIELD_WELL_DEPTH = 10.0
 FIELD_BETA = 20.0
 LGCP_SIGMA2 = 1.91
 LGCP_BETA_LEN = 1.0 / 33.0
-
-
-@dataclass
-class LgcpSpec:
-    """Grid discretization of a log-Gaussian Cox process on the unit square."""
-
-    m_side: int = 40
-
-    @property
-    def mu0(self) -> float:
-        """Prior mean of the latent field: log(126) - sigma^2 / 2, so the
-        intensity's prior mean is 126."""
-        return np.log(126.0) - LGCP_SIGMA2 / 2.0
-
-    @property
-    def dim(self) -> int:
-        return self.m_side ** 2
-
-    @property
-    def cell_area(self) -> float:
-        return 1.0 / self.m_side ** 2
-
-    @cached_property
-    def covariance_cholesky(self) -> np.ndarray:
-        """Lower Cholesky factor of lgcp_covariance(self), factored once.
-
-        synthetic_lgcp_counts and make_lgcp both read it, so building a
-        target from synthetic counts factors the covariance only once.  The
-        factor is shared: never write to it, nor to the spec's fields once
-        it has been read.
-        """
-        try:
-            return np.linalg.cholesky(lgcp_covariance(self))
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationFailure(
-                f"LGCP covariance for m_side={self.m_side} is not positive definite") from exc
+# log(126) - sigma^2 / 2, so that the intensity's prior mean is 126
+LGCP_MU0 = np.log(126.0) - LGCP_SIGMA2 / 2.0
 
 
 def _mixture_target(means: np.ndarray, variances: np.ndarray,
@@ -274,11 +241,10 @@ def make_field_system(d: int = 64) -> TargetDensity:
 
 # -- Log-Gaussian Cox process ------------------------------------------------
 
-def lgcp_covariance(spec: LgcpSpec) -> np.ndarray:
-    """Exponential covariance over grid-cell midpoints of the unit square:
-    LGCP_SIGMA2 exp(-distance / LGCP_BETA_LEN)."""
-    side = spec.m_side
-    coords = (np.arange(side) + 0.5) / side
+def lgcp_covariance(m_side: int) -> np.ndarray:
+    """Exponential covariance over the midpoints of the m_side x m_side grid
+    cells of the unit square: LGCP_SIGMA2 exp(-distance / LGCP_BETA_LEN)."""
+    coords = (np.arange(m_side) + 0.5) / m_side
     px, py = np.meshgrid(coords, coords, indexing="ij")
     px, py = px.ravel(), py.ravel()
     # dx*dx + dy*dy rounds exactly like summing the squared (N, N, 2)
@@ -321,24 +287,51 @@ def _invert_lower(lower: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_lgcp(spec: LgcpSpec, counts: np.ndarray) -> TargetDensity:
-    """Posterior of the latent log-intensity field given grid counts."""
-    counts = np.asarray(counts)
-    if counts.shape != (spec.m_side, spec.m_side):
+def _lgcp_cholesky(m_side: int) -> np.ndarray:
+    """Lower Cholesky factor of lgcp_covariance(m_side)."""
+    try:
+        return np.linalg.cholesky(lgcp_covariance(m_side))
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationFailure(
+            f"LGCP covariance for m_side={m_side} is not positive definite") from exc
+
+
+def _draw_counts(chol: np.ndarray, m_side: int, seed: int) -> np.ndarray:
+    """Counts grid from the generative model whose covariance factor is chol."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    latent = LGCP_MU0 + chol @ rng.standard_normal(m_side ** 2)
+    rates = (1.0 / m_side ** 2) * np.exp(latent)
+    return rng.poisson(rates).reshape(m_side, m_side)
+
+
+def synthetic_lgcp_counts(m_side: int, seed: int = 0) -> np.ndarray:
+    """Counts grid drawn from the generative model at a fixed seed."""
+    return _draw_counts(_lgcp_cholesky(m_side), m_side, seed)
+
+
+def make_lgcp(m_side: int, counts: Optional[np.ndarray] = None) -> TargetDensity:
+    """Posterior of the latent log-intensity field given m_side x m_side counts.
+
+    Without counts, the seed-0 synthetic grid (synthetic_lgcp_counts) is
+    drawn from the same Cholesky factor that the precision is built from,
+    so the covariance is factored once whatever the counts' source.
+    """
+    if counts is not None and np.shape(counts) != (m_side, m_side):
         raise DimensionMismatch(
-            f"counts grid is {counts.shape}, expected {(spec.m_side, spec.m_side)}")
-    y = counts.ravel().astype(float)
-    d = spec.dim
-    area = spec.cell_area
-    mu0 = spec.mu0
+            f"counts grid is {np.shape(counts)}, expected {(m_side, m_side)}")
+    chol = _lgcp_cholesky(m_side)
+    if counts is None:
+        counts = _draw_counts(chol, m_side, seed=0)
+    y = np.asarray(counts).ravel().astype(float)
+    area = 1.0 / m_side ** 2
 
     # the factor's inverse by triangular blocks: no LU, no identity
-    chol_inv = _invert_lower(spec.covariance_cholesky)
+    chol_inv = _invert_lower(chol)
     precision = chol_inv.T @ chol_inv    # cov^{-1}, built once then read-only
 
     def value_and_grad(xb):
         # one product with the precision and one exp serve both outputs
-        centered = xb - mu0
+        centered = xb - LGCP_MU0
         pulled = centered @ precision
         rates = np.exp(xb)
         quad = np.sum(centered * pulled, axis=-1)
@@ -349,21 +342,15 @@ def make_lgcp(spec: LgcpSpec, counts: np.ndarray) -> TargetDensity:
         vb = np.broadcast_to(v, xb.shape)
         return -vb @ precision - area * np.exp(xb) * vb
 
-    return TargetDensity(d, value_and_grad, hvp_log_density,
-                         name=f"lgcp{spec.m_side}")
-
-
-def synthetic_lgcp_counts(spec: LgcpSpec, seed: int = 0) -> np.ndarray:
-    """Counts grid drawn from the generative model at a fixed seed."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    latent = spec.mu0 + spec.covariance_cholesky @ rng.standard_normal(spec.dim)
-    rates = spec.cell_area * np.exp(latent)
-    return rng.poisson(rates).reshape(spec.m_side, spec.m_side)
+    return TargetDensity(m_side ** 2, value_and_grad, hvp_log_density,
+                         name=f"lgcp{m_side}")
 
 
 # Each named target's dimension, as cli.build_target builds it from the
-# constructors above; lgcp's is m_side ** 2, so its entry is None.
+# constructors above; lgcp's is m_side ** 2, so its entry is None.  The
+# named targets with an exact sampler, which the fm-oracle mode trains on.
 DIMENSIONS = {"gmm4": 2, "gmm16": 2, "manywell": 32, "field": 64, "lgcp": None}
+EXACT_SAMPLERS = frozenset({"gmm4", "gmm16", "manywell"})
 
 
 def load_counts_csv(path, m_side: int) -> np.ndarray:

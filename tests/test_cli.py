@@ -58,6 +58,22 @@ def test_config_file_roundtrip(tmp_path):
     assert again == cfg
 
 
+def test_config_file_comments_blank_lines_and_bare_strings(tmp_path):
+    # a value that is not JSON is read as the bare string it spells
+    path = tmp_path / "c.cfg"
+    path.write_text("# a comment\n\n   \n  # indented comment\npreset = gmm4\nseed = 5\n")
+    assert cli.read_config_file(path) == {"preset": "gmm4", "seed": 5}
+    assert cli.parse_config(path).target == "gmm4"
+
+
+def test_config_file_line_without_equals_refused(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("seed = 5\n# fine\npreset gmm4\n")
+    with pytest.raises(ConfigError, match="expected 'key = value'") as excinfo:
+        cli.read_config_file(path)
+    assert excinfo.value.field == f"{path}:3"
+
+
 def test_flag_overrides_beat_file(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("preset = \"gmm4\"\nseed = 5\niters = 100\n")
@@ -101,6 +117,10 @@ INVALID_VALUES = [
     ("counts_csv", 5, {"target": "lgcp"}), ("counts_csv", "counts.csv"),
     # a preset is named by a string; a list cannot even be looked up
     ("preset", [1]), ("preset", 1),
+    # only the lgcp target has a grid for m_side to size
+    ("m_side", 7, {"mode": "atsmc"}),
+    # fm-oracle trains on exact draws, which these targets have none of
+    ("mode", "fm-oracle", {"target": "field"}), ("mode", "fm-oracle", {"target": "lgcp"}),
 ]
 
 
@@ -251,6 +271,25 @@ def test_diagnose_refuses_a_pre_merge_checkpoint(tmp_path, capsys, rng):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
 
+@pytest.mark.parametrize("missing", ["flow.ckpt", "runlog.csv"])
+def test_diagnose_refuses_a_run_without_its_files(tmp_path, monkeypatch, missing):
+    # refused before the target is built, and nothing is written
+    out = tmp_path / "run"
+    assert cli.run(cli.parse_config(overrides=smoke_overrides(out))) == 0
+    (out / missing).unlink()
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def unbuilt(_cfg):
+        raise AssertionError("the target was built")
+
+    monkeypatch.setattr(cli, "build_target", unbuilt)
+    cfg = cli.parse_config(out / "config.resolved", dict(mode="diagnose"))
+    with pytest.raises(ConfigError, match=str(out / missing)) as excinfo:
+        cli.run(cfg)
+    assert excinfo.value.field == "out"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+
 def test_diagnose_refuses_a_malformed_checkpoint(tmp_path, capsys):
     # three bytes past the layout's data, which np.fromfile alone would drop
     out = tmp_path / "run"
@@ -383,43 +422,61 @@ def test_lgcp_build_factors_covariance_once(monkeypatch, m_side):
     assert calls == [(m_side ** 2, m_side ** 2)]
 
     # oracle: synthetic counts and precision each from a factor of their own
-    spec = targets.LgcpSpec(m_side=m_side)
+    d, area, mu0 = m_side ** 2, 1.0 / m_side ** 2, targets.LGCP_MU0
     rng = np.random.Generator(np.random.Philox(0))
-    chol = np.linalg.cholesky(targets.lgcp_covariance(spec))
-    latent = spec.mu0 + chol @ rng.standard_normal(spec.dim)
-    counts = rng.poisson(spec.cell_area * np.exp(latent)).reshape(m_side, m_side)
-    own_chol = np.linalg.cholesky(targets.lgcp_covariance(spec))
-    if spec.dim <= 64:   # one block of the inverse: LAPACK's gesv itself
-        chol_inv = np.linalg.solve(own_chol, np.eye(spec.dim))
+    chol = np.linalg.cholesky(targets.lgcp_covariance(m_side))
+    latent = mu0 + chol @ rng.standard_normal(d)
+    counts = rng.poisson(area * np.exp(latent)).reshape(m_side, m_side)
+    own_chol = np.linalg.cholesky(targets.lgcp_covariance(m_side))
+    if d <= 64:   # one block of the inverse: LAPACK's gesv itself
+        chol_inv = np.linalg.solve(own_chol, np.eye(d))
     else:
         chol_inv = targets._invert_lower(own_chol)
     precision = chol_inv.T @ chol_inv
-    assert np.array_equal(targets.synthetic_lgcp_counts(spec, seed=0), counts)
+    assert np.array_equal(targets.synthetic_lgcp_counts(m_side, seed=0), counts)
     # at x = mu0 the gradient is y - area e^mu0, which exposes the counts
-    x = np.full((1, spec.dim), spec.mu0)
+    x = np.full((1, d), mu0)
     assert np.array_equal(target.grad_log_density(x)[0],
-                          counts.ravel() - spec.cell_area * np.exp(x[0]))
+                          counts.ravel() - area * np.exp(x[0]))
     # where e^x = 0 the Hessian is -precision, and H I = H exactly
-    xb = np.full((spec.dim, spec.dim), -np.inf)
-    assert np.array_equal(-target.hvp_log_density(xb, np.eye(spec.dim)), precision)
+    xb = np.full((d, d), -np.inf)
+    assert np.array_equal(-target.hvp_log_density(xb, np.eye(d)), precision)
+
+
+def test_lgcp_build_from_counts_csv(tmp_path, monkeypatch):
+    # a counts file is read as it is, and the covariance is factored once
+    counts = np.arange(36).reshape(6, 6) % 5
+    path = tmp_path / "counts.csv"
+    np.savetxt(path, counts, fmt="%d", delimiter=",")
+    cfg = cli.parse_config(overrides=dict(preset="lgcp", seed=0, m_side=6,
+                                          counts_csv=str(path)))
+    calls = []
+    inner = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or inner(a))
+    target = cli.build_target(cfg)
+    monkeypatch.undo()
+    assert calls == [(36, 36)]
+    # at x = mu0 the gradient is y - area e^mu0, which exposes the counts
+    x = np.full((1, 36), targets.LGCP_MU0)
+    assert np.array_equal(target.grad_log_density(x)[0],
+                          counts.ravel() - (1.0 / 36) * np.exp(x[0]))
 
 
 def test_bundled_lgcp_counts_are_the_synthetic_counts(monkeypatch):
     # the package ships the seed-0 synthetic grid, so the m_side = 40 build
     # reads the file and the samples are those of synthetic counts
-    spec = targets.LgcpSpec(m_side=40)
-    counts = targets.synthetic_lgcp_counts(spec, seed=0)
+    counts = targets.synthetic_lgcp_counts(40, seed=0)
     assert np.array_equal(targets.load_counts_csv(cli._BUNDLED_COUNTS, 40), counts)
 
     def unavailable(*_args, **_kwargs):
         raise AssertionError("build_target drew synthetic counts")
 
-    monkeypatch.setattr(targets, "synthetic_lgcp_counts", unavailable)
+    monkeypatch.setattr(targets, "_draw_counts", unavailable)
     target = cli.build_target(cli.parse_config(overrides=dict(preset="lgcp", seed=0)))
     # at x = mu0 the gradient is y - area e^mu0, which exposes the counts
-    x = np.full((1, spec.dim), spec.mu0)
+    x = np.full((1, 40 ** 2), targets.LGCP_MU0)
     assert np.array_equal(target.grad_log_density(x)[0],
-                          counts.ravel() - spec.cell_area * np.exp(x[0]))
+                          counts.ravel() - (1.0 / 40 ** 2) * np.exp(x[0]))
 
 
 @pytest.mark.parametrize("mode", ["mfm", "atsmc"])

@@ -5,7 +5,7 @@ import pytest
 
 from mfm import cfm, driver, flow, kernels, nets, targets
 from mfm.driver import ExperimentConfig
-from mfm.errors import ConfigError, NonFiniteGradient, NonFiniteLoss
+from mfm.errors import ConfigError, DegenerateWeights, NonFiniteGradient, NonFiniteLoss
 
 from conftest import gaussian, textbook_adam, while_running
 
@@ -182,8 +182,7 @@ def test_atsmc_identical_base_and_target_single_jump(rng):
 def test_atsmc_evaluates_target_once_per_mala_pass(monkeypatch):
     # one fused value-and-gradient call per evaluation, none of the
     # separate gradient oracle; the run ends before its report
-    spec = targets.LgcpSpec(m_side=4)
-    target = targets.make_lgcp(spec, targets.synthetic_lgcp_counts(spec, seed=0))
+    target = targets.make_lgcp(4)
     calls = {"log_density": [], "grad_log_density": [], "mala_step": []}
 
     def counting(name, inner):
@@ -283,11 +282,20 @@ def test_atsmc_weights_match_ess_solve(rng):
                                 rel=1e-12)
 
 
+def test_atsmc_refuses_weights_that_all_vanish():
+    # a log-density of -inf at every particle leaves no finite importance weight
+    target = targets.TargetDensity(
+        2, lambda x: (np.full(len(x), -np.inf), np.zeros_like(x)),
+        lambda x, v: np.zeros_like(x))
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(DegenerateWeights, match="importance weights vanished"):
+        driver.run_atsmc(target, smoke_config(mode="atsmc"))
+
+
 # -- FM oracle ------------------------------------------------------------------------
 
 def test_fm_oracle_requires_sampler():
-    spec = targets.LgcpSpec(m_side=4)
-    lgcp = targets.make_lgcp(spec, targets.synthetic_lgcp_counts(spec, seed=0))
+    lgcp = targets.make_lgcp(4)
     with pytest.raises(ValueError):
         driver.run_fm_oracle(lgcp, smoke_config())
 

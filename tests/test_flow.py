@@ -727,6 +727,7 @@ def _hidden_zero(header):
 # that is not the layout's bytes
 MALFORMED_CHECKPOINTS = {
     "header_a_list": ({"header": lambda h: [h]}, "the header is not a JSON object"),
+    "kind_not_flow": ({"header": lambda h: dict(h, kind="adam")}, "is not a flow checkpoint"),
     "header_cut_short": ({"header": lambda h: b'{"kind": "flow"'},
                          "the header is not a JSON object"),
     "header_not_utf8": ({"header": lambda h: b"\xff"}, "the header is not a JSON object"),
@@ -764,9 +765,11 @@ def test_save_flow_refuses_a_flow_of_another_layout(tmp_path, rng):
     # net_t 5 wide, where _layer_sizes(3, 8) makes it 8 wide
     sizes = [flow._layer_sizes(3, 8)[0], (16, 5, 5, 4)]
     flat = rng.standard_normal(sum(nets.mlp_size(s) for s in sizes))
+    parts = nets.unpack(flat, [(nets.mlp_size(s),) for s in sizes])
+    odd = flow.FlowParams(*(nets.vector_to_mlp(p, s) for p, s in zip(parts, sizes)), flat)
     path = tmp_path / "flow.ckpt"
     with pytest.raises(ValueError, match="checkpoint layout"):
-        flow.save_flow(path, flow._on_flat(flat, sizes, 3))
+        flow.save_flow(path, odd)
     assert not path.exists()
 
 

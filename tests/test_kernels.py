@@ -147,8 +147,7 @@ def assert_same_chains(a, b):
 
 
 def small_lgcp():
-    spec = targets.LgcpSpec(m_side=4)
-    return targets.make_lgcp(spec, targets.synthetic_lgcp_counts(spec, seed=0))
+    return targets.make_lgcp(4)
 
 
 @pytest.mark.parametrize("make_target, tau, scale",

@@ -12,7 +12,7 @@ from conftest import pack_arrays, richardson_grad, textbook_adam
 def small_net(rng, sizes=(3, 4, 4, 2)):
     """A float64 MLP drawn into the views of a new flat vector."""
     flat = np.empty(nets.mlp_size(sizes))
-    return nets.mlp_init(rng, sizes, nets.vector_to_mlp(flat, sizes))
+    return nets.mlp_init(rng, nets.vector_to_mlp(flat, sizes))
 
 
 def acts(p, x):
@@ -95,7 +95,7 @@ def test_jacobian_trace_matches_finite_differences(rng):
         e[i] = h
         fd = fd + (nets.mlp_forward_cache(p, xb + e)[0][:, i]
                    - nets.mlp_forward_cache(p, xb - e)[0][:, i]) / (2 * h)
-    mix = nets.mlp_trace_matrix(p, 3)
+    mix = nets.mlp_trace_matrix(p)
     cache = acts(p, xb)
     scratch = [np.empty_like(cache[1]) for _ in range(3)]
     trace = nets.mlp_input_jacobian_trace(cache, mix, scratch)
@@ -128,7 +128,7 @@ def test_forward_cache_into_buffers_is_bit_identical(rng, rows):
 def test_jacobian_trace_with_scratch_is_bit_identical(rng, rows):
     p = small_net(rng, (18, 128, 128, 2))
     cache = acts(p, rng.standard_normal((rows, 18)))
-    mix = nets.mlp_trace_matrix(p, 2)
+    mix = nets.mlp_trace_matrix(p)
     a1, a2 = cache[1], cache[2]
     expected = np.sum((1 - a1 ** 2) * ((1 - a2 ** 2) @ mix.T), axis=1)
     scratch = [np.full_like(a1, np.nan) for _ in range(3)]
@@ -371,6 +371,3 @@ def test_determinism_same_seed():
     b = small_net(np.random.Generator(np.random.Philox(4)), sizes)
     x = np.linspace(-1, 1, 3)[None]
     assert np.array_equal(nets.mlp_forward_cache(a, x)[0], nets.mlp_forward_cache(b, x)[0])
-    # out must have the widths asked for
-    with pytest.raises(ShapeMismatch, match="widths"):
-        nets.mlp_init(np.random.Generator(np.random.Philox(4)), (3, 8, 8, 3), a)

@@ -10,13 +10,12 @@ from conftest import finite_diff_grad, gaussian
 
 
 def all_targets():
-    lg_spec = targets.LgcpSpec(m_side=4)
     return [
         targets.make_gmm4(),
         targets.make_gmm16(seed=3),
         targets.make_many_well(n_copies=4),
         targets.make_field_system(8),
-        targets.make_lgcp(lg_spec, targets.synthetic_lgcp_counts(lg_spec, seed=1)),
+        targets.make_lgcp(4, targets.synthetic_lgcp_counts(4, seed=1)),
         targets.standard_normal(5),
     ]
 
@@ -92,26 +91,55 @@ def test_field_system_reversal_invariance(rng):
     assert t.log_density(x[:, ::-1])[0] == pytest.approx(t.log_density(x)[0], abs=1e-12)
 
 
+def test_many_well_sampler_matches_quadrature():
+    # even coordinates: the double well exp(-a^4 + 6a^2 + a/2), whose
+    # moments come from quadrature; odd coordinates: N(0, 1).  200,000
+    # draws of each; the bounds are about 5 standard errors.
+    from scipy.integrate import quad
+
+    def integral(f):
+        weighted = lambda a: f(a) * np.exp(-a ** 4 + 6.0 * a ** 2 + 0.5 * a - 9.0)
+        return quad(weighted, -8.0, 8.0, points=[-1.7, 0.0, 1.75], limit=200)[0]
+
+    mean, second, positive = (integral(f) / integral(lambda a: 1.0)
+                              for f in (lambda a: a, lambda a: a * a, lambda a: a > 0))
+    target = targets.make_many_well(n_copies=2)
+    draws = target.sampler(np.random.Generator(np.random.Philox(7)), 100_000)
+    assert draws.shape == (100_000, 4)
+    a, b = draws[:, 0::2].ravel(), draws[:, 1::2].ravel()
+    assert abs(a.mean() - mean) <= 0.015
+    assert abs(np.mean(a ** 2) - second) <= 0.015
+    assert abs(np.mean(a > 0) - positive) <= 0.004
+    assert abs(b.mean()) <= 0.012 and abs(np.mean(b ** 2) - 1.0) <= 0.016
+
+
+@pytest.mark.parametrize("name", sorted(targets.DIMENSIONS))
+def test_named_targets_match_the_tables(name):
+    # each target as cli.build_target builds it (lgcp on a 5 x 5 grid): its
+    # dimension is DIMENSIONS's, and it has an exact sampler exactly when
+    # it is one of EXACT_SAMPLERS
+    grid = {"m_side": 5} if name == "lgcp" else {}
+    target = cli.build_target(cli.parse_config(overrides=dict(target=name, seed=0, **grid)))
+    assert target.dim == (targets.DIMENSIONS[name] or 25)
+    assert (target.sampler is not None) == (name in targets.EXACT_SAMPLERS)
+
+
 def test_lgcp_prior_mean_value():
-    spec = targets.LgcpSpec(m_side=6)
-    t = targets.make_lgcp(spec, np.zeros((6, 6), dtype=int))
-    x = np.full((1, spec.dim), spec.mu0)
-    expected = -spec.cell_area * spec.dim * np.exp(spec.mu0)
+    t = targets.make_lgcp(6, np.zeros((6, 6), dtype=int))
+    x = np.full((1, 36), targets.LGCP_MU0)
+    expected = -(1.0 / 36) * 36 * np.exp(targets.LGCP_MU0)
     assert t.log_density(x)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_lgcp_hvp_zero_direction():
-    spec = targets.LgcpSpec(m_side=4)
-    t = targets.make_lgcp(spec, targets.synthetic_lgcp_counts(spec, seed=2))
-    x = np.linspace(-1, 1, spec.dim)[None]
-    assert np.all(t.hvp_log_density(x, np.zeros(spec.dim)) == 0.0)
+    t = targets.make_lgcp(4, targets.synthetic_lgcp_counts(4, seed=2))
+    x = np.linspace(-1, 1, 16)[None]
+    assert np.all(t.hvp_log_density(x, np.zeros(16)) == 0.0)
 
 
 def test_lgcp_covariance_factorization():
-    spec = targets.LgcpSpec(m_side=8)
-    cov = targets.lgcp_covariance(spec)
-    targets.make_lgcp(spec, targets.synthetic_lgcp_counts(spec, seed=0))
-    chol = spec.covariance_cholesky
+    cov = targets.lgcp_covariance(8)
+    chol = targets._lgcp_cholesky(8)
     rel = np.abs(chol @ chol.T - cov).max() / np.abs(cov).max()
     assert rel <= 1e-8
 
@@ -119,13 +147,12 @@ def test_lgcp_covariance_factorization():
 @pytest.mark.parametrize("m_side", [8, 13])
 def test_lgcp_covariance_matches_pairwise_difference_tensor(m_side):
     # oracle: distances from the (N, N, 2) tensor of pairwise differences
-    spec = targets.LgcpSpec(m_side=m_side)
     coords = (np.arange(m_side) + 0.5) / m_side
     px, py = np.meshgrid(coords, coords, indexing="ij")
     pts = np.column_stack([px.ravel(), py.ravel()])
     dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
     oracle = targets.LGCP_SIGMA2 * np.exp(-dist / targets.LGCP_BETA_LEN)
-    assert np.array_equal(targets.lgcp_covariance(spec), oracle)
+    assert np.array_equal(targets.lgcp_covariance(m_side), oracle)
 
 
 @pytest.mark.parametrize("n", [1, 17, 64, 65, 100, 257])
@@ -147,22 +174,30 @@ def test_lgcp_preset_precision_inverts_the_covariance():
     # the presets' m_side = 40 target, on the bundled counts; where e^x = 0
     # the Hessian is -precision, and H I = H exactly
     target = cli.build_target(cli.parse_config(overrides=dict(preset="lgcp", seed=0)))
-    spec = targets.LgcpSpec(m_side=40)
-    xb = np.full((spec.dim, spec.dim), -np.inf)
-    precision = -target.hvp_log_density(xb, np.eye(spec.dim))
-    cov = targets.lgcp_covariance(spec)
+    d = 40 ** 2
+    xb = np.full((d, d), -np.inf)
+    precision = -target.hvp_log_density(xb, np.eye(d))
+    cov = targets.lgcp_covariance(40)
     assert np.array_equal(precision, precision.T)
-    assert np.abs(precision @ cov - np.eye(spec.dim)).max() <= 1e-12
+    assert np.abs(precision @ cov - np.eye(d)).max() <= 1e-12
     # oracle: the precision from LAPACK's gesv, as built before the block inverse
-    chol_inv = np.linalg.solve(np.linalg.cholesky(cov), np.eye(spec.dim))
+    chol_inv = np.linalg.solve(np.linalg.cholesky(cov), np.eye(d))
     gesv = chol_inv.T @ chol_inv
     assert np.abs(precision - gesv).max() <= 1e-13 * np.abs(gesv).max()
 
 
+def test_lgcp_without_counts_reads_the_synthetic_grid():
+    # counts=None draws synthetic_lgcp_counts(m_side, seed=0) from the
+    # factor it inverts: the same target, bit for bit
+    x = np.random.Generator(np.random.Philox(3)).normal(4.0, 1.0, (3, 25))
+    drawn = targets.make_lgcp(5).value_and_grad(x)
+    given = targets.make_lgcp(5, targets.synthetic_lgcp_counts(5, seed=0)).value_and_grad(x)
+    assert all(np.array_equal(p, q) for p, q in zip(drawn, given))
+
+
 def test_lgcp_counts_shape_mismatch():
-    spec = targets.LgcpSpec(m_side=4)
     with pytest.raises(DimensionMismatch):
-        targets.make_lgcp(spec, np.zeros((5, 5), dtype=int))
+        targets.make_lgcp(4, np.zeros((5, 5), dtype=int))
 
 
 # -- gradient / hvp oracles ----------------------------------------------------
@@ -304,12 +339,18 @@ def test_tempered_gradient_and_hvp_combine(rng):
 
 
 def test_counts_csv_roundtrip(tmp_path):
-    spec = targets.LgcpSpec(m_side=5)
-    counts = targets.synthetic_lgcp_counts(spec, seed=9)
+    counts = targets.synthetic_lgcp_counts(5, seed=9)
     path = tmp_path / "counts.csv"
     np.savetxt(path, counts, fmt="%d", delimiter=",")
     loaded = targets.load_counts_csv(path, 5)
     assert np.array_equal(loaded, counts)
+
+
+def test_counts_csv_of_another_shape_refused(tmp_path):
+    path = tmp_path / "counts.csv"
+    np.savetxt(path, np.ones((4, 5), dtype=int), fmt="%d", delimiter=",")
+    with pytest.raises(DimensionMismatch, match=r"\(4, 5\), expected \(4, 4\)"):
+        targets.load_counts_csv(path, 4)
 
 
 def test_counts_csv_with_negative_count_refused(tmp_path):
