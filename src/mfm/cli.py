@@ -69,8 +69,9 @@ def _parse_value(raw: str):
 
 
 def read_config_file(path) -> dict:
-    """Flat key = value lines; unknown keys are rejected downstream."""
-    values = {}
+    """Flat key = value lines; unknown keys are rejected downstream, a key
+    set twice here."""
+    values, first_line = {}, {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -78,7 +79,12 @@ def read_config_file(path) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}", "expected 'key = value'")
         key, raw = stripped.split("=", 1)
-        values[key.strip()] = _parse_value(raw)
+        key = key.strip()
+        if key in first_line:
+            raise ConfigError(key, f"set twice in {path}, on lines "
+                                   f"{first_line[key]} and {lineno}")
+        first_line[key] = lineno
+        values[key] = _parse_value(raw)
     return values
 
 
@@ -134,15 +140,16 @@ def write_samples_csv(path, cfg: ExperimentConfig, positions: np.ndarray) -> Non
     """One row per particle, every value as %.17g, csv-module line endings.
 
     No formatted value contains a delimiter or a quote, so one format
-    string per row gives exactly the bytes csv.writer would.
+    string per row gives exactly the bytes csv.writer would.  Rows are
+    converted to Python floats one at a time.
     """
     d = positions.shape[1]
     row_format = ",".join(["%.17g"] * d) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(_stamp(cfg) + "\n")
         fh.write(",".join(f"x_{i + 1}" for i in range(d)) + "\r\n")
-        for row in positions.tolist():
-            fh.write(row_format % tuple(row))
+        for row in positions:
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def load_samples_csv(path) -> np.ndarray:

@@ -241,59 +241,120 @@ def make_field_system(d: int = 64) -> TargetDensity:
 
 # -- Log-Gaussian Cox process ------------------------------------------------
 
+# Rows per block of the covariance fill, and the largest block that the
+# in-place Cholesky factor and Gram product hand to numpy whole
+_COVARIANCE_ROWS = 64
+_LGCP_BLOCK = 256
+
+
 def lgcp_covariance(m_side: int) -> np.ndarray:
     """Exponential covariance over the midpoints of the m_side x m_side grid
-    cells of the unit square: LGCP_SIGMA2 exp(-distance / LGCP_BETA_LEN)."""
+    cells of the unit square: LGCP_SIGMA2 exp(-distance / LGCP_BETA_LEN).
+
+    Filled in blocks of rows, so that its only temporary is one block of
+    squared y-differences.
+    """
     coords = (np.arange(m_side) + 0.5) / m_side
     px, py = np.meshgrid(coords, coords, indexing="ij")
     px, py = px.ravel(), py.ravel()
-    # dx*dx + dy*dy rounds exactly like summing the squared (N, N, 2)
-    # difference tensor over its last axis, without building that tensor
-    dx = px[:, None] - px[None, :]
-    dy = py[:, None] - py[None, :]
-    dx *= dx
-    dy *= dy
-    dx += dy
-    cov = np.sqrt(dx, out=dx)
-    cov /= -LGCP_BETA_LEN
-    np.exp(cov, out=cov)
-    cov *= LGCP_SIGMA2
+    d = len(px)
+    cov = np.empty((d, d))
+    dy_rows = np.empty((min(d, _COVARIANCE_ROWS), d))
+    for start in range(0, d, _COVARIANCE_ROWS):
+        rows = slice(start, start + _COVARIANCE_ROWS)
+        # dx*dx + dy*dy rounds exactly like summing the squared (N, N, 2)
+        # difference tensor over its last axis, without building that tensor
+        dx = np.subtract(px[rows, None], px[None, :], out=cov[rows])
+        dy = np.subtract(py[rows, None], py[None, :], out=dy_rows[:len(dx)])
+        dx *= dx
+        dy *= dy
+        dx += dy
+        np.sqrt(dx, out=dx)
+        dx /= -LGCP_BETA_LEN
+        np.exp(dx, out=dx)
+        dx *= LGCP_SIGMA2
     return cov
 
 
-def _invert_lower(lower: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix by 2 x 2 block recursion.
+# The three block recursions below overwrite their one (n, n) argument.
+# Each keeps at most two temporaries of a quarter of it alive at once.
+
+def _cholesky_in_place(a: np.ndarray) -> None:
+    """Overwrite the symmetric positive definite a with its lower Cholesky
+    factor, upper triangle zero, by 2 x 2 block recursion (Gustavson, IBM
+    J. Res. Dev. 1997).  Blocks of at most _LGCP_BLOCK rows go to
+    np.linalg.cholesky, whose LinAlgError is left to the caller.
+
+    [[A11, .], [A21, A22]] = [[L11, 0], [L21, L22]] [[L11, 0], [L21, L22]]^T
+    with L21 = A21 inv(L11)^T and L22 the factor of A22 - L21 L21^T.
+    """
+    n = a.shape[0]
+    if n <= _LGCP_BLOCK:
+        a[...] = np.linalg.cholesky(a)
+        return
+    h = n // 2
+    _cholesky_in_place(a[:h, :h])
+    inv11 = a[:h, :h].copy()
+    _invert_lower(inv11)
+    np.matmul(a[h:, :h], inv11.T, out=a[h:, :h])
+    del inv11   # before the Schur complement's temporary
+    a[h:, h:] -= a[h:, :h] @ a[h:, :h].T
+    a[:h, h:] = 0.0
+    _cholesky_in_place(a[h:, h:])
+
+
+def _invert_lower(a: np.ndarray) -> None:
+    """Overwrite the lower-triangular a with its inverse by 2 x 2 block recursion.
 
     inv([[A, 0], [C, B]]) = [[inv(A), 0], [-inv(B) (C inv(A)), inv(B)]]
-    (Du Croz & Higham, IMA J. Numer. Anal. 1992).  Each half is recursed
-    into its view of one output, whose upper triangle stays exactly zero;
-    blocks of at most 64 rows go to np.linalg.inv.  The input is only read.
+    (Du Croz & Higham, IMA J. Numer. Anal. 1992).  Both halves are
+    inverted in place before the corner is formed; blocks of at most 64
+    rows go to np.linalg.inv.  The upper triangle is never written.
     """
-    out = np.zeros(lower.shape)
+    n = a.shape[0]
+    if n <= 64:
+        a[...] = np.linalg.inv(a)
+        return
+    h = n // 2
+    _invert_lower(a[:h, :h])
+    _invert_lower(a[h:, h:])
+    corner = a[h:, :h]
+    np.matmul(a[h:, h:], corner @ a[:h, :h], out=corner)
+    np.negative(corner, out=corner)
 
-    def invert_into(a, dest):
-        n = a.shape[0]
-        if n <= 64:
-            dest[...] = np.linalg.inv(a)
-            return
-        h = n // 2
-        invert_into(a[:h, :h], dest[:h, :h])
-        invert_into(a[h:, h:], dest[h:, h:])
-        corner = dest[h:, :h]
-        np.matmul(dest[h:, h:], a[h:, :h] @ dest[:h, :h], out=corner)
-        np.negative(corner, out=corner)
 
-    invert_into(lower, out)
-    return out
+def _gram_in_place(a: np.ndarray) -> None:
+    """Overwrite the lower-triangular a with the symmetric a^T a.
+
+    [[A, 0], [C, B]]^T [[A, 0], [C, B]] = [[A^T A + C^T C, C^T B],
+    [B^T C, B^T B]]: the diagonal blocks recurse, so no product multiplies
+    the triangles' zeros above the block level, and the upper block is the
+    lower one transposed.  Blocks of at most _LGCP_BLOCK rows are one
+    a.T @ a.
+    """
+    n = a.shape[0]
+    if n <= _LGCP_BLOCK:
+        a[...] = a.T @ a
+        return
+    h = n // 2
+    lower = a[h:, :h]
+    _gram_in_place(a[:h, :h])
+    a[:h, :h] += lower.T @ lower
+    np.matmul(a[h:, h:].T, lower, out=lower)
+    a[:h, h:] = lower.T
+    _gram_in_place(a[h:, h:])
 
 
 def _lgcp_cholesky(m_side: int) -> np.ndarray:
-    """Lower Cholesky factor of lgcp_covariance(m_side)."""
+    """Lower Cholesky factor of lgcp_covariance(m_side), in the covariance's
+    own array."""
+    chol = lgcp_covariance(m_side)
     try:
-        return np.linalg.cholesky(lgcp_covariance(m_side))
+        _cholesky_in_place(chol)
     except np.linalg.LinAlgError as exc:
         raise FactorizationFailure(
             f"LGCP covariance for m_side={m_side} is not positive definite") from exc
+    return chol
 
 
 def _draw_counts(chol: np.ndarray, m_side: int, seed: int) -> np.ndarray:
@@ -314,7 +375,9 @@ def make_lgcp(m_side: int, counts: Optional[np.ndarray] = None) -> TargetDensity
 
     Without counts, the seed-0 synthetic grid (synthetic_lgcp_counts) is
     drawn from the same Cholesky factor that the precision is built from,
-    so the covariance is factored once whatever the counts' source.
+    so the covariance is factored once whatever the counts' source.  One
+    (d, d) array holds the covariance, its factor, the factor's inverse
+    and the precision in turn.
     """
     if counts is not None and np.shape(counts) != (m_side, m_side):
         raise DimensionMismatch(
@@ -325,9 +388,11 @@ def make_lgcp(m_side: int, counts: Optional[np.ndarray] = None) -> TargetDensity
     y = np.asarray(counts).ravel().astype(float)
     area = 1.0 / m_side ** 2
 
-    # the factor's inverse by triangular blocks: no LU, no identity
-    chol_inv = _invert_lower(chol)
-    precision = chol_inv.T @ chol_inv    # cov^{-1}, built once then read-only
+    # cov^{-1} = inv(chol)^T inv(chol), formed in the factor's own array
+    # and read-only from then on
+    precision = chol
+    _invert_lower(precision)
+    _gram_in_place(precision)
 
     def value_and_grad(xb):
         # one product with the precision and one exp serve both outputs

@@ -5,6 +5,7 @@ import io
 import json
 import shutil
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,14 @@ def test_config_file_line_without_equals_refused(tmp_path):
     with pytest.raises(ConfigError, match="expected 'key = value'") as excinfo:
         cli.read_config_file(path)
     assert excinfo.value.field == f"{path}:3"
+
+
+def test_config_file_key_set_twice_refused(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("seed = 1\npreset = gmm4\n\nseed = 2\n")
+    with pytest.raises(ConfigError, match="set twice .* on lines 1 and 4") as excinfo:
+        cli.read_config_file(path)
+    assert excinfo.value.field == "seed"
 
 
 def test_flag_overrides_beat_file(tmp_path):
@@ -406,23 +415,31 @@ def test_help_documents_blas_threads(capsys):
     assert "OPENBLAS_NUM_THREADS" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("m_side", [8, 9])
+@pytest.mark.parametrize("m_side", [8, 9, 17])
 def test_lgcp_build_factors_covariance_once(monkeypatch, m_side):
     cfg = cli.parse_config(overrides=dict(preset="lgcp", seed=0, m_side=m_side))
-    calls = []
-    inner = np.linalg.cholesky
+    calls, built = [], []
+    inner, covariance = np.linalg.cholesky, targets.lgcp_covariance
 
     def counted(a):
         calls.append(a.shape)
         return inner(a)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
+    monkeypatch.setattr(targets, "lgcp_covariance",
+                        lambda m: built.append(m) or covariance(m))
     target = cli.build_target(cfg)
     monkeypatch.undo()
-    assert calls == [(m_side ** 2, m_side ** 2)]
+    d = m_side ** 2
+    assert built == [m_side]
+    if d <= targets._LGCP_BLOCK:
+        assert calls == [(d, d)]
+    else:   # numpy factors the diagonal blocks of the recursion only
+        assert all(n <= targets._LGCP_BLOCK for n, _ in calls)
+        assert sum(n for n, _ in calls) == d
 
     # oracle: synthetic counts and precision each from a factor of their own
-    d, area, mu0 = m_side ** 2, 1.0 / m_side ** 2, targets.LGCP_MU0
+    area, mu0 = 1.0 / m_side ** 2, targets.LGCP_MU0
     rng = np.random.Generator(np.random.Philox(0))
     chol = np.linalg.cholesky(targets.lgcp_covariance(m_side))
     latent = mu0 + chol @ rng.standard_normal(d)
@@ -431,7 +448,8 @@ def test_lgcp_build_factors_covariance_once(monkeypatch, m_side):
     if d <= 64:   # one block of the inverse: LAPACK's gesv itself
         chol_inv = np.linalg.solve(own_chol, np.eye(d))
     else:
-        chol_inv = targets._invert_lower(own_chol)
+        chol_inv = own_chol.copy()
+        targets._invert_lower(chol_inv)
     precision = chol_inv.T @ chol_inv
     assert np.array_equal(targets.synthetic_lgcp_counts(m_side, seed=0), counts)
     # at x = mu0 the gradient is y - area e^mu0, which exposes the counts
@@ -440,7 +458,11 @@ def test_lgcp_build_factors_covariance_once(monkeypatch, m_side):
                           counts.ravel() - area * np.exp(x[0]))
     # where e^x = 0 the Hessian is -precision, and H I = H exactly
     xb = np.full((d, d), -np.inf)
-    assert np.array_equal(-target.hvp_log_density(xb, np.eye(d)), precision)
+    hessian = -target.hvp_log_density(xb, np.eye(d))
+    if d <= targets._LGCP_BLOCK:   # one block of the factor and the product
+        assert np.array_equal(hessian, precision)
+    else:
+        assert np.abs(hessian - precision).max() <= 1e-12 * np.abs(precision).max()
 
 
 def test_lgcp_build_from_counts_csv(tmp_path, monkeypatch):
@@ -588,6 +610,21 @@ def test_samples_csv_matches_csv_writer(tmp_path):
         writer.writerow([f"{v:.17g}" for v in row])
     assert path.read_bytes() == expected.getvalue().encode()
     assert np.array_equal(cli.load_samples_csv(path), positions, equal_nan=True)
+
+
+def test_samples_csv_converts_one_row_at_a_time(tmp_path):
+    # the lgcp presets' ensemble: a whole-array tolist() would hold 204,800
+    # Python floats (about 6 MB) at once
+    cfg = cli.parse_config(overrides=smoke_overrides(tmp_path / "o"))
+    positions = np.random.Generator(np.random.Philox(4)).standard_normal((128, 1600))
+    tracemalloc.start()
+    try:
+        cli.write_samples_csv(tmp_path / "samples.csv", cfg, positions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert np.array_equal(cli.load_samples_csv(tmp_path / "samples.csv"), positions)
 
 
 # -- The benchmark's tracer sees every layer it gates -------------------------

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mfm import cli, targets
-from mfm.errors import DimensionMismatch
+from mfm.errors import DimensionMismatch, FactorizationFailure
 
 from conftest import finite_diff_grad, gaussian
 
@@ -155,19 +157,97 @@ def test_lgcp_covariance_matches_pairwise_difference_tensor(m_side):
     assert np.array_equal(targets.lgcp_covariance(m_side), oracle)
 
 
+def random_spd(rng, n):
+    # x x^T / n + I: eigenvalues in [1, about 4], so well conditioned
+    x = rng.standard_normal((n, n))
+    return x @ x.T / n + np.eye(n)
+
+
+@pytest.mark.parametrize("n", [1, 17, 256, 257, 600])
+def test_cholesky_in_place_matches_numpy(rng, n):
+    a = random_spd(rng, n)
+    oracle = np.linalg.cholesky(a)
+    targets._cholesky_in_place(a)
+    assert np.abs(a - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    assert np.all(np.triu(a, 1) == 0.0)
+
+
+def test_cholesky_fails_in_a_schur_complement_above_the_leaf(rng, monkeypatch):
+    # the leading 300 x 300 block is positive definite, the whole matrix is
+    # not: only the trailing Schur complement, itself above the leaf size,
+    # shows it
+    n = 600
+    assert n - n // 2 > targets._LGCP_BLOCK
+    a = random_spd(rng, n)
+    a[-1, -1] = -1.0
+    assert np.all(np.linalg.eigvalsh(a[:n // 2, :n // 2]) > 0.0)
+    monkeypatch.setattr(targets, "lgcp_covariance", lambda m_side: a.copy())
+    with pytest.raises(FactorizationFailure, match="m_side=3 is not positive definite"):
+        targets._lgcp_cholesky(3)
+
+
+def out_of_place_invert_lower(lower):
+    # the out-of-place block inverse that _invert_lower repeats in place:
+    # the same block operations into a fresh output
+    out = np.zeros(lower.shape)
+
+    def invert_into(a, dest):
+        n = a.shape[0]
+        if n <= 64:
+            dest[...] = np.linalg.inv(a)
+            return
+        h = n // 2
+        invert_into(a[:h, :h], dest[:h, :h])
+        invert_into(a[h:, h:], dest[h:, h:])
+        corner = dest[h:, :h]
+        np.matmul(dest[h:, h:], a[h:, :h] @ dest[:h, :h], out=corner)
+        np.negative(corner, out=corner)
+
+    invert_into(lower, out)
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 17, 64, 65, 100, 257])
 def test_invert_lower(rng, n):
     # random lower-triangular matrices with a dominant diagonal: well conditioned
     lower = np.tril(rng.standard_normal((n, n)), -1) / np.sqrt(n)
     lower += np.diag(rng.uniform(1.0, 2.0, n))
-    lower.setflags(write=False)   # the input is only read
-    inverse = targets._invert_lower(lower)
+    inverse = lower.copy()
+    targets._invert_lower(inverse)
+    assert np.array_equal(inverse, out_of_place_invert_lower(lower))
     oracle = np.linalg.inv(lower)
     if n <= 64:   # one block: numpy's inverse itself
         assert np.array_equal(inverse, oracle)
     else:
         assert np.abs(inverse - oracle).max() <= 1e-12 * np.abs(oracle).max()
     assert np.all(np.triu(inverse, 1) == 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 100, 256, 257, 600])
+def test_gram_in_place(rng, n):
+    lower = np.tril(rng.standard_normal((n, n)), -1) / np.sqrt(n)
+    lower += np.diag(rng.uniform(1.0, 2.0, n))
+    gram = lower.copy()
+    targets._gram_in_place(gram)
+    oracle = lower.T @ lower
+    if n <= targets._LGCP_BLOCK:   # one block: the same product
+        assert np.array_equal(gram, oracle)
+    else:
+        assert np.abs(gram - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    assert np.array_equal(gram, gram.T)
+
+
+def test_make_lgcp_holds_one_matrix():
+    # the covariance, its factor, the inverse and the precision share one
+    # (d, d) array; every temporary is a fraction of it
+    d = 24 ** 2
+    tracemalloc.start()
+    try:
+        targets.make_lgcp(24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * d * d * 8
 
 
 def test_lgcp_preset_precision_inverts_the_covariance():
