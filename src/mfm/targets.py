@@ -79,39 +79,72 @@ LGCP_MU0 = np.log(126.0) - LGCP_SIGMA2 / 2.0
 
 def _mixture_target(means: np.ndarray, variances: np.ndarray,
                     name: str) -> TargetDensity:
-    """Equally weighted isotropic Gaussian mixture: means (C, d), variances (C,)."""
-    n_comp, dim = means.shape
-    log_weight = -np.log(n_comp)
-    # per-component constant of the normalized Gaussian density
-    log_norm = -0.5 * dim * (LOG_2PI + np.log(variances))
+    """Equally weighted isotropic Gaussian mixture: means (C, d), variances (C,).
 
-    def weights(xb):
-        """Row max m (N, 1) of the component log-terms, the row sums (N, 1)
-        of w = e^(terms - m), the responsibilities w / sum(w) (N, C) and
-        the pulls (mu_c - x)/var_c (N, C, d)."""
-        sq = np.sum((xb[:, None, :] - means[None, :, :]) ** 2, axis=-1)
-        logs = log_weight + log_norm[None, :] - 0.5 * sq / variances[None, :]
-        m = logs.max(axis=1, keepdims=True)
-        w = np.exp(logs - m)
+    Every oracle is (N, d) by (d, C) products and (N, C) arithmetic, with
+    p_c = 1/var_c and a_c = mu_c/var_c fixed once; no (N, C, d) array is
+    formed.  The products are np.einsum contractions, not BLAS matmuls:
+    BLAS rounds a row differently with the batch's size and the row's place
+    in it, and kernels.ChainState takes and merges rows of earlier calls as
+    if evaluated afresh.  Component c's log-term is expanded as
+
+        log(N(x; mu_c, var_c I) / C) = x.a_c - p_c |x|^2 / 2 + k_c,
+        k_c = -log C - (d/2) log(2 pi var_c) - p_c |mu_c|^2 / 2,
+
+    and the responsibilities r (N, C) are its softmax over c.  With the
+    pulls u_c = a_c - p_c x, the mean pull m = r @ a and the mean
+    precision s = r @ p, the score is g = sum_c r_c u_c = m - s x.  The
+    Hessian is the responsibility-weighted covariance of the pulls, less
+    s I:
+
+        H v = sum_c r_c (D_c . v) D_c - s v,
+        D_c = u_c - g = (a_c - m) - (p_c - s) x.
+
+    The textbook form sum_c r_c (u_c u_c^T - p_c I) - g g^T subtracts two
+    terms of size |x|^2 / var^2 that cancel to the spread of the pulls, so
+    it loses accuracy as |x| grows.  D_c carries x only through the spread
+    p_c - s of the precisions (zero when the variances are equal), so no
+    |x|^2-sized term is formed, let alone subtracted.
+    """
+    n_comp, dim = means.shape
+    precisions = 1.0 / variances                     # p (C,)
+    # [a^T; p] (d + 1, C): one product with r gives both r @ a and r @ p
+    moments = np.vstack([means.T * precisions, precisions])
+    pulls_at_zero = moments[:-1]                     # a^T (d, C)
+    half_precisions = 0.5 * precisions
+    consts = (-np.log(n_comp) - 0.5 * dim * (LOG_2PI + np.log(variances))
+              - half_precisions * np.sum(means ** 2, axis=1))
+
+    def row_dots(a, b):
+        """(N, 1) dot products of the rows of a and b."""
+        return np.einsum("ij,ij->i", a, b)[:, None]
+
+    def responsibilities(xb):
+        """The (N,) log-densities and the (N, C) responsibilities."""
+        logs = (np.einsum("nk,kc->nc", xb, pulls_at_zero) + consts
+                - row_dots(xb, xb) * half_precisions)
+        top = logs.max(axis=1, keepdims=True)
+        w = np.exp(logs - top)
         total = w.sum(axis=1, keepdims=True)
-        pulls = (means[None, :, :] - xb[:, None, :]) / variances[None, :, None]
-        return m, total, w / total, pulls
+        return (top + np.log(total))[:, 0], w / total
 
     def value_and_grad(xb):
-        m, total, r, pulls = weights(xb)
-        return (m + np.log(total))[:, 0], np.sum(r[:, :, None] * pulls, axis=1)
+        value, r = responsibilities(xb)
+        mean = np.einsum("nc,jc->nj", r, moments)             # [m | s]
+        return value, mean[:, :-1] - mean[:, -1:] * xb
 
     def hvp_log_density(xb, v):
-        # H = sum_c r_c (H_c + u_c u_c^T) - g g^T with u_c = (mu_c - x)/var_c
         vb = np.broadcast_to(v, xb.shape)
-        _, _, r, pulls = weights(xb)
-        g = np.sum(r[:, :, None] * pulls, axis=1)
-        uv = np.sum(pulls * vb[:, None, :], axis=-1)   # (N, C)
-        hv = np.sum(r[:, :, None] * (pulls * uv[:, :, None]
-                                     - vb[:, None, :] / variances[None, :, None]),
-                    axis=1)
-        hv -= g * np.sum(g * vb, axis=-1, keepdims=True)
-        return hv
+        _, r = responsibilities(xb)
+        mean = np.einsum("nc,jc->nj", r, moments)
+        mean_pull, mean_prec = mean[:, :-1], mean[:, -1:]      # m (N, d), s (N, 1)
+        spread = precisions - mean_prec                        # p_c - s (N, C)
+        # r_c (D_c . v), then sum_c of it times D_c
+        weighted = r * (np.einsum("nk,kc->nc", vb, pulls_at_zero)
+                        - row_dots(mean_pull, vb) - row_dots(xb, vb) * spread)
+        return (np.einsum("nc,kc->nk", weighted, pulls_at_zero)
+                - weighted.sum(axis=1, keepdims=True) * mean_pull
+                - row_dots(weighted, spread) * xb - mean_prec * vb)
 
     def sampler(rng, n):
         idx = rng.integers(0, n_comp, size=n)

@@ -103,12 +103,26 @@ def test_divergence_linear_diagonal_field(rng, monkeypatch, d):
     assert np.allclose(divh, -d, atol=1e-12)
 
 
-def test_exact_divergence_matches_finite_differences(rng):
-    d = 3
-    target = targets.make_gmm4() if d == 2 else gaussian_with_precision(random_spd(rng, d))
+@pytest.mark.parametrize("case, point", [
+    # near the mode at (8, 8), and between the modes at (-8, 8) and (8, 8)
+    pytest.param("gmm4", (7.6, 8.3), id="gmm4-near-mode"),
+    pytest.param("gmm4", (0.05, 7.7), id="gmm4-between-modes"),
+    # unequal variances: near the mode at (4, -4), and amid the four modes
+    # at (+-4, 4) and (+-4, 12)
+    pytest.param("gmm16", (4.3, -3.8), id="gmm16-near-mode"),
+    pytest.param("gmm16", (0.2, 8.1), id="gmm16-between-modes"),
+    pytest.param("gauss3", None, id="gauss3"),
+])
+def test_exact_divergence_matches_finite_differences(case, point, rng):
+    if case == "gauss3":
+        target = gaussian_with_precision(random_spd(rng, 3))
+        x = rng.standard_normal(3)
+    else:
+        target = targets.make_gmm4() if case == "gmm4" else targets.make_gmm16()
+        x = np.array(point)
+    d = target.dim
     fp = flow.flow_init(rng, d, hidden=6)
     fp.net_x.weights[-1][...] = rng.uniform(-0.5, 0.5, size=fp.net_x.weights[-1].shape)
-    x = rng.standard_normal(d)
     t = 0.37
     div = divergence_at(fp, target, t, x[None])[0]
     h = 1e-6

@@ -64,6 +64,110 @@ def test_gmm16_modes_beat_midpoints():
         assert t.log_density(mean)[0] >= t.log_density(mid)[0]
 
 
+# -- mixture oracles against the per-component formulas ------------------------
+
+def mixture_components(name):
+    """(target, means (C, d), variances (C,)) of a library mixture."""
+    if name == "gmm4":
+        means = np.array([[8.0, 8.0], [-8.0, 8.0], [8.0, -8.0], [-8.0, -8.0]])
+        return targets.make_gmm4(), means, np.ones(4)
+    xs, ys = np.meshgrid(targets.GMM16_LATTICE, targets.GMM16_LATTICE)
+    variances = np.random.Generator(np.random.Philox(0)).lognormal(0.0, 0.25, size=16)
+    return targets.make_gmm16(), np.column_stack([xs.ravel(), ys.ravel()]), variances
+
+
+def mixture_reference(means, variances, x, v):
+    """Value, score and H v of the mixture in np.longdouble, per component:
+    log sum_c N(x; mu_c, var_c I) / C, g = sum_c r_c u_c with the pulls
+    u_c = (mu_c - x) / var_c, and H = sum_c r_c (u_c u_c^T - I / var_c) - g g^T."""
+    means, variances, x, v = (np.asarray(a, dtype=np.longdouble)
+                              for a in (means, variances, x, v))
+    n_comp, dim = means.shape
+    diff = means[None, :, :] - x[:, None, :]                         # (N, C, d)
+    logs = (-np.log(np.longdouble(n_comp))
+            - 0.5 * dim * np.log(2 * np.longdouble(np.pi) * variances)
+            - 0.5 * np.sum(diff ** 2, axis=-1) / variances)
+    top = logs.max(axis=1, keepdims=True)
+    w = np.exp(logs - top)
+    r = w / w.sum(axis=1, keepdims=True)
+    value = (top + np.log(w.sum(axis=1, keepdims=True)))[:, 0]
+    pulls = diff / variances[None, :, None]
+    g = np.sum(r[:, :, None] * pulls, axis=1)
+    uv = np.sum(pulls * v[:, None, :], axis=-1)
+    hv = (np.sum(r[:, :, None] * (pulls * uv[:, :, None]
+                                  - v[:, None, :] / variances[None, :, None]), axis=1)
+          - g * np.sum(g * v, axis=-1, keepdims=True))
+    return value, g, hv
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("name", ["gmm4", "gmm16"])
+def test_mixture_oracles_match_extended_precision(name):
+    # 100 rows each near the modes, between two modes, at |x| ~ 100 and at
+    # |x| ~ 1,000, where a Hessian formed as a difference of |x|^2-sized
+    # terms loses its digits
+    target, means, variances = mixture_components(name)
+    rng = np.random.Generator(np.random.Philox(11))
+    n, c = 100, len(means)
+    pairs = [rng.choice(c, size=2, replace=False) for _ in range(n)]
+    directions = rng.standard_normal((2, n, 2))
+    directions /= np.linalg.norm(directions, axis=2, keepdims=True)
+    x = np.concatenate([
+        means[rng.integers(0, c, size=n)] + 0.5 * rng.standard_normal((n, 2)),
+        np.array([means[i] + means[j] for i, j in pairs]) / 2.0
+        + 0.5 * rng.standard_normal((n, 2)),
+        100.0 * directions[0] * rng.uniform(0.95, 1.05, size=(n, 1)),
+        1000.0 * directions[1] * rng.uniform(0.95, 1.05, size=(n, 1)),
+    ])
+    v = rng.standard_normal(x.shape)
+    value, grad = target.value_and_grad(x)
+    hv = target.hvp_log_density(x, v)
+    for got, ref in zip((value, grad, hv), mixture_reference(means, variances, x, v)):
+        err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+        assert float(err.max()) <= 1e-11
+
+
+@pytest.mark.parametrize("name", ["gmm4", "gmm16"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200])
+def test_mixture_bad_row_spoils_only_itself(name, bad, rng):
+    # the integrator zeroes the rows a target call spoils and keeps the
+    # rest, so every other row must come out as with a healthy row there
+    target = mixture_components(name)[0]
+    healthy = rng.normal(0.0, 8.0, size=(7, 2))
+    spoiled = healthy.copy()
+    spoiled[3, 1] = bad
+    others = np.arange(7) != 3
+    v = rng.standard_normal((7, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        outs = [(*target.value_and_grad(x), target.hvp_log_density(x, v),
+                 target.hvp_log_density(x, v[0]))
+                for x in (spoiled, healthy)]
+    for got, ref in zip(*outs):
+        assert not np.any(np.isfinite(got[3]))
+        assert np.array_equal(got[others], ref[others])
+
+
+@pytest.mark.parametrize("name", ["gmm4", "gmm16"])
+def test_mixture_row_does_not_depend_on_its_batch(name, rng):
+    # the chain cache (kernels.ChainState) takes and merges rows of earlier
+    # calls, so a row's oracle values must not depend on the batch's size or
+    # on the row's place in it
+    target = mixture_components(name)[0]
+    x = rng.normal(0.0, 8.0, size=(37, 2))
+    v = rng.standard_normal((37, 2))
+    e = np.array([0.0, 1.0])
+
+    def oracles(rows):
+        return (*target.value_and_grad(x[rows]), target.hvp_log_density(x[rows], v[rows]),
+                target.hvp_log_density(x[rows], e))
+
+    whole = oracles(slice(None))
+    for rows in (np.arange(37)[::-1], [5], [5, 5], np.arange(3, 20), np.arange(36, 0, -3)):
+        for got, ref in zip(oracles(rows), whole):
+            assert np.array_equal(got, ref[rows])
+
+
 def test_many_well_values():
     t = targets.make_many_well()
     assert t.log_density(np.zeros((1, 32)))[0] == 0.0
