@@ -20,6 +20,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import fields
@@ -43,6 +44,10 @@ PRESETS = {
     "lgcp": dict(target="lgcp", particles=128, hidden=1024, mala_tau=0.01,
                  iters=10000, kq=1000),
 }
+
+# The thread variables of the BLAS builds numpy may load, as diagnostics.json
+# records them.
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _BUNDLED_COUNTS = Path(__file__).parent / "data" / "lgcp_counts_40.csv"
 
@@ -191,7 +196,11 @@ def write_diagnostics_json(path, report, rows, wall_seconds: float) -> dict:
     diag_rejected counts the scored rows the KSDs left out.
 
     wall_seconds is the time of the run (mfm, atsmc, fm-oracle), without
-    its report, or of the re-scoring (diagnose)."""
+    its report, or of the re-scoring (diagnose).  thread_env holds the BLAS
+    thread variables (THREAD_ENV) of the process's environment, null where
+    unset; the report's worker count is the config's (config.resolved).  It
+    is not written here, because the report is the same for any worker
+    count and so is this file."""
     metrics = {
         "mmd2": report.mmd2_unbiased,
         "ksd_u": report.ksd_u,
@@ -207,6 +216,7 @@ def write_diagnostics_json(path, report, rows, wall_seconds: float) -> dict:
     payload["beta_trace_len"] = _beta_trace_len(rows)
     payload["diag_rejected"] = report.diag_rejected
     payload["nonfinite_metrics"] = nonfinite
+    payload["thread_env"] = {k: os.environ.get(k) for k in THREAD_ENV}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True,
                                      allow_nan=False) + "\n")
     return payload

@@ -1,17 +1,26 @@
 """Sample-quality metrics: unbiased MMD^2 and kernel Stein discrepancies.
 
 Both use the inverse multiquadric kernel k(x, y) = (1 + ||x - y||^2)^b
-with b = IMQ_EXPONENT.  Pairwise terms are summed from Gram matrices in
-row blocks of _BLOCK rows; the block partition is fixed, keeping
-reductions deterministic for any worker count.  Each block is one
-(_BLOCK, n) result array, reduced whole, and is built in slabs of _SLAB
-rows through at most four (_SLAB, n) scratch buffers of its own.  A block
-in flight therefore holds 1.5 * _BLOCK * n float64 values, 12 MiB at
-n = 2,048, whatever d is.  The slabs run the ufuncs of the whole-block
-formula in its order, so the sums are that formula's bit for bit wherever
-a slab's matrix products equal the block's.  With OpenBLAS they do when n
-is a multiple of 8 or d = 1; otherwise a few entries in the last n % 8
-columns can differ in the last bit.  Sample sets are (n, d) batches.
+with b = IMQ_EXPONENT = -1/2, whose powers are taken from one square root:
+r = 1 / sqrt(base), base^(b-1) = r / base and base^(b-2) = r / base / base.
+
+Pairwise terms are summed from Gram matrices in row blocks of _BLOCK rows,
+and each block in slabs of _SLAB rows.  A slab is built in at most four
+contiguous scratch buffers of the block's own and reduced at once, so no
+(_BLOCK, n) array exists: at n = 2,048 a block holds 4 MiB whatever d is.
+The within-set MMD matrices and the Stein matrix are symmetric, so slab
+rows [a, b) are scored against columns [a, n) only: the square [a, b)^2
+is summed once and gives the trace, the part right of it counts twice.
+The across-set MMD term scores every slab against all n columns.  Slab
+sums add up in slab order and block sums in block order, over a partition
+that depends on n alone, so the report is the same bit for bit for any
+worker count.
+
+Against the whole n x n matrices of the same formula (the tests' oracle),
+summed over the same slab pairs, the sums are equal bit for bit wherever a
+slab's matrix products equal the whole matrix's.  With OpenBLAS they do
+when n is a multiple of 8 or d = 1; otherwise a few entries in the last
+n % 8 columns can differ in the last bit.  Sample sets are (n, d) batches.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -24,8 +33,11 @@ from .errors import TooFewSamples
 from .targets import TargetDensity
 
 _BLOCK = 512
-# Rows per slab of a Gram block: a block's scratch buffers are (_SLAB, n).
+# Rows per slab of a Gram block: each of a block's scratch buffers holds
+# _SLAB * n values.
 _SLAB = 64
+# b of the IMQ kernel; the Gram sums take its powers from 1 / sqrt(base), so
+# they hold for b = -1/2 alone
 IMQ_EXPONENT = -0.5
 
 
@@ -72,17 +84,30 @@ def imq(x, y) -> float:
     return (1.0 + r2) ** IMQ_EXPONENT
 
 
-def _slabs(rows, n, count):
-    """Row slabs [lo, hi) of _SLAB rows covering range(rows), each with
-    count contiguous (hi - lo, n) scratch buffers.
+def _slabs(lo, hi, n, count, symmetric):
+    """Slabs [a, b) of _SLAB rows covering block rows [lo, hi).
 
-    The buffers are allocated per call, so blocks on other threads never
-    share them; every slab reuses them.
+    Yields (a, b, c, buffers): the slab's columns are [c, n), with c = a
+    when the matrix is symmetric and 0 otherwise, and buffers are count
+    contiguous (b - a, n - c) scratch arrays.  They are allocated once per
+    call, so blocks on other threads never share them; every slab of the
+    block reuses them.
     """
-    buffers = np.empty((count, min(rows, _SLAB), n))
-    for lo in range(0, rows, _SLAB):
-        hi = min(lo + _SLAB, rows)
-        yield lo, hi, buffers[:, :hi - lo]
+    flat = np.empty((count, min(hi - lo, _SLAB) * n))
+    for a in range(lo, hi, _SLAB):
+        b = min(a + _SLAB, hi)
+        c = a if symmetric else 0
+        shape = (b - a, n - c)
+        yield a, b, c, [buf[:shape[0] * shape[1]].reshape(shape) for buf in flat]
+
+
+def _pair_sums(k):
+    """(off-diagonal, diagonal) sums over the pairs a slab k = K[a:b, a:] of
+    a symmetric K stands for: the square k[:, :b - a] once, the rest twice."""
+    rows = k.shape[0]
+    square = k[:, :rows]
+    diag = np.trace(square)
+    return 2.0 * k[:, rows:].sum() + (square.sum() - diag), diag
 
 
 def _base_into(out, tmp, xs, xx, ys, yy):
@@ -100,16 +125,11 @@ def _base_into(out, tmp, xs, xx, ys, yy):
     return out
 
 
-def _imq_block(xs, ys):
-    """IMQ Gram block k(xs_i, ys_j), built in slabs of _SLAB rows."""
-    rows, n = xs.shape[0], ys.shape[0]
-    xx = np.sum(xs ** 2, axis=1)
-    yy = np.sum(ys ** 2, axis=1)
-    k = np.empty((rows, n))
-    for lo, hi, (b0, b1) in _slabs(rows, n, 2):
-        base = _base_into(b0, b1, xs[lo:hi], xx[lo:hi], ys, yy)
-        np.power(base, IMQ_EXPONENT, out=k[lo:hi])
-    return k
+def _imq_into(out, tmp, xs, xx, ys, yy):
+    """out = k(xs_i, ys_j) = 1 / sqrt(base); returns out."""
+    base = _base_into(out, tmp, xs, xx, ys, yy)
+    np.sqrt(base, out=base)
+    return np.divide(1.0, base, out=base)
 
 
 def mmd2_unbiased(xs: np.ndarray, ys: np.ndarray, workers: int = 1) -> float:
@@ -123,14 +143,24 @@ def mmd2_unbiased(xs: np.ndarray, ys: np.ndarray, workers: int = 1) -> float:
         raise TooFewSamples("MMD needs two equally sized sets with m >= 2")
 
     def within(zs):
+        zz = np.sum(zs ** 2, axis=1)
+
         def block(lo, hi):
-            k = _imq_block(zs[lo:hi], zs)
-            return (k.sum() - np.trace(k[:, lo:hi]),)
+            off = 0.0
+            for a, b, c, (k, tmp) in _slabs(lo, hi, m, 2, True):
+                off += _pair_sums(_imq_into(k, tmp, zs[a:b], zz[a:b], zs[c:], zz[c:]))[0]
+            return (off,)
         return _map_blocks(block, m, workers)[0]
 
     def across():
+        xx = np.sum(xs ** 2, axis=1)
+        yy = np.sum(ys ** 2, axis=1)
+
         def block(lo, hi):
-            return (_imq_block(xs[lo:hi], ys).sum(),)
+            total = 0.0
+            for a, b, _, (k, tmp) in _slabs(lo, hi, m, 2, False):
+                total += _imq_into(k, tmp, xs[a:b], xx[a:b], ys, yy).sum()
+            return (total,)
         return _map_blocks(block, m, workers)[0]
 
     return (within(xs) / (m * (m - 1))
@@ -163,52 +193,46 @@ def stein_kernel(target: TargetDensity, x, y) -> float:
     return trace_term + cross + base ** beta * float(np.dot(sx, sy))
 
 
-def _stein_block(xs, sxs, ys, sys_):
-    """Stein-kernel Gram block k_pi(xs_i, ys_j) from inner products only.
+def _stein_into(bufs, rows, cols):
+    """bufs[0] = k_pi(xs_i, ys_j) from inner products only; returns bufs[0].
 
-    Built in slabs of _SLAB rows through four slab-sized buffers.  Per slab,
-    with base = 1 + r^2, the ufuncs run in the order of
+    bufs are four (len(xs), len(ys)) buffers.  rows = (xs, sxs, xx, x_dot,
+    xsx) and cols = (ys, sys_, yy, y_dot, syy) hold the positions, their
+    scores, squared norms and x . s(x), and xsx = [xs, sxs], syy = [sys_, ys]
+    side by side, so that one product gives x.s(y) + s(x).y.  With
+    base = 1 + r^2 the ufuncs run in the order of
 
         -2 b d base^(b-1) - 4 b (b-1) (base - 1) base^(b-2)
         + 2 b base^(b-1) u_dot + base^b (sxs @ sys_.T),
 
-    where u_dot = u.(s(y) - s(x)) with u = x - y, expanded into four Gram
-    products.
+    where u_dot = u.(s(y) - s(x)) with u = x - y is
+    xsx @ syy.T - y_dot - x_dot.
     """
     beta = IMQ_EXPONENT
-    rows, d = xs.shape
-    n = ys.shape[0]
-    c_trace1 = -2.0 * beta * d
-    c_trace2 = 4.0 * beta * (beta - 1.0)
-    c_cross = 2.0 * beta
-    xx = np.sum(xs ** 2, axis=1)
-    yy = np.sum(ys ** 2, axis=1)
-    xs_dot = np.sum(xs * sxs, axis=1)
-    ys_dot = np.sum(ys * sys_, axis=1)
-    k = np.empty((rows, n))
-    for lo, hi, (b0, b1, b2, b3) in _slabs(rows, n, 4):
-        x, sx, out = xs[lo:hi], sxs[lo:hi], k[lo:hi]
-        base = _base_into(b0, b1, x, xx[lo:hi], ys, yy)
-        pow1 = np.power(base, beta - 1.0, out=b1)
-        # trace term
-        np.multiply(c_trace1, pow1, out=out)
-        np.subtract(base, 1.0, out=b2)
-        b2 *= c_trace2
-        b2 *= np.power(base, beta - 2.0, out=b3)
-        out -= b2
-        # cross term
-        np.matmul(x, sys_.T, out=b2)
-        b2 -= ys_dot[None, :]
-        b2 -= xs_dot[lo:hi, None]
-        b2 += np.matmul(sx, ys.T, out=b3)
-        pow1 *= c_cross
-        pow1 *= b2
-        out += pow1
-        # score term
-        np.power(base, beta, out=base)
-        base *= np.matmul(sx, sys_.T, out=b3)
-        out += base
-    return k
+    xs, sxs, xx, x_dot, xsx = rows
+    ys, sys_, yy, y_dot, syy = cols
+    out, r, pow1, tmp = bufs
+    base = _base_into(out, tmp, xs, xx, ys, yy)
+    np.sqrt(base, out=r)
+    np.divide(1.0, r, out=r)                      # base^b
+    np.divide(r, base, out=pow1)                  # base^(b-1)
+    # trace term
+    np.subtract(base, 1.0, out=tmp)
+    tmp *= 4.0 * beta * (beta - 1.0)
+    tmp *= np.divide(pow1, base, out=base)        # base^(b-2); base is done
+    np.multiply(-2.0 * beta * xs.shape[1], pow1, out=out)
+    out -= tmp
+    # cross term
+    np.matmul(xsx, syy.T, out=tmp)
+    tmp -= y_dot[None, :]
+    tmp -= x_dot[:, None]
+    pow1 *= 2.0 * beta
+    pow1 *= tmp
+    out += pow1
+    # score term
+    r *= np.matmul(sxs, sys_.T, out=tmp)
+    out += r
+    return out
 
 
 def _ksd_sums(target, ys, workers=1):
@@ -225,11 +249,19 @@ def _ksd_sums(target, ys, workers=1):
     n = ys.shape[0]
     if n == 0:
         return 0.0, 0.0, 0
+    yy = np.sum(ys ** 2, axis=1)
+    y_dot = np.sum(ys * scores, axis=1)
+    as_rows = (ys, scores, yy, y_dot, np.hstack([ys, scores]))
+    as_cols = (ys, scores, yy, y_dot, np.hstack([scores, ys]))
 
     def block(lo, hi):
-        b = _stein_block(ys[lo:hi], scores[lo:hi], ys, scores)
-        bdiag = np.trace(b[:, lo:hi])
-        return b.sum() - bdiag, bdiag
+        off = diag = 0.0
+        for a, b, c, bufs in _slabs(lo, hi, n, 4, True):
+            k = _stein_into(bufs, [v[a:b] for v in as_rows], [v[c:] for v in as_cols])
+            slab_off, slab_diag = _pair_sums(k)
+            off += slab_off
+            diag += slab_diag
+        return off, diag
 
     off, diag = _map_blocks(block, n, workers)
     return off, diag, n

@@ -87,6 +87,9 @@ EXACT_DIVERGENCE_MAX_DIM = 64
 # Widest hidden layer of net_t, the network of t alone (the field preset's
 # 256); only net_x grows with a flow's hidden width.
 TIME_HIDDEN_MAX = 256
+# Values per slice of the closing push (push_samples): a slice has this many
+# over max(dim, hidden) rows, 256 at the lgcp preset's d = 1,600.
+PUSH_SLICE_VALUES = 256 * 1600
 
 
 @dataclass(frozen=True)
@@ -397,9 +400,12 @@ def push_samples(params: FlowParams, target: TargetDensity, x0_batch,
     Positions only: the closing diagnostics score where the draws land, so
     no divergence is evaluated (integrate_rows with with_dlp=False).  A row
     whose position or velocity blows up raises NonFiniteState naming it.
-    The rows run in 256-row slices, one after another, which bound what the
-    push holds at once: at lgcp size one call over 2,048 rows peaks at 2.4x
-    the memory.
+    The rows run in slices of PUSH_SLICE_VALUES // max(dim, hidden) rows,
+    one integrate_rows call each, one after another: the widest array a row
+    takes is max(dim, hidden) values, so that bounds what the push holds at
+    once.  lgcp (d 1,600, hidden 1,024) runs 256-row slices, where one call
+    over 2,048 rows peaks at 2.4x the memory; gmm4 (d 2, hidden 128) runs
+    all 2,048 rows in one call.  The positions do not depend on the slicing.
     """
     x0 = np.asarray(x0_batch, dtype=float)
     if x0.shape[0] == 0:
@@ -408,9 +414,10 @@ def push_samples(params: FlowParams, target: TargetDensity, x0_batch,
         bad = int(np.where(~np.all(np.isfinite(x0), axis=1))[0][0])
         raise NonFiniteState(f"input row {bad} is not finite")
 
-    results = [integrate_rows(params, target, x0[lo:lo + 256], cfg, None, True,
+    rows = PUSH_SLICE_VALUES // max(params.dim, params.net_x.sizes[1])
+    results = [integrate_rows(params, target, x0[lo:lo + rows], cfg, None, True,
                               with_dlp=False)
-               for lo in range(0, x0.shape[0], 256)]
+               for lo in range(0, x0.shape[0], rows)]
     _require_finite(np.concatenate([ok for _, _, ok in results]))
     return np.concatenate([x for x, _, _ in results])
 

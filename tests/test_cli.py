@@ -189,6 +189,21 @@ def test_smoke_run_writes_artifacts(tmp_path):
     assert payload["diag_rejected"] == 0
 
 
+def test_diagnostics_json_records_thread_env(tmp_path, monkeypatch):
+    # the worker count is read back from config.resolved; diagnostics.json
+    # is the same for any worker count
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "run"
+    assert cli.run(cli.parse_config(overrides=smoke_overrides(out, workers=2))) == 0
+    payload = json.loads((out / "diagnostics.json").read_text())
+    assert payload["thread_env"] == {"OPENBLAS_NUM_THREADS": "1",
+                                     "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
+    assert "workers" not in payload
+    assert cli.parse_config(out / "config.resolved").workers == 2
+
+
 def test_rerun_same_seed_identical_artifacts(tmp_path):
     h = []
     for sub in ["a", "b"]:

@@ -269,12 +269,14 @@ def test_mean_log_target_gmm4_reference_value():
     assert diagnostics.mean_log_target(t, xs) == pytest.approx(-4.22, abs=0.1)
 
 
-# -- Slabbed Gram blocks against the whole-block formula ------------------------------
+# -- Slabbed Gram sums against the whole-matrix formula ------------------------------
 #
-# The whole-block formula, the reference for the slabbed blocks: every
-# product is one (rows, n) temporary.  The slabbed blocks run the same ufuncs
-# in the same order, so they equal it bit for bit wherever the slab-sized
-# matrix products equal the block-sized ones.
+# The whole-matrix formula, the reference for the slabbed sums: every
+# product is one (rows, n) temporary over a block's rows and all n columns.
+# The module runs the same ufuncs in the same order on slabs of a block and
+# reduces each slab over the unordered pairs it stands for, so its sums equal
+# this formula's, reduced over the same slab pairs, bit for bit wherever the
+# slab-sized matrix products equal the whole ones.
 
 def whole_sq_dists(xs, ys):
     xx = np.sum(xs ** 2, axis=1)
@@ -284,45 +286,102 @@ def whole_sq_dists(xs, ys):
 
 
 def whole_imq_block(xs, ys):
-    return (1.0 + whole_sq_dists(xs, ys)) ** diagnostics.IMQ_EXPONENT
+    return 1.0 / np.sqrt(1.0 + whole_sq_dists(xs, ys))
 
 
 def whole_stein_block(xs, sxs, ys, sys_):
     beta = diagnostics.IMQ_EXPONENT
     d = xs.shape[1]
     base = 1.0 + whole_sq_dists(xs, ys)
-    pow1 = base ** (beta - 1.0)
+    r = 1.0 / np.sqrt(base)        # base^b, b = -1/2
+    pow1 = r / base                # base^(b-1)
+    pow2 = pow1 / base             # base^(b-2)
     trace_term = -2.0 * beta * d * pow1 \
-        - 4.0 * beta * (beta - 1.0) * (base - 1.0) * base ** (beta - 2.0)
-    u_dot = (xs @ sys_.T - np.sum(ys * sys_, axis=1)[None, :]
-             - np.sum(xs * sxs, axis=1)[:, None] + sxs @ ys.T)
+        - 4.0 * beta * (beta - 1.0) * (base - 1.0) * pow2
+    u_dot = (np.hstack([xs, sxs]) @ np.hstack([sys_, ys]).T
+             - np.sum(ys * sys_, axis=1)[None, :] - np.sum(xs * sxs, axis=1)[:, None])
     cross = 2.0 * beta * pow1 * u_dot
-    return trace_term + cross + base ** beta * (sxs @ sys_.T)
+    return trace_term + cross + r * (sxs @ sys_.T)
 
 
-def whole_block_sums(target, xs, ys):
-    """(KSD off-diagonal sum, KSD diagonal sum, MMD^2) of ys (and xs) from
-    whole blocks, with the block partition and reductions of the module."""
+def module_blocks(n):
+    return [(lo, min(lo + diagnostics._BLOCK, n)) for lo in range(0, n, diagnostics._BLOCK)]
+
+
+def slab_pair_sums(rows_of, n):
+    """(off-diagonal, diagonal) sums of a symmetric n x n matrix over the
+    module's slabs: slab rows [a, b) against columns [a, n), the square once
+    and the rest twice.  rows_of(lo, hi) gives the matrix rows [lo, hi)."""
+    off = diag = 0
+    for lo, hi in module_blocks(n):
+        rows = rows_of(lo, hi)
+        block_off = block_diag = 0.0
+        for a in range(lo, hi, diagnostics._SLAB):
+            b = min(a + diagnostics._SLAB, hi)
+            k = np.ascontiguousarray(rows[a - lo:b - lo, a:])
+            square = k[:, :b - a]
+            slab_diag = np.trace(square)
+            block_off += 2.0 * k[:, b - a:].sum() + (square.sum() - slab_diag)
+            block_diag += slab_diag
+        off, diag = off + block_off, diag + block_diag
+    return off, diag
+
+
+def mmd2_from(within_x, across, within_y, n):
+    return (within_x / (n * (n - 1)) - 2.0 * across / (n * n)
+            + within_y / (n * (n - 1)))
+
+
+def slab_sums(target, xs, ys):
+    """(KSD off-diagonal sum, KSD diagonal sum, MMD^2) of ys (and xs) from the
+    whole-matrix formula, with the slab pairs and reductions of the module."""
     n = ys.shape[0]
     scores = target.grad_log_density(ys)
-    blocks = [(lo, min(lo + diagnostics._BLOCK, n))
-              for lo in range(0, n, diagnostics._BLOCK)]
+    off, diag = slab_pair_sums(
+        lambda lo, hi: whole_stein_block(ys[lo:hi], scores[lo:hi], ys, scores), n)
+    within_x, within_y = (
+        slab_pair_sums(lambda lo, hi: whole_imq_block(zs[lo:hi], zs), n)[0]
+        for zs in (xs, ys))
+    across = 0
+    for lo, hi in module_blocks(n):
+        k = whole_imq_block(xs[lo:hi], ys)
+        across += sum((k[a:a + diagnostics._SLAB].sum()
+                       for a in range(0, hi - lo, diagnostics._SLAB)), 0.0)
+    return off, diag, mmd2_from(within_x, across, within_y, n)
 
-    def within(zs, lo, hi):
-        k = whole_imq_block(zs[lo:hi], zs)
+
+def power_sums(target, xs, ys):
+    """The same three sums from whole blocks through np.power, each matrix
+    summed in full: the formula of the module before its square-root powers
+    and its unordered pairs."""
+    beta = diagnostics.IMQ_EXPONENT
+    n, d = ys.shape
+    scores = target.grad_log_density(ys)
+
+    def imq(a, b):
+        return (1.0 + whole_sq_dists(a, b)) ** beta
+
+    def stein(a, sa, b, sb):
+        base = 1.0 + whole_sq_dists(a, b)
+        trace_term = -2.0 * beta * d * base ** (beta - 1.0) \
+            - 4.0 * beta * (beta - 1.0) * (base - 1.0) * base ** (beta - 2.0)
+        u_dot = (a @ sb.T - np.sum(b * sb, axis=1)[None, :]
+                 - np.sum(a * sa, axis=1)[:, None] + sa @ b.T)
+        return trace_term + 2.0 * beta * base ** (beta - 1.0) * u_dot \
+            + base ** beta * (sa @ sb.T)
+
+    def off_diagonal(k, lo, hi):
         return k.sum() - np.trace(k[:, lo:hi])
 
     off = diag = within_x = within_y = across = 0
-    for lo, hi in blocks:
-        b = whole_stein_block(ys[lo:hi], scores[lo:hi], ys, scores)
+    for lo, hi in module_blocks(n):
+        b = stein(ys[lo:hi], scores[lo:hi], ys, scores)
         bdiag = np.trace(b[:, lo:hi])
         off, diag = off + (b.sum() - bdiag), diag + bdiag
-        within_x += within(xs, lo, hi)
-        within_y += within(ys, lo, hi)
-        across += whole_imq_block(xs[lo:hi], ys).sum()
-    mmd2 = (within_x / (n * (n - 1)) - 2.0 * across / (n * n)
-            + within_y / (n * (n - 1)))
-    return off, diag, mmd2
+        within_x += off_diagonal(imq(xs[lo:hi], xs), lo, hi)
+        within_y += off_diagonal(imq(ys[lo:hi], ys), lo, hi)
+        across += imq(xs[lo:hi], ys).sum()
+    return off, diag, mmd2_from(within_x, across, within_y, n)
 
 
 def gram_inputs(n, d):
@@ -334,38 +393,33 @@ def gram_inputs(n, d):
 @pytest.mark.parametrize("d", [1, 2, 5])
 @pytest.mark.parametrize("n", [600, 1100, 2048])
 def test_slabbed_sums_equal_whole_block_formula(n, d):
-    # The slab-sized BLAS products equal the block-sized ones bit for bit
-    # when n is a multiple of 8 or d = 1 (each entry a single product).
-    # Otherwise OpenBLAS computes the last n % 8 columns with edge kernels
-    # whose rounding depends on the number of rows, so a few of those
-    # entries of a 64-row slab differ from the 512-row block's in the last
-    # bit; every other entry is equal.
+    # The slab-sized BLAS products equal the whole ones bit for bit when n
+    # is a multiple of 8 or d = 1.  Otherwise OpenBLAS computes the last
+    # n % 8 columns with edge kernels whose rounding depends on the number
+    # of rows, so a few of those entries of a slab differ from the whole
+    # matrix's in the last bit; every other entry is equal.
     exact = n % 8 == 0 or d == 1
-    main = n if exact else n - n % 8
     target, xs, ys = gram_inputs(n, d)
-    scores = target.grad_log_density(ys)
-    for lo in range(0, n, diagnostics._BLOCK):
-        hi = min(lo + diagnostics._BLOCK, n)
-        pairs = [(diagnostics._stein_block(ys[lo:hi], scores[lo:hi], ys, scores),
-                  whole_stein_block(ys[lo:hi], scores[lo:hi], ys, scores)),
-                 (diagnostics._imq_block(xs[lo:hi], ys), whole_imq_block(xs[lo:hi], ys))]
-        for slabbed, whole in pairs:
-            assert np.array_equal(slabbed[:, :main], whole[:, :main])
-            np.testing.assert_allclose(slabbed, whole, rtol=1e-12, atol=1e-15)
-    off, diag, mmd2 = whole_block_sums(target, xs, ys)
-    got_off, got_diag, _ = diagnostics._ksd_sums(target, ys)
+    off, diag, mmd2 = slab_sums(target, xs, ys)
+    got_off, got_diag, got_n = diagnostics._ksd_sums(target, ys)
     got_mmd2 = diagnostics.mmd2_unbiased(xs, ys)
+    assert got_n == n
     if exact:
         assert (got_off, got_diag, got_mmd2) == (off, diag, mmd2)
     else:
         assert got_off == pytest.approx(off, rel=1e-13)
         assert got_diag == pytest.approx(diag, rel=1e-13)
         assert got_mmd2 == pytest.approx(mmd2, rel=1e-12, abs=1e-16)
+    # against the full sums through np.power: rounding only
+    old_off, old_diag, old_mmd2 = power_sums(target, xs, ys)
+    assert got_off + got_diag == pytest.approx(old_off + old_diag, rel=1e-13)
+    assert got_diag == pytest.approx(old_diag, rel=1e-13)
+    assert got_mmd2 == pytest.approx(old_mmd2, rel=0, abs=1e-15)
 
 
 def test_report_peak_memory_is_bounded(rng):
-    # one (512, 2048) block (8 MiB) and its four (64, 2048) slab buffers
-    # (4 MiB) at a time; whole-block temporaries take about 64 MiB
+    # the four (64, 2048) float64 slab buffers of the Stein sums (4 MiB) at
+    # a time, and the scores; whole (512, 2048) blocks took 12 MiB
     target = targets.make_gmm4()
     ys = rng.normal(0, 5, size=(2048, 2))
     exact = target.sampler(rng, 2048)
@@ -375,4 +429,4 @@ def test_report_peak_memory_is_bounded(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2 ** 20
+    assert peak <= 5 * 2 ** 20

@@ -353,7 +353,7 @@ def test_push_samples_matches_chunked_integration(rng):
     x = rng.standard_normal((700, d))
     cfg = OdeConfig(n_steps=8)
     out = flow.push_samples(fp, std, x, cfg)
-    # the same 256-row slices with the divergence, in order
+    # 256-row slices, as the push runs them at lgcp size, with the divergence
     chunks = [flow.integrate_rows(fp, std, x[lo:lo + 256], cfg, None, True)
               for lo in range(0, x.shape[0], 256)]
     assert np.array_equal(np.concatenate([r[0] for r in chunks]), out)
@@ -361,6 +361,24 @@ def test_push_samples_matches_chunked_integration(rng):
     x1, _, ok = flow.integrate_rows(fp, std, x, cfg, None, True)
     assert ok.all()
     assert np.array_equal(x1, out)
+
+
+@pytest.mark.parametrize("dim,hidden,slices", [(2, 128, [2048]), (1600, 1024, [256] * 8)])
+def test_push_slices_by_values(monkeypatch, dim, hidden, slices):
+    # rows per integrate_rows call are PUSH_SLICE_VALUES // max(dim, hidden);
+    # the stub integrates nothing, so no lgcp-sized work runs
+    calls = []
+
+    def stub(params, target, xb, cfg, rng, forward, with_dlp=True):
+        calls.append(xb.shape[0])
+        return xb, np.zeros(xb.shape[0]), np.ones(xb.shape[0], dtype=bool)
+
+    monkeypatch.setattr(flow, "integrate_rows", stub)
+    x0 = np.broadcast_to(np.arange(2048.0)[:, None], (2048, dim))
+    out = flow.push_samples(flow.flow_zero(dim, hidden), targets.standard_normal(dim),
+                            x0, OdeConfig())
+    assert calls == slices
+    assert np.array_equal(out, x0)
 
 
 @pytest.mark.parametrize("case", ["exact", "positions", "hutchinson"])

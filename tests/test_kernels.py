@@ -170,10 +170,14 @@ def test_mala_matches_fresh_evaluation_oracle(make_target, tau, scale):
     assert_same_chains(out.chains, kernels.evaluate(target, out.chains.x))
 
 
+# gmm4's integer means and unit variances make many of the oracle's products
+# exact; gmm16's seed-frozen variances show batch-dependent rounding
+@pytest.mark.parametrize("make", [targets.make_gmm4, targets.make_gmm16],
+                         ids=["gmm4", "gmm16"])
 @settings(max_examples=40)
 @given(beta=st.floats(0.0, 1.0), data=st.data())
-def test_chain_state_mixes_like_tempered_and_commutes_with_rows(beta, data):
-    target = targets.make_gmm4()
+def test_chain_state_mixes_like_tempered_and_commutes_with_rows(make, beta, data):
+    target = make()
     n = data.draw(st.integers(1, 9), label="n")
     coords = st.floats(-12.0, 12.0)
     x = data.draw(arrays(float, (n, 2), elements=coords), label="x")

@@ -103,9 +103,10 @@ def test_jacobian_trace_matches_finite_differences(rng):
 
 
 # The integrator and the train step write layers into buffers held across
-# calls; the shapes below are those of a 256-row push chunk at hidden 128 and
-# of a ragged batch, and the references are the expressions the buffered
-# code replaced.
+# calls; the shapes below are those of a 256-row batch at hidden 128 (the
+# closing push runs PUSH_SLICE_VALUES // max(dim, hidden) rows per call, all
+# 2,048 at gmm4 size, 256 at lgcp's) and of a ragged batch, and the
+# references are the expressions the buffered code replaced.
 
 @pytest.mark.parametrize("rows", [256, 37, 1])
 def test_forward_cache_into_buffers_is_bit_identical(rng, rows):
