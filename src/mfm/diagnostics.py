@@ -4,17 +4,17 @@ Both use the inverse multiquadric kernel k(x, y) = (1 + ||x - y||^2)^b
 with b = IMQ_EXPONENT = -1/2, whose powers are taken from one square root:
 r = 1 / sqrt(base), base^(b-1) = r / base and base^(b-2) = r / base / base.
 
-Pairwise terms are summed from Gram matrices in row blocks of _BLOCK rows,
-and each block in slabs of _SLAB rows.  A slab is built in at most four
-contiguous scratch buffers of the block's own and reduced at once, so no
-(_BLOCK, n) array exists: at n = 2,048 a block holds 4 MiB whatever d is.
-The within-set MMD matrices and the Stein matrix are symmetric, so slab
-rows [a, b) are scored against columns [a, n) only: the square [a, b)^2
-is summed once and gives the trace, the part right of it counts twice.
-The across-set MMD term scores every slab against all n columns.  Slab
-sums add up in slab order and block sums in block order, over a partition
-that depends on n alone, so the report is the same bit for bit for any
-worker count.
+Every pairwise term is summed by one reducer, _gram_sums, over row blocks
+of _BLOCK rows, and each block in slabs of _SLAB rows.  A slab is built in
+at most four contiguous scratch buffers of the block's own and reduced at
+once, so no (_BLOCK, n) array exists: at n = 2,048 a block holds 4 MiB
+whatever d is.  The within-set MMD matrices and the Stein matrix are
+symmetric, so slab rows [a, b) are scored against columns [a, n) only: the
+square [a, b)^2 is summed once and gives the trace, the part right of it
+counts twice.  The across-set MMD term scores every slab against all n
+columns.  Slab sums add up in slab order and block sums in block order,
+over a partition that depends on n alone, so the report is the same bit
+for bit for any worker count.
 
 Against the whole n x n matrices of the same formula (the tests' oracle),
 summed over the same slab pairs, the sums are equal bit for bit wherever a
@@ -39,21 +39,6 @@ _SLAB = 64
 # b of the IMQ kernel; the Gram sums take its powers from 1 / sqrt(base), so
 # they hold for b = -1/2 alone
 IMQ_EXPONENT = -0.5
-
-
-def _map_blocks(fn, n, workers):
-    """Apply fn to fixed row blocks [lo, hi); sum results in block order.
-
-    The partition depends only on n, so totals are identical for any
-    worker count.
-    """
-    blocks = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: fn(*b), blocks))
-    else:
-        parts = [fn(lo, hi) for lo, hi in blocks]
-    return [sum(vals) for vals in zip(*parts)]
 
 
 @dataclass
@@ -84,30 +69,41 @@ def imq(x, y) -> float:
     return (1.0 + r2) ** IMQ_EXPONENT
 
 
-def _slabs(lo, hi, n, count, symmetric):
-    """Slabs [a, b) of _SLAB rows covering block rows [lo, hi).
+def _gram_sums(n, count, fill, symmetric, workers):
+    """(off-diagonal, diagonal) sums of an n x n Gram matrix K.
 
-    Yields (a, b, c, buffers): the slab's columns are [c, n), with c = a
-    when the matrix is symmetric and 0 otherwise, and buffers are count
-    contiguous (b - a, n - c) scratch arrays.  They are allocated once per
-    call, so blocks on other threads never share them; every slab of the
-    block reuses them.
+    fill(bufs, rows, cols) writes K[rows, cols] into one of bufs, count
+    contiguous scratch arrays of that shape, and returns it.  A symmetric
+    K is filled over columns [a, n) of each slab [a, b) (see the module
+    docstring); otherwise every slab is summed whole into off, and diag
+    is 0.
     """
-    flat = np.empty((count, min(hi - lo, _SLAB) * n))
-    for a in range(lo, hi, _SLAB):
-        b = min(a + _SLAB, hi)
-        c = a if symmetric else 0
-        shape = (b - a, n - c)
-        yield a, b, c, [buf[:shape[0] * shape[1]].reshape(shape) for buf in flat]
+    def block(lo, hi):
+        # allocated per block, so blocks on other threads never share them
+        flat = np.empty((count, min(hi - lo, _SLAB) * n))
+        off = diag = 0.0
+        for a in range(lo, hi, _SLAB):
+            b = min(a + _SLAB, hi)
+            c = a if symmetric else 0
+            size = (b - a) * (n - c)
+            k = fill([buf[:size].reshape(b - a, n - c) for buf in flat],
+                     slice(a, b), slice(c, None))
+            if symmetric:
+                square = k[:, :b - a]
+                trace = np.trace(square)
+                off += 2.0 * k[:, b - a:].sum() + (square.sum() - trace)
+                diag += trace
+            else:
+                off += k.sum()
+        return off, diag
 
-
-def _pair_sums(k):
-    """(off-diagonal, diagonal) sums over the pairs a slab k = K[a:b, a:] of
-    a symmetric K stands for: the square k[:, :b - a] once, the rest twice."""
-    rows = k.shape[0]
-    square = k[:, :rows]
-    diag = np.trace(square)
-    return 2.0 * k[:, rows:].sum() + (square.sum() - diag), diag
+    blocks = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
+    if workers > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(lambda lo_hi: block(*lo_hi), blocks))
+    else:
+        parts = [block(lo, hi) for lo, hi in blocks]
+    return sum(part[0] for part in parts), sum(part[1] for part in parts)
 
 
 def _base_into(out, tmp, xs, xx, ys, yy):
@@ -142,30 +138,17 @@ def mmd2_unbiased(xs: np.ndarray, ys: np.ndarray, workers: int = 1) -> float:
     if m < 2 or ys.shape[0] != m:
         raise TooFewSamples("MMD needs two equally sized sets with m >= 2")
 
-    def within(zs):
-        zz = np.sum(zs ** 2, axis=1)
+    xx = np.sum(xs ** 2, axis=1)
+    yy = np.sum(ys ** 2, axis=1)
 
-        def block(lo, hi):
-            off = 0.0
-            for a, b, c, (k, tmp) in _slabs(lo, hi, m, 2, True):
-                off += _pair_sums(_imq_into(k, tmp, zs[a:b], zz[a:b], zs[c:], zz[c:]))[0]
-            return (off,)
-        return _map_blocks(block, m, workers)[0]
+    def imq_sum(rows, rows_sq, cols, cols_sq, symmetric):
+        def fill(bufs, r, c):
+            return _imq_into(*bufs, rows[r], rows_sq[r], cols[c], cols_sq[c])
+        return _gram_sums(m, 2, fill, symmetric, workers)[0]
 
-    def across():
-        xx = np.sum(xs ** 2, axis=1)
-        yy = np.sum(ys ** 2, axis=1)
-
-        def block(lo, hi):
-            total = 0.0
-            for a, b, _, (k, tmp) in _slabs(lo, hi, m, 2, False):
-                total += _imq_into(k, tmp, xs[a:b], xx[a:b], ys, yy).sum()
-            return (total,)
-        return _map_blocks(block, m, workers)[0]
-
-    return (within(xs) / (m * (m - 1))
-            - 2.0 * across() / (m * m)
-            + within(ys) / (m * (m - 1)))
+    return (imq_sum(xs, xx, xs, xx, True) / (m * (m - 1))
+            - 2.0 * imq_sum(xs, xx, ys, yy, False) / (m * m)
+            + imq_sum(ys, yy, ys, yy, True) / (m * (m - 1)))
 
 
 def stein_kernel(target: TargetDensity, x, y) -> float:
@@ -246,37 +229,15 @@ def _ksd_sums(target, ys, workers=1):
     finite = np.all(np.isfinite(ys), axis=1) & np.all(np.isfinite(scores), axis=1)
     if not finite.all():
         ys, scores = ys[finite], scores[finite]
-    n = ys.shape[0]
-    if n == 0:
-        return 0.0, 0.0, 0
     yy = np.sum(ys ** 2, axis=1)
     y_dot = np.sum(ys * scores, axis=1)
     as_rows = (ys, scores, yy, y_dot, np.hstack([ys, scores]))
     as_cols = (ys, scores, yy, y_dot, np.hstack([scores, ys]))
 
-    def block(lo, hi):
-        off = diag = 0.0
-        for a, b, c, bufs in _slabs(lo, hi, n, 4, True):
-            k = _stein_into(bufs, [v[a:b] for v in as_rows], [v[c:] for v in as_cols])
-            slab_off, slab_diag = _pair_sums(k)
-            off += slab_off
-            diag += slab_diag
-        return off, diag
-
-    off, diag = _map_blocks(block, n, workers)
-    return off, diag, n
-
-
-def _u_statistic(off, _diag, n):
-    if n < 2:
-        raise TooFewSamples("KSD U-statistic needs n >= 2")
-    return off / (n * (n - 1))
-
-
-def _v_statistic(off, diag, n):
-    if n < 1:
-        raise TooFewSamples("KSD V-statistic needs n >= 1")
-    return (off + diag) / (n * n)
+    def fill(bufs, r, c):
+        return _stein_into(bufs, [v[r] for v in as_rows], [v[c] for v in as_cols])
+    n = ys.shape[0]
+    return (*_gram_sums(n, 4, fill, True, workers), n)
 
 
 def mean_log_target(target: TargetDensity, samples) -> float:
@@ -296,8 +257,8 @@ def compute_report(target: TargetDensity, flow_samples: np.ndarray,
     off, diag, n = _ksd_sums(target, flow_samples, workers)
     return DiagnosticsReport(
         mmd2_unbiased=mmd2,
-        ksd_u=_u_statistic(off, diag, n) if n >= 2 else float("nan"),
-        ksd_v=_v_statistic(off, diag, n) if n >= 1 else float("nan"),
+        ksd_u=off / (n * (n - 1)) if n >= 2 else float("nan"),
+        ksd_v=(off + diag) / (n * n) if n >= 1 else float("nan"),
         mean_logpi=mean_log_target(target, flow_samples),
         diag_rejected=flow_samples.shape[0] - n,
     )
