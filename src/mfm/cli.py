@@ -229,10 +229,9 @@ def run(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out)
     if cfg.mode == "diagnose":
         return _run_diagnose(cfg, out)
+    target = build_target(cfg)   # a bad counts file is refused here
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved").write_text(config_lines(cfg))
-
-    target = build_target(cfg)
     runner = {"mfm": driver.run_mfm, "atsmc": driver.run_atsmc,
               "fm-oracle": driver.run_fm_oracle}[cfg.mode]
     t0 = time.perf_counter()
@@ -260,7 +259,7 @@ def _run_diagnose(cfg: ExperimentConfig, out: Path) -> int:
     flow_params = flow.load_flow(ckpt)
     rows = load_runlog_csv(runlog)
     t0 = time.perf_counter()
-    report = driver.diagnose_flow(flow_params, target, cfg)
+    report = driver.diagnose_flow(flow_params, target, cfg, rows[-1]["beta"])
     write_diagnostics_json(out / "diagnostics.json", report, rows,
                            time.perf_counter() - t0)
     return 0

@@ -309,7 +309,8 @@ def run_report(target: TargetDensity, cfg: ExperimentConfig,
     does not apply).
     """
     if artifacts.flow_params is not None:
-        return diagnose_flow(artifacts.flow_params, target, cfg)
+        return diagnose_flow(artifacts.flow_params, target, cfg,
+                             artifacts.ensemble.temper.beta)
     exact = target.sampler(diag_rng(cfg.seed), cfg.particles) \
         if target.sampler else None
     return diagnostics.compute_report(target, artifacts.ensemble.positions, exact,
@@ -317,21 +318,23 @@ def run_report(target: TargetDensity, cfg: ExperimentConfig,
 
 
 def diagnose_flow(flow_params: FlowParams, target: TargetDensity,
-                  cfg: ExperimentConfig) -> DiagnosticsReport:
+                  cfg: ExperimentConfig, beta: float) -> DiagnosticsReport:
     """Push reference draws through the flow and score them.
 
-    The push carries positions only: MMD and KSD score where the draws
-    land, so no divergence is evaluated.  Uses a dedicated child stream of
+    The push runs under the density the flow was trained on,
+    tempered(target, beta) at the run's last beta, and the report scores
+    where the draws land against the target itself.  It carries positions
+    only, so no divergence is evaluated.  Uses a dedicated child stream of
     the seed for the reference draws and then the exact draws, so the same
-    (seed, flow) pair always yields the same report regardless of what the
-    main stream consumed.  A flow of another dimension than the target is
-    refused before anything is pushed.
+    (seed, flow, beta) always yields the same report regardless of what
+    the main stream consumed.  A flow of another dimension than the target
+    is refused before anything is pushed.
     """
     if flow_params.dim != target.dim:
         raise DimensionMismatch(f"flow dim {flow_params.dim} != target dim {target.dim}")
     rng = diag_rng(cfg.seed)
     x0 = rng.standard_normal((cfg.diag_samples, target.dim))
-    samples = flow.push_samples(flow_params, target, x0, cfg.ode)
+    samples = flow.push_samples(flow_params, tempered(target, beta), x0, cfg.ode)
     exact = target.sampler(rng, cfg.diag_samples) if target.sampler else None
     return diagnostics.compute_report(target, samples, exact, workers=cfg.workers)
 

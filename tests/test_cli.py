@@ -155,6 +155,31 @@ def test_invalid_value_refused_before_any_file(tmp_path, capsys, name, value, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["missing", "negative"])
+def test_bad_counts_file_refused_before_any_file(tmp_path, capsys, bad):
+    # the counts are read when the target is built, before the output
+    # directory is made or config.resolved is written, so an earlier
+    # run's directory keeps its config beside its samples
+    counts = tmp_path / "counts.csv"
+    if bad == "negative":
+        grid = np.ones((6, 6), dtype=int)
+        grid[2, 3] = -1
+        np.savetxt(counts, grid, fmt="%d", delimiter=",")
+    fresh, earlier = tmp_path / "fresh", tmp_path / "earlier"
+    assert cli.run(cli.parse_config(overrides=smoke_overrides(earlier))) == 0
+    written = {p.name: p.read_bytes() for p in earlier.iterdir()}
+    path = tmp_path / "c.cfg"
+    for out in (fresh, earlier):
+        values = dict(preset="lgcp", seed=1, m_side=6, counts_csv=str(counts),
+                      out=str(out))
+        path.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in values.items()))
+        assert cli.main(["--config", str(path)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"missing": "FileNotFoundError", "negative": "ValueError"}[bad]
+    assert not fresh.exists()
+    assert {p.name: p.read_bytes() for p in earlier.iterdir()} == written
+
+
 @pytest.mark.parametrize("mode", driver.MODES)
 def test_preset_start_applies_in_mfm_mode_only(tmp_path, mode):
     # gmm16's preset start is for the mfm chains; the other modes run the
@@ -263,6 +288,29 @@ def test_diagnose_reproduces_stored_diagnostics(tmp_path):
         if key == "wall_seconds":
             continue
         assert recomputed[key] == stored[key], key
+
+
+def test_field_run_below_beta_one_is_scored(tmp_path):
+    # the run ends at beta = 0.030, where every pushed draw lands outside
+    # the field target's finite range if pushed under the target itself;
+    # pushed under the tempered density its flow was trained on, all stay
+    # finite, and diagnose re-scores the run to the same report
+    out = tmp_path / "run"
+    path = tmp_path / "c.cfg"
+    path.write_text("diag_samples = 64\node_steps = 8\nhidden = 64\n")
+    rc = cli.main(["--config", str(path), "--preset", "field", "--seed", "1",
+                   "--iters", "50", "--kq", "50", "--particles", "256",
+                   "--out", str(out)])
+    assert rc == 0
+    assert cli.load_runlog_csv(out / "runlog.csv")[-1]["beta"] < 0.05
+    stored = json.loads((out / "diagnostics.json").read_text())
+    assert stored["nonfinite_metrics"] == [] and stored["diag_rejected"] == 0
+    assert all(np.isfinite(stored[k]) for k in ("ksd_u", "ksd_v", "mean_logpi"))
+    rc = cli.main(["--config", str(out / "config.resolved"), "--mode", "diagnose"])
+    assert rc == 0
+    recomputed = json.loads((out / "diagnostics.json").read_text())
+    assert {k: v for k, v in recomputed.items() if k != "wall_seconds"} == \
+        {k: v for k, v in stored.items() if k != "wall_seconds"}
 
 
 def test_diagnose_reads_a_float32_checkpoint(tmp_path):

@@ -66,7 +66,8 @@ def test_run_mfm_same_with_out_of_place_adam(tmp_path, monkeypatch):
             monkeypatch.setattr(nets, "adam_step", out_of_place_adam)
         art = driver.run_mfm(target, cfg)
         flow.save_flow(tmp_path / f"{variant}.ckpt", art.flow_params)
-        pushed = driver.diagnose_flow(art.flow_params, target, cfg)
+        pushed = driver.diagnose_flow(art.flow_params, target, cfg,
+                                      art.ensemble.temper.beta)
         runs.append(((tmp_path / f"{variant}.ckpt").read_bytes(),
                      art.ensemble.positions, art.log_rows, pushed))
     (ckpt_a, pos_a, rows_a, rep_a), (ckpt_b, pos_b, rows_b, rep_b) = runs
@@ -207,15 +208,16 @@ def test_atsmc_evaluates_target_once_per_mala_pass(monkeypatch):
 @pytest.mark.parametrize("kernel", ["rwmh", "imh", "cis"])
 def test_flow_step_evaluates_target_once(kernel, monkeypatch):
     # k_q = 1: every iteration is a flow step.  Outside the flow's vector
-    # field (ODE integration and training read the tempered score, which
-    # calls the target), one log-density call for the initial cache, one
-    # per flow step (at the proposals, all candidates of the CIS kernel
-    # stacked) and one in the diagnostics report
+    # field (ODE integration, the closing push and training read the
+    # tempered score, which calls the target), one log-density call for
+    # the initial cache, one per flow step (at the proposals, all
+    # candidates of the CIS kernel stacked) and one in the diagnostics
+    # report
     target = targets.make_gmm4()
     calls = []
     inner = target.log_density
     in_field = while_running(monkeypatch, (kernels, "integrate_rows"),
-                             (cfm, "train_step"))
+                             (cfm, "train_step"), (flow, "push_samples"))
 
     def counted(x, **kwargs):
         if not in_field:
@@ -311,7 +313,7 @@ def test_diagnose_flow_reproducible():
     cfg = smoke_config(iters=3)
     art = driver.run_mfm(target, cfg)
     r1 = driver.run_report(target, cfg, art)
-    r2 = driver.diagnose_flow(art.flow_params, target, cfg)
+    r2 = driver.diagnose_flow(art.flow_params, target, cfg, art.ensemble.temper.beta)
     assert r1.mmd2_unbiased == r2.mmd2_unbiased
     assert r1.ksd_u == r2.ksd_u
     assert r1.mean_logpi == r2.mean_logpi
