@@ -3,7 +3,8 @@
 Configs are flat ``key = value`` files (JSON-typed values, ``#`` comments)
 overridable by flags; presets bundle the per-experiment hyperparameters.
 The run configuration itself is ``driver.ExperimentConfig``, which
-validates every field when it is built, so a bad value is refused before
+validates every field when it is built, and the target is built before
+the output directory, so a bad value or counts file is refused before
 anything is written.  What each mode writes into the output directory:
 
 - mfm and fm-oracle: the resolved config (config.resolved), the final
@@ -229,7 +230,7 @@ def run(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out)
     if cfg.mode == "diagnose":
         return _run_diagnose(cfg, out)
-    target = build_target(cfg)   # a bad counts file is refused here
+    target = build_target(cfg)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved").write_text(config_lines(cfg))
     runner = {"mfm": driver.run_mfm, "atsmc": driver.run_atsmc,
@@ -255,9 +256,11 @@ def _run_diagnose(cfg: ExperimentConfig, out: Path) -> int:
     for what, path in (("flow checkpoint", ckpt), ("run log", runlog)):
         if not path.exists():
             raise ConfigError("out", f"no {what} at {path}")
+    rows = load_runlog_csv(runlog)
+    if not rows:   # the push needs the run's last beta
+        raise ConfigError("out", f"no rows in the run log at {runlog}")
     target = build_target(cfg)
     flow_params = flow.load_flow(ckpt)
-    rows = load_runlog_csv(runlog)
     t0 = time.perf_counter()
     report = driver.diagnose_flow(flow_params, target, cfg, rows[-1]["beta"])
     write_diagnostics_json(out / "diagnostics.json", report, rows,

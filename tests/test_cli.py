@@ -362,6 +362,24 @@ def test_diagnose_refuses_a_run_without_its_files(tmp_path, monkeypatch, missing
     assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
 
+def test_diagnose_refuses_a_run_log_without_rows(tmp_path, monkeypatch):
+    # the push reads the run's last beta from the run log's last row
+    out = tmp_path / "run"
+    assert cli.run(cli.parse_config(overrides=smoke_overrides(out))) == 0
+    runlog = out / "runlog.csv"
+    runlog.write_text("".join(runlog.read_text().splitlines(keepends=True)[:2]))
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def unbuilt(_cfg):
+        raise AssertionError("the target was built")
+
+    monkeypatch.setattr(cli, "build_target", unbuilt)
+    cfg = cli.parse_config(out / "config.resolved", dict(mode="diagnose"))
+    with pytest.raises(ConfigError, match=str(runlog)):
+        cli.run(cfg)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+
 def test_diagnose_refuses_a_malformed_checkpoint(tmp_path, capsys):
     # three bytes past the layout's data, which np.fromfile alone would drop
     out = tmp_path / "run"
