@@ -236,6 +236,7 @@ def _ksd_sums(target, ys, workers=1):
 
     def fill(bufs, r, c):
         return _stein_into(bufs, [v[r] for v in as_rows], [v[c] for v in as_cols])
+
     n = ys.shape[0]
     return (*_gram_sums(n, 4, fill, True, workers), n)
 
